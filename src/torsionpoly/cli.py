@@ -122,10 +122,7 @@ def cmd_eliminate(record, args) -> Tuple[Dict[str, str], List[str]]:
 
 
 def cmd_trace_relation(record, args):
-    from .charvar import trace_relation
-    if record.apoly is None:
-        raise pl.PipelineError(f"record {record.name} has no A-polynomial")
-    R = trace_relation(record.apoly)
+    R = pl.trace_relation_of(record)
     return {
         "trace_relation": to_text(R.poly),
         "variables": "x = meridian trace, y = longitude trace",
@@ -216,8 +213,7 @@ def cmd_torsion(record, args):
 
 
 def _sweep_point(payload):
-    name, trace, dps, tolerance = payload
-    record = ingest_knot(name)
+    record, trace, dps, tolerance = payload
     try:
         point = pl.torsion_at(record, trace, dps=dps)
     except ValueError as exc:
@@ -234,9 +230,11 @@ def cmd_sweep(record, args):
     for i in range(steps):
         t = lo + (hi - lo) * i / max(1, steps - 1)
         traces.append(mp.nstr(t, 12))
-    payloads = [(args.knot, t, dps, args.tolerance) for t in traces]
+    payloads = [(record, t, dps, args.tolerance) for t in traces]
     if args.jobs > 1:
         import concurrent.futures as cf
+        # workers get the record with its symbolic artifacts already derived
+        pl.derive_artifacts(record)
         with cf.ProcessPoolExecutor(max_workers=args.jobs) as ex:
             rows = list(ex.map(_sweep_point, payloads))
     else:

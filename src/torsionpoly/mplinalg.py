@@ -11,17 +11,9 @@ import mpmath as mp
 REL_RANK_TOL = mp.mpf("1e-8")
 
 
-def mat(rows):
-    return mp.matrix(rows)
-
-
 def frob(M) -> object:
     return mp.sqrt(mp.fsum(abs(M[i, j]) ** 2
                            for i in range(M.rows) for j in range(M.cols)))
-
-
-def mat_mul(A, B):
-    return A * B
 
 
 def pivot_columns(M, col_order=None, rel_tol=REL_RANK_TOL):

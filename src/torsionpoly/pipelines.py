@@ -7,8 +7,8 @@ from typing import Optional, Tuple
 import mpmath as mp
 
 from .charvar import (
-    ChangeFactor, NoGraphBranch, change_curve_sq, geometric_branch,
-    trace_relation,
+    ChangeFactor, NoGraphBranch, TraceRelation, change_curve_sq,
+    geometric_branch, trace_relation,
 )
 from .numfield import NumberField, express_in_field, minimal_polynomial, \
     NotInField, Undecided
@@ -24,10 +24,29 @@ class PipelineError(ValueError):
     pass
 
 
+def _artifact(record: KnotRecord, key, derive):
+    """The record's artifact `key`, derived on first use.
+
+    Two threads that race here both derive it and then read whichever copy
+    was stored first; an error propagates and stores nothing.
+    """
+    try:
+        return record.artifacts[key]
+    except KeyError:
+        return record.artifacts.setdefault(key, derive())
+
+
 def eliminated_T(record: KnotRecord) -> TPoly:
     if record.param_torsion is None:
         raise PipelineError(f"record {record.name} has no parametrized torsion")
-    return eliminate_T(record.param_torsion)
+    return _artifact(record, "T", lambda: eliminate_T(record.param_torsion))
+
+
+def trace_relation_of(record: KnotRecord) -> TraceRelation:
+    if record.apoly is None:
+        raise PipelineError(f"record {record.name} has no A-polynomial")
+    return _artifact(record, "trace_relation",
+                     lambda: trace_relation(record.apoly))
 
 
 def branch_and_factor(record: KnotRecord) -> Tuple[UniPoly, ChangeFactor]:
@@ -35,11 +54,14 @@ def branch_and_factor(record: KnotRecord) -> Tuple[UniPoly, ChangeFactor]:
         raise PipelineError(f"record {record.name} has no A-polynomial")
     if record.branch_hint is None:
         raise PipelineError(f"record {record.name} has no branch hint")
-    R = trace_relation(record.apoly)
-    branch = geometric_branch(R, record.branch_hint)
-    if isinstance(branch, NoGraphBranch):
-        raise PipelineError(f"geometric branch of {record.name}: {branch.reason}")
-    return branch, change_curve_sq(branch)
+
+    def derive():
+        branch = geometric_branch(trace_relation_of(record), record.branch_hint)
+        if isinstance(branch, NoGraphBranch):
+            raise PipelineError(
+                f"geometric branch of {record.name}: {branch.reason}")
+        return branch, change_curve_sq(branch)
+    return _artifact(record, "branch_and_factor", derive)
 
 
 def transported_T(record: KnotRecord, new_var: str = "z") -> TPoly:
@@ -49,7 +71,21 @@ def transported_T(record: KnotRecord, new_var: str = "z") -> TPoly:
             f"(record {record.name} is parametrized by {record.trace_of})")
     T = eliminated_T(record)
     branch, factor = branch_and_factor(record)
-    return transport_T(T, factor, branch, new_var=new_var)
+    return _artifact(record, ("transported_T", new_var),
+                     lambda: transport_T(T, factor, branch, new_var=new_var))
+
+
+def derive_artifacts(record: KnotRecord) -> None:
+    """Derive every artifact `torsion_at` reads, so that copies of the record
+    sent to worker processes carry them. An artifact that fails is left
+    underived, and `torsion_at` reports its error at each point."""
+    try:
+        if record.apoly is not None and record.branch_hint is not None:
+            branch_and_factor(record)
+        if record.param_torsion is not None:
+            eliminated_T(record)
+    except ValueError:
+        pass
 
 
 def torsion_polynomial(record: KnotRecord, curve: str, new_var: str = "z") -> TPoly:
@@ -151,7 +187,11 @@ def _diagnostic_scalar(record: KnotRecord, out) -> object:
         by_tau[d] = mp.mpmathify(c.eval({T.trace_var: tv}))
     deg = max(by_tau)
     poly = [by_tau.get(i, mp.mpc(0)) for i in range(deg + 1)]
-    roots = mp.polyroots(list(reversed(poly)), maxsteps=200, extraprec=80)
+    try:
+        roots = mp.polyroots(list(reversed(poly)), maxsteps=200, extraprec=80)
+    except mp.libmp.NoConvergence as exc:
+        raise PipelineError("diagnostic scalar at trace "
+                            f"{mp.nstr(mp.re(out['tr_mu']), 12)}: {exc}") from exc
     tau_num = out["tau_lambda"].value
     best = min(roots, key=lambda r: min(abs(r - tau_num), abs(r + tau_num)))
     if abs(best) < mp.mpf("1e-20"):

@@ -103,6 +103,10 @@ class KnotRecord:
     mu_note: str
     riley_seed: complex
     source_text: str
+    # Symbolic objects derived from this record, filled lazily by
+    # `pipelines`; not part of the record's value.
+    artifacts: dict = field(default_factory=dict, init=False, compare=False,
+                            repr=False)
 
 
 def _parse_rule(text: str, where: str):

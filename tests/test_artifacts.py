@@ -1,0 +1,89 @@
+"""Symbolic artifacts are derived once per record and shared by its readers."""
+
+import sys
+import threading
+
+import mpmath as mp
+import pytest
+
+from torsionpoly import charvar, cli, pipelines as pl, torsion_sym
+from torsionpoly.records import ingest_knot
+
+
+def count_calls(monkeypatch, modules, name):
+    """Replace `name` in each module by a wrapper that appends to the
+    returned list on every call."""
+    calls = []
+    for module in modules:
+        real = getattr(module, name)
+
+        def counted(*args, _real=real, **kwargs):
+            calls.append(name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("read", [pl.eliminated_T, pl.branch_and_factor,
+                                  pl.transported_T])
+def test_second_read_is_the_same_object(read, monkeypatch):
+    calls = count_calls(monkeypatch, (charvar, torsion_sym), "resultant")
+    record = ingest_knot("4_1")
+    first = read(record)
+    derived = len(calls)
+    assert derived > 0
+    assert read(record) is first
+    assert len(calls) == derived
+
+
+def test_serial_sweep_derives_each_artifact_once(monkeypatch, capsys):
+    relations = count_calls(monkeypatch, (pl,), "trace_relation")
+    eliminations = count_calls(monkeypatch, (pl,), "eliminate_T")
+    code = cli.main(["--no-cache", "sweep", "--knot", "4_1", "--from", "1.9",
+                     "--to", "2.2", "--steps", "7"])
+    assert code == 0
+    assert "2.2/diagnostic_scalar" in capsys.readouterr().out
+    assert len(relations) == 1
+    assert len(eliminations) == 1
+
+
+def test_records_share_no_artifacts():
+    a, b = ingest_knot("4_1"), ingest_knot("4_1")
+    assert a == b
+    assert pl.eliminated_T(a) is not pl.eliminated_T(b)
+    assert pl.trace_relation_of(a) is not pl.trace_relation_of(b)
+    assert pl.branch_and_factor(a) is not pl.branch_and_factor(b)
+    assert a == b
+
+
+def test_threads_reading_one_record_agree():
+    record = ingest_knot("4_1")
+    results = [None] * 4
+
+    def read(i):
+        results[i] = pl.transported_T(record)
+    threads = [threading.Thread(target=read, args=(i,)) for i in range(4)]
+    interval, prec = sys.getswitchinterval(), mp.mp.prec
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        # mpmath's working precision is one process-wide setting, and
+        # interleaved `workdps` blocks in the threads can leave it raised
+        # (see the README); later tests expect the default back
+        mp.mp.prec = prec
+    assert not any(t.is_alive() for t in threads)
+    assert all(r is not None and r.poly == results[0].poly for r in results)
+    assert pl.transported_T(record).poly == results[0].poly
+
+
+def test_errors_are_not_stored():
+    record = ingest_knot("5_2")
+    for _ in range(2):
+        with pytest.raises(pl.PipelineError, match="no A-polynomial"):
+            pl.branch_and_factor(record)
+    assert record.artifacts == {}

@@ -1,9 +1,10 @@
 import json
 import os
 
+import mpmath as mp
 import pytest
 
-from torsionpoly import cli
+from torsionpoly import cli, pipelines as pl
 from torsionpoly.records import (
     RecordError, bundled_record_text, ingest_knot, parse_record,
     validate_parabolic,
@@ -180,6 +181,17 @@ def test_cli_sweep_parallel_matches_serial(capsys, cache_dir):
     assert payload(out1) == payload(out2)
 
 
+def test_cli_sweep_parallel_matches_serial_52(capsys, cache_dir):
+    # workers receive the record with its artifacts derived in the parent
+    args = ["sweep", "--knot", "5_2", "--from", "1.95", "--to", "2.15",
+            "--steps", "3", "--no-cache"]
+    code1, out1, _ = run_cli(capsys, *args)
+    code2, out2, _ = run_cli(capsys, *args, "--jobs", "2")
+    assert code1 == code2 == 0
+    payload = lambda s: s.split("[results]", 1)[1]
+    assert payload(out1) == payload(out2)
+
+
 def test_cli_sweep_skips_singular_points(capsys, cache_dir):
     # the parabolic point itself has a degenerate invariant form; the sweep
     # reports it per-point and completes the remaining traces
@@ -188,3 +200,26 @@ def test_cli_sweep_skips_singular_points(capsys, cache_dir):
     assert code == 0
     assert "2.0/error" in out
     assert "1.9/ratio_sq" in out and "2.1/ratio_sq" in out
+
+
+def test_cli_sweep_contains_non_converging_point(capsys, cache_dir, monkeypatch):
+    # mpmath's NoConvergence is no ValueError; the diagnostic root finding
+    # turns it into a PipelineError, so only its own point fails
+    solving = []
+    real_solve, real_roots = pl.riley_solve, mp.polyroots
+
+    def solve(pres, trace, *args, **kwargs):
+        solving.append(mp.nstr(trace, 12))
+        return real_solve(pres, trace, *args, **kwargs)
+
+    def roots(*args, **kwargs):
+        if solving[-1] == "2.06":
+            raise mp.libmp.NoConvergence("injected")
+        return real_roots(*args, **kwargs)
+    monkeypatch.setattr(pl, "riley_solve", solve)
+    monkeypatch.setattr(mp, "polyroots", roots)
+    code, out, err = run_cli(capsys, "sweep", "--knot", "5_2", "--from", "2.03",
+                             "--to", "2.09", "--steps", "3", "--no-cache")
+    assert code == 0, err
+    assert "2.06/error = diagnostic scalar at trace 2.06: injected" in out
+    assert "2.03/diagnostic_scalar" in out and "2.09/diagnostic_scalar" in out

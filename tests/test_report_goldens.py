@@ -1,0 +1,44 @@
+"""Every report the benchmark's symbolic commands, `torsion` and `sweep`
+print, byte for byte against reports kept in tests/goldens/."""
+
+import io
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from torsionpoly import cli
+
+GOLDENS = Path(__file__).parent / "goldens"
+
+CASES = {
+    "eliminate-4_1": ("eliminate", "--knot", "4_1"),
+    "eliminate-5_2": ("eliminate", "--knot", "5_2"),
+    "trace-relation-4_1": ("trace-relation", "--knot", "4_1"),
+    "change-curve-4_1": ("change-curve", "--knot", "4_1"),
+    "transport-4_1": ("transport", "--knot", "4_1"),
+    "rho0-lambda-4_1": ("rho0", "--knot", "4_1", "--curve", "lambda"),
+    "rho0-lambda-5_2": ("rho0", "--knot", "5_2", "--curve", "lambda"),
+    "rho0-mu-4_1": ("rho0", "--knot", "4_1", "--curve", "mu"),
+    "membership-4_1": ("membership", "--knot", "4_1"),
+    "membership-5_2": ("membership", "--knot", "5_2"),
+    "torsion-4_1": ("torsion", "--knot", "4_1", "--trace", "2.05"),
+    "torsion-5_2": ("torsion", "--knot", "5_2", "--trace", "2.05"),
+    "sweep-4_1": ("sweep", "--knot", "4_1", "--from", "1.9", "--to", "2.2",
+                  "--steps", "7"),
+    "sweep-5_2": ("sweep", "--knot", "5_2", "--from", "1.9", "--to", "2.2",
+                  "--steps", "7"),
+}
+
+
+def test_every_golden_has_a_case():
+    assert sorted(p.stem for p in GOLDENS.glob("*.txt")) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(name):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(["--no-cache", *CASES[name]])
+    assert code == 0
+    assert out.getvalue() == (GOLDENS / f"{name}.txt").read_text()
