@@ -20,7 +20,7 @@ import mpmath as mp
 from . import __version__, pipelines as pl
 from .numfield import NotInField
 from .polys import to_text
-from .records import RecordError, ingest_knot, validate_parabolic
+from .records import ingest_knot, validate_parabolic
 
 CACHE_ENV = "TORSIONPOLY_CACHE"
 DEFAULT_CACHE_DIR = ".torsionpoly-cache"
@@ -337,9 +337,6 @@ def main(argv=None) -> int:
             cache_store(digest, rendered)
         sys.stdout.write(rendered[args.format])
         return 0
-    except (RecordError, pl.PipelineError) as exc:
-        print(f"error: {args.cmd}: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {args.cmd}: {exc}", file=sys.stderr)
         return 2

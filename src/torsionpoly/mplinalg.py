@@ -1,10 +1,14 @@
 """Pivoted complex linear algebra on mpmath matrices.
 
-Rank decisions use a relative threshold against the largest pivot seen, per
-the working-precision contract of the torsion engine.
+Rank, pivots and kernels come from one elimination, whose rank decisions
+use a threshold relative to the largest entry of the input, per the
+working-precision contract of the torsion engine.  Determinants use their
+own LU.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import mpmath as mp
 
@@ -16,85 +20,49 @@ def frob(M) -> object:
                            for i in range(M.rows) for j in range(M.cols)))
 
 
-def pivot_columns(M, col_order=None, rel_tol=REL_RANK_TOL):
-    """Greedy pivoted elimination; returns (rank, pivot column indices).
+class Elimination(NamedTuple):
+    """Result of eliminate: pivot columns in elimination order, and the
+    reduced matrix, whose row k is the normalized pivot row of pivots[k]."""
 
-    With the default order the largest available pivot is taken each step
-    (this is the rank decision).  An explicit col_order takes the first
-    acceptable column in that order instead, so callers can re-choose
-    interior bases among valid independent sets.
-    """
+    pivots: list
+    reduced: object
+
+    def kernel(self):
+        """Basis of the right kernel: one vector per free column."""
+        nc = self.reduced.cols
+        basis = []
+        for fc in range(nc):
+            if fc in self.pivots:
+                continue
+            v = basis_vector(nc, fc)
+            for row, pc in enumerate(self.pivots):
+                v[pc] = -self.reduced[row, fc]
+            basis.append(v)
+        return basis
+
+
+def eliminate(M, col_order=None) -> Elimination:
+    """Gauss-Jordan elimination with normalized pivot rows.
+
+    Each column of col_order (default: left to right) is tried once, and
+    becomes a pivot when its largest entry at or below the current row
+    exceeds REL_RANK_TOL times the largest entry of M.  Acceptance relative
+    to the input scale keeps a numerically-zero column from promoting noise
+    to a pivot; an explicit col_order lets callers re-choose interior bases
+    among valid independent sets."""
     A = M.copy()
     nr, nc = A.rows, A.cols
-    first_fit = col_order is not None
-    order = list(range(nc)) if col_order is None else list(col_order)
     scale = max((abs(A[i, j]) for i in range(nr) for j in range(nc)),
                 default=mp.mpf(0))
-    if scale == 0:
-        return 0, []
     pivots = []
-    used = set()
-    row = 0
-    while row < nr:
-        chosen = None
-        best_seen = mp.mpf(0)
-        for c in order:
-            if c in used:
-                continue
-            colbest, bi = mp.mpf(0), None
-            for i in range(row, nr):
-                a = abs(A[i, c])
-                if a > colbest:
-                    colbest, bi = a, i
-            if colbest > rel_tol * scale:
-                if first_fit:
-                    chosen = (bi, c)
-                    break
-                if colbest > best_seen:
-                    best_seen, chosen = colbest, (bi, c)
-        if chosen is None:
-            break
-        i, c = chosen
-        if i != row:
-            A[row, :], A[i, :] = A[i, :], A[row, :]
-        pv = A[row, c]
-        for r2 in range(nr):
-            if r2 == row:
-                continue
-            f = A[r2, c] / pv
-            if f != 0:
-                for c2 in range(nc):
-                    A[r2, c2] -= f * A[row, c2]
-        pivots.append(c)
-        used.add(c)
-        row += 1
-    return len(pivots), sorted(pivots) if col_order is None else pivots
-
-
-def rank(M, rel_tol=REL_RANK_TOL) -> int:
-    return pivot_columns(M, rel_tol=rel_tol)[0]
-
-
-def nullspace(M, rel_tol=REL_RANK_TOL):
-    """Basis of the right kernel via row-reduced echelon form.
-
-    Pivot acceptance is relative to the largest entry of the input matrix, so
-    a numerically-zero leading column cannot promote noise to a pivot."""
-    A = M.copy()
-    nr, nc = A.rows, A.cols
-    scale = max((abs(A[i, j]) for i in range(nr) for j in range(nc)),
-                default=mp.mpf(0))
-    if scale == 0:
-        return [basis_vector(nc, i) for i in range(nc)]
-    piv_of_col = {}
-    row = 0
-    for col in range(nc):
+    for col in range(nc) if col_order is None else col_order:
+        row = len(pivots)
         best, bi = mp.mpf(0), None
         for i in range(row, nr):
             a = abs(A[i, col])
             if a > best:
                 best, bi = a, i
-        if bi is None or best <= rel_tol * scale:
+        if best <= REL_RANK_TOL * scale:
             continue
         if bi != row:
             A[row, :], A[bi, :] = A[bi, :], A[row, :]
@@ -107,19 +75,22 @@ def nullspace(M, rel_tol=REL_RANK_TOL):
                 if f != 0:
                     for c2 in range(nc):
                         A[r2, c2] -= f * A[row, c2]
-        piv_of_col[col] = row
-        row += 1
-        if row == nr:
-            break
-    free = [c for c in range(nc) if c not in piv_of_col]
-    basis = []
-    for fc in free:
-        v = mp.matrix(nc, 1)
-        v[fc] = mp.mpf(1)
-        for pc, pr in piv_of_col.items():
-            v[pc] = -A[pr, fc]
-        basis.append(v)
-    return basis
+        pivots.append(col)
+    return Elimination(pivots, A)
+
+
+def pivot_columns(M, col_order=None) -> list:
+    """Pivot column indices, in elimination order."""
+    return eliminate(M, col_order).pivots
+
+
+def rank(M) -> int:
+    return len(pivot_columns(M))
+
+
+def nullspace(M):
+    """Basis of the right kernel via row-reduced echelon form."""
+    return eliminate(M).kernel()
 
 
 def det(M):

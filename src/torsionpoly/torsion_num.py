@@ -28,6 +28,7 @@ from . import mplinalg as la
 
 DEFAULT_DPS = 40
 NEWTON_TOL = mp.mpf("1e-10")
+CHAIN_TOL = mp.mpf("1e-8")      # relative bound on |d1 d2| in boundaries
 
 
 class TorsionNumError(ValueError):
@@ -342,11 +343,9 @@ class ChainData:
     P: object           # 3-vector
     h1: object          # 3s-vector
     h2: object          # 3r-vector
-    s: int
-    r: int
 
 
-def boundaries(p: Presentation, rep: Rep, chain_tol=mp.mpf("1e-8")):
+def boundaries(p: Presentation, rep: Rep):
     """Twisted boundary matrices (d1, d2) at a solved representation."""
     with mp.workdps(rep.dps):
         resid = rep.relator_residual(p)
@@ -369,7 +368,7 @@ def boundaries(p: Presentation, rep: Rep, chain_tol=mp.mpf("1e-8")):
                     for jj in range(3):
                         d2[3 * k + i, 3 * j + jj] = blk[i, jj]
         prod_norm = la.frob(d1 * d2)
-        if prod_norm > chain_tol * max(la.frob(d1) * la.frob(d2), mp.mpf(1)):
+        if prod_norm > CHAIN_TOL * max(la.frob(d1) * la.frob(d2), mp.mpf(1)):
             raise TorsionNumError(
                 f"chain condition failed: |d1 d2| = {mp.nstr(prod_norm, 5)}")
         return d1, d2
@@ -398,11 +397,12 @@ def invariant_vector(rep: Rep, mu: Word, lam: Word):
         return P / nrm
 
 
-def basing(p: Presentation, rep: Rep, P, gamma: Word, chain=None):
-    """Reference cycles: h1 from the Fox expansion of gamma tensored with P,
-    h2 the kernel generator of d2 with largest coordinate normalized to 1."""
+def basing(p: Presentation, rep: Rep, P, gamma: Word, chain):
+    """Reference cycles in the complex chain = (d1, d2): h1 from the Fox
+    expansion of gamma tensored with P, h2 the kernel generator of d2 with
+    largest coordinate normalized to 1."""
     with mp.workdps(rep.dps):
-        d1, d2 = chain if chain is not None else boundaries(p, rep)
+        d1, d2 = chain
         s = p.generator_count
         h1 = mp.matrix(3 * s, 1)
         for k in range(s):
@@ -413,9 +413,10 @@ def basing(p: Presentation, rep: Rep, P, gamma: Word, chain=None):
         cyc = la.frob(d1 * h1)
         if cyc > mp.mpf("1e-8") * max(mp.mpf(1), la.frob(d1) * la.frob(h1)):
             raise TorsionNumError(f"h1 is not a cycle: residual {mp.nstr(cyc, 5)}")
-        if la.rank(la.hstack([d2, h1])) == la.rank(d2):
+        elim = la.eliminate(d2)
+        if la.rank(la.hstack([d2, h1])) == len(elim.pivots):
             raise TorsionNumError("gamma-torsion degenerate at rho")
-        ker = la.nullspace(d2)
+        ker = elim.kernel()
         if len(ker) != 1:
             raise TorsionNumError(f"ker d2 has dimension {len(ker)}")
         h2 = ker[0]
@@ -425,13 +426,6 @@ def basing(p: Presentation, rep: Rep, P, gamma: Word, chain=None):
         if res > mp.mpf("1e-8") * max(mp.mpf(1), la.frob(d2)):
             raise TorsionNumError(f"h2 kernel residual {mp.nstr(res, 5)}")
         return h1, h2
-
-
-def chain_data(p: Presentation, rep: Rep, gamma: Word) -> ChainData:
-    d1, d2 = boundaries(p, rep)
-    P = invariant_vector(rep, p.meridian, p.longitude)
-    h1, h2 = basing(p, rep, P, gamma, chain=(d1, d2))
-    return ChainData(d1, d2, P, h1, h2, p.generator_count, len(p.relators))
 
 
 @dataclass
@@ -454,16 +448,17 @@ def torsion_numeric(cd: ChainData, basis_seed: Optional[int] = None,
     """Milnor torsion of the based twisted complex with homology basis
     (h1, h2); homology dimensions must be (0, 1, 1)."""
     with mp.workdps(dps):
-        n1, n2 = 3 * cd.s, 3 * cd.r
+        n1, n2 = cd.d1.cols, cd.d2.cols
         order1 = list(range(n1))
         order2 = list(range(n2))
         if basis_seed is not None:
             rng = random.Random(basis_seed)
             rng.shuffle(order1)
             rng.shuffle(order2)
-        rank1, piv1 = la.pivot_columns(cd.d1, order1)
-        rank2, piv2 = la.pivot_columns(cd.d2, order2)
-        h0 = 3 - rank1
+        piv1 = la.pivot_columns(cd.d1, order1)
+        piv2 = la.pivot_columns(cd.d2, order2)
+        rank1, rank2 = len(piv1), len(piv2)
+        h0 = cd.d1.rows - rank1
         h1dim = n1 - rank1 - rank2
         h2dim = n2 - rank2
         if (h0, h1dim, h2dim) != (0, 1, 1):
@@ -496,10 +491,9 @@ def peripheral_torsions(p: Presentation, rep: Rep,
         P = invariant_vector(rep, p.meridian, p.longitude)
         h1_mu, h2 = basing(p, rep, P, p.meridian, chain=(d1, d2))
         h1_la, _ = basing(p, rep, P, p.longitude, chain=(d1, d2))
-        s, r = p.generator_count, len(p.relators)
-        t_mu = torsion_numeric(ChainData(d1, d2, P, h1_mu, h2, s, r),
+        t_mu = torsion_numeric(ChainData(d1, d2, P, h1_mu, h2),
                                basis_seed, rep.dps)
-        t_la = torsion_numeric(ChainData(d1, d2, P, h1_la, h2, s, r),
+        t_la = torsion_numeric(ChainData(d1, d2, P, h1_la, h2),
                                basis_seed, rep.dps)
         tr_mu = rep.of_word(p.meridian)[0, 0] + rep.of_word(p.meridian)[1, 1]
         tr_la = rep.of_word(p.longitude)[0, 0] + rep.of_word(p.longitude)[1, 1]

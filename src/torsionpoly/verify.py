@@ -150,7 +150,7 @@ def check_numeric_engine() -> Tuple[bool, str]:
                                  ("tau_lambda", pres.longitude)):
                 h1, h2 = basing(pres, rep, P * c, gamma, chain=(d1, d2))
                 rescaled[curve] = torsion_numeric(
-                    ChainData(d1, d2, P * c, h1, h2, 2, 1))
+                    ChainData(d1, d2, P * c, h1, h2))
             msg = drifted(rescaled, "P-rescaling")
             if msg:
                 return False, msg

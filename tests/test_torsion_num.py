@@ -7,7 +7,7 @@ from torsionpoly.charvar import change_curve_sq
 from torsionpoly.polys import UniPoly
 from torsionpoly.torsion_num import (
     ChainData, GroupRingElem, Presentation, Rep, TorsionNumError, Word,
-    adjoint, basing, boundaries, chain_data, fox_derivative, invariant_vector,
+    adjoint, basing, boundaries, fox_derivative, invariant_vector,
     parse_word, peripheral_torsions, riley_solve, torsion_numeric,
 )
 
@@ -294,20 +294,23 @@ def test_torsion_invariant_under_P_rescaling():
         d1, d2 = boundaries(PRES_41, rep)
         P = invariant_vector(rep, PRES_41.meridian, PRES_41.longitude)
         h1, h2 = basing(PRES_41, rep, P, PRES_41.longitude, chain=(d1, d2))
-        t0 = torsion_numeric(ChainData(d1, d2, P, h1, h2, 2, 1)).value
+        t0 = torsion_numeric(ChainData(d1, d2, P, h1, h2)).value
         rng = random.Random(3)
         for _ in range(3):
             c = mp.mpc(rng.uniform(0.2, 2), rng.uniform(-2, 2))
             P2 = P * c
             h1b, h2b = basing(PRES_41, rep, P2, PRES_41.longitude, chain=(d1, d2))
-            t1 = torsion_numeric(ChainData(d1, d2, P2, h1b, h2b, 2, 1)).value
+            t1 = torsion_numeric(ChainData(d1, d2, P2, h1b, h2b)).value
             assert min(abs(t1 - t0), abs(t1 + t0)) < 1e-9 * abs(t0)
 
 
 def test_torsion_invariant_under_basis_rechoice():
     rep = solved_41(mp.mpf("2.11"))
     with mp.workdps(40):
-        cd = chain_data(PRES_41, rep, PRES_41.longitude)
+        d1, d2 = boundaries(PRES_41, rep)
+        P = invariant_vector(rep, PRES_41.meridian, PRES_41.longitude)
+        h1, h2 = basing(PRES_41, rep, P, PRES_41.longitude, chain=(d1, d2))
+        cd = ChainData(d1, d2, P, h1, h2)
         t0 = torsion_numeric(cd).value
         for seed in (1, 2, 3, 4):
             t1 = torsion_numeric(cd, basis_seed=seed).value
@@ -342,7 +345,7 @@ def test_torsion_rejects_bad_homology():
         h2 = mp.matrix(3, 1)
         h2[0] = 1
         with pytest.raises(TorsionNumError, match="non-generic"):
-            torsion_numeric(ChainData(d1, d2, P, h1, h2, 2, 1))
+            torsion_numeric(ChainData(d1, d2, P, h1, h2))
 
 
 def test_torsion_diagnostic_scalar_is_stable():
