@@ -140,7 +140,7 @@ def cmd_change_curve(record, args):
 
 
 def cmd_transport(record, args):
-    T = pl.transported_T(record, new_var="z")
+    T = pl.transported_T(record)
     return {
         "T_polynomial": to_text(T.poly),
         "trace_variable": "z = meridian trace",
@@ -203,7 +203,18 @@ def _torsion_results(point: dict, tolerance: float) -> Dict[str, str]:
     return results
 
 
+def _finite(value, flag: str):
+    """A parsed trace; inf and nan would fail inside mpmath's arithmetic."""
+    if not mp.isfinite(value):
+        raise ValueError(f"{flag} must be a finite number, got {mp.nstr(value)}")
+    return value
+
+
 def cmd_torsion(record, args):
+    try:
+        _finite(mp.mpmathify(args.trace), "--trace")
+    except TypeError:  # mpmath's error for text that is not a number
+        raise ValueError(f"--trace {args.trace!r} is not a number") from None
     dps = max(30, args.precision // 2)
     point = pl.torsion_at(record, args.trace, dps=dps)
     results = {"trace": args.trace}
@@ -226,7 +237,9 @@ def _sweep_point(payload):
 def cmd_sweep(record, args):
     dps = max(30, args.precision // 2)
     traces = []
-    lo, hi, steps = mp.mpf(args.start), mp.mpf(args.stop), args.steps
+    lo = _finite(mp.mpf(args.start), "--from")
+    hi = _finite(mp.mpf(args.stop), "--to")
+    steps = args.steps
     for i in range(steps):
         t = lo + (hi - lo) * i / max(1, steps - 1)
         traces.append(mp.nstr(t, 12))

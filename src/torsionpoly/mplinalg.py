@@ -120,11 +120,7 @@ def det(M):
 
 
 def columns(M, cols):
-    out = mp.matrix(M.rows, len(cols))
-    for j, c in enumerate(cols):
-        for i in range(M.rows):
-            out[i, j] = M[i, c]
-    return out
+    return hstack([M[:, c] for c in cols])
 
 
 def hstack(blocks):
@@ -138,6 +134,10 @@ def hstack(blocks):
                 out[i, at + j] = b[i, j]
         at += b.cols
     return out
+
+
+def vstack(blocks):
+    return hstack([b.T for b in blocks]).T
 
 
 def basis_vector(n, i):

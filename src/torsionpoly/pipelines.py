@@ -64,15 +64,15 @@ def branch_and_factor(record: KnotRecord) -> Tuple[UniPoly, ChangeFactor]:
     return _artifact(record, "branch_and_factor", derive)
 
 
-def transported_T(record: KnotRecord, new_var: str = "z") -> TPoly:
+def transported_T(record: KnotRecord) -> TPoly:
     if record.trace_of != "lambda":
         raise PipelineError(
             "transport needs a longitude-trace parametrization "
             f"(record {record.name} is parametrized by {record.trace_of})")
     T = eliminated_T(record)
     branch, factor = branch_and_factor(record)
-    return _artifact(record, ("transported_T", new_var),
-                     lambda: transport_T(T, factor, branch, new_var=new_var))
+    return _artifact(record, "transported_T",
+                     lambda: transport_T(T, factor, branch, new_var="z"))
 
 
 def derive_artifacts(record: KnotRecord) -> None:
@@ -88,7 +88,7 @@ def derive_artifacts(record: KnotRecord) -> None:
         pass
 
 
-def torsion_polynomial(record: KnotRecord, curve: str, new_var: str = "z") -> TPoly:
+def torsion_polynomial(record: KnotRecord, curve: str) -> TPoly:
     """T for the requested peripheral curve, transporting when necessary."""
     if curve not in ("lambda", "mu"):
         raise PipelineError(f"unknown curve {curve!r}")
@@ -97,7 +97,7 @@ def torsion_polynomial(record: KnotRecord, curve: str, new_var: str = "z") -> TP
     if curve == "lambda":
         return eliminated_T(record)
     if record.trace_of == "lambda":
-        return transported_T(record, new_var=new_var)
+        return transported_T(record)
     raise PipelineError(
         f"no mu-torsion pipeline for record {record.name}")
 

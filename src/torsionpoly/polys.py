@@ -262,14 +262,18 @@ class MultiPoly:
 
     def rational_content(self) -> Fraction:
         """Positive rational c with p/c integer-primitive; 0 for the zero poly."""
-        if self.is_zero():
-            return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = math.gcd(num, abs(c.numerator))
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        return Fraction(num, den)
+        return _content(self.terms.values())
+
+
+def _content(coeffs) -> Fraction:
+    """gcd of the numerators over lcm of the denominators: the positive
+    rational c with every coeff / c an integer, those integers coprime."""
+    num = 0
+    den = 1
+    for c in coeffs:
+        num = math.gcd(num, abs(c.numerator))
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    return Fraction(num, den)
 
 
 def align(a: MultiPoly, b: MultiPoly) -> Tuple[MultiPoly, MultiPoly]:
@@ -702,12 +706,7 @@ class UniPoly:
         """Integer-primitive with positive leading coefficient."""
         if self.is_zero():
             return self
-        num = 0
-        den = 1
-        for c in self.coeffs:
-            num = math.gcd(num, abs(c.numerator))
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        scale = Fraction(num, den)
+        scale = _content(self.coeffs)
         if self.lead() < 0:
             scale = -scale
         return UniPoly(self.var, [c / scale for c in self.coeffs])

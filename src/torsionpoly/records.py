@@ -264,8 +264,12 @@ def ingest_knot(path_or_name: str) -> KnotRecord:
     """Load a record from a path, or from the bundled corpus by knot name."""
     import os
     if os.path.exists(path_or_name):
-        with open(path_or_name, "r") as fh:
-            return parse_record(fh.read())
+        try:
+            with open(path_or_name, "r") as fh:
+                return parse_record(fh.read())
+        except OSError as exc:
+            raise RecordError(
+                f"cannot read knot record {path_or_name!r}: {exc.strerror}")
     return parse_record(bundled_record_text(path_or_name))
 
 

@@ -13,7 +13,8 @@ invariant bilinear form of h2 and of the peripheral-invariant vector P, which
 makes it invariant, up to sign, under P rescaling and global conjugation; it
 equals the torsion of the fundamental-class basing only up to a
 representation-dependent scalar, which cancels in the mu/lambda ratios used
-throughout.
+throughout.  Each sample point builds one based complex (d1, d2, P, h2,
+interior bases, T0, T2); each peripheral curve adds its cycle h1 and T1.
 """
 
 from __future__ import annotations
@@ -336,15 +337,6 @@ def killing(u) -> object:
     return acc
 
 
-@dataclass
-class ChainData:
-    d1: object          # 3 x 3s
-    d2: object          # 3s x 3r
-    P: object           # 3-vector
-    h1: object          # 3s-vector
-    h2: object          # 3r-vector
-
-
 def boundaries(p: Presentation, rep: Rep):
     """Twisted boundary matrices (d1, d2) at a solved representation."""
     with mp.workdps(rep.dps):
@@ -352,21 +344,12 @@ def boundaries(p: Presentation, rep: Rep):
         if resid > mp.mpf("1e-8"):
             raise TorsionNumError(
                 f"representation violates relators: {mp.nstr(resid, 5)}")
-        s, r = p.generator_count, len(p.relators)
-        d1 = mp.matrix(3, 3 * s)
-        eye = mp.eye(3)
-        for k in range(s):
-            blk = eye - adjoint(_inv2(rep.matrices[k]))
-            for i in range(3):
-                for j in range(3):
-                    d1[i, 3 * k + j] = blk[i, j]
-        d2 = mp.matrix(3 * s, 3 * r)
-        for j, rel in enumerate(p.relators):
-            for k in range(s):
-                blk = _ad_eval_inv(fox_derivative(rel, k), rep)
-                for i in range(3):
-                    for jj in range(3):
-                        d2[3 * k + i, 3 * j + jj] = blk[i, jj]
+        s = p.generator_count
+        d1 = la.hstack([mp.eye(3) - adjoint(_inv2(rep.matrices[k]))
+                        for k in range(s)])
+        d2 = la.hstack([la.vstack([_ad_eval_inv(fox_derivative(rel, k), rep)
+                                   for k in range(s)])
+                        for rel in p.relators])
         prod_norm = la.frob(d1 * d2)
         if prod_norm > CHAIN_TOL * max(la.frob(d1) * la.frob(d2), mp.mpf(1)):
             raise TorsionNumError(
@@ -383,12 +366,7 @@ def invariant_vector(rep: Rep, mu: Word, lam: Word):
             if min(_dist_to_identity(M), _dist_to_identity(-M)) < mp.mpf("1e-9"):
                 raise TorsionNumError("peripheral holonomy is central")
             out.append(adjoint(M) - mp.eye(3))
-        stacked = mp.matrix(6, 3)
-        for b, M in enumerate(out):
-            for i in range(3):
-                for j in range(3):
-                    stacked[3 * b + i, j] = M[i, j]
-        ker = la.nullspace(stacked)
+        ker = la.nullspace(la.vstack(out))
         if len(ker) != 1:
             raise TorsionNumError(
                 f"non-generic peripheral holonomy: invariant space dim {len(ker)}")
@@ -397,25 +375,28 @@ def invariant_vector(rep: Rep, mu: Word, lam: Word):
         return P / nrm
 
 
-def basing(p: Presentation, rep: Rep, P, gamma: Word, chain):
-    """Reference cycles in the complex chain = (d1, d2): h1 from the Fox
-    expansion of gamma tensored with P, h2 the kernel generator of d2 with
-    largest coordinate normalized to 1."""
+def basing(p: Presentation, rep: Rep, P, curves, chain):
+    """Reference cycles of the complex chain = (d1, d2): one h1 per curve
+    gamma, from the Fox expansion of gamma tensored with P, and one h2 shared
+    by all curves, the kernel generator of d2 with largest coordinate
+    normalized to 1.  d2 is eliminated once, for its rank and its kernel.
+    Checks run in the order: first curve, h2, remaining curves."""
     with mp.workdps(rep.dps):
         d1, d2 = chain
-        s = p.generator_count
-        h1 = mp.matrix(3 * s, 1)
-        for k in range(s):
-            blk = _ad_eval_inv(fox_derivative(gamma, k), rep)
-            v = blk * P
-            for i in range(3):
-                h1[3 * k + i] = v[i]
-        cyc = la.frob(d1 * h1)
-        if cyc > mp.mpf("1e-8") * max(mp.mpf(1), la.frob(d1) * la.frob(h1)):
-            raise TorsionNumError(f"h1 is not a cycle: residual {mp.nstr(cyc, 5)}")
         elim = la.eliminate(d2)
-        if la.rank(la.hstack([d2, h1])) == len(elim.pivots):
-            raise TorsionNumError("gamma-torsion degenerate at rho")
+
+        def cycle(gamma):
+            h1 = la.vstack([_ad_eval_inv(fox_derivative(gamma, k), rep) * P
+                            for k in range(p.generator_count)])
+            cyc = la.frob(d1 * h1)
+            if cyc > mp.mpf("1e-8") * max(mp.mpf(1), la.frob(d1) * la.frob(h1)):
+                raise TorsionNumError(
+                    f"h1 is not a cycle: residual {mp.nstr(cyc, 5)}")
+            if la.rank(la.hstack([d2, h1])) == len(elim.pivots):
+                raise TorsionNumError("gamma-torsion degenerate at rho")
+            return h1
+
+        first = cycle(curves[0])
         ker = elim.kernel()
         if len(ker) != 1:
             raise TorsionNumError(f"ker d2 has dimension {len(ker)}")
@@ -425,7 +406,7 @@ def basing(p: Presentation, rep: Rep, P, gamma: Word, chain):
         res = la.frob(d2 * h2)
         if res > mp.mpf("1e-8") * max(mp.mpf(1), la.frob(d2)):
             raise TorsionNumError(f"h2 kernel residual {mp.nstr(res, 5)}")
-        return h1, h2
+        return [first] + [cycle(gamma) for gamma in curves[1:]], h2
 
 
 @dataclass
@@ -443,65 +424,64 @@ NORMALIZATION_NOTE = (
 )
 
 
-def torsion_numeric(cd: ChainData, basis_seed: Optional[int] = None,
-                    dps: int = DEFAULT_DPS) -> TorsionValue:
-    """Milnor torsion of the based twisted complex with homology basis
-    (h1, h2); homology dimensions must be (0, 1, 1)."""
+def torsion_numeric(chain, P, cycles, h2, basis_seed: Optional[int] = None,
+                    dps: int = DEFAULT_DPS) -> List[TorsionValue]:
+    """Milnor torsion of the based twisted complex chain = (d1, d2) with
+    homology basis (h1, h2), one value per h1 in cycles, each adding only its
+    determinant T1; homology dimensions must be (0, 1, 1)."""
     with mp.workdps(dps):
-        n1, n2 = cd.d1.cols, cd.d2.cols
+        d1, d2 = chain
+        n1, n2 = d1.cols, d2.cols
         order1 = list(range(n1))
         order2 = list(range(n2))
         if basis_seed is not None:
             rng = random.Random(basis_seed)
             rng.shuffle(order1)
             rng.shuffle(order2)
-        piv1 = la.pivot_columns(cd.d1, order1)
-        piv2 = la.pivot_columns(cd.d2, order2)
+        piv1 = la.pivot_columns(d1, order1)
+        piv2 = la.pivot_columns(d2, order2)
         rank1, rank2 = len(piv1), len(piv2)
-        h0 = cd.d1.rows - rank1
+        h0 = d1.rows - rank1
         h1dim = n1 - rank1 - rank2
         h2dim = n2 - rank2
         if (h0, h1dim, h2dim) != (0, 1, 1):
             raise TorsionNumError(
                 f"non-generic representation: homology ({h0}, {h1dim}, {h2dim})")
-        T0 = la.det(la.columns(cd.d1, piv1))
-        cols1 = [la.columns(cd.d2, piv2), cd.h1]
-        cols1 += [la.basis_vector(n1, c) for c in piv1]
-        T1 = la.det(la.hstack(cols1))
-        cols2 = [cd.h2] + [la.basis_vector(n2, c) for c in piv2]
-        T2 = la.det(la.hstack(cols2))
+        T0 = la.det(la.columns(d1, piv1))
+        T2 = la.det(la.hstack([h2] + [la.basis_vector(n2, c) for c in piv2]))
         if T0 == 0 or T2 == 0:
             raise TorsionNumError("degenerate basis choice")
-        raw = T1 / (T0 * T2)
-        bh2 = killing(cd.h2)
-        bp = killing(cd.P)
+        bh2 = killing(h2)
+        bp = killing(P)
         if abs(bh2) < mp.mpf("1e-20") or abs(bp) < mp.mpf("1e-20"):
             raise TorsionNumError("invariant form degenerates (parabolic point?)")
-        value = raw * mp.sqrt(bh2) / mp.sqrt(bp)
-        if value == 0:
-            raise TorsionNumError("torsion vanished; representation not gamma-regular")
-        return TorsionValue(value, True, NORMALIZATION_NOTE)
+        b2 = la.columns(d2, piv2)
+        e1 = [la.basis_vector(n1, c) for c in piv1]
+        out = []
+        for h1 in cycles:
+            T1 = la.det(la.hstack([b2, h1] + e1))
+            value = T1 / (T0 * T2) * mp.sqrt(bh2) / mp.sqrt(bp)
+            if value == 0:
+                raise TorsionNumError(
+                    "torsion vanished; representation not gamma-regular")
+            out.append(TorsionValue(value, True, NORMALIZATION_NOTE))
+        return out
 
 
 def peripheral_torsions(p: Presentation, rep: Rep,
                         basis_seed: Optional[int] = None) -> dict:
-    """Both peripheral torsions with shared P and h2, plus diagnostics."""
+    """Both peripheral torsions of one based complex, plus diagnostics."""
     with mp.workdps(rep.dps):
-        d1, d2 = boundaries(p, rep)
+        chain = boundaries(p, rep)
         P = invariant_vector(rep, p.meridian, p.longitude)
-        h1_mu, h2 = basing(p, rep, P, p.meridian, chain=(d1, d2))
-        h1_la, _ = basing(p, rep, P, p.longitude, chain=(d1, d2))
-        t_mu = torsion_numeric(ChainData(d1, d2, P, h1_mu, h2),
-                               basis_seed, rep.dps)
-        t_la = torsion_numeric(ChainData(d1, d2, P, h1_la, h2),
-                               basis_seed, rep.dps)
-        tr_mu = rep.of_word(p.meridian)[0, 0] + rep.of_word(p.meridian)[1, 1]
-        tr_la = rep.of_word(p.longitude)[0, 0] + rep.of_word(p.longitude)[1, 1]
+        cycles, h2 = basing(p, rep, P, (p.meridian, p.longitude), chain)
+        t_mu, t_la = torsion_numeric(chain, P, cycles, h2, basis_seed, rep.dps)
+        M, L = rep.of_word(p.meridian), rep.of_word(p.longitude)
         return {
             "tau_mu": t_mu,
             "tau_lambda": t_la,
             "ratio_sq": (t_mu.value / t_la.value) ** 2,
-            "tr_mu": tr_mu,
-            "tr_lambda": tr_la,
+            "tr_mu": M[0, 0] + M[1, 1],
+            "tr_lambda": L[0, 0] + L[1, 1],
             "homology": (0, 1, 1),
         }

@@ -22,7 +22,7 @@ from .polys import MultiPoly, UniPoly, divides, from_text, normalize_sign, \
     resultant, to_text
 from .records import ingest_knot, validate_parabolic
 from .torsion_num import (
-    ChainData, adjoint, basing, boundaries, fox_derivative, invariant_vector,
+    adjoint, basing, boundaries, fox_derivative, invariant_vector,
     parse_word, peripheral_torsions, riley_solve, torsion_numeric,
 )
 from .torsion_sym import specialize
@@ -71,7 +71,7 @@ def check_41_symbolic_chain() -> Tuple[bool, str]:
     ident = 17 + 4 * branch.to_multi() == from_text("4*x^4 - 20*x^2 + 25")
     if not ident:
         return False, "square identity for the longitude torsion failed"
-    T_mu = pl.transported_T(record, new_var="z")
+    T_mu = pl.transported_T(record)
     expected = normalize_sign(from_text(TMU41_TEXT, ["tau", "z"]))
     if not _same_up_to_sign(T_mu.poly, expected):
         return False, f"transport gave {to_text(T_mu.poly)}"
@@ -145,12 +145,10 @@ def check_numeric_engine() -> Tuple[bool, str]:
             # P rescaling (shared h2 stays fixed by construction)
             P = invariant_vector(rep, pres.meridian, pres.longitude)
             c = mp.mpc(rng.uniform(0.3, 2), rng.uniform(-1, 1))
-            rescaled = {}
-            for curve, gamma in (("tau_mu", pres.meridian),
-                                 ("tau_lambda", pres.longitude)):
-                h1, h2 = basing(pres, rep, P * c, gamma, chain=(d1, d2))
-                rescaled[curve] = torsion_numeric(
-                    ChainData(d1, d2, P * c, h1, h2))
+            cycles, h2 = basing(pres, rep, P * c,
+                                (pres.meridian, pres.longitude), (d1, d2))
+            rescaled = dict(zip(("tau_mu", "tau_lambda"),
+                                torsion_numeric((d1, d2), P * c, cycles, h2)))
             msg = drifted(rescaled, "P-rescaling")
             if msg:
                 return False, msg

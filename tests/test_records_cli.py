@@ -142,6 +142,31 @@ def test_cli_missing_pipeline_errors(capsys, cache_dir):
     assert "A-polynomial" in err
 
 
+def test_cli_knot_directory_is_a_record_error(capsys, cache_dir, tmp_path):
+    with pytest.raises(RecordError, match="cannot read knot record"):
+        ingest_knot(str(tmp_path))
+    code, _, err = run_cli(capsys, "torsion", "--knot", str(tmp_path),
+                           "--trace", "2.05", "--no-cache")
+    assert code == 2
+    assert err.startswith("error: torsion: cannot read knot record")
+
+
+@pytest.mark.parametrize("argv", [
+    ("torsion", "--trace", "inf"),
+    ("torsion", "--trace", "nan"),
+    ("torsion", "--trace", "abc"),
+    ("sweep", "--from", "nan", "--to", "2.1", "--steps", "2"),
+    ("sweep", "--from", "1.9", "--to", "inf", "--steps", "2"),
+], ids=["torsion-inf", "torsion-nan", "torsion-text", "sweep-from-nan",
+        "sweep-to-inf"])
+def test_cli_rejects_bad_trace(capsys, cache_dir, argv):
+    code, out, err = run_cli(capsys, argv[0], "--knot", "4_1", *argv[1:],
+                             "--no-cache")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {argv[0]}: --")
+
+
 def test_cli_torsion_point(capsys, cache_dir):
     code, out, _ = run_cli(capsys, "torsion", "--knot", "4_1", "--trace", "2.05")
     assert code == 0

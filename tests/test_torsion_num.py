@@ -1,12 +1,15 @@
 import random
+from collections import Counter
 
 import mpmath as mp
 import pytest
 
+from torsionpoly import mplinalg as la
+from torsionpoly import torsion_num as tn
 from torsionpoly.charvar import change_curve_sq
 from torsionpoly.polys import UniPoly
 from torsionpoly.torsion_num import (
-    ChainData, GroupRingElem, Presentation, Rep, TorsionNumError, Word,
+    GroupRingElem, Presentation, Rep, TorsionNumError, Word,
     adjoint, basing, boundaries, fox_derivative, invariant_vector,
     parse_word, peripheral_torsions, riley_solve, torsion_numeric,
 )
@@ -32,6 +35,24 @@ SEED_52 = complex(-0.215, -1.307)
 
 def solved_41(trace, dps=40):
     return riley_solve(PRES_41, trace, SEED_41, dps=dps)
+
+
+def solved_52(trace, dps=40):
+    return riley_solve(PRES_52, trace, SEED_52, dps=dps)
+
+
+def based_complex(pres, rep, P):
+    """(d1, d2), the meridian and longitude cycles and the shared h2."""
+    chain = boundaries(pres, rep)
+    cycles, h2 = basing(pres, rep, P, (pres.meridian, pres.longitude), chain)
+    return chain, cycles, h2
+
+
+def assert_same_up_to_sign(values, reference):
+    assert len(values) == len(reference) == 2
+    for t1, t0 in zip(values, reference):
+        t1, t0 = t1.value, t0.value
+        assert min(abs(t1 - t0), abs(t1 + t0)) < 1e-9 * abs(t0)
 
 
 # -- words ---------------------------------------------------------------
@@ -204,7 +225,6 @@ def test_boundaries_trivial_rep():
 
 
 def test_boundaries_homology_pattern_41():
-    from torsionpoly import mplinalg as la
     rep = solved_41(mp.mpf("2.05"))
     with mp.workdps(40):
         d1, d2 = boundaries(PRES_41, rep)
@@ -213,7 +233,6 @@ def test_boundaries_homology_pattern_41():
 
 
 def test_chain_condition_random_traces():
-    from torsionpoly import mplinalg as la
     rng = random.Random(8)
     with mp.workdps(40):
         for _ in range(10):
@@ -257,23 +276,38 @@ def test_basing_single_generator_blocks():
     with mp.workdps(40):
         d1d2 = boundaries(PRES_41, rep)
         P = invariant_vector(rep, PRES_41.meridian, PRES_41.longitude)
-        h1, h2 = basing(PRES_41, rep, P, parse_word("a"), chain=d1d2)
+        (h1,), h2 = basing(PRES_41, rep, P, (parse_word("a"),), d1d2)
         for i in range(3):
             assert abs(h1[i] - P[i]) < 1e-25
             assert abs(h1[3 + i]) < 1e-25
 
 
 def test_basing_cycle_and_kernel_residuals():
-    from torsionpoly import mplinalg as la
     with mp.workdps(40):
         for k in range(10):
             tr = mp.mpf(2) + mp.mpf("0.02") * (k + 1)
             rep = riley_solve(PRES_41, tr, SEED_41)
-            d1, d2 = boundaries(PRES_41, rep)
             P = invariant_vector(rep, PRES_41.meridian, PRES_41.longitude)
-            h1, h2 = basing(PRES_41, rep, P, PRES_41.longitude, chain=(d1, d2))
-            assert la.frob(d1 * h1) < 1e-8 * max(1, la.frob(d1) * la.frob(h1))
+            (d1, d2), cycles, h2 = based_complex(PRES_41, rep, P)
+            for h1 in cycles:
+                assert la.frob(d1 * h1) < 1e-8 * max(1, la.frob(d1) * la.frob(h1))
             assert la.frob(d2 * h2) < 1e-8 * max(1, la.frob(d2))
+
+
+def test_basing_checks_first_curve_then_h2_then_other_curves():
+    # at the trivial representation of <a, b | abAB> both boundaries vanish,
+    # so ker d2 has dimension 3; the empty word's cycle is degenerate
+    with mp.workdps(40):
+        rep = Rep((mp.eye(2), mp.eye(2)))
+        pres = Presentation.create(2, [parse_word("abAB")],
+                                   parse_word("a"), parse_word("b"))
+        chain = boundaries(pres, rep)
+        P = mp.matrix([1, 0, 0])
+        a, empty = parse_word("a"), parse_word("")
+        with pytest.raises(TorsionNumError, match="ker d2 has dimension 3"):
+            basing(pres, rep, P, (a, empty), chain)
+        with pytest.raises(TorsionNumError, match="degenerate"):
+            basing(pres, rep, P, (empty, a), chain)
 
 
 # -- torsion ---------------------------------------------------------------
@@ -288,33 +322,67 @@ def test_torsion_ratio_matches_change_factor():
             assert abs(out["ratio_sq"] - expected) < 1e-6 * abs(expected)
 
 
-def test_torsion_invariant_under_P_rescaling():
-    rep = solved_41(mp.mpf("2.07"))
+def check_P_rescaling(pres, rep, rng):
     with mp.workdps(40):
-        d1, d2 = boundaries(PRES_41, rep)
-        P = invariant_vector(rep, PRES_41.meridian, PRES_41.longitude)
-        h1, h2 = basing(PRES_41, rep, P, PRES_41.longitude, chain=(d1, d2))
-        t0 = torsion_numeric(ChainData(d1, d2, P, h1, h2)).value
-        rng = random.Random(3)
+        P = invariant_vector(rep, pres.meridian, pres.longitude)
+        chain, cycles, h2 = based_complex(pres, rep, P)
+        t0 = torsion_numeric(chain, P, cycles, h2)
         for _ in range(3):
             c = mp.mpc(rng.uniform(0.2, 2), rng.uniform(-2, 2))
-            P2 = P * c
-            h1b, h2b = basing(PRES_41, rep, P2, PRES_41.longitude, chain=(d1, d2))
-            t1 = torsion_numeric(ChainData(d1, d2, P2, h1b, h2b)).value
-            assert min(abs(t1 - t0), abs(t1 + t0)) < 1e-9 * abs(t0)
+            chain, cycles, h2 = based_complex(pres, rep, P * c)
+            assert_same_up_to_sign(
+                torsion_numeric(chain, P * c, cycles, h2), t0)
+
+
+def check_basis_rechoice(pres, rep):
+    with mp.workdps(40):
+        P = invariant_vector(rep, pres.meridian, pres.longitude)
+        chain, cycles, h2 = based_complex(pres, rep, P)
+        t0 = torsion_numeric(chain, P, cycles, h2)
+        for seed in (1, 2, 3, 4):
+            assert_same_up_to_sign(
+                torsion_numeric(chain, P, cycles, h2, basis_seed=seed), t0)
+
+
+def test_torsion_invariant_under_P_rescaling():
+    check_P_rescaling(PRES_41, solved_41(mp.mpf("2.07")), random.Random(3))
 
 
 def test_torsion_invariant_under_basis_rechoice():
-    rep = solved_41(mp.mpf("2.11"))
-    with mp.workdps(40):
-        d1, d2 = boundaries(PRES_41, rep)
-        P = invariant_vector(rep, PRES_41.meridian, PRES_41.longitude)
-        h1, h2 = basing(PRES_41, rep, P, PRES_41.longitude, chain=(d1, d2))
-        cd = ChainData(d1, d2, P, h1, h2)
-        t0 = torsion_numeric(cd).value
-        for seed in (1, 2, 3, 4):
-            t1 = torsion_numeric(cd, basis_seed=seed).value
-            assert min(abs(t1 - t0), abs(t1 + t0)) < 1e-9 * abs(t0)
+    check_basis_rechoice(PRES_41, solved_41(mp.mpf("2.11")))
+
+
+def test_torsion_52_invariant_under_P_rescaling():
+    check_P_rescaling(PRES_52, solved_52(mp.mpf("2.07")), random.Random(5))
+
+
+def test_torsion_52_invariant_under_basis_rechoice():
+    check_basis_rechoice(PRES_52, solved_52(mp.mpf("2.11")))
+
+
+@pytest.mark.parametrize("pres, seed", [(PRES_41, SEED_41), (PRES_52, SEED_52)],
+                         ids=["4_1", "5_2"])
+def test_peripheral_torsions_builds_one_based_complex(pres, seed, monkeypatch):
+    rep = riley_solve(pres, mp.mpf("2.05"), seed)
+    calls = Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((la, "eliminate"), (la, "det"),
+                         (tn, "basing"), (tn, "torsion_numeric")):
+        count(module, name)
+    peripheral_torsions(pres, rep)
+    # eliminations: the stacked peripheral holonomy (for P), d2 once, the two
+    # [d2 | h1] ranks, and the interior pivots of d1 and d2; determinants:
+    # T0, T2 and one T1 per curve
+    assert calls == {"eliminate": 6, "det": 4, "basing": 1,
+                     "torsion_numeric": 1}
 
 
 def test_torsion_invariant_under_conjugation():
@@ -345,7 +413,7 @@ def test_torsion_rejects_bad_homology():
         h2 = mp.matrix(3, 1)
         h2[0] = 1
         with pytest.raises(TorsionNumError, match="non-generic"):
-            torsion_numeric(ChainData(d1, d2, P, h1, h2))
+            torsion_numeric((d1, d2), P, [h1], h2)
 
 
 def test_torsion_diagnostic_scalar_is_stable():
