@@ -204,10 +204,25 @@ def _torsion_results(point: dict, tolerance: float) -> Dict[str, str]:
 
 
 def _finite(value, flag: str):
-    """A parsed trace; inf and nan would fail inside mpmath's arithmetic."""
+    """A parsed number; inf and nan would fail inside mpmath's arithmetic or
+    compare false against every error."""
     if not mp.isfinite(value):
         raise ValueError(f"{flag} must be a finite number, got {mp.nstr(value)}")
     return value
+
+
+def _check_flags(args):
+    """Flag values that would otherwise fail later with a misleading error
+    (a precision below 1) or silently do nothing useful."""
+    if args.precision < 1:
+        raise ValueError(f"--precision must be at least 1, got {args.precision}")
+    _finite(mp.mpf(args.tolerance), "--tolerance")
+    if args.tolerance <= 0:
+        raise ValueError(f"--tolerance must be positive, got {args.tolerance!r}")
+    for flag in ("steps", "jobs"):
+        value = getattr(args, flag, 1)
+        if value < 1:
+            raise ValueError(f"--{flag} must be at least 1, got {value}")
 
 
 def cmd_torsion(record, args):
@@ -331,6 +346,7 @@ def main(argv=None) -> int:
         return 0 if ok else 1
     command_echo = "torsionpoly " + " ".join(argv)
     try:
+        _check_flags(args)
         record = ingest_knot(args.knot)
         digest = make_digest(command_echo, record.source_text, args.precision,
                              repr(args.tolerance))

@@ -162,7 +162,6 @@ def torsion_at(record: KnotRecord, trace, dps: int = 40,
             "tau_mu": out["tau_mu"],
             "tau_lambda": out["tau_lambda"],
             "ratio_sq": out["ratio_sq"],
-            "homology": out["homology"],
         }
         if record.apoly is not None and record.branch_hint is not None:
             _, factor = branch_and_factor(record)

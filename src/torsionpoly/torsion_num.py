@@ -15,6 +15,18 @@ equals the torsion of the fundamental-class basing only up to a
 representation-dependent scalar, which cancels in the mu/lambda ratios used
 throughout.  Each sample point builds one based complex (d1, d2, P, h2,
 interior bases, T0, T2); each peripheral curve adds its cycle h1 and T1.
+
+Inside this module a 2x2 matrix is a tuple (m00, m01, m10, m11) and the
+adjoint a row-major 9-tuple; `mp.matrix` appears only at the boundary (d1, d2,
+h1, P and everything in mplinalg; `Rep.of_word` returns one).  The tuple
+arithmetic is bit-exact with `mp.matrix`: each product entry is one `mp.fdot`
+over the same operand pairs in the same order as `mp.matrix.__mul__` (fdot
+forms the exact products and rounds once), a zero result is stored as
+`mp.mp.zero` as the sparse `mp.matrix` storage reads it back, and sums,
+scalings and negations are the same mpmath operations on the same operands.
+The reports print round-off digits, so any reordering of this arithmetic
+would change them.  A word image is the left fold I * g1 * ... * gn at the
+working precision, recomputed on every read.
 """
 
 from __future__ import annotations
@@ -180,6 +192,56 @@ def fox_derivative(w: Word, k: int) -> GroupRingElem:
 
 
 # ---------------------------------------------------------------------------
+# 2x2 matrices as tuples (m00, m01, m10, m11)
+# ---------------------------------------------------------------------------
+
+_ZERO = mp.mp.zero
+_IDENTITY = (mp.mp.one, _ZERO, _ZERO, mp.mp.one)
+_fdot = mp.fdot
+
+
+def _entries(M) -> tuple:
+    """The entries of a 2x2 mp.matrix, as it reads them back."""
+    return (M[0, 0], M[0, 1], M[1, 0], M[1, 1])
+
+
+def _matrix(n: int, entries):
+    """The n x n mp.matrix with these row-major entries."""
+    return mp.matrix([entries[i:i + n] for i in range(0, n * n, n)])
+
+
+def _mul2(A, B) -> tuple:
+    """A * B entry by entry as mp.matrix.__mul__ computes it."""
+    a0, a1, a2, a3 = A
+    b0, b1, b2, b3 = B
+    return (_fdot(((a0, b0), (a1, b2))) or _ZERO,
+            _fdot(((a0, b1), (a1, b3))) or _ZERO,
+            _fdot(((a2, b0), (a3, b2))) or _ZERO,
+            _fdot(((a2, b1), (a3, b3))) or _ZERO)
+
+
+def _add2(A, B) -> tuple:
+    return tuple(x + y or _ZERO for x, y in zip(A, B))
+
+
+def _neg2(A) -> tuple:
+    """-A, which mp.matrix computes as the scalar product (-1) * A."""
+    return tuple(-1 * x or _ZERO for x in A)
+
+
+def _det2(A):
+    return A[0] * A[3] - A[1] * A[2]
+
+
+def _inv2(A) -> tuple:
+    return (A[3], -A[1] or _ZERO, -A[2] or _ZERO, A[0])
+
+
+def _dist_to_identity(A):
+    return abs(A[0] - 1) + abs(A[1]) + abs(A[2]) + abs(A[3] - 1)
+
+
+# ---------------------------------------------------------------------------
 # Representations
 # ---------------------------------------------------------------------------
 
@@ -193,40 +255,34 @@ class Rep:
     def __post_init__(self):
         with mp.workdps(self.dps):
             for M in self.matrices:
-                if abs(_det2(M) - 1) > mp.mpf("1e-9"):
+                if abs(_det2(_entries(M)) - 1) > mp.mpf("1e-9"):
                     raise TorsionNumError("generator matrix is not in SL(2,C)")
 
-    def of_word(self, w: Word):
-        acc = mp.matrix([[1, 0], [0, 1]])
+    def image(self, w: Word) -> tuple:
+        """rho(w) as a tuple: the left fold I * g1 * ... * gn at the working
+        precision."""
+        gens = [_entries(M) for M in self.matrices]
+        acc = _IDENTITY
         for g, e in w.letters:
-            M = self.matrices[g]
-            acc = acc * (M if e > 0 else _inv2(M))
+            acc = _mul2(acc, gens[g] if e > 0 else _inv2(gens[g]))
         return acc
+
+    def of_word(self, w: Word):
+        return _matrix(2, self.image(w))
 
     def relator_residual(self, p: Presentation):
         with mp.workdps(self.dps):
             worst = mp.mpf(0)
             for r in p.relators:
-                M = self.of_word(r)
-                worst = max(worst, _dist_to_identity(M))
+                worst = max(worst, _dist_to_identity(self.image(r)))
             return worst
 
     def conjugated(self, C) -> "Rep":
         with mp.workdps(self.dps):
+            C = _entries(C)
             Ci = _inv2(C)
-            return Rep(tuple(C * M * Ci for M in self.matrices), self.dps)
-
-
-def _det2(M):
-    return M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-
-
-def _inv2(M):
-    return mp.matrix([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]])
-
-
-def _dist_to_identity(M):
-    return (abs(M[0, 0] - 1) + abs(M[0, 1]) + abs(M[1, 0]) + abs(M[1, 1] - 1))
+            return Rep(tuple(_matrix(2, _mul2(_mul2(C, _entries(M)), Ci))
+                             for M in self.matrices), self.dps)
 
 
 def riley_solve(p: Presentation, target_tr_mu, seed, dps: int = DEFAULT_DPS,
@@ -273,24 +329,23 @@ def riley_solve(p: Presentation, target_tr_mu, seed, dps: int = DEFAULT_DPS,
 
 def _relator_and_derivative(relator: Word, m, t):
     """rho(relator) - I and its t-derivative, both flattened."""
-    a = mp.matrix([[m, 1], [0, 1 / m]])
-    b = mp.matrix([[m, 0], [t, 1 / m]])
-    da = mp.matrix(2, 2)
-    db = mp.matrix([[0, 0], [1, 0]])
-    mats = {0: (a, da), 1: (b, db)}
-    M = mp.matrix([[1, 0], [0, 1]])
-    D = mp.matrix(2, 2)
-    for g, e in relator.letters:
-        G, dG = mats[g]
-        if e < 0:
-            Gi = _inv2(G)
-            dG = -Gi * dG * Gi
-            G = Gi
-        D = D * G + M * dG
-        M = M * G
-    F = [M[0, 0] - 1, M[0, 1], M[1, 0], M[1, 1] - 1]
-    J = [D[0, 0], D[0, 1], D[1, 0], D[1, 1]]
-    return F, J
+    # the entries as mp.matrix([[m, 1], [0, 1 / m]]) etc. would read back
+    a = (m, mp.mp.one, _ZERO, 1 / m)
+    b = (m, _ZERO, t or _ZERO, 1 / m)
+    db = (_ZERO, _ZERO, mp.mp.one, _ZERO)
+    bi = _inv2(b)
+    # letter -> (image, t-derivative); a does not depend on t, and its zero
+    # derivative is left out because adding its products would add exact zeros
+    gens = {(0, 1): (a, None), (0, -1): (_inv2(a), None),
+            (1, 1): (b, db), (1, -1): (bi, _mul2(_mul2(_neg2(bi), db), bi))}
+    M = _IDENTITY
+    D = (_ZERO,) * 4
+    for letter in relator.letters:
+        G, dG = gens[letter]
+        D = _mul2(D, G) if dG is None else _add2(_mul2(D, G), _mul2(M, dG))
+        M = _mul2(M, G)
+    F = [M[0] - 1, M[1], M[2], M[3] - 1]
+    return F, list(D)
 
 
 # ---------------------------------------------------------------------------
@@ -298,34 +353,30 @@ def _relator_and_derivative(relator: Word, m, t):
 # ---------------------------------------------------------------------------
 
 # fixed ordered sl2 basis E, H, F; X = e E + h H + f F = [[h, e], [f, -h]]
-_SL2_BASIS = (
+_SL2_BASIS = tuple(_entries(mp.matrix(X)) for X in (
     ((0, 1), (0, 0)),
     ((1, 0), (0, -1)),
     ((0, 0), (1, 0)),
-)
+))
 
 
-def adjoint(A) -> object:
-    """Matrix of X -> A X A^-1 in the basis (E, H, F)."""
+def adjoint(A) -> tuple:
+    """Row-major entries of X -> A X A^-1 in the basis (E, H, F), for A a
+    2x2 tuple: column j holds the (e, h, f) coordinates of A X_j A^-1."""
     if abs(_det2(A) - 1) > mp.mpf("1e-9"):
         raise TorsionNumError("adjoint input must have determinant 1")
     Ai = _inv2(A)
-    out = mp.matrix(3, 3)
-    for j, X in enumerate(_SL2_BASIS):
-        Xm = mp.matrix(X)
-        Y = A * Xm * Ai
-        out[0, j] = Y[0, 1]
-        out[1, j] = Y[0, 0]
-        out[2, j] = Y[1, 0]
-    return out
+    cols = [_mul2(_mul2(A, X), Ai) for X in _SL2_BASIS]
+    return tuple(Y[i] for i in (1, 0, 2) for Y in cols)
 
 
 def _ad_eval_inv(elem: GroupRingElem, rep: Rep):
     """Sum n_w Ad(rho(w)^-1); the inversion makes the boundaries compose."""
-    out = mp.matrix(3, 3)
+    out = (_ZERO,) * 9
     for w, n in elem.coeffs.items():
-        out += n * adjoint(rep.of_word(w.inverse()))
-    return out
+        term = adjoint(rep.image(w.inverse()))
+        out = tuple(x + (n * y or _ZERO) or _ZERO for x, y in zip(out, term))
+    return _matrix(3, out)
 
 
 def killing(u) -> object:
@@ -345,7 +396,8 @@ def boundaries(p: Presentation, rep: Rep):
             raise TorsionNumError(
                 f"representation violates relators: {mp.nstr(resid, 5)}")
         s = p.generator_count
-        d1 = la.hstack([mp.eye(3) - adjoint(_inv2(rep.matrices[k]))
+        d1 = la.hstack([mp.eye(3)
+                        - _matrix(3, adjoint(_inv2(_entries(rep.matrices[k]))))
                         for k in range(s)])
         d2 = la.hstack([la.vstack([_ad_eval_inv(fox_derivative(rel, k), rep)
                                    for k in range(s)])
@@ -362,10 +414,11 @@ def invariant_vector(rep: Rep, mu: Word, lam: Word):
     with mp.workdps(rep.dps):
         out = []
         for w in (mu, lam):
-            M = rep.of_word(w)
-            if min(_dist_to_identity(M), _dist_to_identity(-M)) < mp.mpf("1e-9"):
+            M = rep.image(w)
+            if min(_dist_to_identity(M), _dist_to_identity(_neg2(M))) \
+                    < mp.mpf("1e-9"):
                 raise TorsionNumError("peripheral holonomy is central")
-            out.append(adjoint(M) - mp.eye(3))
+            out.append(_matrix(3, adjoint(M)) - mp.eye(3))
         ker = la.nullspace(la.vstack(out))
         if len(ker) != 1:
             raise TorsionNumError(
@@ -412,7 +465,6 @@ def basing(p: Presentation, rep: Rep, P, curves, chain):
 @dataclass
 class TorsionValue:
     value: object
-    sign_ambiguous: bool
     normalization_note: str
 
 
@@ -464,7 +516,7 @@ def torsion_numeric(chain, P, cycles, h2, basis_seed: Optional[int] = None,
             if value == 0:
                 raise TorsionNumError(
                     "torsion vanished; representation not gamma-regular")
-            out.append(TorsionValue(value, True, NORMALIZATION_NOTE))
+            out.append(TorsionValue(value, NORMALIZATION_NOTE))
         return out
 
 
@@ -476,12 +528,11 @@ def peripheral_torsions(p: Presentation, rep: Rep,
         P = invariant_vector(rep, p.meridian, p.longitude)
         cycles, h2 = basing(p, rep, P, (p.meridian, p.longitude), chain)
         t_mu, t_la = torsion_numeric(chain, P, cycles, h2, basis_seed, rep.dps)
-        M, L = rep.of_word(p.meridian), rep.of_word(p.longitude)
+        M, L = rep.image(p.meridian), rep.image(p.longitude)
         return {
             "tau_mu": t_mu,
             "tau_lambda": t_la,
             "ratio_sq": (t_mu.value / t_la.value) ** 2,
-            "tr_mu": M[0, 0] + M[1, 1],
-            "tr_lambda": L[0, 0] + L[1, 1],
-            "homology": (0, 1, 1),
+            "tr_mu": M[0] + M[3],
+            "tr_lambda": L[0] + L[3],
         }

@@ -22,8 +22,9 @@ from .polys import MultiPoly, UniPoly, divides, from_text, normalize_sign, \
     resultant, to_text
 from .records import ingest_knot, validate_parabolic
 from .torsion_num import (
-    adjoint, basing, boundaries, fox_derivative, invariant_vector,
-    parse_word, peripheral_torsions, riley_solve, torsion_numeric,
+    _entries, _matrix, adjoint, basing, boundaries, fox_derivative,
+    invariant_vector, parse_word, peripheral_torsions, riley_solve,
+    torsion_numeric,
 )
 from .torsion_sym import specialize
 
@@ -202,7 +203,8 @@ def check_property_suites() -> Tuple[bool, str]:
         # adjoint homomorphism
         for _ in range(10):
             A, B = _random_sl2(rng), _random_sl2(rng)
-            lhs, rhs = adjoint(A * B), adjoint(A) * adjoint(B)
+            ad = [_matrix(3, adjoint(_entries(M))) for M in (A * B, A, B)]
+            lhs, rhs = ad[0], ad[1] * ad[2]
             if max(abs(lhs[i, j] - rhs[i, j]) for i in range(3) for j in range(3)) > 1e-9:
                 return False, "adjoint homomorphism failed"
         # chain condition at solved representations

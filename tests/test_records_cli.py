@@ -167,6 +167,32 @@ def test_cli_rejects_bad_trace(capsys, cache_dir, argv):
     assert err.startswith(f"error: {argv[0]}: --")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--precision", "0", "rho0", "--knot", "4_1"),
+     "rho0: --precision must be at least 1"),
+    (("--precision", "-3", "membership", "--knot", "5_2"),
+     "membership: --precision must be at least 1"),
+    (("--tolerance", "nan", "torsion", "--knot", "4_1", "--trace", "2.05"),
+     "torsion: --tolerance must be a finite number"),
+    (("--tolerance", "inf", "torsion", "--knot", "4_1", "--trace", "2.05"),
+     "torsion: --tolerance must be a finite number"),
+    (("--tolerance", "0", "torsion", "--knot", "4_1", "--trace", "2.05"),
+     "torsion: --tolerance must be positive"),
+    (("sweep", "--knot", "4_1", "--from", "1.9", "--to", "2.2", "--steps", "0"),
+     "sweep: --steps must be at least 1"),
+    (("sweep", "--knot", "4_1", "--from", "1.9", "--to", "2.2", "--steps", "2",
+      "--jobs", "0"),
+     "sweep: --jobs must be at least 1"),
+], ids=["precision-0", "precision-negative", "tolerance-nan", "tolerance-inf",
+        "tolerance-0", "steps-0", "jobs-0"])
+def test_cli_rejects_bad_flags(capsys, cache_dir, argv, message):
+    code, out, err = run_cli(capsys, *argv, "--no-cache")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+    assert len(err.splitlines()) == 1
+
+
 def test_cli_torsion_point(capsys, cache_dir):
     code, out, _ = run_cli(capsys, "torsion", "--knot", "4_1", "--trace", "2.05")
     assert code == 0

@@ -1,5 +1,6 @@
 """Every report the benchmark's symbolic commands, `torsion` and `sweep`
-print, byte for byte against reports kept in tests/goldens/."""
+print, a 100-digit `sweep` and `validate`, byte for byte against reports
+kept in tests/goldens/."""
 
 import io
 from contextlib import redirect_stdout
@@ -28,6 +29,12 @@ CASES = {
                   "--steps", "7"),
     "sweep-5_2": ("sweep", "--knot", "5_2", "--from", "1.9", "--to", "2.2",
                   "--steps", "7"),
+    "sweep-100-4_1": ("--precision", "100", "sweep", "--knot", "4_1",
+                      "--from", "1.9", "--to", "2.2", "--steps", "7"),
+    "sweep-100-5_2": ("--precision", "100", "sweep", "--knot", "5_2",
+                      "--from", "1.9", "--to", "2.2", "--steps", "7"),
+    "validate-4_1": ("validate", "--knot", "4_1"),
+    "validate-5_2": ("validate", "--knot", "5_2"),
 }
 
 

@@ -1,0 +1,200 @@
+"""Bit-exactness oracle for the tuple kernel of torsion_num.
+
+The mp.matrix implementations that the kernel replaced are kept here as
+references: the left-fold word image, the A X A^-1 adjoint, the Fox-term sum
+and the Newton relator with its t-derivative.  Each result is compared with
+== on every entry's type and raw mpmath value, at several precisions, because
+the reports print round-off digits that any change in rounding would move.
+"""
+
+import random
+
+import mpmath as mp
+import pytest
+
+from torsionpoly import torsion_num as tn
+from torsionpoly.torsion_num import Rep, Word, adjoint, fox_derivative
+
+DIGITS = (15, 32, 64, 100)
+
+
+# -- references: the mp.matrix code the kernel replaced ----------------------
+
+def ref_inv2(M):
+    return mp.matrix([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]])
+
+
+def ref_of_word(matrices, w):
+    acc = mp.matrix([[1, 0], [0, 1]])
+    for g, e in w.letters:
+        M = matrices[g]
+        acc = acc * (M if e > 0 else ref_inv2(M))
+    return acc
+
+
+def ref_adjoint(A):
+    Ai = ref_inv2(A)
+    out = mp.matrix(3, 3)
+    for j, X in enumerate((((0, 1), (0, 0)), ((1, 0), (0, -1)),
+                           ((0, 0), (1, 0)))):
+        Y = A * mp.matrix(X) * Ai
+        out[0, j] = Y[0, 1]
+        out[1, j] = Y[0, 0]
+        out[2, j] = Y[1, 0]
+    return out
+
+
+def ref_ad_eval_inv(elem, matrices):
+    out = mp.matrix(3, 3)
+    for w, n in elem.coeffs.items():
+        out += n * ref_adjoint(ref_of_word(matrices, w.inverse()))
+    return out
+
+
+def ref_relator_and_derivative(relator, m, t):
+    a = mp.matrix([[m, 1], [0, 1 / m]])
+    b = mp.matrix([[m, 0], [t, 1 / m]])
+    da = mp.matrix(2, 2)
+    db = mp.matrix([[0, 0], [1, 0]])
+    mats = {0: (a, da), 1: (b, db)}
+    M = mp.matrix([[1, 0], [0, 1]])
+    D = mp.matrix(2, 2)
+    for g, e in relator.letters:
+        G, dG = mats[g]
+        if e < 0:
+            Gi = ref_inv2(G)
+            dG = -Gi * dG * Gi
+            G = Gi
+        D = D * G + M * dG
+        M = M * G
+    F = [M[0, 0] - 1, M[0, 1], M[1, 0], M[1, 1] - 1]
+    J = [D[0, 0], D[0, 1], D[1, 0], D[1, 1]]
+    return F, J
+
+
+# -- helpers ----------------------------------------------------------------
+
+def bits(x):
+    """Type and raw value of an mpmath number: equal only if bit-identical."""
+    return type(x).__name__, getattr(x, "_mpc_", None) or x._mpf_
+
+
+def entries(M):
+    return [bits(M[i, j]) for i in range(M.rows) for j in range(M.cols)]
+
+
+def rand_word(rng, max_len=14):
+    return Word.from_letters([(rng.randrange(2), rng.choice((1, -1)))
+                              for _ in range(rng.randint(0, max_len))])
+
+
+def rand_sl2(rng, kind):
+    """A determinant-1 matrix computed 20 digits above the working precision,
+    so that reading it at the working precision rounds: generic complex,
+    generic real, or one of the two Riley shapes with zero entries."""
+    with mp.workdps(mp.mp.dps + 20):
+        if kind == "riley":
+            m = mp.mpc(rng.uniform(1, 2), rng.uniform(-1, 1))
+            t = mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            return rng.choice([mp.matrix([[m, 1], [0, 1 / m]]),
+                               mp.matrix([[m, 0], [t, 1 / m]])])
+        while True:
+            if kind == "real":
+                M = mp.matrix([[mp.mpf(rng.uniform(-2, 2)) for _ in range(2)]
+                               for _ in range(2)])
+            else:
+                M = mp.matrix([[mp.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                                for _ in range(2)] for _ in range(2)])
+            d = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+            if abs(d) > 0.05 and (kind != "real" or d > 0):
+                return M / mp.sqrt(d)
+
+
+def rand_rep(rng, kind):
+    return Rep((rand_sl2(rng, kind), rand_sl2(rng, kind)), mp.mp.dps)
+
+
+KINDS = ("complex", "real", "riley")
+
+
+# -- tests ------------------------------------------------------------------
+
+@pytest.mark.parametrize("digits", DIGITS)
+def test_of_word_matches_left_fold(digits):
+    rng = random.Random(digits)
+    with mp.workdps(digits):
+        for kind in KINDS:
+            rep = rand_rep(rng, kind)
+            words = [rand_word(rng) for _ in range(12)]
+            for w in words:
+                assert entries(rep.of_word(w)) \
+                    == entries(ref_of_word(rep.matrices, w))
+
+
+@pytest.mark.parametrize("digits", DIGITS)
+def test_adjoint_matches_reference(digits):
+    rng = random.Random(100 + digits)
+    with mp.workdps(digits):
+        for kind in KINDS:
+            for _ in range(4):
+                A = rand_sl2(rng, kind)
+                got = adjoint(tn._entries(A))
+                assert [bits(x) for x in got] == entries(ref_adjoint(A))
+
+
+@pytest.mark.parametrize("digits", DIGITS)
+def test_ad_eval_inv_matches_reference(digits):
+    rng = random.Random(200 + digits)
+    with mp.workdps(digits):
+        for kind in KINDS:
+            rep = rand_rep(rng, kind)
+            for _ in range(3):
+                w = rand_word(rng, 10)
+                for k in (0, 1):
+                    elem = fox_derivative(w, k)
+                    assert entries(tn._ad_eval_inv(elem, rep)) \
+                        == entries(ref_ad_eval_inv(elem, rep.matrices))
+
+
+@pytest.mark.parametrize("digits", DIGITS)
+def test_relator_and_derivative_matches_reference(digits):
+    rng = random.Random(300 + digits)
+    with mp.workdps(digits):
+        for _ in range(6):
+            relator = rand_word(rng, 16)
+            m = rng.choice([mp.mpf(rng.uniform(1, 2)),
+                            mp.mpc(rng.uniform(1, 2), rng.uniform(-1, 1))])
+            # an exact zero t is read back as mp.mp.zero by mp.matrix
+            t = rng.choice([mp.mpf(rng.uniform(-1, 1)),
+                            mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+                            mp.mpc(0)])
+            got = tn._relator_and_derivative(relator, m, t)
+            want = ref_relator_and_derivative(relator, m, t)
+            for g, w in zip(got, want):
+                assert [bits(x) for x in g] == [bits(x) for x in w]
+
+
+@pytest.mark.parametrize("digits", DIGITS)
+def test_conjugated_matches_reference(digits):
+    rng = random.Random(400 + digits)
+    with mp.workdps(digits):
+        rep = rand_rep(rng, "complex")
+        C = rand_sl2(rng, "complex")
+        Ci = ref_inv2(C)
+        got = rep.conjugated(C)
+        for M, N in zip(got.matrices, rep.matrices):
+            assert entries(M) == entries(C * N * Ci)
+
+
+def test_one_rep_read_at_two_precisions():
+    rng = random.Random(5)
+    with mp.workdps(120):
+        rep = Rep((rand_sl2(rng, "complex"), rand_sl2(rng, "complex")), 40)
+    words = [rand_word(rng) for _ in range(8)]
+    seen = {}
+    for digits in (15, 100, 15, 100):
+        with mp.workdps(digits):
+            got = [entries(rep.of_word(w)) for w in words]
+            assert got == [entries(ref_of_word(rep.matrices, w)) for w in words]
+            assert seen.setdefault(digits, got) == got
+    assert seen[15] != seen[100]
