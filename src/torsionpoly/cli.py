@@ -214,6 +214,12 @@ def _finite(value, flag: str):
 def _check_flags(args):
     """Flag values that would otherwise fail later with a misleading error
     (a precision below 1) or silently do nothing useful."""
+    if args.cmd == "verify":
+        for dest in ("precision", "tolerance", "no_cache"):
+            if getattr(args, dest) != DEFAULTS[dest]:
+                raise ValueError(f"--{dest.replace('_', '-')} has no effect: the checks fix "
+                                 "their own precisions and tolerances and use no cache")
+        return
     if args.precision < 1:
         raise ValueError(f"--precision must be at least 1, got {args.precision}")
     _finite(mp.mpf(args.tolerance), "--tolerance")
@@ -297,16 +303,19 @@ COMMANDS = {
 }
 
 
+DEFAULTS = {"precision": 64, "tolerance": 1e-8, "format": "text", "no_cache": False}
+
+
 def _add_common_flags(parser, suppress: bool):
     # subcommand copies use SUPPRESS so they never clobber values parsed
     # before the subcommand name
-    d = (lambda v: argparse.SUPPRESS if suppress else v)
-    parser.add_argument("--precision", type=int, default=d(64),
+    d = (lambda dest: argparse.SUPPRESS if suppress else DEFAULTS[dest])
+    parser.add_argument("--precision", type=int, default=d("precision"),
                         help="working decimal digits (default 64)")
-    parser.add_argument("--tolerance", type=float, default=d(1e-8),
+    parser.add_argument("--tolerance", type=float, default=d("tolerance"),
                         help="numeric comparison tolerance (default 1e-8)")
-    parser.add_argument("--format", choices=("text", "json"), default=d("text"))
-    parser.add_argument("--no-cache", action="store_true", default=d(False))
+    parser.add_argument("--format", choices=("text", "json"), default=d("format"))
+    parser.add_argument("--no-cache", action="store_true", default=d("no_cache"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -340,13 +349,12 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.cmd == "verify":
-        from .verify import run_all
-        ok = run_all(fmt=args.format)
-        return 0 if ok else 1
     command_echo = "torsionpoly " + " ".join(argv)
     try:
         _check_flags(args)
+        if args.cmd == "verify":
+            from .verify import run_all
+            return 0 if run_all(fmt=args.format) else 1
         record = ingest_knot(args.knot)
         digest = make_digest(command_echo, record.source_text, args.precision,
                              repr(args.tolerance))

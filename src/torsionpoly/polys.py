@@ -3,11 +3,13 @@
 Coefficients are `fractions.Fraction`.  Term order is graded lexicographic
 (total degree first, ties broken by the declared variable order), which fixes
 a canonical serialization used for golden-file comparisons.  Resultants are
-computed fraction-free via Bareiss elimination on the Sylvester matrix.
+computed by evaluation-interpolation: integer Bareiss determinants of the
+Sylvester matrix at integer points, interpolated exactly.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -293,21 +295,15 @@ def _horner_eval(p: MultiPoly, var_order, assignment):
     name = var_order[-1]
     coeffs = p.coeffs_wrt(name)
     if not coeffs:
-        return _zero_like(assignment[name])
+        return assignment[name] * 0
     val = assignment[name]
-    result = None
-    for d in range(max(coeffs), -1, -1):
-        if result is None:
-            result = _horner_eval(coeffs[d], var_order[:-1], assignment)
-            continue
+    top = max(coeffs)
+    result = _horner_eval(coeffs[top], var_order[:-1], assignment)
+    for d in range(top - 1, -1, -1):
         result = result * val
         if d in coeffs:
             result = result + _horner_eval(coeffs[d], var_order[:-1], assignment)
     return result
-
-
-def _zero_like(val):
-    return val * 0
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +441,7 @@ def squarefree_all(p: MultiPoly) -> MultiPoly:
 
 
 # ---------------------------------------------------------------------------
-# Resultants (fraction-free Bareiss on the Sylvester matrix)
+# Resultants (integer evaluation-interpolation on the Sylvester matrix)
 # ---------------------------------------------------------------------------
 
 def sylvester_matrix(p: MultiPoly, q: MultiPoly, name: str):
@@ -453,56 +449,109 @@ def sylvester_matrix(p: MultiPoly, q: MultiPoly, name: str):
     if dp == 0 or dq == 0:
         raise PolyError("nothing to eliminate")
     p, q = align(p, q)
-    rest_vars = tuple(v for v in p.vars if v != name)
-    pc = {d: c for d, c in p.coeffs_wrt(name).items()}
-    qc = {d: c for d, c in q.coeffs_wrt(name).items()}
-    zero = MultiPoly.zero(rest_vars)
-    n = dp + dq
+    zero = MultiPoly.zero(tuple(v for v in p.vars if v != name))
     rows = []
-    for i in range(dq):
-        row = [zero] * n
-        for d, c in pc.items():
-            row[i + dp - d] = c
-        rows.append(row)
-    for i in range(dp):
-        row = [zero] * n
-        for d, c in qc.items():
-            row[i + dq - d] = c
-        rows.append(row)
+    for f, deg, count in ((p, dp, dq), (q, dq, dp)):
+        coeffs = f.coeffs_wrt(name)
+        for i in range(count):
+            row = [zero] * (dp + dq)
+            for d, c in coeffs.items():
+                row[i + deg - d] = c
+            rows.append(row)
     return rows
 
 
-def bareiss_det(rows) -> MultiPoly:
-    """Fraction-free determinant of a square matrix of MultiPoly entries."""
+def bareiss_det(rows) -> int:
+    """Fraction-free (Bareiss) determinant of a square integer matrix; every
+    division is exact, so integer floor division loses nothing."""
     n = len(rows)
     if n == 0:
         raise PolyError("empty matrix")
     M = [list(r) for r in rows]
-    vars0 = M[0][0].vars
-    one = MultiPoly.constant(vars0, 1)
-    prev = one
-    sign = 1
+    prev, sign = 1, 1
     for k in range(n - 1):
-        if M[k][k].is_zero():
-            swap = next((i for i in range(k + 1, n) if not M[i][k].is_zero()), None)
+        if not M[k][k]:
+            swap = next((i for i in range(k + 1, n) if M[i][k]), None)
             if swap is None:
-                return MultiPoly.zero(vars0)
+                return 0
             M[k], M[swap] = M[swap], M[k]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = M[i][j] * M[k][k] - M[i][k] * M[k][j]
-                M[i][j] = exact_div(num, prev)
-            M[i][k] = MultiPoly.zero(vars0)
-        prev = M[k][k]
-    det = M[n - 1][n - 1]
-    return det if sign > 0 else -det
+        pivot, row_k = M[k][k], M[k]
+        for row in M[k + 1:]:
+            lead = row[k]
+            row[k + 1:] = [(a * pivot - lead * b) // prev
+                           for a, b in zip(row[k + 1:], row_k[k + 1:])]
+        prev = pivot
+    return sign * M[n - 1][n - 1]
+
+
+def _degree_bound(rows, i: int) -> int:
+    """Bound on the degree of det(rows) in variable i: the smaller of the
+    row sum and the column sum of the largest entry degrees."""
+    deg = [[max((m[i] for m in e.terms), default=0) for e in row] for row in rows]
+    return min(sum(map(max, deg)), sum(map(max, zip(*deg))))
+
+
+def _newton_interpolate(ys) -> list:
+    """Integer coefficients, constant first, of the polynomial of degree
+    below len(ys) with value ys[a] at a = 0, 1, ... (Newton divided
+    differences); PolyError if it has a non-integer coefficient."""
+    dd = list(ys)
+    n = len(dd)
+    for k in range(1, n):
+        for i in range(n - 1, k - 1, -1):
+            dd[i], rem = divmod(dd[i] - dd[i - 1], k)
+            if rem:
+                raise PolyError("interpolation data has no integer interpolant")
+    coeffs = [dd[-1]]
+    for a in range(n - 2, -1, -1):
+        # coeffs * (x - a) + dd[a]
+        coeffs = [s - a * c for s, c in zip([0] + coeffs, coeffs + [0])]
+        coeffs[0] += dd[a]
+    return coeffs
+
+
+def _interpolate(values: dict, bounds) -> dict:
+    """Exponent vector -> coefficient of the integer polynomial that takes
+    values[point] on the grid {0..b_1} x ... x {0..b_k}, one axis at a time."""
+    for axis, b in enumerate(bounds):
+        lines: Dict[tuple, list] = {}
+        for point, v in values.items():
+            rest = point[:axis] + point[axis + 1:]
+            lines.setdefault(rest, [0] * (b + 1))[point[axis]] = v
+        values = {}
+        for rest, ys in lines.items():
+            for e, c in enumerate(_newton_interpolate(ys)):
+                if c:
+                    values[rest[:axis] + (e,) + rest[axis:]] = c
+    return values
 
 
 def resultant(p: MultiPoly, q: MultiPoly, name: str) -> MultiPoly:
-    """Res_name(p, q), exact, over the remaining variables."""
+    """Res_name(p, q), exact, over the remaining variables.
+
+    Evaluation-interpolation (Collins, JACM 18, 1971): with its p- and q-rows
+    scaled to integers, the Sylvester matrix is evaluated on the grid
+    {0..bound} of each remaining variable, each determinant is taken by
+    integer Bareiss, and the integer interpolant is divided by the scales."""
     rows = sylvester_matrix(p, q, name)
-    return bareiss_det(rows)
+    rest_vars = rows[0][0].vars
+    dp, dq = p.degree_in(name), q.degree_in(name)
+    sp, sq = (_content(f.terms.values()).denominator for f in (p, q))
+    scales = [sp] * dq + [sq] * dp
+    # each distinct (entry, row scale) pair, as integer terms
+    terms = {(id(e), s): [(c.numerator * (s // c.denominator), m) for m, c in e.terms.items()]
+             for row, s in zip(rows, scales) for e in row}
+    bounds = [_degree_bound(rows, i) for i in range(len(rest_vars))]
+    values = {}
+    for point in itertools.product(*(range(b + 1) for b in bounds)):
+        at = {key: sum(c * math.prod(map(pow, point, m)) for c, m in ts)
+              for key, ts in terms.items()}
+        values[point] = bareiss_det([[at[id(e), s] for e in row]
+                                     for row, s in zip(rows, scales)])
+    den = sp ** dq * sq ** dp
+    return MultiPoly(rest_vars, {m: Fraction(c, den)
+                                 for m, c in _interpolate(values, bounds).items()})
 
 
 # ---------------------------------------------------------------------------
@@ -636,10 +685,8 @@ class UniPoly:
 
     def __add__(self, other):
         other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [Fraction(0)] * (n - len(other.coeffs))
-        return UniPoly(self.var, [x + y for x, y in zip(a, b)])
+        pairs = itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=Fraction(0))
+        return UniPoly(self.var, [x + y for x, y in pairs])
 
     def __sub__(self, other):
         return self + (-self._coerce(other))

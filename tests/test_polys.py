@@ -298,22 +298,45 @@ def test_bareiss_matches_cofactor_expansion():
     from torsionpoly.polys import bareiss_det
 
     def cofactor_det(rows):
-        n = len(rows)
-        if n == 1:
+        if len(rows) == 1:
             return rows[0][0]
-        acc = MultiPoly.zero(rows[0][0].vars)
-        for j in range(n):
-            minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-            term = rows[0][j] * cofactor_det(minor)
-            acc = acc + (term if j % 2 == 0 else -term)
-        return acc
+        return sum((-1) ** j * a * cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
+                   for j, a in enumerate(rows[0]))
 
     rng = random.Random(41)
-    for _ in range(6):
-        n = rng.randint(2, 4)
-        rows = [[random_poly(rng, ("x", "y"), max_deg=1, max_terms=2)
-                 for _ in range(n)] for _ in range(n)]
-        assert bareiss_det(rows) == cofactor_det(rows)
+    cases = [[[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+             for n in (1, 2, 3, 4, 5, 6) for _ in range(4)]
+    cases += [
+        [[0, 2, 1], [3, 1, 4], [5, 9, 2]],               # zero leading pivot: row swap
+        [[0, 0, 1, 2], [0, 3, 1, 1], [4, 1, 0, 2], [1, 1, 1, 1]],
+        [[1, 2, 3], [4, 5, 6], [7, 8, 9]],               # singular
+        [[2, 4, 1], [1, 2, 5], [3, 6, 7]],               # singular, zero pivot at step 1
+        [[0, 1], [0, 5]],                                # zero column
+    ]
+    for rows in cases:
+        det = bareiss_det(rows)
+        assert type(det) is int and det == cofactor_det(rows), rows
+    with pytest.raises(PolyError, match="empty matrix"):
+        bareiss_det([])
+
+
+def test_newton_interpolation_is_exact_over_the_integers():
+    from torsionpoly.polys import _interpolate, _newton_interpolate
+
+    rng = random.Random(43)
+    for _ in range(20):
+        coeffs = [rng.randint(-50, 50) for _ in range(rng.randint(1, 7))]
+        ys = [sum(c * a ** e for e, c in enumerate(coeffs)) for a in range(len(coeffs))]
+        assert _newton_interpolate(ys) == coeffs
+    # two axes: f(u, v) = 3 - u*v^2 + 7*u^2, on the grid {0..2} x {0..2}
+    grid = {(u, v): 3 - u * v * v + 7 * u * u for u in range(3) for v in range(3)}
+    assert _interpolate(grid, [2, 2]) == {(0, 0): 3, (1, 2): -1, (2, 0): 7}
+    # x(x-1)/2 takes the values 0, 0, 1 but has no integer coefficients
+    with pytest.raises(PolyError, match="no integer interpolant"):
+        _newton_interpolate([0, 0, 1])
+    with pytest.raises(PolyError, match="no integer interpolant"):
+        _interpolate({(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 1, (0, 2): 1, (1, 2): 0},
+                     [1, 2])
 
 
 def test_gcd_poly_divides_common_multiple():

@@ -222,6 +222,38 @@ def test_cli_verify_fails_nonzero(capsys, monkeypatch):
     assert "FAIL always-red" in out
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("--precision", "0", "--tolerance", "nan", "verify"), "--precision"),
+    (("verify", "--precision", "100"), "--precision"),
+    (("--tolerance", "1e-6", "verify"), "--tolerance"),
+    (("verify", "--tolerance", "nan"), "--tolerance"),
+    (("--no-cache", "verify"), "--no-cache"),
+    (("verify", "--no-cache", "--format", "json"), "--no-cache"),
+], ids=["precision-0-tolerance-nan", "precision-100", "tolerance", "tolerance-nan",
+        "no-cache", "no-cache-json"])
+def test_cli_verify_rejects_flags_it_ignores(capsys, monkeypatch, argv, flag):
+    from torsionpoly import verify
+    ran = []
+    monkeypatch.setattr(verify, "CHECKS", [("probe", lambda: ran.append(1) or (True, ""))])
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, ran) == (2, "", [])
+    assert err.startswith(f"error: verify: {flag} has no effect")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [("verify",), ("--format", "json", "verify"),
+                                  ("verify", "--precision", "64", "--tolerance", "1e-8")])
+def test_cli_verify_accepts_default_flags(capsys, monkeypatch, argv):
+    from torsionpoly import verify
+    monkeypatch.setattr(verify, "CHECKS", [("probe", lambda: (True, "ran"))])
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    if "json" in argv:
+        assert json.loads(out)["all_passed"] is True
+    else:
+        assert out == "PASS probe: ran\nOK (1/1 checks)\n"
+
+
 def test_cli_sweep_parallel_matches_serial(capsys, cache_dir):
     args = ["sweep", "--knot", "4_1", "--from", "2.03", "--to", "2.09",
             "--steps", "2", "--no-cache"]
