@@ -103,7 +103,7 @@ class NoGraphBranch:
 
 
 def geometric_branch(R: TraceRelation, hint: Tuple[float, float],
-                     tol: float = 1e-6, digits: int = 48):
+                     digits: int = 48):
     """Extract y(x) for the linear-in-y factor of R through the hint.
 
     Branch values at rational sample points are reconstructed exactly and the
@@ -114,7 +114,7 @@ def geometric_branch(R: TraceRelation, hint: Tuple[float, float],
     x0, y0 = mp.mpc(hint[0]), mp.mpc(hint[1])
     scale = max(abs(mp.mpf(c.numerator) / mp.mpf(c.denominator)) for c in poly.terms.values())
     resid = abs(poly.eval({TR_MU: x0, TR_LAMBDA: y0}))
-    if resid > tol * max(1, scale):
+    if resid > 1e-6 * max(1, scale):
         raise CharVarError("hint off-variety")
     deg_y = poly.degree_in(TR_LAMBDA)
     if deg_y == 0:
@@ -201,7 +201,7 @@ def change_curve_sq(branch: UniPoly) -> ChangeFactor:
     return ChangeFactor(exact_div(num, unit), dnorm)
 
 
-def change_curve_apoly(A: APoly, samples, tol: float = 1e-8):
+def change_curve_apoly(A: APoly, samples):
     """Evaluate (el/em) * (dA/del) / (dA/dem) at points of A = 0.
 
     Per-sample output is either a complex ratio or an error string for
@@ -214,11 +214,11 @@ def change_curve_apoly(A: APoly, samples, tol: float = 1e-8):
     out = []
     for em, el in samples:
         em, el = mp.mpc(em), mp.mpc(el)
-        if abs(A.eval_at(em, el)) > tol * max(1, scale) * max(1, abs(em)) ** A.poly.degree_in(E_MU):
+        if abs(A.eval_at(em, el)) > 1e-8 * max(1, scale) * max(1, abs(em)) ** A.poly.degree_in(E_MU):
             raise CharVarError(f"sample ({em}, {el}) violates A = 0")
         dm = dA_m.eval({E_MU: em, E_LAMBDA: el})
         dl = dA_l.eval({E_MU: em, E_LAMBDA: el})
-        if abs(dm) < tol * max(1, scale):
+        if abs(dm) < 1e-8 * max(1, scale):
             out.append("singular point: dA/dem vanishes")
             continue
         out.append((el / em) * dl / dm)

@@ -71,12 +71,18 @@ def _cache_dir() -> str:
 
 
 def cache_load(digest: str) -> Optional[dict]:
+    """The stored rendering for digest; None when the entry is missing,
+    unreadable or not of the shape cache_store writes."""
     path = os.path.join(_cache_dir(), digest + ".json")
     try:
         with open(path, "r") as fh:
-            return json.load(fh)
+            entry = json.load(fh)
     except (OSError, ValueError):
         return None
+    if not (isinstance(entry, dict)
+            and all(isinstance(entry.get(k), str) for k in ("text", "json"))):
+        return None
+    return entry
 
 
 def cache_store(digest: str, rendered: dict):

@@ -1,11 +1,12 @@
 """Exact algebraic numbers and number fields.
 
 A NumberField is Q[x]/(f) for a monic squarefree f without rational roots,
-together with one complex root chosen as the embedding.  Field membership of
-an algebraic number is decided by a high-precision linear solve over all
-embeddings followed by rational reconstruction, and then verified exactly
-through minimal polynomials; a failed reconstruction is reported, never
-guessed around.
+together with one complex root, certified isolated, as the embedding.  The
+minimal polynomial of A(x) is the squarefree part of Res_x(f(x), tau - A(x)).
+Field membership of an algebraic number is decided by a high-precision linear
+solve over all embeddings and rational reconstruction; each candidate is
+confirmed by exact evaluation in K, and a failed reconstruction is reported,
+never guessed around.
 
 Irreducibility of defining polynomials is asserted, not proven; squarefreeness
 and absence of rational roots are checked (sufficient at the field degrees
@@ -21,7 +22,7 @@ from typing import List, Optional, Tuple
 
 import mpmath as mp
 
-from .polys import UniPoly
+from .polys import MultiPoly, UniPoly, resultant
 
 DEFAULT_DIGITS = 64
 MAX_DIGITS = 512
@@ -108,20 +109,31 @@ def rational_reconstruct(v, denominator_bound: int) -> Optional[Fraction]:
     return None
 
 
-def _rational_roots(p: UniPoly, digits: int = 40) -> List[Fraction]:
-    """Exact rational roots, found numerically and verified exactly."""
-    if p.degree() < 1:
-        return []
+def _rational_roots(p: UniPoly, roots, digits: int) -> List[Fraction]:
+    """Exact rational roots of p, read off its complex roots `roots` (good to
+    `digits` digits) and each confirmed by exact evaluation."""
     prim = p.primitive()
     bound = abs(prim.lead().numerator) * 2 + 2
     found = []
-    for r in roots_numeric(prim, digits):
+    for r in roots:
         if abs(mp.im(r)) > mp.mpf(10) ** (-digits // 2):
             continue
         cand = rational_reconstruct(mp.re(r), bound)
         if cand is not None and prim.eval(cand) == 0 and cand not in found:
             found.append(cand)
     return found
+
+
+def _isolate(f: UniPoly, roots, near):
+    """(root, radius): the root of f nearest to `near` and half its distance
+    to the other roots.  None when the certificate |f(root)| < radius *
+    |f'(root)| / 2 fails; a lone root needs none."""
+    root = min(roots, key=lambda r: abs(r - near))
+    others = [r for r in roots if r is not root]
+    radius = min((abs(root - r) for r in others), default=mp.mpf(1)) / 2
+    if others and not abs(f.eval(root)) < radius * abs(f.derivative().eval(root)) / 2:
+        return None
+    return root, radius
 
 
 @dataclass(frozen=True)
@@ -140,30 +152,18 @@ class NumberField:
         monic = poly.monic()
         if monic.gcd(monic.derivative()).degree() > 0:
             raise NumFieldError("defining polynomial is not squarefree")
-        if _rational_roots(monic):
-            raise NumFieldError("defining polynomial has a rational root")
         roots = roots_numeric(monic, digits)
-        if embedding_hint is None:
-            emb = roots[0]
-        else:
-            hint = mp.mpc(embedding_hint)
-            emb = min(roots, key=lambda r: abs(r - hint))
-        others = [r for r in roots if r is not emb]
-        radius = min(abs(emb - r) for r in others) / 2
-        field = cls(monic, emb, radius)
-        field._check_isolation()
-        return field
+        if _rational_roots(monic, roots, digits):
+            raise NumFieldError("defining polynomial has a rational root")
+        near = roots[0] if embedding_hint is None else mp.mpc(embedding_hint)
+        isolated = _isolate(monic, roots, near)
+        if isolated is None:
+            raise NumFieldError("root isolation certificate failed")
+        return cls(monic, *isolated)
 
     @property
     def degree(self) -> int:
         return self.defining_poly.degree()
-
-    def _check_isolation(self):
-        f, fp = self.defining_poly, self.defining_poly.derivative()
-        lhs = abs(f.eval(self.embedding))
-        rhs = self.isolation_radius * abs(fp.eval(self.embedding)) / 2
-        if not lhs < rhs:
-            raise NumFieldError("root isolation certificate failed")
 
     def all_embeddings(self, digits: int = DEFAULT_DIGITS):
         """Roots of the defining polynomial, declared embedding first."""
@@ -237,18 +237,6 @@ class FieldElement:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise NumFieldError("negative powers not supported")
-        result = self.field.from_rational(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def _coerce(self, other):
         if isinstance(other, FieldElement):
             if other.field != self.field:
@@ -283,55 +271,18 @@ def _reduce_power_basis(field: NumberField, coeffs: List[Fraction]):
 
 
 def minimal_polynomial(e: FieldElement, var: str = "tau") -> UniPoly:
-    """Primitive integer minimal polynomial of a field element, positive lead."""
-    d = e.field.degree
-    powers = [e.field.from_rational(1)]
-    for _ in range(d):
-        powers.append(powers[-1] * e)
-    # find least k with 1, e, ..., e^k dependent; solve exactly
-    for k in range(1, d + 1):
-        rows = [list(powers[i].coords) for i in range(k + 1)]
-        sol = _solve_dependence(rows)
-        if sol is not None:
-            return UniPoly(var, sol).primitive()
-    raise NumFieldError("no linear dependence found (inconsistent field)")
+    """Primitive integer minimal polynomial of a field element, positive lead.
 
-
-def _solve_dependence(rows) -> Optional[List[Fraction]]:
-    """Monic dependence c_0 r_0 + ... + c_{k-1} r_{k-1} + r_k = 0, if any."""
-    k = len(rows) - 1
-    n = len(rows[0])
-    # solve sum_{i<k} c_i rows[i] = -rows[k] by exact elimination
-    A = [[rows[i][j] for i in range(k)] for j in range(n)]
-    b = [-rows[k][j] for j in range(n)]
-    m = len(A)
-    row = 0
-    where = [-1] * k
-    for col in range(k):
-        piv = next((i for i in range(row, m) if A[i][col] != 0), None)
-        if piv is None:
-            continue
-        A[row], A[piv] = A[piv], A[row]
-        b[row], b[piv] = b[piv], b[row]
-        inv = A[row][col]
-        A[row] = [x / inv for x in A[row]]
-        b[row] = b[row] / inv
-        for i in range(m):
-            if i != row and A[i][col] != 0:
-                f = A[i][col]
-                A[i] = [x - f * y for x, y in zip(A[i], A[row])]
-                b[i] = b[i] - f * b[row]
-        where[col] = row
-        row += 1
-    sol = [Fraction(0)] * k
-    for col in range(k):
-        if where[col] >= 0:
-            sol[col] = b[where[col]]
-    # verify (handles inconsistent systems and free columns)
-    for j in range(n):
-        if sum(sol[i] * rows[i][j] for i in range(k)) != -rows[k][j]:
-            return None
-    return sol + [Fraction(1)]
+    For e = A(x) the characteristic polynomial is Res_x(f(x), var - A(x))
+    (Cohen, GTM 138); f is squarefree, so Q[x]/(f) is a product of
+    fields and its squarefree part is the minimal polynomial."""
+    if not any(e.coords[1:]):
+        return UniPoly(var, [-e.coords[0], 1]).primitive()
+    x = "_" + var          # distinct from var, which may be the field variable
+    f = UniPoly(x, e.field.defining_poly.coeffs).to_multi((x, var))
+    a = UniPoly(x, e.coords).to_multi((x, var))
+    charpoly = resultant(f, MultiPoly.var((x, var), var) - a, x)
+    return UniPoly.from_multi(charpoly).squarefree()
 
 
 @dataclass(frozen=True)
@@ -347,15 +298,10 @@ class AlgebraicNumber:
         prim = minpoly.primitive()
         if prim.gcd(prim.derivative()).degree() > 0:
             raise NumFieldError("minimal polynomial must be squarefree")
-        roots = roots_numeric(prim, digits)
-        root = min(roots, key=lambda r: abs(r - mp.mpc(approx)))
-        others = [r for r in roots if r is not root]
-        radius = min((abs(root - r) for r in others), default=mp.mpf(1)) / 2
-        if others:
-            lhs = abs(prim.eval(root))
-            rhs = radius * abs(prim.derivative().eval(root)) / 2
-            if not lhs < rhs:
-                raise NumFieldError("approximation does not isolate a root")
+        isolated = _isolate(prim, roots_numeric(prim, digits), mp.mpc(approx))
+        if isolated is None:
+            raise NumFieldError("approximation does not isolate a root")
+        root, radius = isolated
         return cls(prim, mp.mpc(root), mp.mpf(radius))
 
     @property
@@ -380,8 +326,8 @@ class Undecided:
 def express_in_field(target: AlgebraicNumber, field: NumberField,
                      digits: int = DEFAULT_DIGITS):
     """Write target as an element of the field, trying every pairing of field
-    embeddings with roots of the target minimal polynomial; the result is
-    verified exactly via minimal_polynomial before being returned.
+    embeddings with roots of the target minimal polynomial g; a candidate c
+    is accepted only when g(c) = 0 holds exactly in K.
 
     Returns a (FieldElement, note) pair, NotInField, or Undecided.
     """
@@ -425,8 +371,7 @@ def express_in_field(target: AlgebraicNumber, field: NumberField,
                 if coords is None:
                     continue
                 cand = field.element(coords)
-                mp_cand = minimal_polynomial(cand, var=g.var)
-                if g.primitive().divmod(mp_cand)[1].is_zero():
+                if not any(g.eval(cand).coords):
                     note = _match_note(cand, target, prec)
                     if note is not None:
                         return cand, note

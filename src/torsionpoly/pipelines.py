@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import mpmath as mp
 
@@ -148,13 +148,12 @@ def field_element_text(elem) -> str:
     return to_text(p.to_multi())
 
 
-def torsion_at(record: KnotRecord, trace, dps: int = 40,
-               basis_seed: Optional[int] = None) -> dict:
+def torsion_at(record: KnotRecord, trace, dps: int = 40) -> dict:
     """Numeric torsion data at one meridian trace, with symbolic cross-checks."""
     with mp.workdps(dps):
         rep = riley_solve(record.presentation, mp.mpmathify(trace),
                           record.riley_seed, dps=dps)
-        out = peripheral_torsions(record.presentation, rep, basis_seed=basis_seed)
+        out = peripheral_torsions(record.presentation, rep)
         result = {
             "trace": mp.mpmathify(trace),
             "tr_mu": out["tr_mu"],

@@ -285,8 +285,7 @@ class Rep:
                              for M in self.matrices), self.dps)
 
 
-def riley_solve(p: Presentation, target_tr_mu, seed, dps: int = DEFAULT_DPS,
-                max_iter: int = 80) -> Rep:
+def riley_solve(p: Presentation, target_tr_mu, seed, dps: int = DEFAULT_DPS) -> Rep:
     """Newton solve on the two-bridge ansatz a -> [[m,1],[0,1/m]],
     b -> [[m,0],[t,1/m]] with m + 1/m = target, unknown t."""
     if p.generator_count != 2:
@@ -307,7 +306,7 @@ def riley_solve(p: Presentation, target_tr_mu, seed, dps: int = DEFAULT_DPS,
             m = (target - disc) / 2
         relator = p.relators[0]
         last = None
-        for _ in range(max_iter):
+        for _ in range(80):
             F, J = _relator_and_derivative(relator, m, t)
             res = mp.fsum(abs(f) ** 2 for f in F)
             last = mp.sqrt(res)

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import mpmath as mp
 
 from .charvar import TR_MU, ChangeFactor
-from .numfield import AlgebraicNumber, FieldElement, _rational_roots, roots_numeric
+from .numfield import AlgebraicNumber, _rational_roots, roots_numeric
 from .polys import MultiPoly, PolyError, UniPoly, resultant, squarefree_primitive
 
 TAU = "tau"
@@ -39,8 +39,7 @@ class ParamTorsion:
     hints: Dict[str, complex]
 
     @classmethod
-    def create(cls, tau_expr, constraints, aux_vars, trace_var, hints,
-               hint_tol: float = 1e-6):
+    def create(cls, tau_expr, constraints, aux_vars, trace_var, hints):
         aux_used = [v for v in aux_vars if tau_expr.degree_in(v) > 0]
         if aux_used and not constraints:
             raise TorsionSymError("auxiliary variables without constraints")
@@ -48,7 +47,7 @@ class ParamTorsion:
             val = c.eval({k: mp.mpc(v) for k, v in hints.items()})
             scale = max(abs(mp.mpf(x.numerator) / mp.mpf(x.denominator))
                         for x in c.terms.values())
-            if abs(val) > hint_tol * max(1, scale):
+            if abs(val) > 1e-6 * max(1, scale):
                 raise TorsionSymError(
                     f"hint violates constraint (residual {mp.nstr(abs(val), 4)})")
         return cls(tau_expr, tuple(constraints), tuple(aux_vars), trace_var,
@@ -67,7 +66,7 @@ class TPoly:
             raise TorsionSymError("torsion polynomial without tau dependence")
 
 
-def _branch_samples(pt: ParamTorsion, n: int = 5, digits: int = 48):
+def _branch_samples(pt: ParamTorsion, digits: int = 48):
     """Newton-refined (tau, trace) samples along the hinted branch."""
     trace0 = Fraction(mp.nstr(mp.re(mp.mpc(pt.hints[pt.trace_var])), 10)).limit_denominator(64)
     if len(pt.aux_vars) != 1 or len(pt.constraints) != 1:
@@ -77,7 +76,7 @@ def _branch_samples(pt: ParamTorsion, n: int = 5, digits: int = 48):
     ucur = mp.mpc(pt.hints[u])
     out = []
     constraint = pt.constraints[0]
-    for k in range(n):
+    for k in range(5):
         tv = trace0 + Fraction(k, 16)
         uni = UniPoly.from_multi(
             constraint.substitute(pt.trace_var,
@@ -89,8 +88,7 @@ def _branch_samples(pt: ParamTorsion, n: int = 5, digits: int = 48):
     return out
 
 
-def _check_annihilates(poly: MultiPoly, samples, trace_var: str,
-                       tol: float = 1e-8):
+def _check_annihilates(poly: MultiPoly, samples, trace_var: str):
     with mp.workdps(40):
         scale = max(abs(mp.mpf(c.numerator) / mp.mpf(c.denominator))
                     for c in poly.terms.values())
@@ -98,7 +96,7 @@ def _check_annihilates(poly: MultiPoly, samples, trace_var: str,
             mag = max(mp.mpf(1), abs(tau_val)) ** poly.degree_in(TAU) \
                 * max(mp.mpf(1), abs(tv)) ** poly.degree_in(trace_var)
             val = poly.eval({TAU: tau_val, trace_var: tv})
-            if abs(val) > tol * scale * mag:
+            if abs(val) > 1e-8 * scale * mag:
                 return False
     return True
 
@@ -162,7 +160,7 @@ def transport_T(T_src: TPoly, factor: ChangeFactor, branch: UniPoly,
     return TPoly(out, new_var)
 
 
-def _transport_vanishes(out, subst, factor, x, tol=1e-8, digits: int = 48):
+def _transport_vanishes(out, subst, factor, x):
     """Check annihilation of every (tau_new, x) pair over sample x values."""
     for xs in (Fraction(9, 4), Fraction(5, 2), Fraction(13, 6)):
         den_val = factor.den.eval({x: xs})
@@ -174,9 +172,9 @@ def _transport_vanishes(out, subst, factor, x, tol=1e-8, digits: int = 48):
             .drop_vars().with_vars((TAU_OLD,)))
         if uni.degree() < 1:
             continue
-        for told in roots_numeric(uni, digits):
+        for told in roots_numeric(uni, 48):
             tnew = mp.sqrt(told ** 2 * mp.mpmathify(num_val) / mp.mpmathify(den_val))
-            ok = any(_check_annihilates(out, [(s * tnew, mp.mpmathify(xs))], x, tol)
+            ok = any(_check_annihilates(out, [(s * tnew, mp.mpmathify(xs))], x)
                      for s in (1, -1))
             if not ok:
                 return False
@@ -206,22 +204,18 @@ def specialize(T: TPoly, trace_value: Fraction) -> UniPoly:
 class PositiveRealRoot:
     """Root selection rule: the positive real root (4_1 longitude convention)."""
 
-    tol: float = 1e-9
-
 
 @dataclass(frozen=True)
 class NearestToHint:
     """Root selection rule: nearest to a stored numeric hint."""
 
     hint: complex
-    ambiguity_tol: float = 1e-6
 
 
 @dataclass(frozen=True)
 class Rho0Value:
     value: AlgebraicNumber
     branch_note: str
-    field_expr: Optional[FieldElement] = None
 
 
 def rho0_value(spec_poly: UniPoly, selection, digits: int = 64) -> Rho0Value:
@@ -232,7 +226,7 @@ def rho0_value(spec_poly: UniPoly, selection, digits: int = 64) -> Rho0Value:
     roots = roots_numeric(sf, digits)
     if isinstance(selection, PositiveRealRoot):
         cands = [r for r in roots
-                 if abs(mp.im(r)) < selection.tol * max(1, abs(r)) and mp.re(r) > 0]
+                 if abs(mp.im(r)) < 1e-9 * max(1, abs(r)) and mp.re(r) > 0]
         if not cands:
             raise TorsionSymError("no positive real root")
         if len(cands) > 1:
@@ -245,22 +239,23 @@ def rho0_value(spec_poly: UniPoly, selection, digits: int = 64) -> Rho0Value:
         chosen = by_dist[0]
         if len(by_dist) > 1:
             d0, d1 = abs(by_dist[0] - hint), abs(by_dist[1] - hint)
-            if d1 - d0 < selection.ambiguity_tol * max(1, abs(chosen)):
+            if d1 - d0 < 1e-6 * max(1, abs(chosen)):
                 raise TorsionSymError("ambiguous selection: two roots near hint")
         note = f"root nearest to hint {mp.nstr(hint, 8)}"
     else:
         raise TorsionSymError(f"unknown selection rule {selection!r}")
-    minpoly = _exact_minpoly_factor(sf, chosen, digits)
+    minpoly = _exact_minpoly_factor(sf, roots, chosen, digits)
     return Rho0Value(AlgebraicNumber.create(minpoly, chosen, digits), note)
 
 
-def _exact_minpoly_factor(sf: UniPoly, root, digits: int) -> UniPoly:
-    """Exact factor of a squarefree polynomial containing the selected root.
+def _exact_minpoly_factor(sf: UniPoly, roots, root, digits: int) -> UniPoly:
+    """Exact factor of a squarefree polynomial containing the selected root;
+    `roots` are all its complex roots, as rho0_value found them.
 
     Rational roots are split off exactly; the remaining part is asserted
     irreducible, which the rational-root check settles through degree 3.
     """
-    rationals = _rational_roots(sf, min(digits, 48))
+    rationals = _rational_roots(sf, roots, digits)
     for q in rationals:
         if abs(mp.mpc(root) - mp.mpf(q.numerator) / mp.mpf(q.denominator)) \
                 < mp.mpf(10) ** (-digits // 3):

@@ -1,0 +1,73 @@
+"""gcd_poly, squarefree_primitive and minimal_polynomial against sympy on
+seeded random inputs.  sympy is a test-only oracle: without it the module is
+skipped.  The resultant row is in test_resultant_oracle.py."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from test_resultant_oracle import from_sympy, random_poly, to_sympy
+from torsionpoly.numfield import NumberField, minimal_polynomial
+from torsionpoly.polys import (
+    MultiPoly, UniPoly, gcd_poly, normalize_sign, squarefree_primitive, to_text,
+)
+
+sympy = pytest.importorskip("sympy")
+
+VARS = ("x", "y")
+SYMS = {v: sympy.Symbol(v) for v in VARS}
+
+
+def random_factor(rng, degrees, terms):
+    """A random polynomial over (x, y) of positive degree in x."""
+    return random_poly(rng, VARS, degrees, terms) + MultiPoly.var(VARS, "x")
+
+
+def assert_same_up_to_scalar(got, want_expr):
+    want = from_sympy(want_expr, VARS, SYMS)
+    assert to_text(normalize_sign(got)) == to_text(normalize_sign(want))
+
+
+def test_gcd_poly_against_sympy():
+    rng = random.Random(71)
+    for k in range(16):
+        p, q = random_factor(rng, (2, 1), 3), random_factor(rng, (1, 2), 3)
+        if k % 4:
+            g = random_factor(rng, (1, 2), 2)
+            p, q = p * g, q * g * (k % 2 + 1)
+        assert_same_up_to_scalar(
+            gcd_poly(p, q), sympy.gcd(to_sympy(p, SYMS), to_sympy(q, SYMS)))
+
+
+def test_squarefree_primitive_against_sympy():
+    """squarefree_primitive drops the x-free content, so the oracle is the
+    sympy squarefree part of the primitive part in x."""
+    rng = random.Random(73)
+    for k in range(16):
+        a, b = random_factor(rng, (1, 1), 2), random_factor(rng, (1, 2), 2)
+        p = a * b ** (k % 3 + 1)
+        if k % 2:
+            p = p * (random_poly(rng, VARS, (0, 2), 2) + MultiPoly.var(VARS, "y")) ** 2
+        _, prim = sympy.Poly(to_sympy(p, SYMS), SYMS["x"]).primitive()
+        assert_same_up_to_scalar(squarefree_primitive(p, "x"),
+                                 sympy.sqf_part(prim.as_expr()))
+
+
+@pytest.mark.parametrize("coeffs", [[1, 0, -1, 1], [3, 0, 1]],
+                         ids=["x^3-x^2+1", "x^2+3"])
+def test_minimal_polynomial_against_sympy(coeffs):
+    K = NumberField.create(UniPoly("x", coeffs))
+    x, tau = SYMS["x"], sympy.Symbol("tau")
+    root = sympy.CRootOf(sum(c * x ** i for i, c in enumerate(coeffs)), 0)
+    rng = random.Random(79)
+    for k in range(12):
+        coords = [Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3)))
+                  for _ in range(K.degree)]
+        if k == 0:
+            coords[1:] = [0] * (K.degree - 1)
+        expr = sum(sympy.Rational(c.numerator, c.denominator) * root ** i
+                   for i, c in enumerate(coords))
+        want = sympy.Poly(sympy.minimal_polynomial(expr, tau), tau).all_coeffs()
+        assert minimal_polynomial(K.element(coords)) == UniPoly(
+            "tau", [Fraction(int(c.p), int(c.q)) for c in reversed(want)]).primitive()

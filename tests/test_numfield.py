@@ -4,11 +4,13 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from torsionpoly import pipelines as pl
 from torsionpoly.numfield import (
     AlgebraicNumber, NotInField, NumberField, NumFieldError, express_in_field,
     minimal_polynomial, rational_reconstruct, roots_numeric,
 )
-from torsionpoly.polys import UniPoly
+from torsionpoly.polys import MultiPoly, UniPoly, resultant
+from torsionpoly.records import ingest_knot
 
 
 def field_52():
@@ -136,6 +138,8 @@ def test_minimal_polynomial_constant():
 def test_minimal_polynomial_generator():
     K = field_41()
     assert minimal_polynomial(K.generator()) == UniPoly("tau", [3, 0, 1])
+    # the output variable may share the field variable's name
+    assert minimal_polynomial(K.generator(), var="x") == UniPoly("x", [3, 0, 1])
 
 
 def test_minimal_polynomial_embedding_residual_random():
@@ -226,3 +230,32 @@ def test_express_ladders_up_from_low_precision():
 def test_field_requires_degree_two():
     with pytest.raises(NumFieldError, match="degree"):
         NumberField.create(UniPoly("x", [5, 1]))
+
+
+# -- claim (a): the torsion at rho0 is at most quadratic over the trace field ------
+
+def square_minpoly(g: UniPoly) -> UniPoly:
+    """Minimal polynomial of tau^2 for a root tau of the irreducible g: the
+    squarefree part of Res_t(g(t), s - t^2)."""
+    ts = ("t", "s")
+    lhs = UniPoly("t", g.coeffs).to_multi(ts)
+    rhs = MultiPoly.var(ts, "s") - MultiPoly.var(ts, "t") ** 2
+    return UniPoly.from_multi(resultant(lhs, rhs, "t")).squarefree()
+
+
+@pytest.mark.parametrize("knot,curve,coords", [
+    ("4_1", "lambda", (9, 0)),
+    ("4_1", "mu", (Fraction(-3, 4), 0)),
+    ("5_2", "lambda", (-686, -23, 1518)),
+], ids=["4_1-lambda", "4_1-mu", "5_2-lambda"])
+def test_claim_a_tau_squared_in_trace_field(knot, curve, coords):
+    record = ingest_knot(knot)
+    tau = pl.rho0_for_curve(record, curve)[0].value
+    sq = square_minpoly(tau.minpoly)
+    K = NumberField.create(record.trace_field_poly,
+                           embedding_hint=record.trace_field_embedding)
+    out = express_in_field(AlgebraicNumber.create(sq, tau.approx ** 2), K)
+    assert isinstance(out, tuple), out
+    elem, _ = out
+    assert elem == K.element(coords)
+    assert minimal_polynomial(elem, var="s") == sq

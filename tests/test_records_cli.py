@@ -127,6 +127,20 @@ def test_cli_determinism_and_cache(capsys, cache_dir):
     assert payload(out1) == payload(out3)
 
 
+@pytest.mark.parametrize("entry", [[], {"json": "x"}], ids=["list", "no-text"])
+def test_cli_malformed_cache_entry_is_a_miss(capsys, cache_dir, entry):
+    args = ("eliminate", "--knot", "4_1")
+    code1, fresh, _ = run_cli(capsys, *args)
+    assert code1 == 0
+    [name] = os.listdir(cache_dir)
+    (cache_dir / name).write_text(json.dumps(entry))
+    code2, out, _ = run_cli(capsys, *args)
+    assert code2 == 0
+    assert out == fresh
+    # the recomputed report replaced the malformed entry
+    assert json.loads((cache_dir / name).read_text())["text"] == fresh
+
+
 def test_cli_flag_position_flexible(capsys, cache_dir):
     _, out1, _ = run_cli(capsys, "--format", "json", "eliminate", "--knot", "4_1",
                          "--no-cache")

@@ -33,21 +33,29 @@ def reference_resultant(p, q, name):
     return M[n - 1][n - 1] if sign > 0 else -M[n - 1][n - 1]
 
 
+def to_sympy(f, syms):
+    """f as a sympy expression, variable v read as syms[v]."""
+    sympy = pytest.importorskip("sympy")
+    return sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
+                       * sympy.Mul(*(syms[v] ** e for v, e in zip(f.vars, m)))
+                       for m, c in f.terms.items()))
+
+
+def from_sympy(expr, variables, syms):
+    """A sympy polynomial expression read back as a MultiPoly over variables."""
+    sympy = pytest.importorskip("sympy")
+    terms = sympy.Poly(expr, *(syms[v] for v in variables)).terms()
+    return MultiPoly(variables, {m: Fraction(int(c.p), int(c.q)) for m, c in terms})
+
+
 def sympy_resultant(p, q, name):
     """Res_name(p, q) by sympy, read back over the variables `resultant`
     returns (those of align(p, q) without name, in that order)."""
     sympy = pytest.importorskip("sympy")
     p, q = polys.align(p, q)
     syms = {v: sympy.Symbol(v) for v in p.vars}
-
-    def to_sympy(f):
-        return sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
-                           * sympy.Mul(*(syms[v] ** e for v, e in zip(f.vars, m)))
-                           for m, c in f.terms.items()))
-    res = sympy.expand(sympy.resultant(to_sympy(p), to_sympy(q), syms[name]))
-    rest = tuple(v for v in p.vars if v != name)
-    terms = sympy.Poly(res, *(syms[v] for v in rest)).terms()
-    return MultiPoly(rest, {m: Fraction(int(c.p), int(c.q)) for m, c in terms})
+    res = sympy.expand(sympy.resultant(to_sympy(p, syms), to_sympy(q, syms), syms[name]))
+    return from_sympy(res, tuple(v for v in p.vars if v != name), syms)
 
 
 def assert_same(got, want):
