@@ -372,21 +372,22 @@ def express_in_field(target: AlgebraicNumber, field: NumberField,
                     continue
                 cand = field.element(coords)
                 if not any(g.eval(cand).coords):
-                    note = _match_note(cand, target, prec)
+                    note = _match_note(cand, target, prec, f_roots)
                     if note is not None:
                         return cand, note
         prec *= 2
     return NotInField("no rational coordinates verified", prec // 2)
 
 
-def _match_note(cand: FieldElement, target: AlgebraicNumber, prec: int):
+def _match_note(cand: FieldElement, target: AlgebraicNumber, prec: int, f_roots):
+    """Note the root in f_roots (declared first) where cand matches target."""
     tol = max(mp.mpf(target.err), mp.mpf(10) ** (-prec // 3))
     val = cand.embed(prec)
     if abs(val - target.approx) <= tol:
         return "matched at the declared field embedding"
     if abs(mp.conj(val) - target.approx) <= tol:
         return "matched at the conjugate of the declared field embedding"
-    for emb in cand.field.all_embeddings(prec)[1:]:
+    for emb in f_roots[1:]:
         if abs(cand.embed(prec, embedding=emb) - target.approx) <= tol:
             return f"matched at the non-declared embedding x ~ {mp.nstr(emb, 8)}"
     return None

@@ -4,7 +4,9 @@ Coefficients are `fractions.Fraction`.  Term order is graded lexicographic
 (total degree first, ties broken by the declared variable order), which fixes
 a canonical serialization used for golden-file comparisons.  Resultants are
 computed by evaluation-interpolation: integer Bareiss determinants of the
-Sylvester matrix at integer points, interpolated exactly.
+Sylvester matrix at integer points, interpolated exactly.  Gcds are primitive
+polynomial remainder sequences in which each polynomial's content is computed
+once.
 """
 
 from __future__ import annotations
@@ -311,12 +313,12 @@ def _horner_eval(p: MultiPoly, var_order, assignment):
 # ---------------------------------------------------------------------------
 
 def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """Exact quotient p/q; raises PolyError if q does not divide p."""
+    """Exact quotient p/q (a constant q only scales p); PolyError if q does not divide p."""
     p, q = align(p, q)
     if q.is_zero():
         raise PolyError("division by zero polynomial")
-    if p.is_zero():
-        return MultiPoly.zero(p.vars)
+    if q.is_constant():
+        return p * (1 / q.constant_value())
     qlead = q.sorted_terms()[0]
     rem = p
     quot: Dict[Monomial, Fraction] = {}
@@ -339,69 +341,61 @@ def divides(q: MultiPoly, p: MultiPoly) -> bool:
         return False
 
 
-def _content_wrt(p: MultiPoly, name: str) -> MultiPoly:
-    coeffs = list(p.coeffs_wrt(name).values())
-    g = coeffs[0]
+def _content_primitive(p: MultiPoly, name: str) -> Tuple[MultiPoly, MultiPoly]:
+    """(content, primitive part) of a nonzero p with respect to name, both
+    normalized; the content is the gcd of the coefficients, smallest first."""
+    coeffs = sorted(p.coeffs_wrt(name).values(), key=lambda c: len(c.terms))
+    cont = coeffs[0]
     for c in coeffs[1:]:
-        g = gcd_poly(g, c)
-        if g.is_constant():
+        if cont.is_constant():
             break
-    return g
-
-
-def _primitive_wrt(p: MultiPoly, name: str) -> MultiPoly:
-    cont = _content_wrt(p, name)
-    return exact_div(p, cont.with_vars(p.vars))
+        cont = gcd_poly(cont, c)
+    cont = normalize_sign(cont).with_vars(p.vars)
+    return cont, normalize_sign(exact_div(p, cont))
 
 
 def _pseudo_rem(p: MultiPoly, q: MultiPoly, name: str) -> MultiPoly:
     """Pseudo-remainder: lc(q)^(deg p - deg q + 1) * p mod q, no divisions."""
-    dp, dq = p.degree_in(name), q.degree_in(name)
-    if dp < dq:
-        return p
+    dq = q.degree_in(name)
     lc_q = q.coeffs_wrt(name)[dq].with_vars(q.vars)
-    xv = MultiPoly.var(p.vars, name)
-    rem = p
-    e = dp - dq + 1
-    while not rem.is_zero() and rem.degree_in(name) >= dq:
-        dr = rem.degree_in(name)
+    rem, e = p, p.degree_in(name) - dq + 1
+    while not rem.is_zero() and (dr := rem.degree_in(name)) >= dq:
         lc_r = rem.coeffs_wrt(name)[dr].with_vars(rem.vars)
-        rem = lc_q * rem - lc_r * xv ** (dr - dq) * q
+        rem = lc_q * rem - lc_r * MultiPoly.var(p.vars, name) ** (dr - dq) * q
         e -= 1
-    if e > 0:
-        rem = rem * lc_q ** e
-    return rem
+    return rem * lc_q ** e if e > 0 else rem
 
 
-def gcd_poly(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """GCD via primitive polynomial remainder sequences, normalized
-    integer-primitive with positive leading graded-lex coefficient.
-
-    Only used to back squarefree decomposition and rational-function
-    reduction; sized for the low degrees this package meets.
-    """
-    p, q = align(p, q)
-    if p.is_zero():
-        return normalize_sign(q)
-    if q.is_zero():
-        return normalize_sign(p)
-    if p.is_constant() or q.is_constant():
-        return MultiPoly.constant(p.vars, 1)
-    name = next(v for v in p.vars if p.degree_in(v) > 0 or q.degree_in(v) > 0)
-    if p.degree_in(name) == 0:
-        return normalize_sign(gcd_poly(p, _content_wrt(q, name).with_vars(p.vars)))
-    if q.degree_in(name) == 0:
-        return normalize_sign(gcd_poly(_content_wrt(p, name).with_vars(p.vars), q))
-    cont = gcd_poly(_content_wrt(p, name).with_vars(p.vars),
-                    _content_wrt(q, name).with_vars(p.vars))
-    a, b = _primitive_wrt(p, name), _primitive_wrt(q, name)
+def _primitive_prs(a: MultiPoly, b: MultiPoly, name: str) -> MultiPoly:
+    """gcd of two primitive polynomials in name by the primitive remainder
+    sequence; a remainder free of name ends it with gcd 1."""
     if a.degree_in(name) < b.degree_in(name):
         a, b = b, a
     while not b.is_zero():
+        if b.degree_in(name) == 0:
+            return MultiPoly.constant(a.vars, 1)
         r = _pseudo_rem(a, b, name)
-        a = b
-        b = _primitive_wrt(r, name) if not r.is_zero() else r
-    return normalize_sign(cont * a)
+        a, b = b, r if r.is_zero() else _content_primitive(r, name)[1]
+    return a
+
+
+def gcd_poly(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    """GCD, normalized integer-primitive with positive leading graded-lex
+    coefficient: in the first variable that occurs, the gcd of the two
+    contents times the primitive PRS gcd of the two primitive parts, each
+    content computed once.
+
+    Backs squarefree decomposition and rational-function reduction; sized
+    for the low degrees this package meets.
+    """
+    p, q = align(p, q)
+    if p.is_zero() or q.is_zero():
+        return normalize_sign(p + q)
+    if p.is_constant() or q.is_constant():
+        return MultiPoly.constant(p.vars, 1)
+    name = next(v for v in p.vars if p.degree_in(v) > 0 or q.degree_in(v) > 0)
+    (cp, a), (cq, b) = _content_primitive(p, name), _content_primitive(q, name)
+    return normalize_sign(gcd_poly(cp, cq) * _primitive_prs(a, b, name))
 
 
 def normalize_sign(p: MultiPoly) -> MultiPoly:
@@ -415,19 +409,19 @@ def normalize_sign(p: MultiPoly) -> MultiPoly:
 
 
 def squarefree_primitive(p: MultiPoly, main_var: str) -> MultiPoly:
-    """Squarefree part of p in main_var, with main_var-free content removed.
+    """Squarefree part of p in main_var, with main_var-free content removed:
+    the primitive part of p over its primitive PRS gcd with the primitive
+    part of its derivative, one content each.
 
     Output is integer-primitive with positive leading graded-lex coefficient.
     """
     if p.is_zero():
         raise PolyError("squarefree_primitive of zero polynomial")
     if p.degree_in(main_var) == 0:
-        return normalize_sign(p) if p.is_constant() else normalize_sign(
-            squarefree_all(p))
-    p = _primitive_wrt(p, main_var)
-    g = gcd_poly(p, p.derivative(main_var))
-    sf = exact_div(p, g)
-    return normalize_sign(sf)
+        return squarefree_all(p)
+    p = _content_primitive(p, main_var)[1]
+    dp = _content_primitive(p.derivative(main_var), main_var)[1]
+    return normalize_sign(exact_div(p, _primitive_prs(p, dp, main_var)))
 
 
 def squarefree_all(p: MultiPoly) -> MultiPoly:

@@ -67,24 +67,25 @@ class TPoly:
 
 
 def _branch_samples(pt: ParamTorsion, digits: int = 48):
-    """Newton-refined (tau, trace) samples along the hinted branch."""
-    trace0 = Fraction(mp.nstr(mp.re(mp.mpc(pt.hints[pt.trace_var])), 10)).limit_denominator(64)
+    """Newton-refined (tau, trace) samples along the hinted branch, at `digits`."""
     if len(pt.aux_vars) != 1 or len(pt.constraints) != 1:
         # sampling only needed for the single-parameter corpus shape
         return []
     u = pt.aux_vars[0]
-    ucur = mp.mpc(pt.hints[u])
     out = []
     constraint = pt.constraints[0]
-    for k in range(5):
-        tv = trace0 + Fraction(k, 16)
-        uni = UniPoly.from_multi(
-            constraint.substitute(pt.trace_var,
-                                  MultiPoly.constant((pt.trace_var,), tv)))
-        roots = roots_numeric(uni, digits)
-        ucur = min(roots, key=lambda r: abs(r - ucur))
-        tau_val = pt.tau_expr.eval({u: ucur, pt.trace_var: mp.mpmathify(tv)})
-        out.append((tau_val, mp.mpmathify(tv)))
+    with mp.workdps(digits):
+        trace0 = Fraction(mp.nstr(mp.re(mp.mpc(pt.hints[pt.trace_var])), 10)).limit_denominator(64)
+        ucur = mp.mpc(pt.hints[u])
+        for k in range(5):
+            tv = trace0 + Fraction(k, 16)
+            uni = UniPoly.from_multi(
+                constraint.substitute(pt.trace_var,
+                                      MultiPoly.constant((pt.trace_var,), tv)))
+            roots = roots_numeric(uni, digits)
+            ucur = min(roots, key=lambda r: abs(r - ucur))
+            tau_val = pt.tau_expr.eval({u: ucur, pt.trace_var: mp.mpmathify(tv)})
+            out.append((tau_val, mp.mpmathify(tv)))
     return out
 
 
@@ -161,7 +162,7 @@ def transport_T(T_src: TPoly, factor: ChangeFactor, branch: UniPoly,
 
 
 def _transport_vanishes(out, subst, factor, x):
-    """Check annihilation of every (tau_new, x) pair over sample x values."""
+    """Check annihilation of every (tau_new, x) pair over sample x values, at 48 digits."""
     for xs in (Fraction(9, 4), Fraction(5, 2), Fraction(13, 6)):
         den_val = factor.den.eval({x: xs})
         num_val = factor.num.eval({x: xs})
@@ -172,12 +173,12 @@ def _transport_vanishes(out, subst, factor, x):
             .drop_vars().with_vars((TAU_OLD,)))
         if uni.degree() < 1:
             continue
-        for told in roots_numeric(uni, 48):
-            tnew = mp.sqrt(told ** 2 * mp.mpmathify(num_val) / mp.mpmathify(den_val))
-            ok = any(_check_annihilates(out, [(s * tnew, mp.mpmathify(xs))], x)
-                     for s in (1, -1))
-            if not ok:
-                return False
+        with mp.workdps(48):
+            for told in roots_numeric(uni, 48):
+                tnew = mp.sqrt(told ** 2 * mp.mpmathify(num_val) / mp.mpmathify(den_val))
+                if not any(_check_annihilates(out, [(s * tnew, mp.mpmathify(xs))], x)
+                           for s in (1, -1)):
+                    return False
     return True
 
 

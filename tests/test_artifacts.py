@@ -6,7 +6,7 @@ import threading
 import mpmath as mp
 import pytest
 
-from torsionpoly import charvar, cli, pipelines as pl, torsion_sym
+from torsionpoly import charvar, cli, pipelines as pl, polys, torsion_sym
 from torsionpoly.records import ingest_knot
 
 
@@ -87,3 +87,14 @@ def test_errors_are_not_stored():
         with pytest.raises(pl.PipelineError, match="no A-polynomial"):
             pl.branch_and_factor(record)
     assert record.artifacts == {}
+
+
+@pytest.mark.parametrize("knot, read, count", [("5_2", pl.eliminated_T, 2),
+                                               ("4_1", pl.transported_T, 8)])
+def test_gcd_calls_per_derivation(knot, read, count, monkeypatch):
+    """Each content is computed once and squarefree_primitive runs its
+    remainder sequence without gcd_poly, so a fresh record's derivation
+    makes few gcd_poly calls (56 and 74 when contents were recomputed)."""
+    calls = count_calls(monkeypatch, (polys, charvar), "gcd_poly")
+    read(ingest_knot(knot))
+    assert len(calls) == count

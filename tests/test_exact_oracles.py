@@ -7,10 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from test_resultant_oracle import from_sympy, random_poly, to_sympy
+from test_resultant_oracle import RECORD_INPUTS, from_sympy, random_poly, to_sympy
 from torsionpoly.numfield import NumberField, minimal_polynomial
 from torsionpoly.polys import (
-    MultiPoly, UniPoly, gcd_poly, normalize_sign, squarefree_primitive, to_text,
+    MultiPoly, UniPoly, from_text, gcd_poly, normalize_sign, resultant,
+    squarefree_primitive, to_text,
 )
 
 sympy = pytest.importorskip("sympy")
@@ -38,6 +39,17 @@ def test_gcd_poly_against_sympy():
             p, q = p * g, q * g * (k % 2 + 1)
         assert_same_up_to_scalar(
             gcd_poly(p, q), sympy.gcd(to_sympy(p, SYMS), to_sympy(q, SYMS)))
+    # one side free of x, a constant, zero, a content in y shared by both
+    f = random_factor(rng, (2, 1), 3)
+    c = from_text("2*y^2 - 6*y + 4", VARS)
+    pairs = [(f * c, c * from_text("y + 5", VARS)),
+             (f, MultiPoly.constant(VARS, Fraction(3, 2))),
+             (f * c, MultiPoly.zero(VARS)),
+             (f * c * from_text("x*y + 1", VARS), c * from_text("3*x*y - y + 3", VARS))]
+    for p, q in pairs:
+        for a, b in ((p, q), (q, p)):
+            assert_same_up_to_scalar(
+                gcd_poly(a, b), sympy.gcd(to_sympy(a, SYMS), to_sympy(b, SYMS)))
 
 
 def test_squarefree_primitive_against_sympy():
@@ -52,6 +64,15 @@ def test_squarefree_primitive_against_sympy():
         _, prim = sympy.Poly(to_sympy(p, SYMS), SYMS["x"]).primitive()
         assert_same_up_to_scalar(squarefree_primitive(p, "x"),
                                  sympy.sqf_part(prim.as_expr()))
+    # the eliminants the 4_1 and 5_2 records pass to squarefree_primitive
+    for label, main in (("4_1 trace relation, el (6x6)", "y"),
+                        ("5_2 eliminate T (5x5)", "tau"),
+                        ("4_1 transport tau0 (4x4)", "tau")):
+        p = resultant(*RECORD_INPUTS[label]).drop_vars()
+        syms = {v: sympy.Symbol(v) for v in p.vars}
+        _, prim = sympy.Poly(to_sympy(p, syms), syms[main]).primitive()
+        want = from_sympy(sympy.sqf_part(prim.as_expr()), p.vars, syms)
+        assert to_text(squarefree_primitive(p, main)) == to_text(normalize_sign(want))
 
 
 @pytest.mark.parametrize("coeffs", [[1, 0, -1, 1], [3, 0, 1]],

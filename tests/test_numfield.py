@@ -4,7 +4,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from torsionpoly import pipelines as pl
+from torsionpoly import numfield, pipelines as pl
 from torsionpoly.numfield import (
     AlgebraicNumber, NotInField, NumberField, NumFieldError, express_in_field,
     minimal_polynomial, rational_reconstruct, roots_numeric,
@@ -213,6 +213,25 @@ def test_roots_deterministic_ordering():
     assert vals == sorted(vals)
     again = roots_numeric(p, 30)
     assert all(abs(a - b) == 0 for a, b in zip(roots, again))
+
+
+def test_non_declared_match_reuses_the_field_roots(monkeypatch):
+    # the real root of x^3 - x^2 + 1 is x at the real embedding only; the
+    # note names that embedding from the roots the solve already holds
+    K = field_52()
+    real = min(roots_numeric(K.defining_poly, 48), key=lambda r: abs(mp.im(r)))
+    target = AlgebraicNumber.create(UniPoly("tau", [1, 0, -1, 1]), real, 48)
+    calls = []
+    real_roots = numfield.roots_numeric
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        return real_roots(*args, **kwargs)
+    monkeypatch.setattr(numfield, "roots_numeric", counted)
+    elem, note = express_in_field(target, K)
+    assert elem == K.generator()
+    assert note == "matched at the non-declared embedding x ~ (-0.75487767 + 0.0j)"
+    assert calls == [(64,), (64,)]
 
 
 def test_express_ladders_up_from_low_precision():

@@ -49,3 +49,19 @@ def test_report_matches_golden(name):
         code = cli.main(["--no-cache", *CASES[name]])
     assert code == 0
     assert out.getvalue() == (GOLDENS / f"{name}.txt").read_text()
+
+
+def results_section(report: str) -> str:
+    return report.split("[results]\n")[1].split("[notes]")[0]
+
+
+@pytest.mark.parametrize("name", ["eliminate-4_1", "transport-4_1"])
+def test_exact_results_do_not_depend_on_precision(name):
+    """The branch checks of an elimination run at their own precision, so a
+    low --precision still derives the golden polynomial."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(["--no-cache", "--precision", "5", *CASES[name]])
+    assert code == 0
+    assert results_section(out.getvalue()) == results_section(
+        (GOLDENS / f"{name}.txt").read_text())

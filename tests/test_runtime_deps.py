@@ -1,0 +1,30 @@
+"""sympy, hypothesis and pytest are test-only: no module of the package
+imports them, so the program runs without them."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "torsionpoly"
+TEST_ONLY = {"sympy", "hypothesis", "pytest"}
+
+
+def imported_roots(path):
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")), ids=lambda p: p.name)
+def test_module_imports_no_test_only_package(path):
+    assert not TEST_ONLY & set(imported_roots(path))
+
+
+def test_guard_sees_every_import_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import os, sympy.core\nfrom hypothesis import given\n"
+                     "from . import polys\ndef f():\n    import pytest\n")
+    assert set(imported_roots(probe)) == {"os", "sympy", "hypothesis", "pytest"}
