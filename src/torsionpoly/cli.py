@@ -179,11 +179,14 @@ def cmd_membership(record, args):
             "in_field": "false",
             "outcome": f"{kind}: {o.reason} (precision {o.precision})",
         }, out["notes"]
+    # the record's embedding is a float: read all 53 of its bits
+    with mp.workprec(max(mp.mp.prec, 53)):
+        embedding = fmt_mp(record.trace_field_embedding)
     return {
         "curve": args.curve,
         "in_field": "true",
         "field": to_text(record.trace_field_poly.to_multi()),
-        "field_embedding": fmt_mp(mp.mpc(record.trace_field_embedding)),
+        "field_embedding": embedding,
         "element": pl.field_element_text(out["element"]),
         "element_minpoly": to_text(out["element_minpoly"].to_multi()),
         "value": fmt_mp(out["value"].value.approx),

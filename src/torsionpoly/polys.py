@@ -411,27 +411,18 @@ def normalize_sign(p: MultiPoly) -> MultiPoly:
 def squarefree_primitive(p: MultiPoly, main_var: str) -> MultiPoly:
     """Squarefree part of p in main_var, with main_var-free content removed:
     the primitive part of p over its primitive PRS gcd with the primitive
-    part of its derivative, one content each.
+    part of its derivative, one content each.  A p free of main_var is all
+    content, so its part is the constant 1.
 
     Output is integer-primitive with positive leading graded-lex coefficient.
     """
     if p.is_zero():
         raise PolyError("squarefree_primitive of zero polynomial")
     if p.degree_in(main_var) == 0:
-        return squarefree_all(p)
+        return MultiPoly.constant(p.vars, 1)
     p = _content_primitive(p, main_var)[1]
     dp = _content_primitive(p.derivative(main_var), main_var)[1]
     return normalize_sign(exact_div(p, _primitive_prs(p, dp, main_var)))
-
-
-def squarefree_all(p: MultiPoly) -> MultiPoly:
-    """Squarefree part with respect to every variable in turn."""
-    out = p
-    for v in p.vars:
-        if out.degree_in(v) > 0:
-            g = gcd_poly(out, out.derivative(v))
-            out = exact_div(out, g)
-    return normalize_sign(out)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,11 @@ peripheral curves through the change-of-curve factor, and specialized at the
 discrete faithful representation.  Torsion polynomials are only defined up to
 sign and rational content, so all equality contracts are on squarefree
 primitive parts.
+
+Elimination and transport prove their result exactly: the polynomial must
+vanish on the curve it was derived from, which by Gauss's lemma is the exact
+division of its pullback by the curve's squarefree primitive part.  Neither
+sets a working precision.
 """
 
 from __future__ import annotations
@@ -16,9 +21,11 @@ from typing import Dict, Tuple
 
 import mpmath as mp
 
-from .charvar import TR_MU, ChangeFactor
+from .charvar import ChangeFactor
 from .numfield import AlgebraicNumber, _rational_roots, roots_numeric
-from .polys import MultiPoly, PolyError, UniPoly, resultant, squarefree_primitive
+from .polys import (
+    MultiPoly, PolyError, UniPoly, divides, resultant, squarefree_primitive,
+)
 
 TAU = "tau"
 TAU_OLD = "tau0"
@@ -66,46 +73,21 @@ class TPoly:
             raise TorsionSymError("torsion polynomial without tau dependence")
 
 
-def _branch_samples(pt: ParamTorsion, digits: int = 48):
-    """Newton-refined (tau, trace) samples along the hinted branch, at `digits`."""
-    if len(pt.aux_vars) != 1 or len(pt.constraints) != 1:
-        # sampling only needed for the single-parameter corpus shape
-        return []
-    u = pt.aux_vars[0]
-    out = []
-    constraint = pt.constraints[0]
-    with mp.workdps(digits):
-        trace0 = Fraction(mp.nstr(mp.re(mp.mpc(pt.hints[pt.trace_var])), 10)).limit_denominator(64)
-        ucur = mp.mpc(pt.hints[u])
-        for k in range(5):
-            tv = trace0 + Fraction(k, 16)
-            uni = UniPoly.from_multi(
-                constraint.substitute(pt.trace_var,
-                                      MultiPoly.constant((pt.trace_var,), tv)))
-            roots = roots_numeric(uni, digits)
-            ucur = min(roots, key=lambda r: abs(r - ucur))
-            tau_val = pt.tau_expr.eval({u: ucur, pt.trace_var: mp.mpmathify(tv)})
-            out.append((tau_val, mp.mpmathify(tv)))
-    return out
+def _require_vanishing(poly: MultiPoly, curve: MultiPoly, var: str, what: str):
+    """Raise unless poly vanishes on every component of {curve = 0} that
+    involves var: exactly, the squarefree primitive part of curve in var
+    divides poly."""
+    if not divides(squarefree_primitive(curve, var), poly):
+        raise TorsionSymError(f"{what} is not divisible by the squarefree part "
+                              f"of its curve in {var!r}")
 
 
-def _check_annihilates(poly: MultiPoly, samples, trace_var: str):
-    with mp.workdps(40):
-        scale = max(abs(mp.mpf(c.numerator) / mp.mpf(c.denominator))
-                    for c in poly.terms.values())
-        for tau_val, tv in samples:
-            mag = max(mp.mpf(1), abs(tau_val)) ** poly.degree_in(TAU) \
-                * max(mp.mpf(1), abs(tv)) ** poly.degree_in(trace_var)
-            val = poly.eval({TAU: tau_val, trace_var: tv})
-            if abs(val) > 1e-8 * scale * mag:
-                return False
-    return True
-
-
-def eliminate_T(pt: ParamTorsion, digits: int = 48) -> TPoly:
+def eliminate_T(pt: ParamTorsion) -> TPoly:
     """Eliminate the auxiliary variables from {tau - tau_expr, constraints}.
 
-    The normalized eliminant is verified to vanish along the hinted branch.
+    With one auxiliary variable u and one constraint C(u, trace), the
+    normalized eliminant T is proven to vanish on the constraint curve:
+    C's squarefree primitive part in u divides T(tau_expr(u, trace), trace).
     """
     allvars = (TAU,) + pt.aux_vars + (pt.trace_var,)
     elim = MultiPoly.var(allvars, TAU) - pt.tau_expr.with_vars(allvars)
@@ -127,15 +109,20 @@ def eliminate_T(pt: ParamTorsion, digits: int = 48) -> TPoly:
     if elim.is_zero() or elim.degree_in(TAU) == 0:
         raise TorsionSymError("degenerate parametrization")
     out = squarefree_primitive(elim, TAU)
-    samples = _branch_samples(pt, digits=digits)
-    if samples and not _check_annihilates(out, samples, pt.trace_var):
-        raise TorsionSymError("hint inconsistent")
+    if len(pt.aux_vars) == 1 and len(pt.constraints) == 1:
+        _require_vanishing(out.substitute(TAU, pt.tau_expr), pt.constraints[0],
+                           pt.aux_vars[0], "eliminant at tau_expr")
     return TPoly(out, pt.trace_var)
 
 
 def transport_T(T_src: TPoly, factor: ChangeFactor, branch: UniPoly,
-                new_var: str = TR_MU) -> TPoly:
-    """Transport T across tau_new^2 * den = tau_old^2 * num on the branch."""
+                new_var: str) -> TPoly:
+    """Transport T across tau_new^2 * den = tau_old^2 * num on the branch.
+
+    The result is proven to cover the source: over every point of the
+    source curve it vanishes at a tau_new related to tau_old, exactly, the
+    source's squarefree part in tau_old divides Res_tau_new(result, relation).
+    """
     x = branch.var
     allvars = (TAU, TAU_OLD, x)
     src = _rename(T_src.poly, TAU, TAU_OLD)
@@ -154,32 +141,11 @@ def transport_T(T_src: TPoly, factor: ChangeFactor, branch: UniPoly,
     out = squarefree_primitive(elim, TAU)
     if out.degree_in(TAU) == 0:
         raise TorsionSymError("transported polynomial lost its tau dependence")
-    if not _transport_vanishes(out, subst, factor, x):
-        raise TorsionSymError("hint inconsistent")
+    _require_vanishing(resultant(out, G, TAU), subst, TAU_OLD,
+                       "transported polynomial over the source")
     if new_var != x:
         out = _rename(out, x, new_var)
     return TPoly(out, new_var)
-
-
-def _transport_vanishes(out, subst, factor, x):
-    """Check annihilation of every (tau_new, x) pair over sample x values, at 48 digits."""
-    for xs in (Fraction(9, 4), Fraction(5, 2), Fraction(13, 6)):
-        den_val = factor.den.eval({x: xs})
-        num_val = factor.num.eval({x: xs})
-        if den_val == 0:
-            continue
-        uni = UniPoly.from_multi(
-            subst.substitute(x, MultiPoly.constant((x,), xs))
-            .drop_vars().with_vars((TAU_OLD,)))
-        if uni.degree() < 1:
-            continue
-        with mp.workdps(48):
-            for told in roots_numeric(uni, 48):
-                tnew = mp.sqrt(told ** 2 * mp.mpmathify(num_val) / mp.mpmathify(den_val))
-                if not any(_check_annihilates(out, [(s * tnew, mp.mpmathify(xs))], x)
-                           for s in (1, -1)):
-                    return False
-    return True
 
 
 def _rename(p: MultiPoly, old: str, new: str) -> MultiPoly:

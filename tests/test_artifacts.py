@@ -72,11 +72,10 @@ def test_threads_reading_one_record_agree():
             t.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
-        # mpmath's working precision is one process-wide setting, and
-        # interleaved `workdps` blocks in the threads can leave it raised
-        # (see the README); later tests expect the default back
-        mp.mp.prec = prec
     assert not any(t.is_alive() for t in threads)
+    # mpmath's working precision is one process-wide setting (see the
+    # README); the exact derivation sets none, so no interleaving changes it
+    assert mp.mp.prec == prec
     assert all(r is not None and r.poly == results[0].poly for r in results)
     assert pl.transported_T(record).poly == results[0].poly
 
@@ -89,12 +88,24 @@ def test_errors_are_not_stored():
     assert record.artifacts == {}
 
 
-@pytest.mark.parametrize("knot, read, count", [("5_2", pl.eliminated_T, 2),
+@pytest.mark.parametrize("knot, read, count", [("5_2", pl.eliminated_T, 4),
                                                ("4_1", pl.transported_T, 8)])
 def test_gcd_calls_per_derivation(knot, read, count, monkeypatch):
     """Each content is computed once and squarefree_primitive runs its
     remainder sequence without gcd_poly, so a fresh record's derivation
-    makes few gcd_poly calls (56 and 74 when contents were recomputed)."""
+    makes few gcd_poly calls (56 and 74 when contents were recomputed).
+    Two of the 5_2 calls take the contents of the constraint's own
+    squarefree part, which the exact vanishing check divides by."""
     calls = count_calls(monkeypatch, (polys, charvar), "gcd_poly")
     read(ingest_knot(knot))
     assert len(calls) == count
+
+
+@pytest.mark.parametrize("knot, read", [("5_2", pl.eliminated_T),
+                                        ("4_1", pl.transported_T)])
+def test_derivation_finds_no_numeric_roots(knot, read, monkeypatch):
+    """Elimination and transport prove their result by exact division, so
+    deriving them follows no branch numerically."""
+    calls = count_calls(monkeypatch, (torsion_sym,), "roots_numeric")
+    read(ingest_knot(knot))
+    assert calls == []

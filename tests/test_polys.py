@@ -234,6 +234,12 @@ def test_squarefree_drops_mainvar_free_content():
     assert sf == P("x^2 - 9", ["y", "x"])
 
 
+def test_squarefree_of_mainvar_free_polynomial_is_one():
+    """A polynomial free of the main variable is all content."""
+    assert squarefree_primitive(P("y^2", ["x", "y"]), "x") == MultiPoly.constant(("x", "y"), 1)
+    assert squarefree_primitive(P("-3", ["x"]), "x") == MultiPoly.constant(("x",), 1)
+
+
 def test_gcd_poly_bivariate():
     x = MultiPoly.var(("x", "y"), "x")
     y = MultiPoly.var(("x", "y"), "y")

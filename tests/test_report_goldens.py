@@ -55,13 +55,32 @@ def results_section(report: str) -> str:
     return report.split("[results]\n")[1].split("[notes]")[0]
 
 
-@pytest.mark.parametrize("name", ["eliminate-4_1", "transport-4_1"])
+@pytest.mark.parametrize("name", ["eliminate-4_1", "eliminate-5_2",
+                                  "transport-4_1"])
 def test_exact_results_do_not_depend_on_precision(name):
-    """The branch checks of an elimination run at their own precision, so a
-    low --precision still derives the golden polynomial."""
+    """Elimination and transport are proven by exact division and read no
+    working precision, so a low --precision still derives the golden
+    polynomial."""
     out = io.StringIO()
     with redirect_stdout(out):
         code = cli.main(["--no-cache", "--precision", "5", *CASES[name]])
     assert code == 0
     assert results_section(out.getvalue()) == results_section(
+        (GOLDENS / f"{name}.txt").read_text())
+
+
+def field_embedding_line(report: str) -> str:
+    return next(line for line in report.splitlines()
+                if line.startswith("field_embedding = "))
+
+
+@pytest.mark.parametrize("name", ["membership-4_1", "membership-5_2"])
+def test_field_embedding_echo_does_not_depend_on_precision(name):
+    """The record's embedding is a float, echoed at no less than its own
+    53 bits whatever the working precision."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(["--no-cache", "--precision", "5", *CASES[name]])
+    assert code == 0
+    assert field_embedding_line(out.getvalue()) == field_embedding_line(
         (GOLDENS / f"{name}.txt").read_text())

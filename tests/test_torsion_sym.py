@@ -4,6 +4,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from torsionpoly import torsion_sym
 from torsionpoly.charvar import ChangeFactor, change_curve_sq
 from torsionpoly.numfield import roots_numeric
 from torsionpoly.polys import MultiPoly, UniPoly, from_text, normalize_sign
@@ -92,6 +93,24 @@ def test_eliminate_annihilates_newton_refined_points():
                 assert abs(val) < 1e-8 * scale * mag
 
 
+def perturb_first_resultant(monkeypatch, var):
+    """Add `var` to the first resultant torsion_sym takes, as a wrong
+    eliminant would differ from the true one."""
+    real, calls = torsion_sym.resultant, []
+
+    def perturbed(p, q, name):
+        r = real(p, q, name)
+        calls.append(name)
+        return r + MultiPoly.var(r.vars, var) if len(calls) == 1 else r
+    monkeypatch.setattr(torsion_sym, "resultant", perturbed)
+
+
+def test_eliminate_rejects_a_perturbed_eliminant(monkeypatch):
+    perturb_first_resultant(monkeypatch, "y")
+    with pytest.raises(TorsionSymError, match="not divisible"):
+        eliminate_T(pt_52())
+
+
 def test_t_poly_requires_tau():
     with pytest.raises(TorsionSymError):
         TPoly(from_text("y - 2", ["tau", "y"]), "y")
@@ -125,6 +144,12 @@ def test_transport_double_is_involutive_on_squarefree_part():
     orig = t_lambda_41().poly.substitute("y", BRANCH41.to_multi())
     from torsionpoly.polys import squarefree_primitive
     assert back.poly == squarefree_primitive(orig, "tau")
+
+
+def test_transport_rejects_a_perturbed_eliminant(monkeypatch):
+    perturb_first_resultant(monkeypatch, "x")
+    with pytest.raises(TorsionSymError, match="not divisible"):
+        transport_T(t_lambda_41(), change_curve_sq(BRANCH41), BRANCH41, new_var="z")
 
 
 def test_transport_numeric_consistency():
