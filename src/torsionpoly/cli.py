@@ -1,29 +1,31 @@
-"""Command-line interface: reports, caching, and the verify entry point.
+"""Command-line interface: the report handlers.
 
-Reports are deterministic for identical inputs and precision settings; the
-cache stores fully rendered reports under a content-addressed key, so cached
-and fresh runs are byte-identical.
+``front.main`` imports this module only on a cache miss; the guard below
+sends ``python -m torsionpoly.cli`` there before any engine import. Tracer
+contract: importing this module loads every traced module and binds
+``main``, ``ingest_knot`` and the front's cache and render functions.
 """
 
 from __future__ import annotations
 
-import argparse
-import hashlib
-import json
-import os
+if __name__ == "__main__":
+    from torsionpoly.front import main
+    raise SystemExit(main())
+
 import sys
-import tempfile
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import mpmath as mp
 
-from . import __version__, pipelines as pl
+from . import pipelines as pl
+from .front import (  # noqa: F401  (bound here for the tracer and the tests)
+    CACHE_ENV, COMMANDS, cache_load, cache_store, main, make_digest, render_json,
+    render_text, report_dict,
+)
 from .numfield import NotInField
 from .polys import to_text
-from .records import ingest_knot, validate_parabolic
+from .records import ingest_knot, parse_record, validate_parabolic  # noqa: F401
 
-CACHE_ENV = "TORSIONPOLY_CACHE"
-DEFAULT_CACHE_DIR = ".torsionpoly-cache"
 REPORT_DIGITS = 12
 
 
@@ -35,76 +37,6 @@ def fmt_mp(v) -> str:
     im = mp.nstr(abs(v.imag), REPORT_DIGITS)
     sign = "+" if v.imag > 0 else "-"
     return f"{re} {sign} {im}i"
-
-
-def report_dict(command_echo: str, digest: str, results: Dict[str, str],
-                notes: List[str], tolerances: Dict[str, str]) -> dict:
-    return {
-        "command": command_echo,
-        "inputs_digest": digest,
-        "results": results,
-        "notes": notes,
-        "tolerances": tolerances,
-    }
-
-
-def render_text(rep: dict) -> str:
-    lines = [f"command = {rep['command']}", f"inputs_digest = {rep['inputs_digest']}"]
-    lines.append("[results]")
-    for k, v in rep["results"].items():
-        lines.append(f"{k} = {v}")
-    lines.append("[notes]")
-    for n in rep["notes"]:
-        lines.append(f"- {n}")
-    lines.append("[tolerances]")
-    for k, v in rep["tolerances"].items():
-        lines.append(f"{k} = {v}")
-    return "\n".join(lines) + "\n"
-
-
-def render_json(rep: dict) -> str:
-    return json.dumps(rep, indent=2) + "\n"
-
-
-def _cache_dir() -> str:
-    return os.environ.get(CACHE_ENV, DEFAULT_CACHE_DIR)
-
-
-def cache_load(digest: str) -> Optional[dict]:
-    """The stored rendering for digest; None when the entry is missing,
-    unreadable or not of the shape cache_store writes."""
-    path = os.path.join(_cache_dir(), digest + ".json")
-    try:
-        with open(path, "r") as fh:
-            entry = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    if not (isinstance(entry, dict)
-            and all(isinstance(entry.get(k), str) for k in ("text", "json"))):
-        return None
-    return entry
-
-
-def cache_store(digest: str, rendered: dict):
-    d = _cache_dir()
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(rendered, fh)
-        os.replace(tmp, os.path.join(d, digest + ".json"))
-    except OSError:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
-def make_digest(command_echo: str, record_text: str, precision: int,
-                tolerance: str) -> str:
-    h = hashlib.sha256()
-    for part in (__version__, command_echo, record_text, str(precision), tolerance):
-        h.update(part.encode())
-        h.update(b"\x00")
-    return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -220,26 +152,6 @@ def _finite(value, flag: str):
     return value
 
 
-def _check_flags(args):
-    """Flag values that would otherwise fail later with a misleading error
-    (a precision below 1) or silently do nothing useful."""
-    if args.cmd == "verify":
-        for dest in ("precision", "tolerance", "no_cache"):
-            if getattr(args, dest) != DEFAULTS[dest]:
-                raise ValueError(f"--{dest.replace('_', '-')} has no effect: the checks fix "
-                                 "their own precisions and tolerances and use no cache")
-        return
-    if args.precision < 1:
-        raise ValueError(f"--precision must be at least 1, got {args.precision}")
-    _finite(mp.mpf(args.tolerance), "--tolerance")
-    if args.tolerance <= 0:
-        raise ValueError(f"--tolerance must be positive, got {args.tolerance!r}")
-    for flag in ("steps", "jobs"):
-        value = getattr(args, flag, 1)
-        if value < 1:
-            raise ValueError(f"--{flag} must be at least 1, got {value}")
-
-
 def cmd_torsion(record, args):
     try:
         _finite(mp.mpmathify(args.trace), "--trace")
@@ -299,94 +211,21 @@ def cmd_validate(record, args):
     }, [record.presentation_note] if record.presentation_note else []
 
 
-COMMANDS = {
-    "eliminate": (cmd_eliminate, "eliminate auxiliary variables into the torsion-trace polynomial"),
-    "trace-relation": (cmd_trace_relation, "eliminate eigenvalues from the A-polynomial"),
-    "change-curve": (cmd_change_curve, "geometric branch and change-of-curve factor"),
-    "transport": (cmd_transport, "transport the torsion polynomial to the meridian"),
-    "rho0": (cmd_rho0, "torsion value at the discrete faithful representation"),
-    "membership": (cmd_membership, "trace-field membership of the rho0 torsion value"),
-    "torsion": (cmd_torsion, "numeric torsion at one meridian trace"),
-    "sweep": (cmd_sweep, "numeric torsion over a range of meridian traces"),
-    "validate": (cmd_validate, "deep-validate a knot record"),
-}
+HANDLERS = {name: globals()["cmd_" + name.replace("-", "_")] for name in COMMANDS}
 
 
-DEFAULTS = {"precision": 64, "tolerance": 1e-8, "format": "text", "no_cache": False}
-
-
-def _add_common_flags(parser, suppress: bool):
-    # subcommand copies use SUPPRESS so they never clobber values parsed
-    # before the subcommand name
-    d = (lambda dest: argparse.SUPPRESS if suppress else DEFAULTS[dest])
-    parser.add_argument("--precision", type=int, default=d("precision"),
-                        help="working decimal digits (default 64)")
-    parser.add_argument("--tolerance", type=float, default=d("tolerance"),
-                        help="numeric comparison tolerance (default 1e-8)")
-    parser.add_argument("--format", choices=("text", "json"), default=d("format"))
-    parser.add_argument("--no-cache", action="store_true", default=d("no_cache"))
-
-
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="torsionpoly",
-        description="torsion-trace polynomials of knot exteriors, with a "
-                    "numeric Fox-calculus cross-check engine")
-    _add_common_flags(ap, suppress=False)
-    sub = ap.add_subparsers(dest="cmd", required=True)
-    for name, (_, help_text) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        _add_common_flags(p, suppress=True)
-        p.add_argument("--knot", required=True,
-                       help="bundled knot name (4_1, 5_2) or a record path")
-        if name in ("rho0", "membership"):
-            p.add_argument("--curve", choices=("lambda", "mu"), default="lambda")
-        if name == "torsion":
-            p.add_argument("--trace", required=True,
-                           help="meridian trace value, e.g. 2.05")
-        if name == "sweep":
-            p.add_argument("--from", dest="start", required=True)
-            p.add_argument("--to", dest="stop", required=True)
-            p.add_argument("--steps", type=int, required=True)
-            p.add_argument("--jobs", type=int, default=1)
-    v = sub.add_parser("verify", help="run the full acceptance suite")
-    _add_common_flags(v, suppress=True)
-    return ap
-
-
-def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    command_echo = "torsionpoly " + " ".join(argv)
-    try:
-        _check_flags(args)
-        if args.cmd == "verify":
-            from .verify import run_all
-            return 0 if run_all(fmt=args.format) else 1
-        record = ingest_knot(args.knot)
-        digest = make_digest(command_echo, record.source_text, args.precision,
-                             repr(args.tolerance))
-        cached = None if args.no_cache else cache_load(digest)
-        if cached is not None:
-            sys.stdout.write(cached[args.format])
-            return 0
-        with mp.workdps(args.precision):
-            handler = COMMANDS[args.cmd][0]
-            results, notes = handler(record, args)
-        rep = report_dict(command_echo, digest, results, notes, {
-            "precision_digits": str(args.precision),
-            "numeric_tolerance": repr(args.tolerance),
-        })
-        rendered = {"text": render_text(rep), "json": render_json(rep)}
-        if not args.no_cache:
-            cache_store(digest, rendered)
-        sys.stdout.write(rendered[args.format])
-        return 0
-    except ValueError as exc:
-        print(f"error: {args.cmd}: {exc}", file=sys.stderr)
-        return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+def run(args, command_echo: str, text: str, digest: str) -> int:
+    """front.main past a cache miss: parse the record text it read and
+    hashed, run the handler and store the report."""
+    record = parse_record(text)
+    with mp.workdps(args.precision):
+        results, notes = HANDLERS[args.cmd](record, args)
+    rep = report_dict(command_echo, digest, results, notes, {
+        "precision_digits": str(args.precision),
+        "numeric_tolerance": repr(args.tolerance),
+    })
+    rendered = {"text": render_text(rep), "json": render_json(rep)}
+    if not args.no_cache:
+        cache_store(digest, rendered)
+    sys.stdout.write(rendered[args.format])
+    return 0

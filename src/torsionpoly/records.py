@@ -7,7 +7,6 @@ cleanly.  Complex numbers are written as `re im` pairs.
 
 from __future__ import annotations
 
-import importlib.resources
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -15,13 +14,10 @@ from typing import Dict, List, Optional, Tuple
 import mpmath as mp
 
 from .charvar import APoly, apoly_normalize
+from .front import RecordError, bundled_record_text, record_text  # noqa: F401
 from .polys import PolyError, UniPoly, from_text
 from .torsion_num import Presentation, TorsionNumError, parse_word
 from .torsion_sym import NearestToHint, ParamTorsion, PositiveRealRoot, TorsionSymError
-
-
-class RecordError(ValueError):
-    pass
 
 
 def _parse_complex(tokens: List[str], where: str) -> complex:
@@ -252,25 +248,9 @@ def parse_record(text: str) -> KnotRecord:
     )
 
 
-def bundled_record_text(name: str) -> str:
-    try:
-        return (importlib.resources.files("torsionpoly") / "data" / f"{name}.knot") \
-            .read_text()
-    except FileNotFoundError:
-        raise RecordError(f"no bundled knot record named {name!r}")
-
-
 def ingest_knot(path_or_name: str) -> KnotRecord:
     """Load a record from a path, or from the bundled corpus by knot name."""
-    import os
-    if os.path.exists(path_or_name):
-        try:
-            with open(path_or_name, "r") as fh:
-                return parse_record(fh.read())
-        except OSError as exc:
-            raise RecordError(
-                f"cannot read knot record {path_or_name!r}: {exc.strerror}")
-    return parse_record(bundled_record_text(path_or_name))
+    return parse_record(record_text(path_or_name))
 
 
 def validate_parabolic(record: KnotRecord, dps: int = 40) -> dict:

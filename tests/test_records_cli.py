@@ -127,7 +127,11 @@ def test_cli_determinism_and_cache(capsys, cache_dir):
     assert payload(out1) == payload(out3)
 
 
-@pytest.mark.parametrize("entry", [[], {"json": "x"}], ids=["list", "no-text"])
+@pytest.mark.parametrize("entry", [
+    [], {"json": "x"},
+    {"text": "stale\n", "json": "stale\n"},
+    {"text": "stale\n", "json": "stale\n", "source": "0" * 64},
+], ids=["list", "no-text", "no-source", "other-source"])
 def test_cli_malformed_cache_entry_is_a_miss(capsys, cache_dir, entry):
     args = ("eliminate", "--knot", "4_1")
     code1, fresh, _ = run_cli(capsys, *args)
@@ -137,8 +141,12 @@ def test_cli_malformed_cache_entry_is_a_miss(capsys, cache_dir, entry):
     code2, out, _ = run_cli(capsys, *args)
     assert code2 == 0
     assert out == fresh
-    # the recomputed report replaced the malformed entry
+    # the recomputed report replaced the entry, and a third run hits it
     assert json.loads((cache_dir / name).read_text())["text"] == fresh
+    stamp = lambda st: (st.st_ino, st.st_mtime_ns)
+    before = stamp((cache_dir / name).stat())
+    assert run_cli(capsys, *args)[1] == fresh
+    assert stamp((cache_dir / name).stat()) == before
 
 
 def test_cli_flag_position_flexible(capsys, cache_dir):
@@ -183,28 +191,27 @@ def test_cli_rejects_bad_trace(capsys, cache_dir, argv):
 
 @pytest.mark.parametrize("argv, message", [
     (("--precision", "0", "rho0", "--knot", "4_1"),
-     "rho0: --precision must be at least 1"),
+     "rho0: --precision must be at least 1, got 0"),
     (("--precision", "-3", "membership", "--knot", "5_2"),
-     "membership: --precision must be at least 1"),
+     "membership: --precision must be at least 1, got -3"),
     (("--tolerance", "nan", "torsion", "--knot", "4_1", "--trace", "2.05"),
-     "torsion: --tolerance must be a finite number"),
+     "torsion: --tolerance must be a finite number, got nan"),
     (("--tolerance", "inf", "torsion", "--knot", "4_1", "--trace", "2.05"),
-     "torsion: --tolerance must be a finite number"),
+     "torsion: --tolerance must be a finite number, got +inf"),
+    (("--tolerance=-inf", "torsion", "--knot", "4_1", "--trace", "2.05"),
+     "torsion: --tolerance must be a finite number, got -inf"),
     (("--tolerance", "0", "torsion", "--knot", "4_1", "--trace", "2.05"),
-     "torsion: --tolerance must be positive"),
+     "torsion: --tolerance must be positive, got 0.0"),
     (("sweep", "--knot", "4_1", "--from", "1.9", "--to", "2.2", "--steps", "0"),
-     "sweep: --steps must be at least 1"),
+     "sweep: --steps must be at least 1, got 0"),
     (("sweep", "--knot", "4_1", "--from", "1.9", "--to", "2.2", "--steps", "2",
       "--jobs", "0"),
-     "sweep: --jobs must be at least 1"),
+     "sweep: --jobs must be at least 1, got 0"),
 ], ids=["precision-0", "precision-negative", "tolerance-nan", "tolerance-inf",
-        "tolerance-0", "steps-0", "jobs-0"])
+        "tolerance-minus-inf", "tolerance-0", "steps-0", "jobs-0"])
 def test_cli_rejects_bad_flags(capsys, cache_dir, argv, message):
     code, out, err = run_cli(capsys, *argv, "--no-cache")
-    assert code == 2
-    assert out == ""
-    assert err.startswith(f"error: {message}")
-    assert len(err.splitlines()) == 1
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_cli_torsion_point(capsys, cache_dir):
