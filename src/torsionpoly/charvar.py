@@ -179,7 +179,10 @@ class ChangeFactor:
     den: MultiPoly
 
     def eval_at(self, x):
-        return self.num.eval({TR_MU: x}) / self.den.eval({TR_MU: x})
+        num, den = self.num.eval({TR_MU: x}), self.den.eval({TR_MU: x})
+        if isinstance(num, int) and isinstance(den, int):
+            return Fraction(num, den)    # integer coefficients at an integer x
+        return num / den
 
 
 def change_curve_sq(branch: UniPoly) -> ChangeFactor:

@@ -29,12 +29,12 @@ from .records import ingest_knot, parse_record, validate_parabolic  # noqa: F401
 REPORT_DIGITS = 12
 
 
-def fmt_mp(v) -> str:
+def fmt_mp(v, digits: int = REPORT_DIGITS) -> str:
     v = mp.mpc(v)
     if v.imag == 0:
-        return mp.nstr(v.real, REPORT_DIGITS)
-    re = mp.nstr(v.real, REPORT_DIGITS)
-    im = mp.nstr(abs(v.imag), REPORT_DIGITS)
+        return mp.nstr(v.real, digits)
+    re = mp.nstr(v.real, digits)
+    im = mp.nstr(abs(v.imag), digits)
     sign = "+" if v.imag > 0 else "-"
     return f"{re} {sign} {im}i"
 
@@ -85,13 +85,18 @@ def cmd_transport(record, args):
     }, []
 
 
+def _value_digits(args) -> int:
+    """A value computed at --precision digits prints no more of them."""
+    return min(REPORT_DIGITS, args.precision)
+
+
 def cmd_rho0(record, args):
     value, poly, notes = pl.rho0_for_curve(record, args.curve, args.precision)
     results = {
         "curve": args.curve,
         "specialized_polynomial": to_text(poly.to_multi()),
         "minimal_polynomial": to_text(value.value.minpoly.to_multi()),
-        "value": fmt_mp(value.value.approx),
+        "value": fmt_mp(value.value.approx, _value_digits(args)),
     }
     mpoly = value.value.minpoly
     if mpoly.degree() == 1:
@@ -121,7 +126,7 @@ def cmd_membership(record, args):
         "field_embedding": embedding,
         "element": pl.field_element_text(out["element"]),
         "element_minpoly": to_text(out["element_minpoly"].to_multi()),
-        "value": fmt_mp(out["value"].value.approx),
+        "value": fmt_mp(out["value"].value.approx, _value_digits(args)),
     }, out["notes"]
 
 

@@ -1,12 +1,20 @@
 """Exact sparse multivariate and dense univariate polynomials over Q.
 
-Coefficients are `fractions.Fraction`.  Term order is graded lexicographic
-(total degree first, ties broken by the declared variable order), which fixes
-a canonical serialization used for golden-file comparisons.  Resultants are
-computed by evaluation-interpolation: integer Bareiss determinants of the
-Sylvester matrix at integer points, interpolated exactly.  Gcds are primitive
-polynomial remainder sequences in which each polynomial's content is computed
-once.
+A `MultiPoly` coefficient is canonical: an `int` when it is integral, else a
+reduced `fractions.Fraction`, never a float.  The public constructor (used by
+`from_text` and the records) validates coefficients and exponent vectors and
+canonicalizes them.  Results built inside this module go through the trusted
+`MultiPoly._make`, which only drops zero terms and turns an integral
+`Fraction` into its `int`, so the ring operations, remainder sequences and
+exact division of integer polynomials run on plain ints.  `UniPoly`
+coefficients are `Fraction`.
+
+Term order is graded lexicographic (total degree first, ties broken by the
+declared variable order), which fixes a canonical serialization used for
+golden-file comparisons.  Resultants are computed by evaluation-interpolation:
+integer Bareiss determinants of the Sylvester matrix at integer points,
+interpolated exactly.  Gcds are primitive polynomial remainder sequences in
+which each polynomial's content is computed once.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ import itertools
 import math
 import re
 from fractions import Fraction
+from operator import add, sub
 from typing import Dict, Iterable, Tuple
 
 Monomial = Tuple[int, ...]
@@ -24,14 +33,25 @@ class PolyError(ValueError):
     pass
 
 
-def _as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
+def _exact(c):
+    """The canonical coefficient equal to c: an int when c is integral."""
     if isinstance(c, str):
-        return Fraction(c)
+        c = Fraction(c)
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):
+        return int(c)
     raise PolyError(f"coefficient {c!r} is not exact")
+
+
+def _quo(a, b):
+    """Exact quotient a / b of two coefficients, canonical."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    q = Fraction(a, b)
+    return q.numerator if q.denominator == 1 else q
 
 
 def _grlex_key(mono: Monomial):
@@ -43,13 +63,13 @@ class MultiPoly:
 
     __slots__ = ("vars", "terms")
 
-    def __init__(self, variables: Iterable[str], terms: Dict[Monomial, Fraction] = None):
+    def __init__(self, variables: Iterable[str], terms: Dict[Monomial, object] = None):
         self.vars: Tuple[str, ...] = tuple(variables)
         if len(set(self.vars)) != len(self.vars):
             raise PolyError("duplicate variable names")
-        clean: Dict[Monomial, Fraction] = {}
+        clean = {}
         for mono, c in (terms or {}).items():
-            c = _as_fraction(c)
+            c = _exact(c)
             if len(mono) != len(self.vars):
                 raise PolyError("exponent vector length mismatch")
             if any(e < 0 for e in mono):
@@ -57,6 +77,17 @@ class MultiPoly:
             if c != 0:
                 clean[tuple(mono)] = c
         self.terms = clean
+
+    @classmethod
+    def _make(cls, variables: Tuple[str, ...], terms: dict) -> "MultiPoly":
+        """Trusted constructor for results built in this module: distinct
+        variables, exact coefficients keyed by valid exponent tuples.  Only
+        drops zero terms and canonicalizes an integral Fraction."""
+        p = object.__new__(cls)
+        p.vars = variables
+        p.terms = {m: c if type(c) is int or c.denominator != 1 else c.numerator
+                   for m, c in terms.items() if c}
+        return p
 
     # -- constructors -------------------------------------------------
 
@@ -67,7 +98,7 @@ class MultiPoly:
     @classmethod
     def constant(cls, variables, c):
         variables = tuple(variables)
-        return cls(variables, {tuple([0] * len(variables)): _as_fraction(c)})
+        return cls(variables, {(0,) * len(variables): c})
 
     @classmethod
     def var(cls, variables, name):
@@ -75,7 +106,7 @@ class MultiPoly:
         if name not in variables:
             raise PolyError(f"unknown variable {name!r}")
         mono = tuple(1 if v == name else 0 for v in variables)
-        return cls(variables, {mono: Fraction(1)})
+        return cls(variables, {mono: 1})
 
     # -- basic queries -------------------------------------------------
 
@@ -83,15 +114,12 @@ class MultiPoly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(sum(m) == 0 for m in self.terms)
+        return not any(map(any, self.terms))
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self):
         if not self.is_constant():
             raise PolyError("not a constant polynomial")
-        return next(iter(self.terms.values()), Fraction(0))
-
-    def total_degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
+        return next(iter(self.terms.values()), 0)
 
     def degree_in(self, name: str) -> int:
         i = self._index(name)
@@ -100,10 +128,10 @@ class MultiPoly:
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
 
-    def leading_coefficient(self) -> Fraction:
+    def leading_coefficient(self):
         if self.is_zero():
-            return Fraction(0)
-        return self.sorted_terms()[0][1]
+            return 0
+        return self.terms[max(self.terms, key=_grlex_key)]
 
     def _index(self, name: str) -> int:
         try:
@@ -126,7 +154,7 @@ class MultiPoly:
     # -- ring operations -------------------------------------------------
 
     def __neg__(self):
-        return MultiPoly(self.vars, {m: -c for m, c in self.terms.items()})
+        return MultiPoly._make(self.vars, {m: -c for m, c in self.terms.items()})
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -134,14 +162,12 @@ class MultiPoly:
         a, b = align(self, other)
         terms = dict(a.terms)
         for m, c in b.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
-        return MultiPoly(a.vars, terms)
+            terms[m] = terms.get(m, 0) + c
+        return MultiPoly._make(a.vars, terms)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(self.vars, other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -149,15 +175,15 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            return MultiPoly(self.vars, {m: c * v for m, v in self.terms.items()})
+            c = _exact(other)
+            return MultiPoly._make(self.vars, {m: c * v for m, v in self.terms.items()})
         a, b = align(self, other)
-        terms: Dict[Monomial, Fraction] = {}
+        terms = {}
         for m1, c1 in a.terms.items():
             for m2, c2 in b.terms.items():
-                m = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
-                terms[m] = terms.get(m, Fraction(0)) + c1 * c2
-        return MultiPoly(a.vars, terms)
+                m = tuple(map(add, m1, m2))
+                terms[m] = terms.get(m, 0) + c1 * c2
+        return MultiPoly._make(a.vars, terms)
 
     __rmul__ = __mul__
 
@@ -167,31 +193,21 @@ class MultiPoly:
         if n < 0:
             raise PolyError("negative exponent unsupported")
         result = MultiPoly.constant(self.vars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
+        for _ in range(n):
+            result = result * self
         return result
 
     # -- calculus and evaluation ------------------------------------------
 
     def derivative(self, name: str) -> "MultiPoly":
         i = self._index(name)
-        terms: Dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
-            if m[i] == 0:
-                continue
-            m2 = list(m)
-            m2[i] -= 1
-            m2 = tuple(m2)
-            terms[m2] = terms.get(m2, Fraction(0)) + c * m[i]
-        return MultiPoly(self.vars, terms)
+        return MultiPoly._make(self.vars, {m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i]
+                                           for m, c in self.terms.items() if m[i]})
 
     def eval(self, assignment: dict):
         """Evaluate with values from any commutative ring (Fraction, mpc,
-        complex, FieldElement).  Horner in each variable in turn."""
+        complex, FieldElement).  Horner in each variable in turn.  Integer
+        coefficients at integer values give an int."""
         occurring = self.drop_vars().vars
         missing = [v for v in occurring if v not in assignment]
         if missing:
@@ -209,13 +225,9 @@ class MultiPoly:
             if v not in merged_vars:
                 merged_vars.append(v)
         # Horner on powers of the substituted variable.
-        by_deg: Dict[int, MultiPoly] = {}
+        by_deg: Dict[int, dict] = {}
         for m, c in self.terms.items():
-            rest = list(m)
-            d = rest[i]
-            rest[i] = 0
-            part = MultiPoly(self.vars, {tuple(rest): c}).with_vars(merged_vars)
-            by_deg[d] = by_deg.get(d, MultiPoly.zero(merged_vars)) + part
+            by_deg.setdefault(m[i], {})[m[:i] + (0,) + m[i + 1:]] = c
         if not by_deg:
             return MultiPoly.zero(merged_vars)
         qm = q.with_vars(merged_vars)
@@ -223,12 +235,16 @@ class MultiPoly:
         for d in range(max(by_deg), -1, -1):
             result = result * qm
             if d in by_deg:
-                result = result + by_deg[d]
+                result = result + MultiPoly._make(self.vars, by_deg[d]).with_vars(merged_vars)
         return result
 
     def with_vars(self, new_vars) -> "MultiPoly":
         """Reindex onto a variable list that contains all current variables."""
         new_vars = tuple(new_vars)
+        if new_vars == self.vars:
+            return self
+        if len(set(new_vars)) != len(new_vars):
+            raise PolyError("duplicate variable names")
         pos = []
         for v in self.vars:
             if v not in new_vars:
@@ -240,7 +256,7 @@ class MultiPoly:
             for p, e in zip(pos, m):
                 m2[p] = e
             terms[tuple(m2)] = c
-        return MultiPoly(new_vars, terms)
+        return MultiPoly._make(new_vars, terms)
 
     def drop_vars(self) -> "MultiPoly":
         """Remove variables that no term uses."""
@@ -250,34 +266,26 @@ class MultiPoly:
             return self
         new_vars = tuple(self.vars[i] for i in used)
         terms = {tuple(m[i] for i in used): c for m, c in self.terms.items()}
-        return MultiPoly(new_vars, terms)
+        return MultiPoly._make(new_vars, terms)
 
     # -- coefficient views -------------------------------------------------
 
     def coeffs_wrt(self, name: str) -> Dict[int, "MultiPoly"]:
         """Map degree -> coefficient polynomial in the remaining variables."""
         i = self._index(name)
-        rest_vars = tuple(v for j, v in enumerate(self.vars) if j != i)
-        out: Dict[int, Dict[Monomial, Fraction]] = {}
+        rest_vars = self.vars[:i] + self.vars[i + 1:]
+        out: Dict[int, dict] = {}
         for m, c in self.terms.items():
-            rest = tuple(e for j, e in enumerate(m) if j != i)
-            out.setdefault(m[i], {})[rest] = c
-        return {d: MultiPoly(rest_vars, t) for d, t in out.items()}
-
-    def rational_content(self) -> Fraction:
-        """Positive rational c with p/c integer-primitive; 0 for the zero poly."""
-        return _content(self.terms.values())
+            out.setdefault(m[i], {})[m[:i] + m[i + 1:]] = c
+        return {d: MultiPoly._make(rest_vars, t) for d, t in out.items()}
 
 
-def _content(coeffs) -> Fraction:
-    """gcd of the numerators over lcm of the denominators: the positive
+def _content(coeffs) -> Tuple[int, int]:
+    """(gcd of the numerators, lcm of the denominators): the positive
     rational c with every coeff / c an integer, those integers coprime."""
-    num = 0
-    den = 1
-    for c in coeffs:
-        num = math.gcd(num, abs(c.numerator))
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    return Fraction(num, den)
+    coeffs = list(coeffs)
+    return (math.gcd(*(c.numerator for c in coeffs)),
+            math.lcm(*(c.denominator for c in coeffs)))
 
 
 def align(a: MultiPoly, b: MultiPoly) -> Tuple[MultiPoly, MultiPoly]:
@@ -318,19 +326,27 @@ def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     if q.is_zero():
         raise PolyError("division by zero polynomial")
     if q.is_constant():
-        return p * (1 / q.constant_value())
-    qlead = q.sorted_terms()[0]
-    rem = p
-    quot: Dict[Monomial, Fraction] = {}
-    while not rem.is_zero():
-        rlead_m, rlead_c = rem.sorted_terms()[0]
-        mono = tuple(a - b for a, b in zip(rlead_m, qlead[0]))
-        if any(e < 0 for e in mono):
+        c = q.constant_value()
+        return MultiPoly._make(p.vars, {m: _quo(v, c) for m, v in p.terms.items()})
+    qlead = max(q.terms, key=_grlex_key)
+    qc = q.terms[qlead]
+    qrest = [(m, c) for m, c in q.terms.items() if m != qlead]
+    rem = dict(p.terms)
+    quot = {}
+    while rem:
+        rlead = max(rem, key=_grlex_key)
+        mono = tuple(map(sub, rlead, qlead))
+        if min(mono) < 0:
             raise PolyError("not divisible")
-        c = rlead_c / qlead[1]
-        quot[mono] = quot.get(mono, Fraction(0)) + c
-        rem = rem - MultiPoly(p.vars, {mono: c}) * q
-    return MultiPoly(p.vars, quot)
+        c = quot[mono] = _quo(rem.pop(rlead), qc)
+        for m, v in qrest:
+            m = tuple(map(add, mono, m))
+            r = rem.get(m, 0) - c * v
+            if r:
+                rem[m] = r
+            else:
+                del rem[m]
+    return MultiPoly._make(p.vars, quot)
 
 
 def divides(q: MultiPoly, p: MultiPoly) -> bool:
@@ -354,14 +370,19 @@ def _content_primitive(p: MultiPoly, name: str) -> Tuple[MultiPoly, MultiPoly]:
     return cont, normalize_sign(exact_div(p, cont))
 
 
+def _slice(p: MultiPoly, i: int, d: int, e: int) -> MultiPoly:
+    """The terms of p of degree d in variable i, that degree set to e."""
+    return MultiPoly._make(p.vars, {m[:i] + (e,) + m[i + 1:]: c
+                                    for m, c in p.terms.items() if m[i] == d})
+
+
 def _pseudo_rem(p: MultiPoly, q: MultiPoly, name: str) -> MultiPoly:
     """Pseudo-remainder: lc(q)^(deg p - deg q + 1) * p mod q, no divisions."""
-    dq = q.degree_in(name)
-    lc_q = q.coeffs_wrt(name)[dq].with_vars(q.vars)
+    i, dq = q._index(name), q.degree_in(name)
+    lc_q = _slice(q, i, dq, 0)
     rem, e = p, p.degree_in(name) - dq + 1
     while not rem.is_zero() and (dr := rem.degree_in(name)) >= dq:
-        lc_r = rem.coeffs_wrt(name)[dr].with_vars(rem.vars)
-        rem = lc_q * rem - lc_r * MultiPoly.var(p.vars, name) ** (dr - dq) * q
+        rem = lc_q * rem - _slice(rem, i, dr, dr - dq) * q
         e -= 1
     return rem * lc_q ** e if e > 0 else rem
 
@@ -402,10 +423,11 @@ def normalize_sign(p: MultiPoly) -> MultiPoly:
     """Integer-primitive scalar multiple with positive leading grlex coefficient."""
     if p.is_zero():
         return p
-    c = p.rational_content()
+    num, den = _content(p.terms.values())
     if p.leading_coefficient() < 0:
-        c = -c
-    return MultiPoly(p.vars, {m: v / c for m, v in p.terms.items()})
+        num = -num
+    return MultiPoly._make(p.vars, {m: v.numerator // num * (den // v.denominator)
+                                    for m, v in p.terms.items()})
 
 
 def squarefree_primitive(p: MultiPoly, main_var: str) -> MultiPoly:
@@ -522,21 +544,23 @@ def resultant(p: MultiPoly, q: MultiPoly, name: str) -> MultiPoly:
     rows = sylvester_matrix(p, q, name)
     rest_vars = rows[0][0].vars
     dp, dq = p.degree_in(name), q.degree_in(name)
-    sp, sq = (_content(f.terms.values()).denominator for f in (p, q))
+    sp, sq = (_content(f.terms.values())[1] for f in (p, q))
     scales = [sp] * dq + [sq] * dp
-    # each distinct (entry, row scale) pair, as integer terms
-    terms = {(id(e), s): [(c.numerator * (s // c.denominator), m) for m, c in e.terms.items()]
-             for row, s in zip(rows, scales) for e in row}
+    # each distinct (entry, row scale) pair as integer terms; the values of
+    # their monomials are computed once per grid point
+    keys = [[(id(e), s) for e in row] for row, s in zip(rows, scales)]
+    terms = {k: [(c.numerator * (k[1] // c.denominator), m) for m, c in e.terms.items()]
+             for row, ks in zip(rows, keys) for e, k in zip(row, ks)}
+    monos = {m for ts in terms.values() for _, m in ts}
     bounds = [_degree_bound(rows, i) for i in range(len(rest_vars))]
     values = {}
     for point in itertools.product(*(range(b + 1) for b in bounds)):
-        at = {key: sum(c * math.prod(map(pow, point, m)) for c, m in ts)
-              for key, ts in terms.items()}
-        values[point] = bareiss_det([[at[id(e), s] for e in row]
-                                     for row, s in zip(rows, scales)])
+        at_m = {m: math.prod(map(pow, point, m)) for m in monos}
+        at = {k: sum(c * at_m[m] for c, m in ts) for k, ts in terms.items()}
+        values[point] = bareiss_det([[at[k] for k in ks] for ks in keys])
     den = sp ** dq * sq ** dp
-    return MultiPoly(rest_vars, {m: Fraction(c, den)
-                                 for m, c in _interpolate(values, bounds).items()})
+    return MultiPoly._make(rest_vars, {m: _quo(c, den)
+                                       for m, c in _interpolate(values, bounds).items()})
 
 
 # ---------------------------------------------------------------------------
@@ -557,21 +581,9 @@ def to_text(p: MultiPoly) -> str:
         return "0"
     parts = []
     for mono, c in p.sorted_terms():
-        factors = []
-        for v, e in zip(p.vars, mono):
-            if e == 1:
-                factors.append(v)
-            elif e > 1:
-                factors.append(f"{v}^{e}")
-        mag = abs(c)
-        if factors:
-            body = f"{mag}*" + "*".join(factors)
-        else:
-            body = f"{mag}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append((" + " if c > 0 else " - ") + body)
+        factors = [v if e == 1 else f"{v}^{e}" for v, e in zip(p.vars, mono) if e]
+        sign = (" + " if c > 0 else " - ") if parts else ("" if c > 0 else "-")
+        parts.append(sign + "*".join([str(abs(c))] + factors))
     return "".join(parts)
 
 
@@ -586,43 +598,29 @@ def from_text(text: str, variables=None) -> MultiPoly:
             if name[0] not in variables:
                 variables.append(name[0])
     variables = tuple(variables)
-    # split into signed terms
-    chunks = []
-    sign = 1
-    buf = None
-    dangling_sign = False
-    for tok in re.split(r"\s*([+-])\s*", raw):
-        if tok == "":
-            continue
-        if tok in ("+", "-"):
-            if buf is not None:
-                chunks.append((sign, buf))
-                buf = None
-                sign = 1
-            if tok == "-":
-                sign = -sign
-            dangling_sign = True
-        else:
-            buf = tok
-            dangling_sign = False
-    if buf is not None:
-        chunks.append((sign, buf))
-    elif dangling_sign or not chunks:
+    # terms alternate with runs of signs; a run's product signs the next term
+    tokens = re.split(r"\s*([+-])\s*", raw)
+    if not tokens[-1]:
         raise PolyError(f"cannot parse polynomial text {text!r}")
-    result = MultiPoly.zero(variables)
-    for sgn, chunk in chunks:
+    terms, sign = {}, 1
+    for k, chunk in enumerate(tokens):
+        if k % 2:
+            sign = -sign if chunk == "-" else sign
+            continue
+        if not chunk:
+            continue
         m = _TERM_RE.match(chunk.replace(" ", ""))
         if not m or (m.group("coeff") is None and not m.group("body")):
             raise PolyError(f"bad term {chunk!r} in {text!r}")
-        coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+        coeff, sign = sign * Fraction(m.group("coeff") or 1), 1
         mono = [0] * len(variables)
         for name, exp in _FACTOR_RE.findall(m.group("body")):
             if name not in variables:
                 raise PolyError(f"unknown variable {name!r} in {text!r}")
             mono[variables.index(name)] += int(exp) if exp else 1
-        term = MultiPoly(variables, {tuple(mono): sgn * coeff})
-        result = result + term
-    return result
+        mono = tuple(mono)
+        terms[mono] = terms.get(mono, 0) + coeff
+    return MultiPoly(variables, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +634,7 @@ class UniPoly:
 
     def __init__(self, var: str, coeffs):
         self.var = var
-        cs = [_as_fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(_exact(c)) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -738,7 +736,7 @@ class UniPoly:
         """Integer-primitive with positive leading coefficient."""
         if self.is_zero():
             return self
-        scale = _content(self.coeffs)
+        scale = Fraction(*_content(self.coeffs))
         if self.lead() < 0:
             scale = -scale
         return UniPoly(self.var, [c / scale for c in self.coeffs])
@@ -769,7 +767,7 @@ class UniPoly:
             raise PolyError(f"polynomial is not univariate: vars {p.vars}")
         if not p.vars:
             return cls("x", [p.constant_value()] if p.terms else [])
-        coeffs = [Fraction(0)] * (p.total_degree() + 1)
+        coeffs = [0] * (max(m[0] for m in p.terms) + 1)
         for m, c in p.terms.items():
             coeffs[m[0]] = c
         return cls(p.vars[0], coeffs)

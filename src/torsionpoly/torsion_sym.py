@@ -153,7 +153,7 @@ def _rename(p: MultiPoly, old: str, new: str) -> MultiPoly:
         return p
     if new in p.vars:
         raise PolyError(f"variable {new!r} already present")
-    return MultiPoly(tuple(new if v == old else v for v in p.vars), p.terms)
+    return MultiPoly._make(tuple(new if v == old else v for v in p.vars), p.terms)
 
 
 def specialize(T: TPoly, trace_value: Fraction) -> UniPoly:

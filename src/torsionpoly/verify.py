@@ -2,25 +2,28 @@
 
 Each check prints one pass/fail line; tolerances are fixed here, not
 configurable, so a green run certifies the published contract of the package.
+`run_all` ingests each bundled record once and every check of the run reads
+it, so each record's artifacts are derived once; a check called on its own
+ingests its own records.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from contextvars import ContextVar
 from fractions import Fraction
-from typing import Callable, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import mpmath as mp
 
 from . import mplinalg as la
 from . import pipelines as pl
-from .charvar import change_curve_apoly, change_curve_sq, geometric_branch, \
-    trace_relation
+from .charvar import change_curve_apoly, change_curve_sq
 from .numfield import roots_numeric
 from .polys import MultiPoly, UniPoly, divides, from_text, normalize_sign, \
     resultant, to_text
-from .records import ingest_knot, validate_parabolic
+from .records import KnotRecord, ingest_knot, validate_parabolic
 from .torsion_num import (
     _entries, _matrix, adjoint, basing, boundaries, fox_derivative,
     invariant_vector, parse_word, peripheral_torsions, riley_solve,
@@ -39,12 +42,28 @@ TMU41_TEXT = "4*tau^2 - z^4 + 6*z^2 - 5"
 ENGINE_TRACES = ("1.90", "1.95", "2.05", "2.10", "2.15")
 
 
+# the records of the running `run_all`, by name; None outside a run
+_RUN_RECORDS: ContextVar[Optional[Dict[str, KnotRecord]]] = ContextVar(
+    "verify_records", default=None)
+
+
+def _record(name: str) -> KnotRecord:
+    """The bundled record `name`: the run's shared copy inside `run_all`,
+    a fresh one otherwise."""
+    shared = _RUN_RECORDS.get()
+    if shared is None:
+        return ingest_knot(name)
+    if name not in shared:
+        shared[name] = ingest_knot(name)
+    return shared[name]
+
+
 def _same_up_to_sign(a: MultiPoly, b: MultiPoly) -> bool:
     return a == b or a == -b
 
 
 def check_52_elimination() -> Tuple[bool, str]:
-    record = ingest_knot("5_2")
+    record = _record("5_2")
     T = pl.eliminated_T(record)
     expected = normalize_sign(from_text(T52_TEXT, ["tau", "y"]))
     ok = _same_up_to_sign(T.poly, expected)
@@ -53,20 +72,20 @@ def check_52_elimination() -> Tuple[bool, str]:
 
 
 def check_52_specialization() -> Tuple[bool, str]:
-    record = ingest_knot("5_2")
+    record = _record("5_2")
     spec = specialize(pl.eliminated_T(record), Fraction(2))
     ok = spec == CUBIC_AT_2
     return ok, f"specialization at trace 2 is {to_text(spec.to_multi())}"
 
 
 def check_41_symbolic_chain() -> Tuple[bool, str]:
-    record = ingest_knot("4_1")
-    R = trace_relation(record.apoly)
+    record = _record("4_1")
+    R = pl.trace_relation_of(record)
     factor = normalize_sign(
         MultiPoly.var(("x", "y"), "y") - from_text(BRANCH41_TEXT, ["x", "y"]))
     if not divides(factor, R.poly):
         return False, "trace relation lost the quartic branch factor"
-    branch = geometric_branch(R, record.branch_hint)
+    branch, _ = pl.branch_and_factor(record)
     if branch != UniPoly("x", [2, 0, -5, 0, 1]):
         return False, f"geometric branch is {branch!r}"
     ident = 17 + 4 * branch.to_multi() == from_text("4*x^4 - 20*x^2 + 25")
@@ -80,8 +99,8 @@ def check_41_symbolic_chain() -> Tuple[bool, str]:
 
 
 def check_rho0_values() -> Tuple[bool, str]:
-    r41 = ingest_knot("4_1")
-    r52 = ingest_knot("5_2")
+    r41 = _record("4_1")
+    r52 = _record("5_2")
     v_l, poly_l, _ = pl.rho0_for_curve(r41, "lambda")
     if v_l.value.minpoly != UniPoly("tau", [-3, 1]):
         return False, f"longitude value minpoly {v_l.value.minpoly!r}"
@@ -104,7 +123,7 @@ def check_rho0_values() -> Tuple[bool, str]:
 
 
 def check_52_membership() -> Tuple[bool, str]:
-    record = ingest_knot("5_2")
+    record = _record("5_2")
     out = pl.membership(record, "lambda")
     if not out["in_field"]:
         return False, f"membership failed: {out['outcome']!r}"
@@ -118,7 +137,7 @@ def check_52_membership() -> Tuple[bool, str]:
 
 
 def check_numeric_engine() -> Tuple[bool, str]:
-    record = ingest_knot("4_1")
+    record = _record("4_1")
     pres = record.presentation
     branch = UniPoly("x", [2, 0, -5, 0, 1])
     cf = change_curve_sq(branch)
@@ -208,7 +227,7 @@ def check_property_suites() -> Tuple[bool, str]:
             if max(abs(lhs[i, j] - rhs[i, j]) for i in range(3) for j in range(3)) > 1e-9:
                 return False, "adjoint homomorphism failed"
         # chain condition at solved representations
-        record = ingest_knot("4_1")
+        record = _record("4_1")
         pres = record.presentation
         for _ in range(5):
             tr = mp.mpf(2) + mp.mpf(rng.uniform(-0.1, 0.15))
@@ -258,7 +277,7 @@ def _apoly_samples(A, rng, n):
 
 def check_records() -> Tuple[bool, str]:
     for name in ("4_1", "5_2"):
-        out = validate_parabolic(ingest_knot(name))
+        out = validate_parabolic(_record(name))
         if not out["ok"]:
             return False, f"record {name}: parabolic longitude trace is not -2"
     return True, "bundled records pass deep validation (parabolic trace -2)"
@@ -282,12 +301,16 @@ def fmt(v):
 
 def run_all(fmt: str = "text") -> bool:
     results = []
-    for name, fn in CHECKS:
-        try:
-            ok, detail = fn()
-        except Exception as exc:            # a crash is a failure, not an abort
-            ok, detail = False, f"exception: {exc!r}"
-        results.append({"name": name, "passed": ok, "detail": detail})
+    token = _RUN_RECORDS.set({})
+    try:
+        for name, fn in CHECKS:
+            try:
+                ok, detail = fn()
+            except Exception as exc:        # a crash is a failure, not an abort
+                ok, detail = False, f"exception: {exc!r}"
+            results.append({"name": name, "passed": ok, "detail": detail})
+    finally:
+        _RUN_RECORDS.reset(token)
     all_ok = all(r["passed"] for r in results)
     if fmt == "json":
         print(json.dumps({"checks": results, "all_passed": all_ok}, indent=2))

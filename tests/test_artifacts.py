@@ -109,3 +109,19 @@ def test_derivation_finds_no_numeric_roots(knot, read, monkeypatch):
     calls = count_calls(monkeypatch, (torsion_sym,), "roots_numeric")
     read(ingest_knot(knot))
     assert calls == []
+
+
+def test_verify_derives_each_record_once(monkeypatch, capsys):
+    """A `verify` run ingests each bundled record once and its checks share
+    it, so each parametrized torsion is eliminated once and the 4_1 trace
+    relation derived once (6 eliminations when every check ingested its own
+    record)."""
+    eliminated = []
+    real = pl.eliminate_T
+    monkeypatch.setattr(pl, "eliminate_T",
+                        lambda pt: eliminated.append(pt) or real(pt))
+    relations = count_calls(monkeypatch, (pl,), "trace_relation")
+    assert cli.main(["verify"]) == 0
+    assert "OK (8/8 checks)" in capsys.readouterr().out
+    assert len(eliminated) == len({id(pt) for pt in eliminated}) == 2
+    assert len(relations) == 1

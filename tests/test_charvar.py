@@ -154,6 +154,15 @@ def test_change_factor_41():
     assert 17 + 4 * BRANCH41.to_multi() == from_text("4*x^4 - 20*x^2 + 25")
 
 
+def test_change_factor_at_an_integer_is_exact():
+    """Integer coefficients at an integer trace divide exactly, not as floats."""
+    cf = change_curve_sq(BRANCH41)
+    v = cf.eval_at(3)
+    assert type(v) is Fraction
+    assert v == cf.num.eval({"x": Fraction(3)}) / cf.den.eval({"x": Fraction(3)})
+    assert cf.eval_at(Fraction(3)) == v
+
+
 def test_change_factor_identity_curve():
     cf = change_curve_sq(UniPoly("x", [0, 1]))
     assert cf.num == MultiPoly.constant(("x",), 1)

@@ -1,6 +1,6 @@
-"""gcd_poly, squarefree_primitive and minimal_polynomial against sympy on
-seeded random inputs.  sympy is a test-only oracle: without it the module is
-skipped.  The resultant row is in test_resultant_oracle.py."""
+"""gcd_poly, squarefree_primitive, exact_div and minimal_polynomial against
+sympy on seeded random inputs.  sympy is a test-only oracle: without it the
+module is skipped.  The resultant row is in test_resultant_oracle.py."""
 
 import random
 from fractions import Fraction
@@ -10,8 +10,8 @@ import pytest
 from test_resultant_oracle import RECORD_INPUTS, from_sympy, random_poly, to_sympy
 from torsionpoly.numfield import NumberField, minimal_polynomial
 from torsionpoly.polys import (
-    MultiPoly, UniPoly, from_text, gcd_poly, normalize_sign, resultant,
-    squarefree_primitive, to_text,
+    MultiPoly, PolyError, UniPoly, divides, exact_div, from_text, gcd_poly,
+    normalize_sign, resultant, squarefree_primitive, to_text,
 )
 
 sympy = pytest.importorskip("sympy")
@@ -73,6 +73,38 @@ def test_squarefree_primitive_against_sympy():
         _, prim = sympy.Poly(to_sympy(p, syms), syms[main]).primitive()
         want = from_sympy(sympy.sqf_part(prim.as_expr()), p.vars, syms)
         assert to_text(squarefree_primitive(p, main)) == to_text(normalize_sign(want))
+
+
+def test_exact_div_against_sympy():
+    """exact_div and divides against sympy's division over QQ by a single
+    divisor, whose remainder is zero exactly when the divisor divides:
+    integer and rational pairs, divisible and not, and divisors that are
+    constant or free of x."""
+    rng = random.Random(79)
+    pairs = []
+    for k in range(24):
+        a, b = random_factor(rng, (2, 1), 3), random_factor(rng, (1, 2), 3)
+        if k % 2 == 0:
+            a, b = normalize_sign(a), normalize_sign(b)
+        p = a * b if k % 4 < 2 else a * b + normalize_sign(random_factor(rng, (1, 1), 2))
+        pairs.append((p, b))
+    f = normalize_sign(random_factor(rng, (2, 2), 4))
+    for q in (MultiPoly.constant(VARS, 3), MultiPoly.constant(VARS, Fraction(-2, 3)),
+              from_text("2*y^2 - 6*y + 4", VARS), from_text("y + 5", VARS)):
+        pairs += [(f * q, q), (f, q)]
+    gens = [SYMS[v] for v in VARS]
+    outcomes = set()
+    for p, q in pairs:
+        sp, sq = (sympy.Poly(to_sympy(g, SYMS), *gens, domain="QQ") for g in (p, q))
+        quo, rem = sp.div(sq)
+        outcomes.add(rem.is_zero)
+        assert divides(q, p) == rem.is_zero
+        if rem.is_zero:
+            assert exact_div(p, q) == from_sympy(quo.as_expr(), VARS, SYMS)
+        else:
+            with pytest.raises(PolyError, match="not divisible"):
+                exact_div(p, q)
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("coeffs", [[1, 0, -1, 1], [3, 0, 1]],

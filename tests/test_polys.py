@@ -401,3 +401,67 @@ def test_resultant_nonzero_for_coprime_pairs():
             continue
         assert not resultant(p, q, "x").is_zero()
         checked += 1
+
+
+# -- canonical coefficients ----------------------------------------------------
+
+def canonical(p):
+    """Every coefficient is an int, or a Fraction that is not integral."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+               for c in p.terms.values())
+
+
+def test_kernel_results_on_bundled_eliminants_are_canonical():
+    from torsionpoly import pipelines as pl
+    from torsionpoly.records import ingest_knot
+    r41, r52 = ingest_knot("4_1"), ingest_knot("5_2")
+    pt = r52.param_torsion
+    T52, T41 = pl.eliminated_T(r52).poly, pl.transported_T(r41).poly
+    R = pl.trace_relation_of(r41).poly
+    branch = pl.branch_and_factor(r41)[0].to_multi(("x",))
+    allvars = ("tau", "u", "y")
+    elim = MultiPoly.var(allvars, "tau") - pt.tau_expr.with_vars(allvars)
+    C = pt.constraints[0].with_vars(allvars)
+    half = MultiPoly(("x", "y"), {(1, 0): Fraction(1, 2), (0, 1): -1})
+    results = [
+        resultant(C, elim, "u"),
+        resultant(half, P("x^2 - 3*y", ["x", "y"]), "x"),
+        resultant(R, P("y - x^2 + 3", ["x", "y"]), "y"),
+        gcd_poly(T52 * T52.derivative("tau"), T52 * 3),
+        gcd_poly(R, R.derivative("y")),
+        squarefree_primitive(T52 * T52, "tau"),
+        squarefree_primitive(T41 * Fraction(7, 3), "tau"),
+        exact_div(T52 * R, R),
+        exact_div(T41, MultiPoly.constant(T41.vars, 6)),
+        exact_div(half * T41, half),
+        T52.substitute("y", P("2", ["y"])),
+        T52.substitute("tau", pt.tau_expr),
+        R.substitute("y", branch),
+    ]
+    assert T52 in results and exact_div(T52 * R, R) == T52
+    assert any(type(c) is Fraction for p in results for c in p.terms.values())
+    for p in results:
+        assert canonical(p), to_text(p)
+    for p in (T52, T41, R, elim, C):
+        assert all(type(c) is int for c in p.terms.values())
+
+
+def test_exact_division_by_an_integer_gives_a_fraction():
+    x = MultiPoly.var(("x",), "x")
+    q = exact_div(x, MultiPoly.constant(("x",), 3))
+    assert q.terms == {(1,): Fraction(1, 3)}
+    assert type(q.terms[(1,)]) is Fraction
+    assert (q * 3).terms == {(1,): 1} and type((q * 3).terms[(1,)]) is int
+    assert exact_div(x * 6, MultiPoly.constant(("x",), 3)).terms == {(1,): 2}
+
+
+def test_public_constructor_canonicalizes_and_validates():
+    p = MultiPoly(("x", "y"), {(1, 0): Fraction(4, 2), (0, 1): "3/6", (0, 0): 0})
+    assert p.terms == {(1, 0): 2, (0, 1): Fraction(1, 2)}
+    assert type(p.terms[(1, 0)]) is int
+    with pytest.raises(PolyError, match="not exact"):
+        MultiPoly(("x",), {(1,): 0.5})
+    with pytest.raises(PolyError, match="negative exponent"):
+        MultiPoly(("x",), {(-1,): 1})
+    with pytest.raises(PolyError, match="length mismatch"):
+        MultiPoly(("x", "y"), {(1,): 1})

@@ -6,6 +6,7 @@ import io
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 
 from torsionpoly import cli
@@ -84,3 +85,24 @@ def test_field_embedding_echo_does_not_depend_on_precision(name):
     assert code == 0
     assert field_embedding_line(out.getvalue()) == field_embedding_line(
         (GOLDENS / f"{name}.txt").read_text())
+
+
+def value_line(report: str) -> str:
+    return next(line for line in report.splitlines()
+                if line.startswith("value = "))[len("value = "):]
+
+
+@pytest.mark.parametrize("name", ["rho0-lambda-5_2", "membership-5_2"])
+def test_value_prints_no_more_digits_than_its_precision(name):
+    """A value computed at --precision 5 prints 5 significant digits, the
+    64-digit golden's value rounded to 5."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(["--no-cache", "--precision", "5", *CASES[name]])
+    assert code == 0
+    golden = value_line((GOLDENS / f"{name}.txt").read_text())
+    re_text, im_text = golden.removesuffix("i").split(" + ")
+    with mp.workdps(30):
+        want = f"{mp.nstr(mp.mpf(re_text), 5)} + {mp.nstr(mp.mpf(im_text), 5)}i"
+    assert want == "28.493 + 34.519i"
+    assert value_line(out.getvalue()) == want
