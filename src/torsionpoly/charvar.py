@@ -14,7 +14,7 @@ from typing import List, Tuple
 
 import mpmath as mp
 
-from .numfield import rational_reconstruct, roots_numeric
+from .numfield import coeff_norm, rational_reconstruct, roots_numeric
 from .polys import (
     MultiPoly, UniPoly, divides, exact_div, gcd_poly, normalize_sign,
     resultant, squarefree_primitive,
@@ -112,7 +112,7 @@ def geometric_branch(R: TraceRelation, hint: Tuple[float, float],
     """
     poly = R.poly
     x0, y0 = mp.mpc(hint[0]), mp.mpc(hint[1])
-    scale = max(abs(mp.mpf(c.numerator) / mp.mpf(c.denominator)) for c in poly.terms.values())
+    scale = coeff_norm(poly.terms.values())
     resid = abs(poly.eval({TR_MU: x0, TR_LAMBDA: y0}))
     if resid > 1e-6 * max(1, scale):
         raise CharVarError("hint off-variety")
@@ -212,8 +212,7 @@ def change_curve_apoly(A: APoly, samples):
     """
     dA_m = A.poly.derivative(E_MU)
     dA_l = A.poly.derivative(E_LAMBDA)
-    scale = max(abs(mp.mpf(c.numerator) / mp.mpf(c.denominator))
-                for c in A.poly.terms.values())
+    scale = coeff_norm(A.poly.terms.values())
     out = []
     for em, el in samples:
         em, el = mp.mpc(em), mp.mpc(el)

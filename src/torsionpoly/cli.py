@@ -130,22 +130,30 @@ def cmd_membership(record, args):
     }, out["notes"]
 
 
-def _torsion_results(point: dict, tolerance: float) -> Dict[str, str]:
-    results = {
-        "tr_mu": fmt_mp(point["tr_mu"]),
-        "tr_lambda": fmt_mp(point["tr_lambda"]),
-        "tau_mu": fmt_mp(point["tau_mu"].value),
-        "tau_lambda": fmt_mp(point["tau_lambda"].value),
-        "ratio_sq": fmt_mp(point["ratio_sq"]),
-        "homology_dims": "0 1 1",
-    }
-    if "change_factor" in point:
-        results["change_factor"] = fmt_mp(point["change_factor"])
-        err = point["change_factor_rel_err"]
-        results["change_factor_rel_err"] = mp.nstr(err, 3)
-        results["change_factor_ok"] = "true" if err < tolerance else "false"
-    if "diag_scalar" in point:
-        results["diagnostic_scalar"] = fmt_mp(point["diag_scalar"])
+def _engine_dps(args) -> int:
+    """The numeric engine's working digits for --precision."""
+    return max(30, args.precision // 2)
+
+
+def _torsion_results(point: dict, tolerance: float, dps: int) -> Dict[str, str]:
+    """The report lines of a torsion_at point, formatted at the dps that
+    computed it rather than at the ambient --precision."""
+    with mp.workdps(dps):
+        results = {
+            "tr_mu": fmt_mp(point["tr_mu"]),
+            "tr_lambda": fmt_mp(point["tr_lambda"]),
+            "tau_mu": fmt_mp(point["tau_mu"].value),
+            "tau_lambda": fmt_mp(point["tau_lambda"].value),
+            "ratio_sq": fmt_mp(point["ratio_sq"]),
+            "homology_dims": "0 1 1",
+        }
+        if "change_factor" in point:
+            results["change_factor"] = fmt_mp(point["change_factor"])
+            err = point["change_factor_rel_err"]
+            results["change_factor_rel_err"] = mp.nstr(err, 3)
+            results["change_factor_ok"] = "true" if err < tolerance else "false"
+        if "diag_scalar" in point:
+            results["diagnostic_scalar"] = fmt_mp(point["diag_scalar"])
     return results
 
 
@@ -162,10 +170,10 @@ def cmd_torsion(record, args):
         _finite(mp.mpmathify(args.trace), "--trace")
     except TypeError:  # mpmath's error for text that is not a number
         raise ValueError(f"--trace {args.trace!r} is not a number") from None
-    dps = max(30, args.precision // 2)
+    dps = _engine_dps(args)
     point = pl.torsion_at(record, args.trace, dps=dps)
     results = {"trace": args.trace}
-    results.update(_torsion_results(point, args.tolerance))
+    results.update(_torsion_results(point, args.tolerance, dps))
     notes = [H2_NOTE, point["tau_mu"].normalization_note]
     return results, notes
 
@@ -178,18 +186,17 @@ def _sweep_point(payload):
         # singular samples (e.g. the parabolic point itself) are reported
         # per-point, the rest of the sweep continues
         return trace, {"error": str(exc)}
-    return trace, _torsion_results(point, tolerance)
+    return trace, _torsion_results(point, tolerance, dps)
 
 
 def cmd_sweep(record, args):
-    dps = max(30, args.precision // 2)
-    traces = []
-    lo = _finite(mp.mpf(args.start), "--from")
-    hi = _finite(mp.mpf(args.stop), "--to")
+    dps = _engine_dps(args)
     steps = args.steps
-    for i in range(steps):
-        t = lo + (hi - lo) * i / max(1, steps - 1)
-        traces.append(mp.nstr(t, 12))
+    with mp.workdps(dps):  # the sample traces carry the engine's digits
+        lo = _finite(mp.mpf(args.start), "--from")
+        hi = _finite(mp.mpf(args.stop), "--to")
+        traces = [mp.nstr(lo + (hi - lo) * i / max(1, steps - 1), 12)
+                  for i in range(steps)]
     payloads = [(record, t, dps, args.tolerance) for t in traces]
     if args.jobs > 1:
         import concurrent.futures as cf
@@ -207,13 +214,16 @@ def cmd_sweep(record, args):
 
 
 def cmd_validate(record, args):
-    out = validate_parabolic(record, dps=max(30, args.precision // 2))
-    return {
-        "abelianization": "Z",
-        "parabolic_relator_residual": mp.nstr(out["relator_residual"], 4),
-        "parabolic_tr_lambda": fmt_mp(out["tr_lambda"]),
-        "ok": "true" if out["ok"] else "false",
-    }, [record.presentation_note] if record.presentation_note else []
+    dps = _engine_dps(args)
+    out = validate_parabolic(record, dps=dps)
+    with mp.workdps(dps):
+        results = {
+            "abelianization": "Z",
+            "parabolic_relator_residual": mp.nstr(out["relator_residual"], 4),
+            "parabolic_tr_lambda": fmt_mp(out["tr_lambda"]),
+            "ok": "true" if out["ok"] else "false",
+        }
+    return results, [record.presentation_note] if record.presentation_note else []
 
 
 HANDLERS = {name: globals()["cmd_" + name.replace("-", "_")] for name in COMMANDS}

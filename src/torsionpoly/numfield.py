@@ -36,8 +36,10 @@ def _to_mpf(c: Fraction):
     return mp.mpf(c.numerator) / mp.mpf(c.denominator)
 
 
-def _poly_norm(p: UniPoly):
-    return max(abs(_to_mpf(c)) for c in p.coeffs)
+def coeff_norm(coeffs):
+    """max |c| over exact (int or Fraction) coefficients, each read as
+    mpf(numerator) / mpf(denominator) at the working precision."""
+    return max(abs(_to_mpf(c)) for c in coeffs)
 
 
 def roots_numeric(p: UniPoly, digits: int = DEFAULT_DIGITS):
@@ -47,7 +49,7 @@ def roots_numeric(p: UniPoly, digits: int = DEFAULT_DIGITS):
         raise NumFieldError("zero polynomial has no well-defined roots")
     if p.degree() < 1:
         return []
-    target = mp.mpf(10) ** (-digits) * _poly_norm(p)
+    target = mp.mpf(10) ** (-digits) * coeff_norm(p.coeffs)
     sf = p.squarefree()
     multiple = sf.degree() < p.degree()
     dps = max(digits + 20, 30)
@@ -76,7 +78,7 @@ def _multiplicity(p: UniPoly, root) -> int:
         g = g.gcd(g.derivative())
         if g.degree() <= 0:
             return mult
-        if abs(g.eval(root)) > mp.mpf(10) ** (-mp.mp.dps // 2) * _poly_norm(g):
+        if abs(g.eval(root)) > mp.mpf(10) ** (-mp.mp.dps // 2) * coeff_norm(g.coeffs):
             return mult
         mult += 1
 

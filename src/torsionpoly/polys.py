@@ -11,10 +11,12 @@ coefficients are `Fraction`.
 
 Term order is graded lexicographic (total degree first, ties broken by the
 declared variable order), which fixes a canonical serialization used for
-golden-file comparisons.  Resultants are computed by evaluation-interpolation:
-integer Bareiss determinants of the Sylvester matrix at integer points,
-interpolated exactly.  Gcds are primitive polynomial remainder sequences in
-which each polynomial's content is computed once.
+golden-file comparisons.  Resultants are computed by the subresultant
+polynomial remainder sequence on integer polynomials, each remainder divided
+exactly by its known factor; the Sylvester matrix and its integer Bareiss
+determinant remain as the reference for tests.  Gcds are primitive
+polynomial remainder sequences in which each polynomial's content is
+computed once.
 """
 
 from __future__ import annotations
@@ -448,10 +450,14 @@ def squarefree_primitive(p: MultiPoly, main_var: str) -> MultiPoly:
 
 
 # ---------------------------------------------------------------------------
-# Resultants (integer evaluation-interpolation on the Sylvester matrix)
+# Resultants (subresultant polynomial remainder sequence)
 # ---------------------------------------------------------------------------
 
 def sylvester_matrix(p: MultiPoly, q: MultiPoly, name: str):
+    """The Sylvester matrix of p and q in name, entries polynomials in the
+    remaining variables.  Reference for tests: its determinant (by
+    `bareiss_det` at integer points, or by polynomial Bareiss) is the
+    resultant that `resultant` computes without it."""
     dp, dq = p.degree_in(name), q.degree_in(name)
     if dp == 0 or dq == 0:
         raise PolyError("nothing to eliminate")
@@ -470,7 +476,8 @@ def sylvester_matrix(p: MultiPoly, q: MultiPoly, name: str):
 
 def bareiss_det(rows) -> int:
     """Fraction-free (Bareiss) determinant of a square integer matrix; every
-    division is exact, so integer floor division loses nothing."""
+    division is exact, so integer floor division loses nothing.  Reference
+    for tests: with `sylvester_matrix` it gives the resultant at a point."""
     n = len(rows)
     if n == 0:
         raise PolyError("empty matrix")
@@ -492,75 +499,44 @@ def bareiss_det(rows) -> int:
     return sign * M[n - 1][n - 1]
 
 
-def _degree_bound(rows, i: int) -> int:
-    """Bound on the degree of det(rows) in variable i: the smaller of the
-    row sum and the column sum of the largest entry degrees."""
-    deg = [[max((m[i] for m in e.terms), default=0) for e in row] for row in rows]
-    return min(sum(map(max, deg)), sum(map(max, zip(*deg))))
-
-
-def _newton_interpolate(ys) -> list:
-    """Integer coefficients, constant first, of the polynomial of degree
-    below len(ys) with value ys[a] at a = 0, 1, ... (Newton divided
-    differences); PolyError if it has a non-integer coefficient."""
-    dd = list(ys)
-    n = len(dd)
-    for k in range(1, n):
-        for i in range(n - 1, k - 1, -1):
-            dd[i], rem = divmod(dd[i] - dd[i - 1], k)
-            if rem:
-                raise PolyError("interpolation data has no integer interpolant")
-    coeffs = [dd[-1]]
-    for a in range(n - 2, -1, -1):
-        # coeffs * (x - a) + dd[a]
-        coeffs = [s - a * c for s, c in zip([0] + coeffs, coeffs + [0])]
-        coeffs[0] += dd[a]
-    return coeffs
-
-
-def _interpolate(values: dict, bounds) -> dict:
-    """Exponent vector -> coefficient of the integer polynomial that takes
-    values[point] on the grid {0..b_1} x ... x {0..b_k}, one axis at a time."""
-    for axis, b in enumerate(bounds):
-        lines: Dict[tuple, list] = {}
-        for point, v in values.items():
-            rest = point[:axis] + point[axis + 1:]
-            lines.setdefault(rest, [0] * (b + 1))[point[axis]] = v
-        values = {}
-        for rest, ys in lines.items():
-            for e, c in enumerate(_newton_interpolate(ys)):
-                if c:
-                    values[rest[:axis] + (e,) + rest[axis:]] = c
-    return values
-
-
 def resultant(p: MultiPoly, q: MultiPoly, name: str) -> MultiPoly:
-    """Res_name(p, q), exact, over the remaining variables.
+    """Res_name(p, q), exact, over the remaining variables (those of
+    align(p, q) without name, in that order).
 
-    Evaluation-interpolation (Collins, JACM 18, 1971): with its p- and q-rows
-    scaled to integers, the Sylvester matrix is evaluated on the grid
-    {0..bound} of each remaining variable, each determinant is taken by
-    integer Bareiss, and the integer interpolant is divided by the scales."""
-    rows = sylvester_matrix(p, q, name)
-    rest_vars = rows[0][0].vars
+    Subresultant polynomial remainder sequence (Collins, JACM 14, 1967;
+    Brown and Traub, JACM 18, 1971; Cohen, GTM 138, Algorithm 3.3.7): with
+    p and q scaled to integer polynomials, each pseudo-remainder is divided
+    exactly by g*h^delta, a swap of odd-degree operands flips the sign, and
+    the last subresultant is divided by the scales."""
     dp, dq = p.degree_in(name), q.degree_in(name)
+    if dp == 0 or dq == 0:
+        raise PolyError("nothing to eliminate")
+    p, q = align(p, q)
+    i = p._index(name)
+    rest = p.vars[:i] + p.vars[i + 1:]
     sp, sq = (_content(f.terms.values())[1] for f in (p, q))
-    scales = [sp] * dq + [sq] * dp
-    # each distinct (entry, row scale) pair as integer terms; the values of
-    # their monomials are computed once per grid point
-    keys = [[(id(e), s) for e in row] for row, s in zip(rows, scales)]
-    terms = {k: [(c.numerator * (k[1] // c.denominator), m) for m, c in e.terms.items()]
-             for row, ks in zip(rows, keys) for e, k in zip(row, ks)}
-    monos = {m for ts in terms.values() for _, m in ts}
-    bounds = [_degree_bound(rows, i) for i in range(len(rest_vars))]
-    values = {}
-    for point in itertools.product(*(range(b + 1) for b in bounds)):
-        at_m = {m: math.prod(map(pow, point, m)) for m in monos}
-        at = {k: sum(c * at_m[m] for c, m in ts) for k, ts in terms.items()}
-        values[point] = bareiss_det([[at[k] for k in ks] for ks in keys])
-    den = sp ** dq * sq ** dp
-    return MultiPoly._make(rest_vars, {m: _quo(c, den)
-                                       for m, c in _interpolate(values, bounds).items()})
+    a, b = p * sp, q * sq
+    sign = 1
+    if dp < dq:
+        a, b = b, a
+        sign = (-1) ** (dp * dq)
+    g = h = MultiPoly.constant(p.vars, 1)
+    while b.degree_in(name):
+        da, db = a.degree_in(name), b.degree_in(name)
+        if da % 2 and db % 2:
+            sign = -sign
+        r = _pseudo_rem(a, b, name)
+        if r.is_zero():
+            return MultiPoly.zero(rest)
+        delta = da - db
+        a, b = b, exact_div(r, g * h ** delta)
+        g = _slice(a, i, db, 0)
+        if delta:  # h = g^delta / h^(delta - 1)
+            h = g if delta == 1 else exact_div(g ** delta, h ** (delta - 1))
+    d = a.degree_in(name)
+    res = exact_div(b ** d, h ** (d - 1))
+    den = sign * sp ** dq * sq ** dp
+    return MultiPoly._make(rest, {m[:i] + m[i + 1:]: _quo(c, den) for m, c in res.terms.items()})
 
 
 # ---------------------------------------------------------------------------

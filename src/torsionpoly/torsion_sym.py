@@ -22,7 +22,7 @@ from typing import Dict, Tuple
 import mpmath as mp
 
 from .charvar import ChangeFactor
-from .numfield import AlgebraicNumber, _rational_roots, roots_numeric
+from .numfield import AlgebraicNumber, _rational_roots, coeff_norm, roots_numeric
 from .polys import (
     MultiPoly, PolyError, UniPoly, divides, resultant, squarefree_primitive,
 )
@@ -52,8 +52,7 @@ class ParamTorsion:
             raise TorsionSymError("auxiliary variables without constraints")
         for c in constraints:
             val = c.eval({k: mp.mpc(v) for k, v in hints.items()})
-            scale = max(abs(mp.mpf(x.numerator) / mp.mpf(x.denominator))
-                        for x in c.terms.values())
+            scale = coeff_norm(c.terms.values())
             if abs(val) > 1e-6 * max(1, scale):
                 raise TorsionSymError(
                     f"hint violates constraint (residual {mp.nstr(abs(val), 4)})")

@@ -326,25 +326,6 @@ def test_bareiss_matches_cofactor_expansion():
         bareiss_det([])
 
 
-def test_newton_interpolation_is_exact_over_the_integers():
-    from torsionpoly.polys import _interpolate, _newton_interpolate
-
-    rng = random.Random(43)
-    for _ in range(20):
-        coeffs = [rng.randint(-50, 50) for _ in range(rng.randint(1, 7))]
-        ys = [sum(c * a ** e for e, c in enumerate(coeffs)) for a in range(len(coeffs))]
-        assert _newton_interpolate(ys) == coeffs
-    # two axes: f(u, v) = 3 - u*v^2 + 7*u^2, on the grid {0..2} x {0..2}
-    grid = {(u, v): 3 - u * v * v + 7 * u * u for u in range(3) for v in range(3)}
-    assert _interpolate(grid, [2, 2]) == {(0, 0): 3, (1, 2): -1, (2, 0): 7}
-    # x(x-1)/2 takes the values 0, 0, 1 but has no integer coefficients
-    with pytest.raises(PolyError, match="no integer interpolant"):
-        _newton_interpolate([0, 0, 1])
-    with pytest.raises(PolyError, match="no integer interpolant"):
-        _interpolate({(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 1, (0, 2): 1, (1, 2): 0},
-                     [1, 2])
-
-
 def test_gcd_poly_divides_common_multiple():
     rng = random.Random(43)
     for _ in range(8):

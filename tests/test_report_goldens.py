@@ -106,3 +106,15 @@ def test_value_prints_no_more_digits_than_its_precision(name):
         want = f"{mp.nstr(mp.mpf(re_text), 5)} + {mp.nstr(mp.mpf(im_text), 5)}i"
     assert want == "28.493 + 34.519i"
     assert value_line(out.getvalue()) == want
+
+
+def test_torsion_and_sweep_print_at_the_engine_precision():
+    """torsion and sweep run the engine at no fewer than 30 digits and print
+    at those digits, so --precision 3 does not round the trace to 2^-10."""
+    for argv, line in ((CASES["torsion-4_1"], "tr_mu = 2.05\n"),
+                       (CASES["sweep-4_1"], "1.95/tr_mu = 1.95\n")):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = cli.main(["--no-cache", "--precision", "3", *argv])
+        assert code == 0
+        assert line in out.getvalue()

@@ -1,6 +1,6 @@
-"""The evaluation-interpolation resultant against two independent oracles:
-Bareiss elimination over the Sylvester matrix with polynomial entries (the
-method `polys.resultant` used before) and sympy's subresultant resultant."""
+"""The subresultant-PRS resultant against two independent oracles: Bareiss
+elimination over the Sylvester matrix with polynomial entries, and sympy's
+resultant."""
 
 import random
 from collections import Counter
@@ -50,12 +50,21 @@ def from_sympy(expr, variables, syms):
 
 def sympy_resultant(p, q, name):
     """Res_name(p, q) by sympy, read back over the variables `resultant`
-    returns (those of align(p, q) without name, in that order)."""
+    returns (those of align(p, q) without name, in that order).
+
+    sympy 1.14 swaps its arguments when the first has the lower degree but
+    not the sign: `resultant(x - 3, x^3 - x + 2, x)` gives -26 where the
+    Sylvester determinant is 26.  So sympy gets the higher degree first and
+    the sign (-1)^(deg p * deg q) of a swap is applied here."""
     sympy = pytest.importorskip("sympy")
     p, q = polys.align(p, q)
     syms = {v: sympy.Symbol(v) for v in p.vars}
-    res = sympy.expand(sympy.resultant(to_sympy(p, syms), to_sympy(q, syms), syms[name]))
-    return from_sympy(res, tuple(v for v in p.vars if v != name), syms)
+    dp, dq = p.degree_in(name), q.degree_in(name)
+    f, g = (p, q) if dp >= dq else (q, p)
+    res = sympy.resultant(to_sympy(f, syms), to_sympy(g, syms), syms[name])
+    if dp < dq and dp * dq % 2:
+        res = -res
+    return from_sympy(sympy.expand(res), tuple(v for v in p.vars if v != name), syms)
 
 
 def assert_same(got, want):
@@ -150,20 +159,115 @@ def test_univariate_and_mixed_variable_orders(oracle):
             assert_same(resultant(q, p, "x"), oracle(q, p, "x"))
 
 
-def test_resultant_makes_no_polynomial_products_or_divisions(monkeypatch):
+def test_resultant_takes_no_determinants_and_few_pseudo_remainders(monkeypatch):
     calls = Counter()
-    div, mul = polys.exact_div, MultiPoly.__mul__
 
-    def counted_div(p, q):
-        calls["exact_div"] += 1
-        return div(p, q)
-
-    def counted_mul(self, other):
-        calls["MultiPoly.__mul__"] += 1
-        return mul(self, other)
-    monkeypatch.setattr(polys, "exact_div", counted_div)
-    monkeypatch.setattr(MultiPoly, "__mul__", counted_mul)
-    monkeypatch.setattr(MultiPoly, "__rmul__", counted_mul)
+    def counted(fn):
+        def wrapper(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+        return wrapper
+    for name in ("sylvester_matrix", "bareiss_det", "_pseudo_rem"):
+        monkeypatch.setattr(polys, name, counted(getattr(polys, name)))
     p, q, name = RECORD_INPUTS["4_1 trace relation, em (10x10)"]
     assert not resultant(p, q, name).is_zero()
-    assert calls == {}
+    assert calls["sylvester_matrix"] == calls["bareiss_det"] == 0
+    assert 1 <= calls["_pseudo_rem"] <= min(p.degree_in(name), q.degree_in(name)) + 1
+
+
+# -- the subresultant sequence's hard cases -----------------------------------
+
+XY = ("x", "y")
+
+
+def remainder_degrees(monkeypatch):
+    """Record (deg a, deg b) in x of every pseudo-remainder step."""
+    steps, prem = [], polys._pseudo_rem
+
+    def recorded(a, b, name):
+        steps.append((a.degree_in(name), b.degree_in(name)))
+        return prem(a, b, name)
+    monkeypatch.setattr(polys, "_pseudo_rem", recorded)
+    return steps
+
+
+@ORACLES
+def test_non_normal_sequence(oracle, monkeypatch):
+    # Knuth's pair with a parameter: the degrees run 8, 6, 4, 2, 1, 0, so
+    # delta = 2 recurs after the first step, with h no longer 1
+    p = from_text("1*x^8 + 1*x^6 - 3*x^4 - 3*x^3 + 8*x^2 + 2*x - 5*y", XY)
+    q = from_text("3*x^6 + 5*x^4 - 4*x^2 - 9*x + 21 + 1*y*x^2", XY)
+    steps = remainder_degrees(monkeypatch)
+    got = resultant(p, q, "x")
+    assert any(da - db > 1 for da, db in steps[1:]), steps
+    assert not got.is_zero()
+    assert_same(got, oracle(p, q, "x"))
+    # a remainder two degrees short of its divisor: x^4 + 2xy + 1 over
+    # x^3 - y leaves 3xy + 1
+    p, q = from_text("1*x^4 + 2*x*y + 1", XY), from_text("1*x^3 - 1*y", XY)
+    steps.clear()
+    got = resultant(p, q, "x")
+    assert (3, 1) in steps, steps
+    assert_same(got, oracle(p, q, "x"))
+    # a sequence that ends two degrees short: x^4 + 1 over y*x^2 - 1 leaves
+    # y^3 + y, free of x, and the resultant is (y^2 + 1)^2
+    p, q = from_text("1*x^4 + 1", XY), from_text("1*x^2*y - 1", XY)
+    got = resultant(p, q, "x")
+    assert to_text(got) == "1*y^4 + 2*y^2 + 1"
+    assert_same(got, oracle(p, q, "x"))
+    assert_same(resultant(q, p, "x"), oracle(q, p, "x"))
+
+
+@ORACLES
+def test_common_factor_gives_zero(oracle):
+    g = from_text("1*x^2*y - 1*x + 2*y^2", XY)
+    p = g * from_text("1*x^3 - 1*y", XY)
+    q = g * from_text("2*x*y + 3", XY)
+    got = resultant(p, q, "x")
+    assert got.is_zero() and got.vars == ("y",)
+    assert_same(got, oracle(p, q, "x"))
+    assert_same(resultant(q, p, "x"), oracle(q, p, "x"))
+
+
+@ORACLES
+def test_leading_coefficient_vanishing_at_integer_points(oracle):
+    # lc_x(p) = y^2 - y and lc_x(q) = (y - 2)(y - 3) vanish at y = 0..3
+    p = from_text("1*x^2*y^2 - 1*x^2*y + 1*x + 1*y", XY)
+    q = from_text("1*x^3*y^2 - 5*x^3*y + 6*x^3 - 1*x*y + 1", XY)
+    got = resultant(p, q, "x")
+    assert not got.is_zero()
+    assert_same(got, oracle(p, q, "x"))
+    assert_same(resultant(q, p, "x"), oracle(q, p, "x"))
+
+
+@ORACLES
+def test_rational_coefficients(oracle):
+    p = from_text("1/2*x^3 - 2/3*x*y + 5/7", XY)
+    q = from_text("3/4*x^2*y - 1/6*x + 1/5*y^2", XY)
+    got = resultant(p, q, "x")
+    assert any(type(c) is Fraction for c in got.terms.values())
+    assert_same(got, oracle(p, q, "x"))
+    assert_same(resultant(q, p, "x"), oracle(q, p, "x"))
+
+
+@ORACLES
+def test_q_free_of_a_variable_of_p(oracle):
+    p = from_text("1*x^3*b - 2*x*a + 1*b^2", ("x", "a", "b"))
+    for q in (from_text("1*x^2 - 1*a", ("x", "a")),
+              from_text("1*x^2 - 1*a", ("x", "a", "b"))):
+        got = resultant(p, q, "x")
+        assert got.vars == ("a", "b")
+        assert_same(got, oracle(p, q, "x"))
+        assert_same(resultant(q, p, "x"), oracle(q, p, "x"))
+
+
+@ORACLES
+def test_sign_rule_for_odd_degrees(oracle):
+    for pt, qt in (("1*x^3 - 1*x*y + 2", "1*x*y - 3"),
+                   ("1*x^3 - 1*x*y + 2", "1*x^5 + 1*x^2 - 1*y"),
+                   ("2*x^5 + 1*y", "1*x^3*y - 1*x + 1")):
+        p, q = from_text(pt, XY), from_text(qt, XY)
+        pq, qp = resultant(p, q, "x"), resultant(q, p, "x")
+        assert not pq.is_zero() and qp == -pq
+        assert_same(pq, oracle(p, q, "x"))
+        assert_same(qp, oracle(q, p, "x"))
