@@ -161,6 +161,7 @@ def _add_common_flags(parser, suppress: bool):
     parser.add_argument("--no-cache", action="store_true", default=d("no_cache"))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="torsionpoly",

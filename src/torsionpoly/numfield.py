@@ -1,7 +1,10 @@
 """Exact algebraic numbers and number fields.
 
 A NumberField is Q[x]/(f) for a monic squarefree f without rational roots,
-together with one complex root, certified isolated, as the embedding.  The
+together with one complex root, certified isolated, as the embedding.  A
+NumberField and an AlgebraicNumber each carry the roots they certified, with
+the digits they were found at, so a later step at those digits reads them
+instead of finding them again.  The
 minimal polynomial of A(x) is the squarefree part of Res_x(f(x), tau - A(x)).
 Field membership of an algebraic number is decided by a high-precision linear
 solve over all embeddings and rational reconstruction; each candidate is
@@ -15,6 +18,7 @@ this package ships with).
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -140,11 +144,16 @@ def _isolate(f: UniPoly, roots, near):
 
 @dataclass(frozen=True)
 class NumberField:
-    """Q[x]/(defining_poly) with a chosen complex embedding of x."""
+    """Q[x]/(defining_poly) with a chosen complex embedding of x.
+
+    Carries the roots of defining_poly it certified, as roots_numeric found
+    them at `digits`."""
 
     defining_poly: UniPoly
     embedding: object            # mp.mpc
     isolation_radius: object     # mp.mpf
+    roots: tuple = dataclasses.field(compare=False, repr=False)
+    digits: int = dataclasses.field(compare=False, repr=False)
 
     @classmethod
     def create(cls, poly: UniPoly, embedding_hint=None, digits: int = DEFAULT_DIGITS):
@@ -161,15 +170,17 @@ class NumberField:
         isolated = _isolate(monic, roots, near)
         if isolated is None:
             raise NumFieldError("root isolation certificate failed")
-        return cls(monic, *isolated)
+        return cls(monic, *isolated, tuple(roots), digits)
 
     @property
     def degree(self) -> int:
         return self.defining_poly.degree()
 
     def all_embeddings(self, digits: int = DEFAULT_DIGITS):
-        """Roots of the defining polynomial, declared embedding first."""
-        roots = roots_numeric(self.defining_poly, digits)
+        """Roots of the defining polynomial, declared embedding first; the
+        carried roots at the digits the field was created at."""
+        roots = list(self.roots) if digits == self.digits \
+            else roots_numeric(self.defining_poly, digits)
         roots.sort(key=lambda r: abs(r - self.embedding))
         return roots
 
@@ -289,22 +300,34 @@ def minimal_polynomial(e: FieldElement, var: str = "tau") -> UniPoly:
 
 @dataclass(frozen=True)
 class AlgebraicNumber:
-    """A root of a squarefree rational polynomial plus an isolating approximation."""
+    """A root of a squarefree rational polynomial plus an isolating
+    approximation.
+
+    Carries the roots of minpoly it certified, as roots_numeric found them
+    at `digits`."""
 
     minpoly: UniPoly
     approx: object        # mp.mpc
     err: object           # mp.mpf
+    roots: tuple = dataclasses.field(compare=False, repr=False)
+    digits: int = dataclasses.field(compare=False, repr=False)
 
     @classmethod
     def create(cls, minpoly: UniPoly, approx, digits: int = DEFAULT_DIGITS):
         prim = minpoly.primitive()
         if prim.gcd(prim.derivative()).degree() > 0:
             raise NumFieldError("minimal polynomial must be squarefree")
-        isolated = _isolate(prim, roots_numeric(prim, digits), mp.mpc(approx))
+        return cls._isolating(prim, roots_numeric(prim, digits), approx, digits)
+
+    @classmethod
+    def _isolating(cls, prim: UniPoly, roots, approx, digits: int):
+        """The root of the squarefree primitive prim that approx isolates;
+        `roots` are roots_numeric(prim, digits)."""
+        isolated = _isolate(prim, roots, mp.mpc(approx))
         if isolated is None:
             raise NumFieldError("approximation does not isolate a root")
         root, radius = isolated
-        return cls(prim, mp.mpc(root), mp.mpf(radius))
+        return cls(prim, mp.mpc(root), mp.mpf(radius), tuple(roots), digits)
 
     @property
     def degree(self):
@@ -346,7 +369,8 @@ def express_in_field(target: AlgebraicNumber, field: NumberField,
         with mp.workdps(prec + 30):
             try:
                 f_roots = field.all_embeddings(prec)
-                g_roots = roots_numeric(g, prec)
+                g_roots = target.roots if prec == target.digits \
+                    else roots_numeric(g, prec)
             except NumFieldError:
                 return Undecided("root refinement failed", prec)
             bound = 10 ** max(6, prec // 4)

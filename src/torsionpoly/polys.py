@@ -179,6 +179,12 @@ class MultiPoly:
         if isinstance(other, (int, Fraction)):
             c = _exact(other)
             return MultiPoly._make(self.vars, {m: c * v for m, v in self.terms.items()})
+        if self.vars == other.vars:  # a product by the constant 1 is the other factor
+            one = {(0,) * len(self.vars): 1}
+            if other.terms == one:
+                return self
+            if self.terms == one:
+                return other
         a, b = align(self, other)
         terms = {}
         for m1, c1 in a.terms.items():

@@ -211,7 +211,11 @@ def rho0_value(spec_poly: UniPoly, selection, digits: int = 64) -> Rho0Value:
     else:
         raise TorsionSymError(f"unknown selection rule {selection!r}")
     minpoly = _exact_minpoly_factor(sf, roots, chosen, digits)
-    return Rho0Value(AlgebraicNumber.create(minpoly, chosen, digits), note)
+    if minpoly == sf:  # the roots just found are the minimal polynomial's
+        value = AlgebraicNumber._isolating(sf, roots, chosen, digits)
+    else:
+        value = AlgebraicNumber.create(minpoly, chosen, digits)
+    return Rho0Value(value, note)
 
 
 def _exact_minpoly_factor(sf: UniPoly, roots, root, digits: int) -> UniPoly:

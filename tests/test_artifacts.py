@@ -1,12 +1,16 @@
 """Symbolic artifacts are derived once per record and shared by its readers."""
 
+import io
 import sys
 import threading
+from contextlib import redirect_stdout
 
 import mpmath as mp
 import pytest
 
-from torsionpoly import charvar, cli, pipelines as pl, polys, torsion_sym
+from torsionpoly import (
+    charvar, cli, numfield, pipelines as pl, polys, torsion_sym, verify,
+)
 from torsionpoly.records import ingest_knot
 
 
@@ -125,3 +129,25 @@ def test_verify_derives_each_record_once(monkeypatch, capsys):
     assert "OK (8/8 checks)" in capsys.readouterr().out
     assert len(eliminated) == len({id(pt) for pt in eliminated}) == 2
     assert len(relations) == 1
+
+
+@pytest.mark.parametrize("argv, passes", [
+    (("rho0", "--knot", "4_1"), 2),
+    (("rho0", "--knot", "5_2"), 1),
+    (("rho0", "--knot", "4_1", "--curve", "mu"), 1),
+    (("membership", "--knot", "4_1"), 3),
+    (("membership", "--knot", "5_2"), 2),
+], ids=["rho0-lambda-4_1", "rho0-lambda-5_2", "rho0-mu-4_1",
+        "membership-4_1", "membership-5_2"])
+def test_root_passes_per_command(argv, passes, monkeypatch):
+    """Each polynomial's roots are found once per command and precision:
+    the rho0 value carries the roots of the specialized polynomial when
+    that is its minimal polynomial (4_1 lambda selects the rational root
+    3, whose linear factor takes its own pass), and the trace field carries
+    the roots express_in_field pairs with them (5 passes for 5_2
+    membership, 2 for each rho0 when every step found its own)."""
+    calls = count_calls(monkeypatch, (numfield, charvar, torsion_sym, verify),
+                        "roots_numeric")
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["--no-cache", *argv]) == 0
+    assert len(calls) == passes

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import torsionpoly
-from torsionpoly import cli
+from torsionpoly import cli, front
 
 SRC = Path(torsionpoly.__file__).resolve().parents[1]
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
@@ -119,3 +119,31 @@ def test_importing_cli_loads_every_traced_module():
                           env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert traced <= set(proc.stdout.split())
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys):
+    """The front builds its parser once per process. Parsing leaves nothing
+    in it, so a run after another, or after an argparse error, prints what
+    a freshly built parser prints."""
+    runs = [("rho0", "--knot", "4_1", "--curve", "mu"),
+            ("rho0", "--knot", "4_1"),
+            ("rho0", "--knot", "4_1", "--curve", "nu"),
+            ("--format", "text", "rho0", "--knot", "4_1")]
+
+    def run(argv):
+        try:
+            code = front.main(["--no-cache", *argv])
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    shared = [run(argv) for argv in runs]
+    assert front.build_parser() is front.build_parser()
+    fresh = []
+    for argv in runs:
+        front.build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0]
+    assert "invalid choice: 'nu'" in shared[2][2]
+    assert shared == fresh

@@ -215,12 +215,8 @@ def test_roots_deterministic_ordering():
     assert all(abs(a - b) == 0 for a, b in zip(roots, again))
 
 
-def test_non_declared_match_reuses_the_field_roots(monkeypatch):
-    # the real root of x^3 - x^2 + 1 is x at the real embedding only; the
-    # note names that embedding from the roots the solve already holds
-    K = field_52()
-    real = min(roots_numeric(K.defining_poly, 48), key=lambda r: abs(mp.im(r)))
-    target = AlgebraicNumber.create(UniPoly("tau", [1, 0, -1, 1]), real, 48)
+def count_root_passes(monkeypatch):
+    """The digits of every roots_numeric call made through numfield."""
     calls = []
     real_roots = numfield.roots_numeric
 
@@ -228,10 +224,21 @@ def test_non_declared_match_reuses_the_field_roots(monkeypatch):
         calls.append(args[1:])
         return real_roots(*args, **kwargs)
     monkeypatch.setattr(numfield, "roots_numeric", counted)
+    return calls
+
+
+def test_non_declared_match_reuses_the_field_roots(monkeypatch):
+    # the real root of x^3 - x^2 + 1 is x at the real embedding only; the
+    # note names that embedding from the roots the field carries, and the
+    # one pass left is for the target, which was certified at 48 digits
+    K = field_52()
+    real = min(roots_numeric(K.defining_poly, 48), key=lambda r: abs(mp.im(r)))
+    target = AlgebraicNumber.create(UniPoly("tau", [1, 0, -1, 1]), real, 48)
+    calls = count_root_passes(monkeypatch)
     elem, note = express_in_field(target, K)
     assert elem == K.generator()
     assert note == "matched at the non-declared embedding x ~ (-0.75487767 + 0.0j)"
-    assert calls == [(64,), (64,)]
+    assert calls == [(64,)]
 
 
 def test_express_ladders_up_from_low_precision():
@@ -244,6 +251,48 @@ def test_express_ladders_up_from_low_precision():
     assert not isinstance(out, NotInField)
     elem, _ = out
     assert elem.coords == (Fraction(13), Fraction(13), Fraction(19))
+
+
+def test_escalated_express_finds_the_roots_again(monkeypatch):
+    # at the digits the field and the target were certified at, both carry
+    # their roots; a coordinate with a denominator above the starting
+    # reconstruction bound (10^6 through 16 digits) sends the solve up to
+    # 32 digits, and every escalated precision takes fresh root passes
+    K = NumberField.create(UniPoly("x", [1, 0, -1, 1]),
+                           embedding_hint=mp.mpc("0.8774", "-0.7448"), digits=8)
+    e = K.element([1, Fraction(1, 1234567), 0])
+    target = AlgebraicNumber.create(minimal_polynomial(e), e.embed(64), 8)
+    calls = count_root_passes(monkeypatch)
+    elem, _ = express_in_field(target, K, digits=8)
+    assert elem == e
+    assert calls == [(16,), (16,), (32,), (32,)]
+
+
+def carried_roots():
+    """(name, polynomial, digits, carried roots) for both bundled trace
+    fields and for the rho0 values whose minimal polynomial is the
+    specialized polynomial itself."""
+    for knot in ("4_1", "5_2"):
+        record = ingest_knot(knot)
+        K = NumberField.create(record.trace_field_poly,
+                               embedding_hint=record.trace_field_embedding)
+        yield f"field-{knot}", K.defining_poly, K.digits, K.roots
+    for knot, curve in (("4_1", "mu"), ("5_2", "lambda")):
+        value, spec, _ = pl.rho0_for_curve(ingest_knot(knot), curve)
+        tau = value.value
+        assert tau.minpoly == spec.squarefree()
+        yield f"rho0-{knot}-{curve}", tau.minpoly, tau.digits, tau.roots
+
+
+@pytest.mark.parametrize("ambient", [64, 94])
+def test_carried_roots_are_a_fresh_pass_bit_for_bit(ambient):
+    # express_in_field works at ambient prec + 30 digits but reads roots
+    # found at the creator's ambient precision; roots_numeric rounds inside
+    # its own working precision, so the ambient one cannot change a bit
+    for name, poly, digits, roots in carried_roots():
+        with mp.workdps(ambient):
+            fresh = roots_numeric(poly, digits)
+        assert [r._mpc_ for r in roots] == [r._mpc_ for r in fresh], name
 
 
 def test_field_requires_degree_two():
