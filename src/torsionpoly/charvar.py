@@ -2,8 +2,9 @@
 
 The eigenvalue-trace bridge tr = e + 1/e is realized by adjoining the
 quadratic e^2 - tr*e + 1 and eliminating with resultants, never by taking
-square roots.  The geometric branch of a trace relation is selected by a
-numeric hint near the discrete faithful representation.
+square roots.  The geometric branch is a trace relation linear in the
+longitude trace, checked against a numeric hint near the discrete faithful
+representation.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ from typing import List, Tuple
 
 import mpmath as mp
 
-from .numfield import coeff_norm, rational_reconstruct, roots_numeric
+from .numfield import coeff_norm
 from .polys import (
-    MultiPoly, UniPoly, divides, exact_div, gcd_poly, normalize_sign,
-    resultant, squarefree_primitive,
+    MultiPoly, exact_div, gcd_poly, normalize_sign, resultant,
+    squarefree_primitive,
 )
 
 E_MU, E_LAMBDA = "em", "el"
@@ -102,14 +103,11 @@ class NoGraphBranch:
         return f"NoGraphBranch({self.reason!r})"
 
 
-def geometric_branch(R: TraceRelation, hint: Tuple[float, float],
-                     digits: int = 48):
-    """Extract y(x) for the linear-in-y factor of R through the hint.
-
-    Branch values at rational sample points are reconstructed exactly and the
-    candidate factor is confirmed by exact division; no bivariate
-    factorization is attempted.
-    """
+def geometric_branch(R: TraceRelation, hint: Tuple[float, float]):
+    """Extract y(x) for the linear-in-y relation R through the hint: a
+    polynomial in x when R's leading y coefficient is constant, else a
+    NoGraphBranch.  No bivariate factorization is attempted, so a relation
+    of higher degree in y is a NoGraphBranch too."""
     poly = R.poly
     x0, y0 = mp.mpc(hint[0]), mp.mpc(hint[1])
     scale = coeff_norm(poly.terms.values())
@@ -119,55 +117,15 @@ def geometric_branch(R: TraceRelation, hint: Tuple[float, float],
     deg_y = poly.degree_in(TR_LAMBDA)
     if deg_y == 0:
         raise CharVarError("relation has no y dependence")
-    if deg_y == 1:
-        coeffs = poly.coeffs_wrt(TR_LAMBDA)
-        lead = coeffs[1].drop_vars()
-        if not lead.is_constant():
-            return NoGraphBranch("leading y coefficient is not constant")
-        c1 = lead.constant_value()
-        q = exact_div(-coeffs.get(0, MultiPoly.zero((TR_MU,))),
-                      MultiPoly.constant((TR_MU,), c1))
-        return UniPoly.from_multi(q.with_vars((TR_MU,)))
-    # sample the hinted branch at rational x values, reconstruct y exactly
-    deg_x = poly.degree_in(TR_MU)
-    samples = []
-    ycur = y0
-    for k in range(deg_x + 1):
-        xs = Fraction(hint[0]).limit_denominator(64) + Fraction(k, 16)
-        ys = _branch_root(poly, xs, ycur, digits)
-        if ys is None:
-            return NoGraphBranch("branch continuation lost the hinted component")
-        yq = rational_reconstruct(mp.re(ys), 10 ** (digits // 4))
-        if yq is None or abs(mp.im(ys)) > mp.mpf(10) ** (-digits // 2):
-            return NoGraphBranch("branch values are not rational; no linear factor")
-        samples.append((xs, yq))
-        ycur = ys
-    q = _lagrange(samples)
-    cand = MultiPoly.var((TR_MU, TR_LAMBDA), TR_LAMBDA) - q.to_multi((TR_MU, TR_LAMBDA))
-    if divides(cand, poly):
-        return q
-    return NoGraphBranch("no linear-in-y factor through the hint")
-
-
-def _branch_root(poly: MultiPoly, xval: Fraction, near, digits: int):
-    stripe = poly.substitute(TR_MU, MultiPoly.constant((TR_MU,), xval))
-    uni = UniPoly.from_multi(stripe)
-    if uni.degree() < 1:
-        return None
-    roots = roots_numeric(uni, digits)
-    return min(roots, key=lambda r: abs(r - near))
-
-
-def _lagrange(samples: List[Tuple[Fraction, Fraction]]) -> UniPoly:
-    acc = UniPoly(TR_MU, [])
-    for i, (xi, yi) in enumerate(samples):
-        term = UniPoly(TR_MU, [yi])
-        for j, (xj, _) in enumerate(samples):
-            if j == i:
-                continue
-            term = term * UniPoly(TR_MU, [-xj, 1]) * (1 / (xi - xj))
-        acc = acc + term
-    return acc
+    if deg_y > 1:
+        return NoGraphBranch("relation is not linear in y")
+    coeffs = poly.coeffs_wrt(TR_LAMBDA)
+    lead = coeffs[1].drop_vars()
+    if not lead.is_constant():
+        return NoGraphBranch("leading y coefficient is not constant")
+    c1 = lead.constant_value()
+    return exact_div(-coeffs.get(0, MultiPoly.zero((TR_MU,))),
+                     MultiPoly.constant((TR_MU,), c1))
 
 
 @dataclass(frozen=True)
@@ -185,17 +143,14 @@ class ChangeFactor:
         return num / den
 
 
-def change_curve_sq(branch: UniPoly) -> ChangeFactor:
-    """((y(x)^2 - 4) / (x^2 - 4)) * (1 / y'(x))^2 as a reduced pair."""
-    if branch.degree() < 1:
+def change_curve_sq(branch: MultiPoly) -> ChangeFactor:
+    """((y(x)^2 - 4) / (x^2 - 4)) * (1 / y'(x))^2 as a reduced pair, for the
+    branch y(x) in the one variable x."""
+    if branch.degree_in(TR_MU) < 1:
         raise CharVarError("branch is constant")
-    dy = branch.derivative()
-    if dy.is_zero():
-        raise CharVarError("branch derivative is identically zero")
-    y = branch.to_multi((TR_MU,))
     x = MultiPoly.var((TR_MU,), TR_MU)
-    num = y * y - 4
-    den = (x * x - 4) * (dy.to_multi((TR_MU,)) ** 2)
+    num = branch * branch - 4
+    den = (x * x - 4) * branch.derivative(TR_MU) ** 2
     g = gcd_poly(num, den)
     num, den = exact_div(num, g), exact_div(den, g)
     # fix the representative: integer-primitive den with positive lead

@@ -13,6 +13,7 @@ if __name__ == "__main__":
     raise SystemExit(main())
 
 import sys
+from fractions import Fraction
 from typing import Dict, List, Tuple
 
 import mpmath as mp
@@ -23,7 +24,7 @@ from .front import (  # noqa: F401  (bound here for the tracer and the tests)
     render_text, report_dict,
 )
 from .numfield import NotInField
-from .polys import to_text
+from .polys import dense_coeffs, to_text
 from .records import ingest_knot, parse_record, validate_parabolic  # noqa: F401
 
 REPORT_DIGITS = 12
@@ -70,7 +71,7 @@ def cmd_trace_relation(record, args):
 def cmd_change_curve(record, args):
     branch, factor = pl.branch_and_factor(record)
     return {
-        "branch": to_text(branch.to_multi()),
+        "branch": to_text(branch),
         "factor_num": to_text(factor.num),
         "factor_den": to_text(factor.den),
         "contract": "(tau_mu / tau_lambda)^2 = factor_num / factor_den on the branch",
@@ -94,15 +95,15 @@ def cmd_rho0(record, args):
     value, poly, notes = pl.rho0_for_curve(record, args.curve, args.precision)
     results = {
         "curve": args.curve,
-        "specialized_polynomial": to_text(poly.to_multi()),
-        "minimal_polynomial": to_text(value.value.minpoly.to_multi()),
+        "specialized_polynomial": to_text(poly),
+        "minimal_polynomial": to_text(value.value.minpoly),
         "value": fmt_mp(value.value.approx, _value_digits(args)),
     }
-    mpoly = value.value.minpoly
-    if mpoly.degree() == 1:
-        results["value_exact"] = str(-mpoly.coeffs[0] / mpoly.coeffs[1])
-    elif mpoly.degree() == 2 and mpoly.coeffs[1] == 0:
-        results["value_squared_exact"] = str(-mpoly.coeffs[0] / mpoly.coeffs[2])
+    coeffs = dense_coeffs(value.value.minpoly)
+    if len(coeffs) == 2:
+        results["value_exact"] = str(Fraction(-coeffs[0], coeffs[1]))
+    elif len(coeffs) == 3 and coeffs[1] == 0:
+        results["value_squared_exact"] = str(Fraction(-coeffs[0], coeffs[2]))
     return results, notes
 
 
@@ -122,10 +123,10 @@ def cmd_membership(record, args):
     return {
         "curve": args.curve,
         "in_field": "true",
-        "field": to_text(record.trace_field_poly.to_multi()),
+        "field": to_text(record.trace_field_poly),
         "field_embedding": embedding,
         "element": pl.field_element_text(out["element"]),
-        "element_minpoly": to_text(out["element_minpoly"].to_multi()),
+        "element_minpoly": to_text(out["element_minpoly"]),
         "value": fmt_mp(out["value"].value.approx, _value_digits(args)),
     }, out["notes"]
 

@@ -26,7 +26,10 @@ from typing import List, Optional, Tuple
 
 import mpmath as mp
 
-from .polys import MultiPoly, UniPoly, resultant
+from .polys import (
+    MultiPoly, dense_coeffs, from_dense, gcd_poly, normalize_sign, resultant,
+    squarefree_primitive,
+)
 
 DEFAULT_DIGITS = 64
 MAX_DIGITS = 512
@@ -46,20 +49,26 @@ def coeff_norm(coeffs):
     return max(abs(_to_mpf(c)) for c in coeffs)
 
 
-def roots_numeric(p: UniPoly, digits: int = DEFAULT_DIGITS):
-    """All complex roots of p with multiplicity, each with residual
-    |p(root)| <= 10^-digits * max|coeff|.  Sorted by (Re, Im)."""
+def root_dps(digits: int) -> int:
+    """The working digits roots_numeric starts at for roots good to digits."""
+    return max(digits + 20, 30)
+
+
+def roots_numeric(p: MultiPoly, digits: int = DEFAULT_DIGITS):
+    """All complex roots of the univariate p with multiplicity, each with
+    residual |p(root)| <= 10^-digits * max|coeff|.  Sorted by (Re, Im)."""
     if p.is_zero():
         raise NumFieldError("zero polynomial has no well-defined roots")
-    if p.degree() < 1:
+    if p.is_constant():
         return []
-    target = mp.mpf(10) ** (-digits) * coeff_norm(p.coeffs)
-    sf = p.squarefree()
-    multiple = sf.degree() < p.degree()
-    dps = max(digits + 20, 30)
+    var = p.vars[0]
+    target = mp.mpf(10) ** (-digits) * coeff_norm(p.terms.values())
+    sf = squarefree_primitive(p, var)
+    multiple = sf.degree_in(var) < p.degree_in(var)
+    dps = root_dps(digits)
     while dps <= 8 * MAX_DIGITS:
         with mp.workdps(dps):
-            coeffs = [_to_mpf(c) for c in reversed(sf.coeffs)]
+            coeffs = [_to_mpf(c) for c in reversed(dense_coeffs(sf))]
             try:
                 roots = mp.polyroots(coeffs, maxsteps=300, extraprec=3 * dps)
             except mp.libmp.NoConvergence:
@@ -68,21 +77,23 @@ def roots_numeric(p: UniPoly, digits: int = DEFAULT_DIGITS):
             if multiple:
                 roots = [r for root in roots for r in [root] * _multiplicity(p, root)]
             roots = sorted(roots, key=lambda z: (mp.re(z), mp.im(z)))
-            if all(abs(p.eval(r)) <= target for r in roots):
+            if all(abs(p.eval({var: r})) <= target for r in roots):
                 return [mp.mpc(r) for r in roots]
         dps *= 2
     raise NumFieldError(f"root refinement failed at {digits} digits")
 
 
-def _multiplicity(p: UniPoly, root) -> int:
+def _multiplicity(p: MultiPoly, root) -> int:
     """Multiplicity of a (numerically known) root via the exact gcd chain."""
+    var = p.vars[0]
     mult = 1
     g = p
     while True:
-        g = g.gcd(g.derivative())
-        if g.degree() <= 0:
+        g = gcd_poly(g, g.derivative(var))
+        if g.degree_in(var) <= 0:
             return mult
-        if abs(g.eval(root)) > mp.mpf(10) ** (-mp.mp.dps // 2) * coeff_norm(g.coeffs):
+        if abs(g.eval({var: root})) > \
+                mp.mpf(10) ** (-mp.mp.dps // 2) * coeff_norm(g.terms.values()):
             return mult
         mult += 1
 
@@ -115,30 +126,36 @@ def rational_reconstruct(v, denominator_bound: int) -> Optional[Fraction]:
     return None
 
 
-def _rational_roots(p: UniPoly, roots, digits: int) -> List[Fraction]:
-    """Exact rational roots of p, read off its complex roots `roots` (good to
-    `digits` digits) and each confirmed by exact evaluation."""
-    prim = p.primitive()
-    bound = abs(prim.lead().numerator) * 2 + 2
+def _rational_roots(p: MultiPoly, roots, digits: int) -> List[Fraction]:
+    """Exact rational roots of the univariate p, read off its complex roots
+    `roots` (good to `digits` digits) and each confirmed by exact
+    evaluation."""
+    prim = normalize_sign(p)
+    bound = abs(prim.leading_coefficient()) * 2 + 2
     found = []
     for r in roots:
         if abs(mp.im(r)) > mp.mpf(10) ** (-digits // 2):
             continue
         cand = rational_reconstruct(mp.re(r), bound)
-        if cand is not None and prim.eval(cand) == 0 and cand not in found:
+        if cand is not None and prim.eval({p.vars[0]: cand}) == 0 \
+                and cand not in found:
             found.append(cand)
     return found
 
 
-def _isolate(f: UniPoly, roots, near):
+def _isolate(f: MultiPoly, roots, near, digits: int):
     """(root, radius): the root of f nearest to `near` and half its distance
-    to the other roots.  None when the certificate |f(root)| < radius *
-    |f'(root)| / 2 fails; a lone root needs none."""
+    to the other roots, which roots_numeric found good to `digits`.  None
+    when the certificate |f(root)| < radius * |f'(root)| / 2 fails at the
+    digits the roots were found at; a lone root needs none."""
     root = min(roots, key=lambda r: abs(r - near))
     others = [r for r in roots if r is not root]
     radius = min((abs(root - r) for r in others), default=mp.mpf(1)) / 2
-    if others and not abs(f.eval(root)) < radius * abs(f.derivative().eval(root)) / 2:
-        return None
+    at = {f.vars[0]: root}
+    with mp.workdps(root_dps(digits)):
+        if others and not abs(f.eval(at)) < \
+                radius * abs(f.derivative(f.vars[0]).eval(at)) / 2:
+            return None
     return root, radius
 
 
@@ -149,32 +166,33 @@ class NumberField:
     Carries the roots of defining_poly it certified, as roots_numeric found
     them at `digits`."""
 
-    defining_poly: UniPoly
+    defining_poly: MultiPoly     # monic, in one variable
     embedding: object            # mp.mpc
     isolation_radius: object     # mp.mpf
     roots: tuple = dataclasses.field(compare=False, repr=False)
     digits: int = dataclasses.field(compare=False, repr=False)
 
     @classmethod
-    def create(cls, poly: UniPoly, embedding_hint=None, digits: int = DEFAULT_DIGITS):
-        poly = poly.primitive()
-        if poly.degree() < 2:
+    def create(cls, poly: MultiPoly, embedding_hint=None, digits: int = DEFAULT_DIGITS):
+        poly = normalize_sign(poly)
+        var = poly.vars[0]
+        if poly.degree_in(var) < 2:
             raise NumFieldError("defining polynomial must have degree >= 2")
-        monic = poly.monic()
-        if monic.gcd(monic.derivative()).degree() > 0:
+        if gcd_poly(poly, poly.derivative(var)).degree_in(var) > 0:
             raise NumFieldError("defining polynomial is not squarefree")
+        monic = poly * Fraction(1, poly.leading_coefficient())
         roots = roots_numeric(monic, digits)
         if _rational_roots(monic, roots, digits):
             raise NumFieldError("defining polynomial has a rational root")
         near = roots[0] if embedding_hint is None else mp.mpc(embedding_hint)
-        isolated = _isolate(monic, roots, near)
+        isolated = _isolate(monic, roots, near, digits)
         if isolated is None:
             raise NumFieldError("root isolation certificate failed")
         return cls(monic, *isolated, tuple(roots), digits)
 
     @property
     def degree(self) -> int:
-        return self.defining_poly.degree()
+        return len(dense_coeffs(self.defining_poly)) - 1
 
     def all_embeddings(self, digits: int = DEFAULT_DIGITS):
         """Roots of the defining polynomial, declared embedding first; the
@@ -269,8 +287,8 @@ class FieldElement:
 
 
 def _reduce_power_basis(field: NumberField, coeffs: List[Fraction]):
-    f = field.defining_poly
-    d = f.degree()
+    f = dense_coeffs(field.defining_poly)
+    d = len(f) - 1
     work = list(coeffs)
     for k in range(len(work) - 1, d - 1, -1):
         c = work[k]
@@ -278,24 +296,24 @@ def _reduce_power_basis(field: NumberField, coeffs: List[Fraction]):
             continue
         # x^k = x^(k-d) * (x^d - f(x)) since f is monic
         for j in range(d):
-            work[k - d + j] -= c * f.coeffs[j]
+            work[k - d + j] -= c * f[j]
         work[k] = Fraction(0)
     return tuple(work[:d])
 
 
-def minimal_polynomial(e: FieldElement, var: str = "tau") -> UniPoly:
+def minimal_polynomial(e: FieldElement, var: str = "tau") -> MultiPoly:
     """Primitive integer minimal polynomial of a field element, positive lead.
 
     For e = A(x) the characteristic polynomial is Res_x(f(x), var - A(x))
     (Cohen, GTM 138); f is squarefree, so Q[x]/(f) is a product of
     fields and its squarefree part is the minimal polynomial."""
     if not any(e.coords[1:]):
-        return UniPoly(var, [-e.coords[0], 1]).primitive()
+        return normalize_sign(from_dense(var, [-e.coords[0], 1]))
     x = "_" + var          # distinct from var, which may be the field variable
-    f = UniPoly(x, e.field.defining_poly.coeffs).to_multi((x, var))
-    a = UniPoly(x, e.coords).to_multi((x, var))
+    f = from_dense(x, dense_coeffs(e.field.defining_poly)).with_vars((x, var))
+    a = from_dense(x, e.coords).with_vars((x, var))
     charpoly = resultant(f, MultiPoly.var((x, var), var) - a, x)
-    return UniPoly.from_multi(charpoly).squarefree()
+    return squarefree_primitive(charpoly, var)
 
 
 @dataclass(frozen=True)
@@ -306,24 +324,25 @@ class AlgebraicNumber:
     Carries the roots of minpoly it certified, as roots_numeric found them
     at `digits`."""
 
-    minpoly: UniPoly
+    minpoly: MultiPoly    # primitive, in one variable
     approx: object        # mp.mpc
     err: object           # mp.mpf
     roots: tuple = dataclasses.field(compare=False, repr=False)
     digits: int = dataclasses.field(compare=False, repr=False)
 
     @classmethod
-    def create(cls, minpoly: UniPoly, approx, digits: int = DEFAULT_DIGITS):
-        prim = minpoly.primitive()
-        if prim.gcd(prim.derivative()).degree() > 0:
+    def create(cls, minpoly: MultiPoly, approx, digits: int = DEFAULT_DIGITS):
+        prim = normalize_sign(minpoly)
+        var = prim.vars[0]
+        if gcd_poly(prim, prim.derivative(var)).degree_in(var) > 0:
             raise NumFieldError("minimal polynomial must be squarefree")
         return cls._isolating(prim, roots_numeric(prim, digits), approx, digits)
 
     @classmethod
-    def _isolating(cls, prim: UniPoly, roots, approx, digits: int):
+    def _isolating(cls, prim: MultiPoly, roots, approx, digits: int):
         """The root of the squarefree primitive prim that approx isolates;
         `roots` are roots_numeric(prim, digits)."""
-        isolated = _isolate(prim, roots, mp.mpc(approx))
+        isolated = _isolate(prim, roots, mp.mpc(approx), digits)
         if isolated is None:
             raise NumFieldError("approximation does not isolate a root")
         root, radius = isolated
@@ -331,7 +350,7 @@ class AlgebraicNumber:
 
     @property
     def degree(self):
-        return self.minpoly.degree()
+        return len(dense_coeffs(self.minpoly)) - 1
 
 
 @dataclass(frozen=True)
@@ -356,11 +375,11 @@ def express_in_field(target: AlgebraicNumber, field: NumberField,
 
     Returns a (FieldElement, note) pair, NotInField, or Undecided.
     """
-    g = target.minpoly.primitive()
-    d_f, d_g = field.degree, g.degree()
+    g = normalize_sign(target.minpoly)
+    d_f, d_g = field.degree, target.degree
     if d_g == 1:
-        q = -g.coeffs[0] / g.coeffs[1]
-        return field.from_rational(q), "rational value"
+        c0, c1 = dense_coeffs(g)
+        return field.from_rational(Fraction(-c0, c1)), "rational value"
     if d_f % d_g != 0:
         return NotInField(f"degree {d_g} does not divide field degree {d_f}", digits)
 
@@ -397,7 +416,7 @@ def express_in_field(target: AlgebraicNumber, field: NumberField,
                 if coords is None:
                     continue
                 cand = field.element(coords)
-                if not any(g.eval(cand).coords):
+                if not any(g.eval({g.vars[0]: cand}).coords):
                     note = _match_note(cand, target, prec, f_roots)
                     if note is not None:
                         return cand, note

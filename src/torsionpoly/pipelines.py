@@ -12,7 +12,7 @@ from .charvar import (
 )
 from .numfield import NumberField, express_in_field, minimal_polynomial, \
     NotInField, Undecided
-from .polys import UniPoly, to_text
+from .polys import MultiPoly, from_dense, to_text
 from .records import KnotRecord
 from .torsion_num import peripheral_torsions, riley_solve
 from .torsion_sym import (
@@ -49,7 +49,7 @@ def trace_relation_of(record: KnotRecord) -> TraceRelation:
                      lambda: trace_relation(record.apoly))
 
 
-def branch_and_factor(record: KnotRecord) -> Tuple[UniPoly, ChangeFactor]:
+def branch_and_factor(record: KnotRecord) -> Tuple[MultiPoly, ChangeFactor]:
     if record.apoly is None:
         raise PipelineError(f"record {record.name} has no A-polynomial")
     if record.branch_hint is None:
@@ -103,7 +103,7 @@ def torsion_polynomial(record: KnotRecord, curve: str) -> TPoly:
 
 
 def rho0_for_curve(record: KnotRecord, curve: str,
-                   digits: int = 64) -> Tuple[Rho0Value, UniPoly, list]:
+                   digits: int = 64) -> Tuple[Rho0Value, MultiPoly, list]:
     if curve not in record.rho0:
         raise PipelineError(f"record {record.name} has no rho0 data for {curve}")
     spec = record.rho0[curve]
@@ -135,7 +135,7 @@ def membership(record: KnotRecord, curve: str, digits: int = 64) -> dict:
     return {
         "in_field": True,
         "element": elem,
-        "element_minpoly": minimal_polynomial(elem, var=poly.var),
+        "element_minpoly": minimal_polynomial(elem, var=poly.vars[0]),
         "pairing_note": note,
         "specialized": poly,
         "value": value,
@@ -144,8 +144,7 @@ def membership(record: KnotRecord, curve: str, digits: int = 64) -> dict:
 
 
 def field_element_text(elem) -> str:
-    p = UniPoly("x", list(elem.coords))
-    return to_text(p.to_multi())
+    return to_text(from_dense("x", elem.coords))
 
 
 def torsion_at(record: KnotRecord, trace, dps: int = 40) -> dict:

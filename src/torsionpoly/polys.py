@@ -1,4 +1,4 @@
-"""Exact sparse multivariate and dense univariate polynomials over Q.
+"""Exact sparse polynomials over Q, one type for every number of variables.
 
 A `MultiPoly` coefficient is canonical: an `int` when it is integral, else a
 reduced `fractions.Fraction`, never a float.  The public constructor (used by
@@ -6,8 +6,9 @@ reduced `fractions.Fraction`, never a float.  The public constructor (used by
 canonicalizes them.  Results built inside this module go through the trusted
 `MultiPoly._make`, which only drops zero terms and turns an integral
 `Fraction` into its `int`, so the ring operations, remainder sequences and
-exact division of integer polynomials run on plain ints.  `UniPoly`
-coefficients are `Fraction`.
+exact division of integer polynomials run on plain ints.  A univariate
+polynomial is a one-variable `MultiPoly`; `from_dense` and `dense_coeffs`
+convert it from and to its coefficient list, constant term first.
 
 Term order is graded lexicographic (total degree first, ties broken by the
 declared variable order), which fixes a canonical serialization used for
@@ -21,7 +22,6 @@ computed once.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from fractions import Fraction
@@ -305,6 +305,22 @@ def align(a: MultiPoly, b: MultiPoly) -> Tuple[MultiPoly, MultiPoly]:
         if v not in merged:
             merged.append(v)
     return a.with_vars(merged), b.with_vars(merged)
+
+
+def from_dense(var: str, coeffs) -> MultiPoly:
+    """The polynomial sum coeffs[d] * var^d in the one variable var."""
+    return MultiPoly((var,), {(d,): c for d, c in enumerate(coeffs)})
+
+
+def dense_coeffs(p: MultiPoly) -> list:
+    """Coefficients of a polynomial in at most one variable, constant term
+    first, zeros included; [] for the zero polynomial."""
+    if len(p.vars) > 1:
+        raise PolyError(f"polynomial is not univariate: vars {p.vars}")
+    coeffs = [0] * (max(map(sum, p.terms), default=-1) + 1)
+    for m, c in p.terms.items():
+        coeffs[sum(m)] = c
+    return coeffs
 
 
 def _horner_eval(p: MultiPoly, var_order, assignment):
@@ -603,153 +619,3 @@ def from_text(text: str, variables=None) -> MultiPoly:
         mono = tuple(mono)
         terms[mono] = terms.get(mono, 0) + coeff
     return MultiPoly(variables, terms)
-
-
-# ---------------------------------------------------------------------------
-# Dense univariate polynomials
-# ---------------------------------------------------------------------------
-
-class UniPoly:
-    """Dense univariate polynomial over Q, constant term first."""
-
-    __slots__ = ("var", "coeffs")
-
-    def __init__(self, var: str, coeffs):
-        self.var = var
-        cs = [c if type(c) is Fraction else Fraction(_exact(c)) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def zero(cls, var: str):
-        return cls(var, [])
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else -1
-
-    def lead(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
-
-    def __eq__(self, other):
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self.var == other.var and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.var, self.coeffs))
-
-    def __repr__(self):
-        return f"UniPoly({to_text(self.to_multi())!r})"
-
-    def __neg__(self):
-        return UniPoly(self.var, [-c for c in self.coeffs])
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        pairs = itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=Fraction(0))
-        return UniPoly(self.var, [x + y for x, y in pairs])
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return UniPoly(self.var, [c * other for c in self.coeffs])
-        other = self._coerce(other)
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs))
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly(self.var, out)
-
-    __rmul__ = __mul__
-
-    def _coerce(self, other):
-        if isinstance(other, UniPoly):
-            if other.var != self.var and other.coeffs and self.coeffs:
-                if other.degree() > 0 and self.degree() > 0:
-                    raise PolyError("mixed univariate variables")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return UniPoly(self.var, [other])
-        raise PolyError(f"cannot coerce {other!r}")
-
-    def eval(self, x):
-        if not self.coeffs:
-            return x * 0
-        acc = None
-        for c in reversed(self.coeffs):
-            acc = c if acc is None else acc * x + c
-        return acc
-
-    def derivative(self):
-        return UniPoly(self.var, [c * i for i, c in enumerate(self.coeffs)][1:])
-
-    def divmod(self, other: "UniPoly"):
-        if other.is_zero():
-            raise PolyError("division by zero polynomial")
-        q = UniPoly.zero(self.var)
-        r = self
-        while not r.is_zero() and r.degree() >= other.degree():
-            shift = r.degree() - other.degree()
-            c = r.lead() / other.lead()
-            t = UniPoly(self.var, [Fraction(0)] * shift + [c])
-            q = q + t
-            r = r - t * other
-        return q, r
-
-    def gcd(self, other: "UniPoly") -> "UniPoly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
-        return a.monic() if not a.is_zero() else a
-
-    def monic(self):
-        if self.is_zero():
-            return self
-        lc = self.lead()
-        return UniPoly(self.var, [c / lc for c in self.coeffs])
-
-    def primitive(self) -> "UniPoly":
-        """Integer-primitive with positive leading coefficient."""
-        if self.is_zero():
-            return self
-        scale = Fraction(*_content(self.coeffs))
-        if self.lead() < 0:
-            scale = -scale
-        return UniPoly(self.var, [c / scale for c in self.coeffs])
-
-    def squarefree(self) -> "UniPoly":
-        if self.is_zero():
-            raise PolyError("squarefree of zero polynomial")
-        g = self.gcd(self.derivative())
-        if g.degree() <= 0:
-            return self.primitive()
-        return self.divmod(g)[0].primitive()
-
-    def to_multi(self, variables=None) -> MultiPoly:
-        variables = tuple(variables) if variables else (self.var,)
-        i = variables.index(self.var)
-        terms = {}
-        for d, c in enumerate(self.coeffs):
-            if c != 0:
-                mono = [0] * len(variables)
-                mono[i] = d
-                terms[tuple(mono)] = c
-        return MultiPoly(variables, terms)
-
-    @classmethod
-    def from_multi(cls, p: MultiPoly) -> "UniPoly":
-        p = p.drop_vars()
-        if len(p.vars) > 1:
-            raise PolyError(f"polynomial is not univariate: vars {p.vars}")
-        if not p.vars:
-            return cls("x", [p.constant_value()] if p.terms else [])
-        coeffs = [0] * (max(m[0] for m in p.terms) + 1)
-        for m, c in p.terms.items():
-            coeffs[m[0]] = c
-        return cls(p.vars[0], coeffs)

@@ -15,7 +15,7 @@ import mpmath as mp
 
 from .charvar import APoly, apoly_normalize
 from .front import RecordError, bundled_record_text, record_text  # noqa: F401
-from .polys import PolyError, UniPoly, from_text
+from .polys import MultiPoly, PolyError, from_text
 from .torsion_num import Presentation, TorsionNumError, parse_word
 from .torsion_sym import NearestToHint, ParamTorsion, PositiveRealRoot, TorsionSymError
 
@@ -93,7 +93,7 @@ class KnotRecord:
     param_torsion: Optional[ParamTorsion]
     trace_of: str
     torsion_note: str
-    trace_field_poly: Optional[UniPoly]
+    trace_field_poly: Optional[MultiPoly]
     trace_field_embedding: Optional[complex]
     rho0: Dict[str, Rho0Data]
     mu_note: str
@@ -203,7 +203,7 @@ def parse_record(text: str) -> KnotRecord:
     if "trace_field" in sections:
         sec = sections["trace_field"]
         try:
-            tf_poly = UniPoly.from_multi(from_text(sec.require("poly"), ["x"]))
+            tf_poly = from_text(sec.require("poly"), ["x"])
         except PolyError as exc:
             raise RecordError(f"[trace_field] line {sec.line}: {exc}") from exc
         tf_emb = _parse_complex(sec.require("embedding").split(),

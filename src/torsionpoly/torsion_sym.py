@@ -22,9 +22,12 @@ from typing import Dict, Tuple
 import mpmath as mp
 
 from .charvar import ChangeFactor
-from .numfield import AlgebraicNumber, _rational_roots, coeff_norm, roots_numeric
+from .numfield import (
+    AlgebraicNumber, _rational_roots, _to_mpf, coeff_norm, root_dps, roots_numeric,
+)
 from .polys import (
-    MultiPoly, PolyError, UniPoly, divides, resultant, squarefree_primitive,
+    MultiPoly, PolyError, dense_coeffs, divides, exact_div, from_dense,
+    normalize_sign, resultant, squarefree_primitive,
 )
 
 TAU = "tau"
@@ -114,7 +117,7 @@ def eliminate_T(pt: ParamTorsion) -> TPoly:
     return TPoly(out, pt.trace_var)
 
 
-def transport_T(T_src: TPoly, factor: ChangeFactor, branch: UniPoly,
+def transport_T(T_src: TPoly, factor: ChangeFactor, branch: MultiPoly,
                 new_var: str) -> TPoly:
     """Transport T across tau_new^2 * den = tau_old^2 * num on the branch.
 
@@ -122,10 +125,10 @@ def transport_T(T_src: TPoly, factor: ChangeFactor, branch: UniPoly,
     source curve it vanishes at a tau_new related to tau_old, exactly, the
     source's squarefree part in tau_old divides Res_tau_new(result, relation).
     """
-    x = branch.var
+    x = branch.vars[0]
     allvars = (TAU, TAU_OLD, x)
     src = _rename(T_src.poly, TAU, TAU_OLD)
-    subst = src.substitute(T_src.trace_var, branch.to_multi((x,))) \
+    subst = src.substitute(T_src.trace_var, branch) \
         .drop_vars().with_vars((TAU_OLD, x)).with_vars(allvars)
     tau_new = MultiPoly.var(allvars, TAU)
     tau_old = MultiPoly.var(allvars, TAU_OLD)
@@ -155,15 +158,16 @@ def _rename(p: MultiPoly, old: str, new: str) -> MultiPoly:
     return MultiPoly._make(tuple(new if v == old else v for v in p.vars), p.terms)
 
 
-def specialize(T: TPoly, trace_value: Fraction) -> UniPoly:
-    """Exact substitution of the trace variable; primitive with positive lead."""
+def specialize(T: TPoly, trace_value: Fraction) -> MultiPoly:
+    """Exact substitution of the trace variable: a polynomial in tau,
+    primitive with positive lead."""
     sub = T.poly.substitute(T.trace_var,
                             MultiPoly.constant((T.trace_var,), Fraction(trace_value)))
-    uni = UniPoly.from_multi(sub.drop_vars().with_vars((TAU,)))
+    uni = sub.drop_vars().with_vars((TAU,))
     if uni.is_zero():
         raise TorsionSymError(
             f"torsion polynomial vanishes identically at trace {trace_value}")
-    return uni.primitive()
+    return normalize_sign(uni)
 
 
 @dataclass(frozen=True)
@@ -184,11 +188,12 @@ class Rho0Value:
     branch_note: str
 
 
-def rho0_value(spec_poly: UniPoly, selection, digits: int = 64) -> Rho0Value:
+def rho0_value(spec_poly: MultiPoly, selection, digits: int = 64) -> Rho0Value:
     """Select one root of the specialized polynomial and wrap it exactly."""
-    if spec_poly.degree() < 1:
+    if spec_poly.is_constant():
         raise TorsionSymError("specialized polynomial is constant")
-    sf = spec_poly.squarefree()
+    var = spec_poly.vars[0]
+    sf = squarefree_primitive(spec_poly, var)
     roots = roots_numeric(sf, digits)
     if isinstance(selection, PositiveRealRoot):
         cands = [r for r in roots
@@ -213,28 +218,34 @@ def rho0_value(spec_poly: UniPoly, selection, digits: int = 64) -> Rho0Value:
     minpoly = _exact_minpoly_factor(sf, roots, chosen, digits)
     if minpoly == sf:  # the roots just found are the minimal polynomial's
         value = AlgebraicNumber._isolating(sf, roots, chosen, digits)
+    elif minpoly.degree_in(var) == 1:  # a rational root, known exactly
+        c0, c1 = dense_coeffs(minpoly)
+        with mp.workdps(root_dps(digits)):
+            root = mp.mpc(_to_mpf(Fraction(-c0, c1)))
+        value = AlgebraicNumber._isolating(minpoly, [root], chosen, digits)
     else:
         value = AlgebraicNumber.create(minpoly, chosen, digits)
     return Rho0Value(value, note)
 
 
-def _exact_minpoly_factor(sf: UniPoly, roots, root, digits: int) -> UniPoly:
-    """Exact factor of a squarefree polynomial containing the selected root;
-    `roots` are all its complex roots, as rho0_value found them.
+def _exact_minpoly_factor(sf: MultiPoly, roots, root, digits: int) -> MultiPoly:
+    """Exact primitive factor of a squarefree primitive polynomial containing
+    the selected root; `roots` are all its complex roots, as rho0_value found
+    them.
 
     Rational roots are split off exactly; the remaining part is asserted
     irreducible, which the rational-root check settles through degree 3.
     """
+    var = sf.vars[0]
     rationals = _rational_roots(sf, roots, digits)
     for q in rationals:
-        if abs(mp.mpc(root) - mp.mpf(q.numerator) / mp.mpf(q.denominator)) \
-                < mp.mpf(10) ** (-digits // 3):
-            return UniPoly(sf.var, [-q, 1])
+        if abs(mp.mpc(root) - _to_mpf(q)) < mp.mpf(10) ** (-digits // 3):
+            return from_dense(var, [-q.numerator, q.denominator])
     rest = sf
     for q in rationals:
-        rest = rest.divmod(UniPoly(sf.var, [-q, 1]))[0]
-    rest = rest.primitive()
-    if rest.degree() > 3:
+        rest = exact_div(rest, from_dense(var, [-q.numerator, q.denominator]))
+    rest = normalize_sign(rest)
+    if rest.degree_in(var) > 3:
         raise TorsionSymError(
             "cannot certify irreducibility above degree 3 without factorization")
     return rest

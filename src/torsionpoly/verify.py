@@ -21,7 +21,7 @@ from . import mplinalg as la
 from . import pipelines as pl
 from .charvar import change_curve_apoly, change_curve_sq
 from .numfield import roots_numeric
-from .polys import MultiPoly, UniPoly, divides, from_text, normalize_sign, \
+from .polys import MultiPoly, divides, from_dense, from_text, normalize_sign, \
     resultant, to_text
 from .records import KnotRecord, ingest_knot, validate_parabolic
 from .torsion_num import (
@@ -36,7 +36,7 @@ T52_TEXT = ("tau^3 - 47*tau^2 + 14*tau^2*y^2 - 5*tau^2*y^4"
             " - 640*tau*y^8 + 50*tau*y^10"
             " - 120447 + 339345*y^2 - 371691*y^4 + 203917*y^6"
             " - 60090*y^8 + 8850*y^10 - 500*y^12")
-CUBIC_AT_2 = UniPoly("tau", [-28075, 2802, -71, 1])
+CUBIC_AT_2 = from_dense("tau", [-28075, 2802, -71, 1])
 BRANCH41_TEXT = "x^4 - 5*x^2 + 2"
 TMU41_TEXT = "4*tau^2 - z^4 + 6*z^2 - 5"
 ENGINE_TRACES = ("1.90", "1.95", "2.05", "2.10", "2.15")
@@ -75,7 +75,7 @@ def check_52_specialization() -> Tuple[bool, str]:
     record = _record("5_2")
     spec = specialize(pl.eliminated_T(record), Fraction(2))
     ok = spec == CUBIC_AT_2
-    return ok, f"specialization at trace 2 is {to_text(spec.to_multi())}"
+    return ok, f"specialization at trace 2 is {to_text(spec)}"
 
 
 def check_41_symbolic_chain() -> Tuple[bool, str]:
@@ -86,9 +86,9 @@ def check_41_symbolic_chain() -> Tuple[bool, str]:
     if not divides(factor, R.poly):
         return False, "trace relation lost the quartic branch factor"
     branch, _ = pl.branch_and_factor(record)
-    if branch != UniPoly("x", [2, 0, -5, 0, 1]):
+    if branch != from_text(BRANCH41_TEXT):
         return False, f"geometric branch is {branch!r}"
-    ident = 17 + 4 * branch.to_multi() == from_text("4*x^4 - 20*x^2 + 25")
+    ident = 17 + 4 * branch == from_text("4*x^4 - 20*x^2 + 25")
     if not ident:
         return False, "square identity for the longitude torsion failed"
     T_mu = pl.transported_T(record)
@@ -102,12 +102,12 @@ def check_rho0_values() -> Tuple[bool, str]:
     r41 = _record("4_1")
     r52 = _record("5_2")
     v_l, poly_l, _ = pl.rho0_for_curve(r41, "lambda")
-    if v_l.value.minpoly != UniPoly("tau", [-3, 1]):
+    if v_l.value.minpoly != from_text("tau - 3"):
         return False, f"longitude value minpoly {v_l.value.minpoly!r}"
     v_m, poly_m, notes_m = pl.rho0_for_curve(r41, "mu")
-    if poly_m != UniPoly("tau", [3, 0, 4]):
-        return False, f"meridian specialization {to_text(poly_m.to_multi())}"
-    if v_m.value.minpoly != UniPoly("tau", [3, 0, 4]):
+    if poly_m != from_text("4*tau^2 + 3"):
+        return False, f"meridian specialization {to_text(poly_m)}"
+    if v_m.value.minpoly != poly_m:
         return False, "meridian value squared is not -3/4"
     if not any("i*sqrt(3)" in n for n in notes_m):
         return False, "missing discrepancy note on the meridian report"
@@ -139,8 +139,7 @@ def check_52_membership() -> Tuple[bool, str]:
 def check_numeric_engine() -> Tuple[bool, str]:
     record = _record("4_1")
     pres = record.presentation
-    branch = UniPoly("x", [2, 0, -5, 0, 1])
-    cf = change_curve_sq(branch)
+    cf = change_curve_sq(from_text(BRANCH41_TEXT))
     rng = random.Random(20)
     with mp.workdps(40):
         for tr_text in ENGINE_TRACES:
@@ -211,11 +210,11 @@ def check_property_suites() -> Tuple[bool, str]:
     # resultant vs complex-root-product oracle
     with mp.workdps(40):
         for _ in range(8):
-            p, q = _rand_unipoly(rng), _rand_unipoly(rng)
-            res = resultant(p.to_multi(("x",)), q.to_multi(("x",)), "x")
-            acc = mp.mpmathify(p.lead()) ** q.degree()
+            p, q = _rand_univariate(rng), _rand_univariate(rng)
+            res = resultant(p, q, "x")
+            acc = mp.mpmathify(p.leading_coefficient()) ** q.degree_in("x")
             for r in roots_numeric(p, 30):
-                acc *= q.eval(r)
+                acc *= q.eval({"x": r})
             want = mp.mpmathify(res.constant_value())
             if abs(acc - want) > 1e-6 * max(1, abs(want)):
                 return False, "resultant root-product oracle failed"
@@ -237,26 +236,26 @@ def check_property_suites() -> Tuple[bool, str]:
                 return False, "chain condition failed"
         # change-of-curve: A-polynomial partials against the branch formula
         A = record.apoly
-        dq = UniPoly("x", [2, 0, -5, 0, 1]).derivative()
+        dq = from_text(BRANCH41_TEXT).derivative("x")
         pts = _apoly_samples(A, rng, 10)
         ratios = change_curve_apoly(A, pts)
         for (em, el), r in zip(pts, ratios):
             if isinstance(r, str):
                 return False, f"singular sample: {r}"
             x, y = em + 1 / em, el + 1 / el
-            rhs = mp.sqrt((y ** 2 - 4) / (x ** 2 - 4)) / dq.eval(x)
+            rhs = mp.sqrt((y ** 2 - 4) / (x ** 2 - 4)) / dq.eval({"x": x})
             if min(abs(r - rhs), abs(r + rhs)) > 1e-6 * max(1, abs(rhs)):
                 return False, "change-of-curve formulas disagree"
     return True, ("Fox rule exact on 200 pairs; resultant, adjoint, chain "
                   "condition and the two change-of-curve formulas all agree")
 
 
-def _rand_unipoly(rng):
+def _rand_univariate(rng):
     while True:
         cs = [Fraction(rng.randint(-5, 5), rng.randint(1, 3))
               for _ in range(rng.randint(2, 5))]
-        p = UniPoly("x", cs)
-        if p.degree() >= 1:
+        p = from_dense("x", cs)
+        if p.degree_in("x") >= 1:
             return p
 
 

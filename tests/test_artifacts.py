@@ -132,21 +132,23 @@ def test_verify_derives_each_record_once(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv, passes", [
-    (("rho0", "--knot", "4_1"), 2),
+    (("rho0", "--knot", "4_1"), 1),
     (("rho0", "--knot", "5_2"), 1),
     (("rho0", "--knot", "4_1", "--curve", "mu"), 1),
-    (("membership", "--knot", "4_1"), 3),
+    (("membership", "--knot", "4_1"), 2),
     (("membership", "--knot", "5_2"), 2),
 ], ids=["rho0-lambda-4_1", "rho0-lambda-5_2", "rho0-mu-4_1",
         "membership-4_1", "membership-5_2"])
 def test_root_passes_per_command(argv, passes, monkeypatch):
     """Each polynomial's roots are found once per command and precision:
     the rho0 value carries the roots of the specialized polynomial when
-    that is its minimal polynomial (4_1 lambda selects the rational root
-    3, whose linear factor takes its own pass), and the trace field carries
-    the roots express_in_field pairs with them (5 passes for 5_2
-    membership, 2 for each rho0 when every step found its own)."""
-    calls = count_calls(monkeypatch, (numfield, charvar, torsion_sym, verify),
+    that is its minimal polynomial, a rational value (4_1 lambda selects
+    the root 3) carries its exact root and takes no pass of its linear
+    factor, and the trace field carries the roots express_in_field pairs
+    with them (5 passes for 5_2 membership, 2 for each rho0 when every step
+    found its own).  charvar takes no root pass, so it binds no
+    roots_numeric to count."""
+    calls = count_calls(monkeypatch, (numfield, torsion_sym, verify),
                         "roots_numeric")
     with redirect_stdout(io.StringIO()):
         assert cli.main(["--no-cache", *argv]) == 0

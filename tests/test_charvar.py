@@ -8,7 +8,7 @@ from torsionpoly.charvar import (
     CharVarError, NoGraphBranch, apoly_normalize, change_curve_apoly,
     change_curve_sq, geometric_branch, trace_relation,
 )
-from torsionpoly.polys import MultiPoly, UniPoly, divides, from_text, normalize_sign
+from torsionpoly.polys import MultiPoly, divides, from_text, normalize_sign
 
 # Laurent triples (a, b, c) meaning c * em^a el^b for the figure-eight knot,
 # in the form whose vanishing gives tr_lam = tr_mu^4 - 5 tr_mu^2 + 2.
@@ -17,7 +17,7 @@ A41_TRIPLES = [
     (0, 1, -1), (0, -1, -1),
 ]
 
-BRANCH41 = UniPoly("x", [2, 0, -5, 0, 1])     # x^4 - 5x^2 + 2
+BRANCH41 = from_text("x^4 - 5*x^2 + 2")
 
 
 def a41():
@@ -81,7 +81,7 @@ def test_apoly_normalize_zero_rejected():
 
 def test_trace_relation_41_contains_quartic_branch():
     R = trace_relation(a41())
-    factor = MultiPoly.var(("x", "y"), "y") - BRANCH41.to_multi(("x", "y"))
+    factor = MultiPoly.var(("x", "y"), "y") - BRANCH41
     assert divides(normalize_sign(factor), R.poly)
 
 
@@ -123,7 +123,7 @@ def test_geometric_branch_identity_curve():
     from torsionpoly.charvar import TraceRelation
     R = TraceRelation(normalize_sign(from_text("y - x", ["x", "y"])))
     q = geometric_branch(R, (3.0, 3.0))
-    assert q == UniPoly("x", [0, 1])
+    assert q == from_text("x")
 
 
 def test_geometric_branch_nongraph():
@@ -131,6 +131,16 @@ def test_geometric_branch_nongraph():
     R = TraceRelation(normalize_sign(from_text("y^2 - x", ["x", "y"])))
     out = geometric_branch(R, (4.0, 2.0))
     assert isinstance(out, NoGraphBranch)
+
+
+def test_geometric_branch_needs_a_relation_linear_in_y():
+    # (y - x)(y + x) holds the graph y = x through the hint, but no
+    # bivariate factorization is attempted
+    from torsionpoly.charvar import TraceRelation
+    R = TraceRelation(normalize_sign(from_text("y^2 - x^2", ["x", "y"])))
+    out = geometric_branch(R, (3.0, 3.0))
+    assert isinstance(out, NoGraphBranch)
+    assert out.reason == "relation is not linear in y"
 
 
 def test_geometric_branch_off_variety():
@@ -151,7 +161,7 @@ def test_change_factor_41():
     rhs = tau_m_sq_num * cf.den
     assert lhs == rhs
     # exact identity 17 + 4*(x^4-5x^2+2) = (2x^2-5)^2
-    assert 17 + 4 * BRANCH41.to_multi() == from_text("4*x^4 - 20*x^2 + 25")
+    assert 17 + 4 * BRANCH41 == from_text("4*x^4 - 20*x^2 + 25")
 
 
 def test_change_factor_at_an_integer_is_exact():
@@ -164,14 +174,14 @@ def test_change_factor_at_an_integer_is_exact():
 
 
 def test_change_factor_identity_curve():
-    cf = change_curve_sq(UniPoly("x", [0, 1]))
+    cf = change_curve_sq(from_text("x"))
     assert cf.num == MultiPoly.constant(("x",), 1)
     assert cf.den == MultiPoly.constant(("x",), 1)
 
 
 def test_change_factor_constant_branch_rejected():
     with pytest.raises(CharVarError):
-        change_curve_sq(UniPoly("x", [5]))
+        change_curve_sq(from_text("5", ["x"]))
 
 
 # -- change_curve_apoly ------------------------------------------------------------
@@ -193,13 +203,13 @@ def test_change_curve_apoly_matches_eq_313():
     A = a41()
     pts = sample_points_41(10)
     ratios = change_curve_apoly(A, pts)
-    dq = BRANCH41.derivative()
+    dq = BRANCH41.derivative("x")
     with mp.workdps(50):
         for (em, el), r in zip(pts, ratios):
             assert not isinstance(r, str)
             x = em + 1 / em
             y = el + 1 / el
-            rhs = mp.sqrt((y ** 2 - 4) / (x ** 2 - 4)) / dq.eval(x)
+            rhs = mp.sqrt((y ** 2 - 4) / (x ** 2 - 4)) / dq.eval({"x": x})
             assert min(abs(r - rhs), abs(r + rhs)) < 1e-6 * max(1, abs(rhs))
 
 

@@ -10,7 +10,7 @@ import pytest
 from test_resultant_oracle import RECORD_INPUTS, from_sympy, random_poly, to_sympy
 from torsionpoly.numfield import NumberField, minimal_polynomial
 from torsionpoly.polys import (
-    MultiPoly, PolyError, UniPoly, divides, exact_div, from_text, gcd_poly,
+    MultiPoly, PolyError, divides, exact_div, from_dense, from_text, gcd_poly,
     normalize_sign, resultant, squarefree_primitive, to_text,
 )
 
@@ -18,6 +18,12 @@ sympy = pytest.importorskip("sympy")
 
 VARS = ("x", "y")
 SYMS = {v: sympy.Symbol(v) for v in VARS}
+
+# univariate, rational coefficients: the polynomials every root pass takes,
+# from a monic defining polynomial with Fraction coefficients
+MONIC = from_text("x^3 - 1/2*x^2 + 5/3", ["x"])
+LINEAR = from_text("2/3*x - 5/4", ["x"])
+QUADRATIC = from_text("x^2 + 7/5", ["x"])
 
 
 def random_factor(rng, degrees, terms):
@@ -46,6 +52,13 @@ def test_gcd_poly_against_sympy():
              (f, MultiPoly.constant(VARS, Fraction(3, 2))),
              (f * c, MultiPoly.zero(VARS)),
              (f * c * from_text("x*y + 1", VARS), c * from_text("3*x*y - y + 3", VARS))]
+    # univariate: a repeated factor against its derivative, a shared factor,
+    # coprime pairs and a constant
+    pairs += [(MONIC * LINEAR ** 2, (MONIC * LINEAR ** 2).derivative("x")),
+              (MONIC * LINEAR, QUADRATIC * LINEAR * Fraction(-3, 2)),
+              (MONIC, MONIC.derivative("x")),
+              (MONIC, QUADRATIC),
+              (MONIC, MultiPoly.constant(("x",), Fraction(5, 7)))]
     for p, q in pairs:
         for a, b in ((p, q), (q, p)):
             assert_same_up_to_scalar(
@@ -73,6 +86,13 @@ def test_squarefree_primitive_against_sympy():
         _, prim = sympy.Poly(to_sympy(p, syms), syms[main]).primitive()
         want = from_sympy(sympy.sqf_part(prim.as_expr()), p.vars, syms)
         assert to_text(squarefree_primitive(p, main)) == to_text(normalize_sign(want))
+    # univariate with rational coefficients: repeated factors and a constant
+    for p in (MONIC, MONIC ** 2 * LINEAR, MONIC * LINEAR ** 3 * QUADRATIC ** 2 * Fraction(7, 9),
+              MultiPoly.constant(("x",), Fraction(3, 4))):
+        _, prim = sympy.Poly(to_sympy(p, SYMS), SYMS["x"]).primitive()
+        got = squarefree_primitive(p, "x")
+        assert got.vars == ("x",)
+        assert_same_up_to_scalar(got, prim.sqf_part().as_expr())
 
 
 def test_exact_div_against_sympy():
@@ -110,7 +130,7 @@ def test_exact_div_against_sympy():
 @pytest.mark.parametrize("coeffs", [[1, 0, -1, 1], [3, 0, 1]],
                          ids=["x^3-x^2+1", "x^2+3"])
 def test_minimal_polynomial_against_sympy(coeffs):
-    K = NumberField.create(UniPoly("x", coeffs))
+    K = NumberField.create(from_dense("x", coeffs))
     x, tau = SYMS["x"], sympy.Symbol("tau")
     root = sympy.CRootOf(sum(c * x ** i for i, c in enumerate(coeffs)), 0)
     rng = random.Random(79)
@@ -122,5 +142,5 @@ def test_minimal_polynomial_against_sympy(coeffs):
         expr = sum(sympy.Rational(c.numerator, c.denominator) * root ** i
                    for i, c in enumerate(coords))
         want = sympy.Poly(sympy.minimal_polynomial(expr, tau), tau).all_coeffs()
-        assert minimal_polynomial(K.element(coords)) == UniPoly(
-            "tau", [Fraction(int(c.p), int(c.q)) for c in reversed(want)]).primitive()
+        assert minimal_polynomial(K.element(coords)) == normalize_sign(from_dense(
+            "tau", [Fraction(int(c.p), int(c.q)) for c in reversed(want)]))

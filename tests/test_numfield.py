@@ -9,25 +9,28 @@ from torsionpoly.numfield import (
     AlgebraicNumber, NotInField, NumberField, NumFieldError, express_in_field,
     minimal_polynomial, rational_reconstruct, roots_numeric,
 )
-from torsionpoly.polys import MultiPoly, UniPoly, resultant
+from torsionpoly.polys import (
+    MultiPoly, dense_coeffs, from_dense, from_text, gcd_poly, resultant,
+    squarefree_primitive,
+)
 from torsionpoly.records import ingest_knot
 
 
 def field_52():
     # x^3 - x^2 + 1, embedding near 0.8774 - 0.7448i
-    return NumberField.create(UniPoly("x", [1, 0, -1, 1]),
+    return NumberField.create(from_text("x^3 - x^2 + 1"),
                               embedding_hint=mp.mpc("0.8774", "-0.7448"))
 
 
 def field_41():
-    return NumberField.create(UniPoly("x", [3, 0, 1]),
+    return NumberField.create(from_text("x^2 + 3"),
                               embedding_hint=mp.mpc(0, "1.7"))
 
 
 # -- roots_numeric ---------------------------------------------------------------
 
 def test_roots_x2_plus_3():
-    roots = roots_numeric(UniPoly("x", [3, 0, 1]), 40)
+    roots = roots_numeric(from_text("x^2 + 3"), 40)
     with mp.workdps(50):
         vals = sorted([mp.im(r) for r in roots])
         assert abs(vals[0] + mp.sqrt(3)) < 1e-35
@@ -36,7 +39,7 @@ def test_roots_x2_plus_3():
 
 
 def test_roots_cubic_trace_field():
-    roots = roots_numeric(UniPoly("x", [1, 0, -1, 1]), 40)
+    roots = roots_numeric(from_text("x^3 - x^2 + 1"), 40)
     target = mp.mpc("0.8774", "-0.7448")
     best = min(roots, key=lambda r: abs(r - target))
     assert abs(mp.re(best) - mp.mpf("0.87743883")) < 1e-6
@@ -45,18 +48,18 @@ def test_roots_cubic_trace_field():
 
 def test_roots_with_multiplicity():
     # (x-1)^3
-    roots = roots_numeric(UniPoly("x", [-1, 3, -3, 1]), 20)
+    roots = roots_numeric(from_text("x^3 - 3*x^2 + 3*x - 1"), 20)
     assert len(roots) == 3
     assert all(abs(r - 1) < 1e-5 for r in roots)
 
 
 def test_roots_zero_poly_rejected():
     with pytest.raises(NumFieldError):
-        roots_numeric(UniPoly.zero("x"), 20)
+        roots_numeric(MultiPoly.zero(("x",)), 20)
 
 
 def test_roots_product_reexpands():
-    p = UniPoly("t", [Fraction(-7), Fraction(2), Fraction(5), Fraction(1)])
+    p = from_text("t^3 + 5*t^2 + 2*t - 7")
     digits = 40
     roots = roots_numeric(p, digits)
     with mp.workdps(60):
@@ -67,7 +70,7 @@ def test_roots_product_reexpands():
                 new[i] += c * (-r)
                 new[i + 1] += c
             coeffs = new
-        expected = [mp.mpf(c.numerator) / mp.mpf(c.denominator) for c in p.coeffs]
+        expected = [mp.mpf(c.numerator) / mp.mpf(c.denominator) for c in dense_coeffs(p)]
         for a, b in zip(coeffs, expected):
             assert abs(a - b) < mp.mpf(10) ** (-digits // 2)
 
@@ -100,12 +103,12 @@ def test_reconstruct_sqrt2_fails_small_bound():
 
 def test_field_rejects_rational_root():
     with pytest.raises(NumFieldError, match="rational root"):
-        NumberField.create(UniPoly("x", [-2, 1, 0, 1]) * UniPoly("x", [1]), )
+        NumberField.create(from_text("x^3 + x - 2"))
 
 
 def test_field_rejects_non_squarefree():
     with pytest.raises(NumFieldError, match="squarefree"):
-        NumberField.create(UniPoly("x", [1, 2, 1]))
+        NumberField.create(from_text("x^2 + 2*x + 1"))
 
 
 def test_field_element_arithmetic_matches_embedding():
@@ -124,7 +127,7 @@ def test_minimal_polynomial_reference_element():
     K = field_52()
     e = K.element([13, 13, 19])     # 19x^2 + 13x + 13
     mpoly = minimal_polynomial(e)
-    assert mpoly == UniPoly("tau", [-28075, 2802, -71, 1])
+    assert mpoly == from_text("tau^3 - 71*tau^2 + 2802*tau - 28075")
     # sum-of-roots cross-check: trace of e equals 71
     trace = sum(e.embed(40, embedding=r) for r in K.all_embeddings(40))
     assert abs(trace - 71) < 1e-30
@@ -132,14 +135,14 @@ def test_minimal_polynomial_reference_element():
 
 def test_minimal_polynomial_constant():
     K = field_52()
-    assert minimal_polynomial(K.from_rational(3)) == UniPoly("tau", [-3, 1])
+    assert minimal_polynomial(K.from_rational(3)) == from_text("tau - 3")
 
 
 def test_minimal_polynomial_generator():
     K = field_41()
-    assert minimal_polynomial(K.generator()) == UniPoly("tau", [3, 0, 1])
+    assert minimal_polynomial(K.generator()) == from_text("tau^2 + 3")
     # the output variable may share the field variable's name
-    assert minimal_polynomial(K.generator(), var="x") == UniPoly("x", [3, 0, 1])
+    assert minimal_polynomial(K.generator(), var="x") == from_text("x^2 + 3")
 
 
 def test_minimal_polynomial_embedding_residual_random():
@@ -148,16 +151,16 @@ def test_minimal_polynomial_embedding_residual_random():
     for _ in range(10):
         e = K.element([Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(3)])
         mpoly = minimal_polynomial(e)
-        assert abs(mpoly.eval(e.embed(60))) < 1e-9
-        assert mpoly.lead() > 0
-        assert mpoly.gcd(mpoly.derivative()).degree() <= 0
+        assert abs(mpoly.eval({"tau": e.embed(60)})) < 1e-9
+        assert mpoly.leading_coefficient() > 0
+        assert gcd_poly(mpoly, mpoly.derivative("tau")).is_constant()
 
 
 # -- express_in_field ----------------------------------------------------------------
 
 def test_express_reference_value():
     K = field_52()
-    cubic = UniPoly("tau", [-28075, 2802, -71, 1])
+    cubic = from_text("tau^3 - 71*tau^2 + 2802*tau - 28075")
     target = AlgebraicNumber.create(cubic, mp.mpc("28.4932", "34.5189"), 48)
     out = express_in_field(target, K)
     assert not isinstance(out, NotInField)
@@ -167,15 +170,20 @@ def test_express_reference_value():
 
 
 def test_express_rational():
+    # 1/3 is not a binary fraction: a float quotient of the integer
+    # coefficients would not reconstruct it
     K = field_41()
-    target = AlgebraicNumber.create(UniPoly("tau", [-3, 1]), mp.mpc(3), 30)
-    elem, note = express_in_field(target, K)
-    assert elem.coords == (Fraction(3), Fraction(0))
+    for minpoly, approx, value in (("tau - 3", 3, Fraction(3)),
+                                   ("3*tau - 1", mp.mpf(1) / 3, Fraction(1, 3))):
+        target = AlgebraicNumber.create(from_text(minpoly), mp.mpc(approx), 30)
+        elem, note = express_in_field(target, K)
+        assert elem.coords == (value, Fraction(0))
+        assert note == "rational value"
 
 
 def test_express_sqrt2_not_in_quadratic_field():
     K = field_41()
-    target = AlgebraicNumber.create(UniPoly("tau", [-2, 0, 1]), mp.mpc("1.41421356"), 40)
+    target = AlgebraicNumber.create(from_text("tau^2 - 2"), mp.mpc("1.41421356"), 40)
     out = express_in_field(target, K)
     assert isinstance(out, NotInField)
 
@@ -207,7 +215,7 @@ def test_multipoly_eval_at_field_elements():
 
 
 def test_roots_deterministic_ordering():
-    p = UniPoly("x", [4, 0, -5, 0, 1])        # roots -2, -1, 1, 2
+    p = from_text("x^4 - 5*x^2 + 4")          # roots -2, -1, 1, 2
     roots = roots_numeric(p, 30)
     vals = [float(mp.re(r)) for r in roots]
     assert vals == sorted(vals)
@@ -233,7 +241,7 @@ def test_non_declared_match_reuses_the_field_roots(monkeypatch):
     # one pass left is for the target, which was certified at 48 digits
     K = field_52()
     real = min(roots_numeric(K.defining_poly, 48), key=lambda r: abs(mp.im(r)))
-    target = AlgebraicNumber.create(UniPoly("tau", [1, 0, -1, 1]), real, 48)
+    target = AlgebraicNumber.create(from_text("tau^3 - tau^2 + 1"), real, 48)
     calls = count_root_passes(monkeypatch)
     elem, note = express_in_field(target, K)
     assert elem == K.generator()
@@ -245,7 +253,7 @@ def test_express_ladders_up_from_low_precision():
     # exact verification rejects bad reconstructions, so a tiny starting
     # working precision only delays, never corrupts, the answer
     K = field_52()
-    cubic = UniPoly("tau", [-28075, 2802, -71, 1])
+    cubic = from_text("tau^3 - 71*tau^2 + 2802*tau - 28075")
     target = AlgebraicNumber.create(cubic, mp.mpc("28.4932", "34.5189"), 48)
     out = express_in_field(target, K, digits=8)
     assert not isinstance(out, NotInField)
@@ -258,7 +266,7 @@ def test_escalated_express_finds_the_roots_again(monkeypatch):
     # their roots; a coordinate with a denominator above the starting
     # reconstruction bound (10^6 through 16 digits) sends the solve up to
     # 32 digits, and every escalated precision takes fresh root passes
-    K = NumberField.create(UniPoly("x", [1, 0, -1, 1]),
+    K = NumberField.create(from_text("x^3 - x^2 + 1"),
                            embedding_hint=mp.mpc("0.8774", "-0.7448"), digits=8)
     e = K.element([1, Fraction(1, 1234567), 0])
     target = AlgebraicNumber.create(minimal_polynomial(e), e.embed(64), 8)
@@ -266,6 +274,19 @@ def test_escalated_express_finds_the_roots_again(monkeypatch):
     elem, _ = express_in_field(target, K, digits=8)
     assert elem == e
     assert calls == [(16,), (16,), (32,), (32,)]
+
+
+@pytest.mark.parametrize("ambient", [15, 16, 17])
+def test_isolation_certificate_reads_the_roots_digits(ambient):
+    # the minimal polynomial of 1 + x/1234567 has 19-digit coefficients, so
+    # at 15 to 17 ambient digits its value at a root is rounding noise of
+    # the size of the certificate's bound; the certificate is evaluated at
+    # the digits the roots were found at
+    K = field_52()
+    e = K.element([1, Fraction(1, 1234567), 0])
+    with mp.workdps(ambient):
+        target = AlgebraicNumber.create(minimal_polynomial(e), e.embed(64), 8)
+    assert abs(target.approx - e.embed(30)) < target.err
 
 
 def carried_roots():
@@ -280,7 +301,7 @@ def carried_roots():
     for knot, curve in (("4_1", "mu"), ("5_2", "lambda")):
         value, spec, _ = pl.rho0_for_curve(ingest_knot(knot), curve)
         tau = value.value
-        assert tau.minpoly == spec.squarefree()
+        assert tau.minpoly == squarefree_primitive(spec, "tau")
         yield f"rho0-{knot}-{curve}", tau.minpoly, tau.digits, tau.roots
 
 
@@ -297,18 +318,18 @@ def test_carried_roots_are_a_fresh_pass_bit_for_bit(ambient):
 
 def test_field_requires_degree_two():
     with pytest.raises(NumFieldError, match="degree"):
-        NumberField.create(UniPoly("x", [5, 1]))
+        NumberField.create(from_text("x + 5"))
 
 
 # -- claim (a): the torsion at rho0 is at most quadratic over the trace field ------
 
-def square_minpoly(g: UniPoly) -> UniPoly:
-    """Minimal polynomial of tau^2 for a root tau of the irreducible g: the
-    squarefree part of Res_t(g(t), s - t^2)."""
+def square_minpoly(g: MultiPoly) -> MultiPoly:
+    """Minimal polynomial of tau^2 for a root tau of the irreducible
+    univariate g: the squarefree part of Res_t(g(t), s - t^2)."""
     ts = ("t", "s")
-    lhs = UniPoly("t", g.coeffs).to_multi(ts)
+    lhs = from_dense("t", dense_coeffs(g)).with_vars(ts)
     rhs = MultiPoly.var(ts, "s") - MultiPoly.var(ts, "t") ** 2
-    return UniPoly.from_multi(resultant(lhs, rhs, "t")).squarefree()
+    return squarefree_primitive(resultant(lhs, rhs, "t"), "s")
 
 
 @pytest.mark.parametrize("knot,curve,coords", [

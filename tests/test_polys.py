@@ -5,8 +5,9 @@ import mpmath as mp
 import pytest
 
 from torsionpoly.polys import (
-    MultiPoly, UniPoly, PolyError, exact_div, divides, from_text, gcd_poly,
-    normalize_sign, resultant, squarefree_primitive, to_text,
+    MultiPoly, PolyError, dense_coeffs, exact_div, divides, from_dense,
+    from_text, gcd_poly, normalize_sign, resultant, squarefree_primitive,
+    to_text,
 )
 
 
@@ -188,15 +189,12 @@ def test_resultant_root_product_oracle():
             if p.degree_in("x") >= 1 and q.degree_in("x") >= 1:
                 break
         res = resultant(p, q, "x").constant_value()
-        pu = UniPoly.from_multi(p)
-        qu = UniPoly.from_multi(q)
         roots = mp.polyroots([mp.mpf(c.numerator) / mp.mpf(c.denominator)
-                              for c in reversed(pu.coeffs)], maxsteps=200, extraprec=80)
-        prod = mp.mpf(1)
-        lc = mp.mpf(pu.lead().numerator) / mp.mpf(pu.lead().denominator)
-        acc = lc ** qu.degree()
+                              for c in reversed(dense_coeffs(p))], maxsteps=200, extraprec=80)
+        lc = p.leading_coefficient()
+        acc = (mp.mpf(lc.numerator) / mp.mpf(lc.denominator)) ** q.degree_in("x")
         for r in roots:
-            acc *= qu.eval(r)
+            acc *= q.eval({"x": r})
         assert abs(acc - mp.mpf(res.numerator) / mp.mpf(res.denominator)) < 1e-6 * max(1, abs(res))
 
 
@@ -278,26 +276,31 @@ def test_text_rational_coefficients():
     assert from_text(txt, ("x",)) == p
 
 
-# -- UniPoly --------------------------------------------------------------------
+# -- univariate polynomials ---------------------------------------------------
 
 def test_unipoly_divmod_gcd():
-    f = UniPoly("t", [(-1), 0, 1])          # t^2 - 1
-    g = UniPoly("t", [1, 1])                 # t + 1
-    q, r = f.divmod(g)
-    assert r.is_zero() and q == UniPoly("t", [-1, 1])
-    assert f.gcd(g) == g.monic()
+    f, g = P("t^2 - 1"), P("t + 1")
+    assert exact_div(f, g) == P("t - 1")
+    assert gcd_poly(f, g) == g
+    assert gcd_poly(f * Fraction(1, 2), g * 3) == g
 
 
 def test_unipoly_primitive_and_squarefree():
-    f = UniPoly("t", [Fraction(2, 3), Fraction(4, 3)])
-    assert f.primitive() == UniPoly("t", [1, 2])
-    g = UniPoly("t", [1, 2, 1])              # (t+1)^2
-    assert g.squarefree() == UniPoly("t", [1, 1])
+    f = from_dense("t", [Fraction(2, 3), Fraction(4, 3)])
+    assert normalize_sign(f) == P("2*t + 1")
+    g = P("t^2 + 2*t + 1")                   # (t+1)^2
+    assert squarefree_primitive(g, "t") == P("t + 1")
+    assert squarefree_primitive(g * Fraction(-5, 3), "t") == P("t + 1")
 
 
-def test_unipoly_multi_roundtrip():
-    f = UniPoly("t", [5, 0, -3, 1])
-    assert UniPoly.from_multi(f.to_multi()) == f
+def test_dense_coefficients_roundtrip():
+    f = from_dense("t", [5, 0, -3, Fraction(1, 2), 0])
+    assert f == P("1/2*t^3 - 3*t^2 + 5") and f.vars == ("t",)
+    assert dense_coeffs(f) == [5, 0, -3, Fraction(1, 2)]
+    assert dense_coeffs(P("7", ["t"])) == [7]
+    assert dense_coeffs(MultiPoly.zero(("t",))) == dense_coeffs(from_dense("t", [])) == []
+    with pytest.raises(PolyError, match="not univariate"):
+        dense_coeffs(P("x*y"))
 
 
 def test_bareiss_matches_cofactor_expansion():
@@ -341,20 +344,6 @@ def test_gcd_poly_divides_common_multiple():
         assert divides(d, a) and divides(d, b)
 
 
-def test_unipoly_divmod_property():
-    rng = random.Random(47)
-    for _ in range(20):
-        a = UniPoly("t", [Fraction(rng.randint(-6, 6), rng.randint(1, 3))
-                          for _ in range(rng.randint(1, 6))])
-        b = UniPoly("t", [Fraction(rng.randint(-6, 6), rng.randint(1, 3))
-                          for _ in range(rng.randint(1, 4))])
-        if b.is_zero():
-            continue
-        q, r = a.divmod(b)
-        assert q * b + r == a
-        assert r.is_zero() or r.degree() < b.degree()
-
-
 def test_parser_accepts_loose_whitespace_and_bare_terms():
     assert P("x^2+1") == P("x^2 + 1")
     assert P("  - x +  2 ") == P("2 - x")
@@ -377,8 +366,7 @@ def test_resultant_nonzero_for_coprime_pairs():
         q = random_poly(rng, ("x",), max_deg=3, max_terms=4)
         if p.degree_in("x") == 0 or q.degree_in("x") == 0:
             continue
-        g = UniPoly.from_multi(p).gcd(UniPoly.from_multi(q))
-        if g.degree() > 0:
+        if gcd_poly(p, q).degree_in("x") > 0:
             continue
         assert not resultant(p, q, "x").is_zero()
         checked += 1
@@ -399,7 +387,7 @@ def test_kernel_results_on_bundled_eliminants_are_canonical():
     pt = r52.param_torsion
     T52, T41 = pl.eliminated_T(r52).poly, pl.transported_T(r41).poly
     R = pl.trace_relation_of(r41).poly
-    branch = pl.branch_and_factor(r41)[0].to_multi(("x",))
+    branch = pl.branch_and_factor(r41)[0]
     allvars = ("tau", "u", "y")
     elim = MultiPoly.var(allvars, "tau") - pt.tau_expr.with_vars(allvars)
     C = pt.constraints[0].with_vars(allvars)

@@ -7,14 +7,14 @@ import pytest
 from torsionpoly import mplinalg as la
 from torsionpoly import torsion_num as tn
 from torsionpoly.charvar import change_curve_sq
-from torsionpoly.polys import UniPoly
+from torsionpoly.polys import from_text
 from torsionpoly.torsion_num import (
     GroupRingElem, Presentation, Rep, TorsionNumError, Word,
     adjoint, basing, boundaries, fox_derivative, invariant_vector,
     parse_word, peripheral_torsions, riley_solve, torsion_numeric,
 )
 
-BRANCH41 = UniPoly("x", [2, 0, -5, 0, 1])
+BRANCH41 = from_text("x^4 - 5*x^2 + 2")
 
 PRES_41 = Presentation.create(
     2,

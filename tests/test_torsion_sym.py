@@ -4,10 +4,10 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from torsionpoly import torsion_sym
+from torsionpoly import numfield, torsion_sym
 from torsionpoly.charvar import ChangeFactor, change_curve_sq
-from torsionpoly.numfield import roots_numeric
-from torsionpoly.polys import MultiPoly, UniPoly, from_text, normalize_sign
+from torsionpoly.numfield import root_dps, roots_numeric
+from torsionpoly.polys import MultiPoly, from_text, normalize_sign
 from torsionpoly.torsion_sym import (
     NearestToHint, ParamTorsion, PositiveRealRoot, TPoly, TorsionSymError,
     eliminate_T, rho0_value, specialize, transport_T,
@@ -28,7 +28,7 @@ T52_TEXT = ("tau^3 - 47*tau^2 + 14*tau^2*y^2 - 5*tau^2*y^4"
             " - 120447 + 339345*y^2 - 371691*y^4 + 203917*y^6"
             " - 60090*y^8 + 8850*y^10 - 500*y^12")
 
-BRANCH41 = UniPoly("x", [2, 0, -5, 0, 1])
+BRANCH41 = from_text("x^4 - 5*x^2 + 2")
 
 
 def pt_52():
@@ -84,8 +84,8 @@ def test_eliminate_annihilates_newton_refined_points():
                     for c in T.poly.terms.values())
         for _ in range(5):
             yv = Fraction(rng.randint(30, 40), 16)
-            uni = UniPoly.from_multi(CONSTRAINT_52.substitute(
-                "y", MultiPoly.constant(("y",), yv)))
+            uni = CONSTRAINT_52.substitute(
+                "y", MultiPoly.constant(("y",), yv)).drop_vars()
             for u in roots_numeric(uni, 40):
                 tau = TAU_EXPR_52.eval({"u": u, "y": mp.mpmathify(yv)})
                 val = T.poly.eval({"tau": tau, "y": mp.mpmathify(yv)})
@@ -128,7 +128,7 @@ def test_transport_41_reference_result():
 def test_transport_identity():
     one = MultiPoly.constant(("x",), 1)
     ident = ChangeFactor(one, one)
-    branch = UniPoly("x", [0, 1])
+    branch = from_text("x")
     T = transport_T(t_lambda_41(), ident, branch, new_var="y")
     assert same_up_to_sign(T.poly, t_lambda_41().poly)
 
@@ -138,10 +138,10 @@ def test_transport_double_is_involutive_on_squarefree_part():
     T_mu = transport_T(t_lambda_41(), cf, BRANCH41, new_var="x")
     # transport back with the inverse factor over the same branch variable
     inv = ChangeFactor(cf.den, cf.num)
-    back = transport_T(T_mu, inv, UniPoly("x", [0, 1]), new_var="x")
+    back = transport_T(T_mu, inv, from_text("x"), new_var="x")
     # the roundtrip reproduces the squarefree primitive part of the original
     # pulled back to the branch
-    orig = t_lambda_41().poly.substitute("y", BRANCH41.to_multi())
+    orig = t_lambda_41().poly.substitute("y", BRANCH41)
     from torsionpoly.polys import squarefree_primitive
     assert back.poly == squarefree_primitive(orig, "tau")
 
@@ -157,7 +157,7 @@ def test_transport_numeric_consistency():
     T = transport_T(t_lambda_41(), cf, BRANCH41, new_var="z")
     with mp.workdps(40):
         x = mp.mpf("2.1")
-        y = BRANCH41.eval(x)
+        y = BRANCH41.eval({"x": x})
         tau_l = mp.sqrt(17 + 4 * y)
         tau_m = tau_l * mp.sqrt(cf.eval_at(x))
         val = T.poly.eval({"tau": tau_m, "z": x})
@@ -169,12 +169,12 @@ def test_transport_numeric_consistency():
 def test_specialize_52_at_2():
     T = eliminate_T(pt_52())
     spec = specialize(T, Fraction(2))
-    assert spec == UniPoly("tau", [-28075, 2802, -71, 1])
+    assert spec == from_text("tau^3 - 71*tau^2 + 2802*tau - 28075")
 
 
 def test_specialize_41_lambda():
     spec = specialize(t_lambda_41(), Fraction(-2))
-    assert spec == UniPoly("tau", [-9, 0, 1])
+    assert spec == from_text("tau^2 - 9")
     assert sorted(float(mp.re(r)) for r in roots_numeric(spec, 30)) == [-3.0, 3.0]
 
 
@@ -182,7 +182,7 @@ def test_specialize_41_mu():
     cf = change_curve_sq(BRANCH41)
     T_mu = transport_T(t_lambda_41(), cf, BRANCH41, new_var="z")
     spec = specialize(T_mu, Fraction(2))
-    assert spec == UniPoly("tau", [3, 0, 4])
+    assert spec == from_text("4*tau^2 + 3")
 
 
 def test_specialize_vertical_component_rejected():
@@ -194,13 +194,13 @@ def test_specialize_vertical_component_rejected():
 # -- rho0_value ---------------------------------------------------------------
 
 def test_rho0_positive_root():
-    out = rho0_value(UniPoly("tau", [-9, 0, 1]), PositiveRealRoot())
-    assert out.value.minpoly == UniPoly("tau", [-3, 1])
+    out = rho0_value(from_text("tau^2 - 9"), PositiveRealRoot())
+    assert out.value.minpoly == from_text("tau - 3")
     assert abs(out.value.approx - 3) < 1e-30
 
 
 def test_rho0_52_hint():
-    cubic = UniPoly("tau", [-28075, 2802, -71, 1])
+    cubic = from_text("tau^3 - 71*tau^2 + 2802*tau - 28075")
     out = rho0_value(cubic, NearestToHint(28.5 + 34.5j))
     assert out.value.minpoly == cubic
     assert abs(mp.re(out.value.approx) - mp.mpf("28.4932")) < 1e-4
@@ -208,13 +208,35 @@ def test_rho0_52_hint():
 
 
 def test_rho0_rational():
-    out = rho0_value(UniPoly("tau", [Fraction(-7, 2), 1]), PositiveRealRoot())
-    assert out.value.minpoly == UniPoly("tau", [-7, 2])
+    out = rho0_value(from_text("tau - 7/2"), PositiveRealRoot())
+    assert out.value.minpoly == from_text("2*tau - 7")
+
+
+@pytest.mark.parametrize("spec, value", [("tau^2 - 9", Fraction(3)),
+                                         ("4*tau^2 - 49", Fraction(7, 2)),
+                                         ("3*tau^2 + 2*tau - 1", Fraction(1, 3))])
+def test_rational_rho0_value_takes_no_pass_of_its_factor(spec, value, monkeypatch):
+    # a selected rational root is wrapped exactly: the one root pass is the
+    # specialized polynomial's, and the value is the exact root rounded, a
+    # lone root whose radius is 1/2
+    calls = []
+    for module in (numfield, torsion_sym):
+        real = module.roots_numeric
+        monkeypatch.setattr(module, "roots_numeric",
+                            lambda *a, _real=real: calls.append(a) or _real(*a))
+    tau = rho0_value(from_text(spec), PositiveRealRoot()).value
+    assert len(calls) == 1
+    assert tau.minpoly == from_text(f"{value.denominator}*tau - {value.numerator}")
+    with mp.workdps(root_dps(64)):
+        assert tau.roots == (mp.mpc(mp.mpf(value.numerator) / value.denominator),)
+    assert tau.approx == mp.mpc(tau.roots[0]) and tau.err == mp.mpf(1) / 2
+    if value.denominator in (1, 2):
+        assert tau.approx == value
 
 
 def test_rho0_ambiguous_rejected():
     with pytest.raises(TorsionSymError, match="ambiguous"):
-        rho0_value(UniPoly("tau", [-9, 0, 1]), NearestToHint(0.0))
+        rho0_value(from_text("tau^2 - 9"), NearestToHint(0.0))
 
 
 def test_tpoly_normalization_idempotent():
