@@ -168,7 +168,6 @@ class NumberField:
 
     defining_poly: MultiPoly     # monic, in one variable
     embedding: object            # mp.mpc
-    isolation_radius: object     # mp.mpf
     roots: tuple = dataclasses.field(compare=False, repr=False)
     digits: int = dataclasses.field(compare=False, repr=False)
 
@@ -188,7 +187,7 @@ class NumberField:
         isolated = _isolate(monic, roots, near, digits)
         if isolated is None:
             raise NumFieldError("root isolation certificate failed")
-        return cls(monic, *isolated, tuple(roots), digits)
+        return cls(monic, isolated[0], tuple(roots), digits)
 
     @property
     def degree(self) -> int:
@@ -340,13 +339,12 @@ class AlgebraicNumber:
 
     @classmethod
     def _isolating(cls, prim: MultiPoly, roots, approx, digits: int):
-        """The root of the squarefree primitive prim that approx isolates;
-        `roots` are roots_numeric(prim, digits)."""
+        """The root of the squarefree primitive prim that approx isolates,
+        kept as found; `roots` are roots_numeric(prim, digits)."""
         isolated = _isolate(prim, roots, mp.mpc(approx), digits)
         if isolated is None:
             raise NumFieldError("approximation does not isolate a root")
-        root, radius = isolated
-        return cls(prim, mp.mpc(root), mp.mpf(radius), tuple(roots), digits)
+        return cls(prim, *isolated, tuple(roots), digits)
 
     @property
     def degree(self):

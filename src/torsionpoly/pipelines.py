@@ -151,7 +151,7 @@ def torsion_at(record: KnotRecord, trace, dps: int = 40) -> dict:
     """Numeric torsion data at one meridian trace, with symbolic cross-checks."""
     with mp.workdps(dps):
         rep = riley_solve(record.presentation, mp.mpmathify(trace),
-                          record.riley_seed, dps=dps)
+                          record.riley_seed)
         out = peripheral_torsions(record.presentation, rep)
         result = {
             "trace": mp.mpmathify(trace),

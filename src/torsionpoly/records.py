@@ -16,7 +16,7 @@ import mpmath as mp
 from .charvar import APoly, apoly_normalize
 from .front import RecordError, bundled_record_text, record_text  # noqa: F401
 from .polys import MultiPoly, PolyError, from_text
-from .torsion_num import Presentation, TorsionNumError, parse_word
+from .torsion_num import Presentation, TorsionNumError, parse_word, riley_solve
 from .torsion_sym import NearestToHint, ParamTorsion, PositiveRealRoot, TorsionSymError
 
 
@@ -80,7 +80,6 @@ def _parse_sections(text: str) -> Dict[str, RawSection]:
 class Rho0Data:
     trace_value: Fraction
     rule: object                  # PositiveRealRoot | NearestToHint
-    rule_text: str
 
 
 @dataclass
@@ -98,7 +97,6 @@ class KnotRecord:
     rho0: Dict[str, Rho0Data]
     mu_note: str
     riley_seed: complex
-    source_text: str
     # Symbolic objects derived from this record, filled lazily by
     # `pipelines`; not part of the record's value.
     artifacts: dict = field(default_factory=dict, init=False, compare=False,
@@ -224,8 +222,7 @@ def parse_record(text: str) -> KnotRecord:
                 raise RecordError(f"[rho0] line {sec.line}: {curve} needs both "
                                   "trace_value and rule")
             rho0[curve] = Rho0Data(Fraction(tv),
-                                   _parse_rule(rule, f"[rho0] line {sec.line}"),
-                                   rule)
+                                   _parse_rule(rule, f"[rho0] line {sec.line}"))
         seed = sec.get("riley_seed")
         if seed is not None:
             riley_seed = _parse_complex(seed.split(), f"[rho0] line {sec.line}")
@@ -244,7 +241,6 @@ def parse_record(text: str) -> KnotRecord:
         rho0=rho0,
         mu_note=mu_note,
         riley_seed=riley_seed,
-        source_text=text,
     )
 
 
@@ -256,9 +252,8 @@ def ingest_knot(path_or_name: str) -> KnotRecord:
 def validate_parabolic(record: KnotRecord, dps: int = 40) -> dict:
     """Deep record validation: solve the parabolic representation and check
     the universal longitude trace tr_lambda(rho0) = -2."""
-    from .torsion_num import riley_solve
     with mp.workdps(dps):
-        rep = riley_solve(record.presentation, mp.mpf(2), record.riley_seed, dps=dps)
+        rep = riley_solve(record.presentation, mp.mpf(2), record.riley_seed)
         L = rep.of_word(record.presentation.longitude)
         tr_l = L[0, 0] + L[1, 1]
         return {

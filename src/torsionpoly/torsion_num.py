@@ -25,8 +25,13 @@ forms the exact products and rounds once), a zero result is stored as
 `mp.mp.zero` as the sparse `mp.matrix` storage reads it back, and sums,
 scalings and negations are the same mpmath operations on the same operands.
 The reports print round-off digits, so any reordering of this arithmetic
-would change them.  A word image is the left fold I * g1 * ... * gn at the
-working precision, recomputed on every read.
+would change them.  A word image is the left fold I * g1 * ... * gn,
+recomputed on every read.
+
+Every function here runs at the caller's mpmath precision and sets none of
+its own; the entry points set it (`cli`, `verify`, `pipelines.torsion_at`,
+`records.validate_parabolic`).  The one exception is `riley_solve`, whose
+Newton iteration works 15 digits above the caller's precision.
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ import mpmath as mp
 
 from . import mplinalg as la
 
-DEFAULT_DPS = 40
 NEWTON_TOL = mp.mpf("1e-10")
 CHAIN_TOL = mp.mpf("1e-8")      # relative bound on |d1 d2| in boundaries
 
@@ -247,20 +251,17 @@ def _dist_to_identity(A):
 
 @dataclass
 class Rep:
-    """Numeric SL(2,C) images of the generators at a working precision."""
+    """Numeric SL(2,C) images of the generators."""
 
     matrices: Tuple[object, ...]     # 2x2 mp.matrix per generator
-    dps: int = DEFAULT_DPS
 
     def __post_init__(self):
-        with mp.workdps(self.dps):
-            for M in self.matrices:
-                if abs(_det2(_entries(M)) - 1) > mp.mpf("1e-9"):
-                    raise TorsionNumError("generator matrix is not in SL(2,C)")
+        for M in self.matrices:
+            if abs(_det2(_entries(M)) - 1) > mp.mpf("1e-9"):
+                raise TorsionNumError("generator matrix is not in SL(2,C)")
 
     def image(self, w: Word) -> tuple:
-        """rho(w) as a tuple: the left fold I * g1 * ... * gn at the working
-        precision."""
+        """rho(w) as a tuple: the left fold I * g1 * ... * gn."""
         gens = [_entries(M) for M in self.matrices]
         acc = _IDENTITY
         for g, e in w.letters:
@@ -271,35 +272,29 @@ class Rep:
         return _matrix(2, self.image(w))
 
     def relator_residual(self, p: Presentation):
-        with mp.workdps(self.dps):
-            worst = mp.mpf(0)
-            for r in p.relators:
-                worst = max(worst, _dist_to_identity(self.image(r)))
-            return worst
+        worst = mp.mpf(0)
+        for r in p.relators:
+            worst = max(worst, _dist_to_identity(self.image(r)))
+        return worst
 
     def conjugated(self, C) -> "Rep":
-        with mp.workdps(self.dps):
-            C = _entries(C)
-            Ci = _inv2(C)
-            return Rep(tuple(_matrix(2, _mul2(_mul2(C, _entries(M)), Ci))
-                             for M in self.matrices), self.dps)
+        C = _entries(C)
+        Ci = _inv2(C)
+        return Rep(tuple(_matrix(2, _mul2(_mul2(C, _entries(M)), Ci))
+                         for M in self.matrices))
 
 
-def riley_solve(p: Presentation, target_tr_mu, seed, dps: int = DEFAULT_DPS) -> Rep:
+def riley_solve(p: Presentation, target_tr_mu, seed) -> Rep:
     """Newton solve on the two-bridge ansatz a -> [[m,1],[0,1/m]],
-    b -> [[m,0],[t,1/m]] with m + 1/m = target, unknown t."""
+    b -> [[m,0],[t,1/m]] with m + 1/m = target, unknown t, from the complex
+    seed t.  Newton runs 15 digits above the caller's precision; the residual
+    is checked at the caller's precision."""
     if p.generator_count != 2:
         raise TorsionNumError("riley_solve needs a two-generator presentation")
+    dps = mp.mp.dps
     with mp.workdps(dps + 15):
         target = mp.mpmathify(target_tr_mu)
-        if isinstance(seed, Rep):
-            m0 = seed.matrices[0][0, 0]
-            if abs(m0 + 1 / m0 - target) < NEWTON_TOL \
-                    and seed.relator_residual(p) < NEWTON_TOL:
-                return seed
-            t = seed.matrices[1][1, 0]
-        else:
-            t = mp.mpmathify(seed)
+        t = mp.mpmathify(seed)
         disc = mp.sqrt(target ** 2 - 4)
         m = (target + disc) / 2
         if abs(m) < 1:
@@ -317,13 +312,14 @@ def riley_solve(p: Presentation, target_tr_mu, seed, dps: int = DEFAULT_DPS) -> 
             if den == 0:
                 raise TorsionNumError("Newton stalled: zero derivative")
             t = t - num / den
-        rep = Rep((mp.matrix([[m, 1], [0, 1 / m]]),
-                   mp.matrix([[m, 0], [t, 1 / m]])), dps)
-        resid = rep.relator_residual(p)
-        if resid > NEWTON_TOL:
-            raise TorsionNumError(
-                f"Newton did not converge: residual {mp.nstr(resid, 5)}")
-        return rep
+        matrices = (mp.matrix([[m, 1], [0, 1 / m]]),
+                    mp.matrix([[m, 0], [t, 1 / m]]))
+    rep = Rep(matrices)
+    resid = rep.relator_residual(p)
+    if resid > NEWTON_TOL:
+        raise TorsionNumError(
+            f"Newton did not converge: residual {mp.nstr(resid, 5)}")
+    return rep
 
 
 def _relator_and_derivative(relator: Word, m, t):
@@ -389,42 +385,40 @@ def killing(u) -> object:
 
 def boundaries(p: Presentation, rep: Rep):
     """Twisted boundary matrices (d1, d2) at a solved representation."""
-    with mp.workdps(rep.dps):
-        resid = rep.relator_residual(p)
-        if resid > mp.mpf("1e-8"):
-            raise TorsionNumError(
-                f"representation violates relators: {mp.nstr(resid, 5)}")
-        s = p.generator_count
-        d1 = la.hstack([mp.eye(3)
-                        - _matrix(3, adjoint(_inv2(_entries(rep.matrices[k]))))
-                        for k in range(s)])
-        d2 = la.hstack([la.vstack([_ad_eval_inv(fox_derivative(rel, k), rep)
-                                   for k in range(s)])
-                        for rel in p.relators])
-        prod_norm = la.frob(d1 * d2)
-        if prod_norm > CHAIN_TOL * max(la.frob(d1) * la.frob(d2), mp.mpf(1)):
-            raise TorsionNumError(
-                f"chain condition failed: |d1 d2| = {mp.nstr(prod_norm, 5)}")
-        return d1, d2
+    resid = rep.relator_residual(p)
+    if resid > mp.mpf("1e-8"):
+        raise TorsionNumError(
+            f"representation violates relators: {mp.nstr(resid, 5)}")
+    s = p.generator_count
+    d1 = la.hstack([mp.eye(3)
+                    - _matrix(3, adjoint(_inv2(_entries(rep.matrices[k]))))
+                    for k in range(s)])
+    d2 = la.hstack([la.vstack([_ad_eval_inv(fox_derivative(rel, k), rep)
+                               for k in range(s)])
+                    for rel in p.relators])
+    prod_norm = la.frob(d1 * d2)
+    if prod_norm > CHAIN_TOL * max(la.frob(d1) * la.frob(d2), mp.mpf(1)):
+        raise TorsionNumError(
+            f"chain condition failed: |d1 d2| = {mp.nstr(prod_norm, 5)}")
+    return d1, d2
 
 
 def invariant_vector(rep: Rep, mu: Word, lam: Word):
     """Unit-norm generator of ker(Ad(rho mu) - 1) ^ ker(Ad(rho lam) - 1)."""
-    with mp.workdps(rep.dps):
-        out = []
-        for w in (mu, lam):
-            M = rep.image(w)
-            if min(_dist_to_identity(M), _dist_to_identity(_neg2(M))) \
-                    < mp.mpf("1e-9"):
-                raise TorsionNumError("peripheral holonomy is central")
-            out.append(_matrix(3, adjoint(M)) - mp.eye(3))
-        ker = la.nullspace(la.vstack(out))
-        if len(ker) != 1:
-            raise TorsionNumError(
-                f"non-generic peripheral holonomy: invariant space dim {len(ker)}")
-        P = ker[0]
-        nrm = mp.sqrt(mp.fsum(abs(x) ** 2 for x in P))
-        return P / nrm
+    out = []
+    for w in (mu, lam):
+        M = rep.image(w)
+        if min(_dist_to_identity(M), _dist_to_identity(_neg2(M))) \
+                < mp.mpf("1e-9"):
+            raise TorsionNumError("peripheral holonomy is central")
+        out.append(_matrix(3, adjoint(M)) - mp.eye(3))
+    ker = la.nullspace(la.vstack(out))
+    if len(ker) != 1:
+        raise TorsionNumError(
+            f"non-generic peripheral holonomy: invariant space dim {len(ker)}")
+    P = ker[0]
+    nrm = mp.sqrt(mp.fsum(abs(x) ** 2 for x in P))
+    return P / nrm
 
 
 def basing(p: Presentation, rep: Rep, P, curves, chain):
@@ -433,32 +427,31 @@ def basing(p: Presentation, rep: Rep, P, curves, chain):
     by all curves, the kernel generator of d2 with largest coordinate
     normalized to 1.  d2 is eliminated once, for its rank and its kernel.
     Checks run in the order: first curve, h2, remaining curves."""
-    with mp.workdps(rep.dps):
-        d1, d2 = chain
-        elim = la.eliminate(d2)
+    d1, d2 = chain
+    elim = la.eliminate(d2)
 
-        def cycle(gamma):
-            h1 = la.vstack([_ad_eval_inv(fox_derivative(gamma, k), rep) * P
-                            for k in range(p.generator_count)])
-            cyc = la.frob(d1 * h1)
-            if cyc > mp.mpf("1e-8") * max(mp.mpf(1), la.frob(d1) * la.frob(h1)):
-                raise TorsionNumError(
-                    f"h1 is not a cycle: residual {mp.nstr(cyc, 5)}")
-            if la.rank(la.hstack([d2, h1])) == len(elim.pivots):
-                raise TorsionNumError("gamma-torsion degenerate at rho")
-            return h1
+    def cycle(gamma):
+        h1 = la.vstack([_ad_eval_inv(fox_derivative(gamma, k), rep) * P
+                        for k in range(p.generator_count)])
+        cyc = la.frob(d1 * h1)
+        if cyc > mp.mpf("1e-8") * max(mp.mpf(1), la.frob(d1) * la.frob(h1)):
+            raise TorsionNumError(
+                f"h1 is not a cycle: residual {mp.nstr(cyc, 5)}")
+        if la.rank(la.hstack([d2, h1])) == len(elim.pivots):
+            raise TorsionNumError("gamma-torsion degenerate at rho")
+        return h1
 
-        first = cycle(curves[0])
-        ker = elim.kernel()
-        if len(ker) != 1:
-            raise TorsionNumError(f"ker d2 has dimension {len(ker)}")
-        h2 = ker[0]
-        top = max(range(h2.rows), key=lambda i: abs(h2[i]))
-        h2 = h2 / h2[top]
-        res = la.frob(d2 * h2)
-        if res > mp.mpf("1e-8") * max(mp.mpf(1), la.frob(d2)):
-            raise TorsionNumError(f"h2 kernel residual {mp.nstr(res, 5)}")
-        return [first] + [cycle(gamma) for gamma in curves[1:]], h2
+    first = cycle(curves[0])
+    ker = elim.kernel()
+    if len(ker) != 1:
+        raise TorsionNumError(f"ker d2 has dimension {len(ker)}")
+    h2 = ker[0]
+    top = max(range(h2.rows), key=lambda i: abs(h2[i]))
+    h2 = h2 / h2[top]
+    res = la.frob(d2 * h2)
+    if res > mp.mpf("1e-8") * max(mp.mpf(1), la.frob(d2)):
+        raise TorsionNumError(f"h2 kernel residual {mp.nstr(res, 5)}")
+    return [first] + [cycle(gamma) for gamma in curves[1:]], h2
 
 
 @dataclass
@@ -475,63 +468,61 @@ NORMALIZATION_NOTE = (
 )
 
 
-def torsion_numeric(chain, P, cycles, h2, basis_seed: Optional[int] = None,
-                    dps: int = DEFAULT_DPS) -> List[TorsionValue]:
+def torsion_numeric(chain, P, cycles, h2,
+                    basis_seed: Optional[int] = None) -> List[TorsionValue]:
     """Milnor torsion of the based twisted complex chain = (d1, d2) with
     homology basis (h1, h2), one value per h1 in cycles, each adding only its
     determinant T1; homology dimensions must be (0, 1, 1)."""
-    with mp.workdps(dps):
-        d1, d2 = chain
-        n1, n2 = d1.cols, d2.cols
-        order1 = list(range(n1))
-        order2 = list(range(n2))
-        if basis_seed is not None:
-            rng = random.Random(basis_seed)
-            rng.shuffle(order1)
-            rng.shuffle(order2)
-        piv1 = la.pivot_columns(d1, order1)
-        piv2 = la.pivot_columns(d2, order2)
-        rank1, rank2 = len(piv1), len(piv2)
-        h0 = d1.rows - rank1
-        h1dim = n1 - rank1 - rank2
-        h2dim = n2 - rank2
-        if (h0, h1dim, h2dim) != (0, 1, 1):
+    d1, d2 = chain
+    n1, n2 = d1.cols, d2.cols
+    order1 = list(range(n1))
+    order2 = list(range(n2))
+    if basis_seed is not None:
+        rng = random.Random(basis_seed)
+        rng.shuffle(order1)
+        rng.shuffle(order2)
+    piv1 = la.pivot_columns(d1, order1)
+    piv2 = la.pivot_columns(d2, order2)
+    rank1, rank2 = len(piv1), len(piv2)
+    h0 = d1.rows - rank1
+    h1dim = n1 - rank1 - rank2
+    h2dim = n2 - rank2
+    if (h0, h1dim, h2dim) != (0, 1, 1):
+        raise TorsionNumError(
+            f"non-generic representation: homology ({h0}, {h1dim}, {h2dim})")
+    T0 = la.det(la.columns(d1, piv1))
+    T2 = la.det(la.hstack([h2] + [la.basis_vector(n2, c) for c in piv2]))
+    if T0 == 0 or T2 == 0:
+        raise TorsionNumError("degenerate basis choice")
+    bh2 = killing(h2)
+    bp = killing(P)
+    if abs(bh2) < mp.mpf("1e-20") or abs(bp) < mp.mpf("1e-20"):
+        raise TorsionNumError("invariant form degenerates (parabolic point?)")
+    b2 = la.columns(d2, piv2)
+    e1 = [la.basis_vector(n1, c) for c in piv1]
+    out = []
+    for h1 in cycles:
+        T1 = la.det(la.hstack([b2, h1] + e1))
+        value = T1 / (T0 * T2) * mp.sqrt(bh2) / mp.sqrt(bp)
+        if value == 0:
             raise TorsionNumError(
-                f"non-generic representation: homology ({h0}, {h1dim}, {h2dim})")
-        T0 = la.det(la.columns(d1, piv1))
-        T2 = la.det(la.hstack([h2] + [la.basis_vector(n2, c) for c in piv2]))
-        if T0 == 0 or T2 == 0:
-            raise TorsionNumError("degenerate basis choice")
-        bh2 = killing(h2)
-        bp = killing(P)
-        if abs(bh2) < mp.mpf("1e-20") or abs(bp) < mp.mpf("1e-20"):
-            raise TorsionNumError("invariant form degenerates (parabolic point?)")
-        b2 = la.columns(d2, piv2)
-        e1 = [la.basis_vector(n1, c) for c in piv1]
-        out = []
-        for h1 in cycles:
-            T1 = la.det(la.hstack([b2, h1] + e1))
-            value = T1 / (T0 * T2) * mp.sqrt(bh2) / mp.sqrt(bp)
-            if value == 0:
-                raise TorsionNumError(
-                    "torsion vanished; representation not gamma-regular")
-            out.append(TorsionValue(value, NORMALIZATION_NOTE))
-        return out
+                "torsion vanished; representation not gamma-regular")
+        out.append(TorsionValue(value, NORMALIZATION_NOTE))
+    return out
 
 
 def peripheral_torsions(p: Presentation, rep: Rep,
                         basis_seed: Optional[int] = None) -> dict:
     """Both peripheral torsions of one based complex, plus diagnostics."""
-    with mp.workdps(rep.dps):
-        chain = boundaries(p, rep)
-        P = invariant_vector(rep, p.meridian, p.longitude)
-        cycles, h2 = basing(p, rep, P, (p.meridian, p.longitude), chain)
-        t_mu, t_la = torsion_numeric(chain, P, cycles, h2, basis_seed, rep.dps)
-        M, L = rep.image(p.meridian), rep.image(p.longitude)
-        return {
-            "tau_mu": t_mu,
-            "tau_lambda": t_la,
-            "ratio_sq": (t_mu.value / t_la.value) ** 2,
-            "tr_mu": M[0] + M[3],
-            "tr_lambda": L[0] + L[3],
-        }
+    chain = boundaries(p, rep)
+    P = invariant_vector(rep, p.meridian, p.longitude)
+    cycles, h2 = basing(p, rep, P, (p.meridian, p.longitude), chain)
+    t_mu, t_la = torsion_numeric(chain, P, cycles, h2, basis_seed)
+    M, L = rep.image(p.meridian), rep.image(p.longitude)
+    return {
+        "tau_mu": t_mu,
+        "tau_lambda": t_la,
+        "ratio_sq": (t_mu.value / t_la.value) ** 2,
+        "tr_mu": M[0] + M[3],
+        "tr_lambda": L[0] + L[3],
+    }

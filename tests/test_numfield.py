@@ -169,6 +169,17 @@ def test_express_reference_value():
     assert "embedding" in note
 
 
+def test_isolated_approx_is_its_certified_root_bit_for_bit():
+    # at ambient 15 the 48-digit roots have more bits than the ambient
+    # precision; approx keeps the certified root as found, not a rounding
+    cubic = from_text("tau^3 - 71*tau^2 + 2802*tau - 28075")
+    with mp.workdps(15):
+        target = AlgebraicNumber.create(cubic, mp.mpc("28.5", "34.5"), 48)
+    nearest = min(target.roots, key=lambda r: abs(r - mp.mpc("28.5", "34.5")))
+    assert target.approx._mpc_ == nearest._mpc_
+    assert target.approx.real._mpf_[3] > 53
+
+
 def test_express_rational():
     # 1/3 is not a binary fraction: a float quotient of the integer
     # coefficients would not reconstruct it

@@ -34,11 +34,13 @@ SEED_52 = complex(-0.215, -1.307)
 
 
 def solved_41(trace, dps=40):
-    return riley_solve(PRES_41, trace, SEED_41, dps=dps)
+    with mp.workdps(dps):
+        return riley_solve(PRES_41, trace, SEED_41)
 
 
 def solved_52(trace, dps=40):
-    return riley_solve(PRES_52, trace, SEED_52, dps=dps)
+    with mp.workdps(dps):
+        return riley_solve(PRES_52, trace, SEED_52)
 
 
 def based_complex(pres, rep, P):
@@ -199,21 +201,35 @@ def test_riley_solve_41():
 
 
 def test_riley_solve_parabolic_longitude_trace():
-    rep = riley_solve(PRES_41, 2.0, SEED_41)
     with mp.workdps(40):
+        rep = riley_solve(PRES_41, 2.0, SEED_41)
         L = rep.of_word(PRES_41.longitude)
         assert abs(L[0, 0] + L[1, 1] + 2) < 1e-9
 
 
-def test_riley_solve_fixed_point():
-    rep = solved_41(mp.mpf("2.05"))
-    again = riley_solve(PRES_41, mp.mpf("2.05"), rep)
-    assert again is rep
+def test_engine_runs_at_the_callers_precision():
+    # the solve and both torsions follow the ambient precision: a 60-digit
+    # run agrees with a 100-digit run to 1e-50, and a 40-digit run does not.
+    # The trace is the double nearest 2.05, the same number at every
+    # precision, so a fixed-precision engine would give three equal runs
+    runs = {}
+    for digits in (40, 60, 100):
+        with mp.workdps(digits):
+            rep = riley_solve(PRES_41, mp.mpf(2.05), SEED_41)
+            out = peripheral_torsions(PRES_41, rep)
+            runs[digits] = [rep.matrices[1][1, 0], out["tau_mu"].value,
+                            out["tau_lambda"].value, out["ratio_sq"]]
+    with mp.workdps(100):
+        def gap(digits):
+            return max(abs(low - high) / max(1, abs(high))
+                       for low, high in zip(runs[digits], runs[100]))
+        assert gap(60) < mp.mpf("1e-50")
+        assert gap(40) > mp.mpf("1e-50")
 
 
 def test_riley_solve_52():
-    rep = riley_solve(PRES_52, 2.0, SEED_52)
     with mp.workdps(40):
+        rep = riley_solve(PRES_52, 2.0, SEED_52)
         assert rep.relator_residual(PRES_52) < 1e-10
         L = rep.of_word(PRES_52.longitude)
         assert abs(L[0, 0] + L[1, 1] + 2) < 1e-9
@@ -368,7 +384,8 @@ def test_torsion_52_invariant_under_basis_rechoice():
 @pytest.mark.parametrize("pres, seed", [(PRES_41, SEED_41), (PRES_52, SEED_52)],
                          ids=["4_1", "5_2"])
 def test_peripheral_torsions_builds_one_based_complex(pres, seed, monkeypatch):
-    rep = riley_solve(pres, mp.mpf("2.05"), seed)
+    with mp.workdps(40):
+        rep = riley_solve(pres, mp.mpf("2.05"), seed)
     calls = Counter()
 
     def count(module, name):
@@ -382,7 +399,8 @@ def test_peripheral_torsions_builds_one_based_complex(pres, seed, monkeypatch):
     for module, name in ((la, "eliminate"), (la, "det"),
                          (tn, "basing"), (tn, "torsion_numeric")):
         count(module, name)
-    peripheral_torsions(pres, rep)
+    with mp.workdps(40):
+        peripheral_torsions(pres, rep)
     # eliminations: the stacked peripheral holonomy (for P), d2 once, the two
     # [d2 | h1] ranks, and the interior pivots of d1 and d2; determinants:
     # T0, T2 and one T1 per curve
@@ -405,9 +423,9 @@ def test_newton_and_fox_terms_make_no_matrix_products(pres, seed, monkeypatch):
         return ad(A)
     monkeypatch.setattr(mp.matrix, "__mul__", counted)
     monkeypatch.setattr(tn, "adjoint", counted_adjoint)
-    rep = riley_solve(pres, mp.mpf("2.05"), seed)
     terms = 0
-    with mp.workdps(rep.dps):
+    with mp.workdps(40):
+        rep = riley_solve(pres, mp.mpf("2.05"), seed)
         for gamma in (pres.relators[0], pres.longitude):
             for k in range(2):
                 elem = fox_derivative(gamma, k)

@@ -229,7 +229,7 @@ def test_rational_rho0_value_takes_no_pass_of_its_factor(spec, value, monkeypatc
     assert tau.minpoly == from_text(f"{value.denominator}*tau - {value.numerator}")
     with mp.workdps(root_dps(64)):
         assert tau.roots == (mp.mpc(mp.mpf(value.numerator) / value.denominator),)
-    assert tau.approx == mp.mpc(tau.roots[0]) and tau.err == mp.mpf(1) / 2
+    assert tau.approx == tau.roots[0] and tau.err == mp.mpf(1) / 2
     if value.denominator in (1, 2):
         assert tau.approx == value
 

@@ -111,7 +111,7 @@ def rand_sl2(rng, kind):
 
 
 def rand_rep(rng, kind):
-    return Rep((rand_sl2(rng, kind), rand_sl2(rng, kind)), mp.mp.dps)
+    return Rep((rand_sl2(rng, kind), rand_sl2(rng, kind)))
 
 
 KINDS = ("complex", "real", "riley")
@@ -189,7 +189,7 @@ def test_conjugated_matches_reference(digits):
 def test_one_rep_read_at_two_precisions():
     rng = random.Random(5)
     with mp.workdps(120):
-        rep = Rep((rand_sl2(rng, "complex"), rand_sl2(rng, "complex")), 40)
+        rep = Rep((rand_sl2(rng, "complex"), rand_sl2(rng, "complex")))
     words = [rand_word(rng) for _ in range(8)]
     seen = {}
     for digits in (15, 100, 15, 100):
