@@ -1,5 +1,9 @@
 """Exact algebraic numbers and number fields.
 
+Every root pass seeds mp.polyroots with a Durand-Kerner run in machine
+floats, so mpmath polishes the roots at the unchanged working precision
+instead of searching for them; where no seed forms, the pass starts cold.
+
 A NumberField is Q[x]/(f) for a monic squarefree f without rational roots,
 together with one complex root, certified isolated, as the embedding.  A
 NumberField and an AlgebraicNumber each carry the roots they certified, with
@@ -18,6 +22,7 @@ this package ships with).
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import itertools
 from dataclasses import dataclass
@@ -54,6 +59,56 @@ def root_dps(digits: int) -> int:
     return max(digits + 20, 30)
 
 
+_SEED_SWEEPS = 100          # float Durand-Kerner sweeps before giving up
+_SEED_SETTLED = 2.0 ** -40  # relative correction at which a seed is settled
+_SEED_APART = 2.0 ** -20    # relative distance below which seeds coincide
+
+
+def _float_seed(coeffs):
+    """Durand-Kerner roots of coeffs (highest degree first) in machine
+    complex arithmetic, from mpmath's own starting points and in its sweep
+    order; None when no seed can be formed."""
+    cs = [complex(c) for c in coeffs]
+    if cs[0] == 0:
+        return None
+    cs = [c / cs[0] for c in cs]
+    if not all(cmath.isfinite(c) for c in cs):
+        return None
+    deg = len(cs) - 1
+    roots = [(0.4 + 0.9j) ** n for n in range(deg)]
+    for _ in range(_SEED_SWEEPS):
+        worst = 0.0
+        for i, p in enumerate(roots):
+            x = 0j
+            for c in cs:
+                x = x * p + c
+            for j, q in enumerate(roots):
+                if j != i and p != q:
+                    x /= p - q
+            roots[i] = p - x
+            worst = max(worst, abs(x) / max(1.0, abs(p)))
+        if not all(cmath.isfinite(r) for r in roots):
+            return None
+        if worst <= _SEED_SETTLED:
+            break
+    else:
+        return None
+    for i, j in itertools.combinations(range(deg), 2):
+        if abs(roots[i] - roots[j]) <= \
+                _SEED_APART * max(1.0, abs(roots[i]), abs(roots[j])):
+            return None
+    return roots
+
+
+def _polyroots(coeffs, maxsteps: int, extraprec: int):
+    """mp.polyroots(coeffs, maxsteps, extraprec) polished from a machine-float
+    Durand-Kerner seed, or started cold where no seed can be formed.  Both
+    stop at the same fixed point, corrections below the working epsilon,
+    so both round to the same roots."""
+    return mp.polyroots(coeffs, maxsteps=maxsteps, extraprec=extraprec,
+                        roots_init=_float_seed(coeffs))
+
+
 def roots_numeric(p: MultiPoly, digits: int = DEFAULT_DIGITS):
     """All complex roots of the univariate p with multiplicity, each with
     residual |p(root)| <= 10^-digits * max|coeff|.  Sorted by (Re, Im)."""
@@ -70,7 +125,7 @@ def roots_numeric(p: MultiPoly, digits: int = DEFAULT_DIGITS):
         with mp.workdps(dps):
             coeffs = [_to_mpf(c) for c in reversed(dense_coeffs(sf))]
             try:
-                roots = mp.polyroots(coeffs, maxsteps=300, extraprec=3 * dps)
+                roots = _polyroots(coeffs, 300, 3 * dps)
             except mp.libmp.NoConvergence:
                 dps *= 2
                 continue
@@ -365,6 +420,21 @@ class Undecided:
     precision: int
 
 
+def _vandermonde_solver(nodes):
+    """solve(rhs) for V c = rhs, V the Vandermonde matrix of nodes, as
+    mp.lu_solve(V, rhs) computes it but with V factored once, at the 10
+    extra bits lu_solve works at.  ZeroDivisionError when V is numerically
+    singular."""
+    V = mp.matrix([[r ** j for j in range(len(nodes))] for r in nodes])
+    with mp.extraprec(10):
+        LU, perm = mp.mp.LU_decomp(V)
+
+    def solve(rhs):
+        with mp.extraprec(10):
+            return mp.mp.U_solve(LU, mp.mp.L_solve(LU, mp.matrix(rhs), perm))
+    return solve
+
+
 def express_in_field(target: AlgebraicNumber, field: NumberField,
                      digits: int = DEFAULT_DIGITS):
     """Write target as an element of the field, trying every pairing of field
@@ -391,16 +461,14 @@ def express_in_field(target: AlgebraicNumber, field: NumberField,
             except NumFieldError:
                 return Undecided("root refinement failed", prec)
             bound = 10 ** max(6, prec // 4)
-            # Vandermonde in the field embeddings, one solve per assignment
-            V = mp.matrix([[f_roots[i] ** j for j in range(d_f)] for i in range(d_f)])
+            try:
+                solve = _vandermonde_solver(f_roots)
+            except ZeroDivisionError:
+                return Undecided("degenerate embedding matrix", prec)
             for assign in itertools.product(range(len(g_roots)), repeat=d_f):
                 if len(set(assign)) != len(g_roots):
                     continue
-                rhs = mp.matrix([g_roots[a] for a in assign])
-                try:
-                    sol = mp.lu_solve(V, rhs)
-                except ZeroDivisionError:
-                    return Undecided("degenerate embedding matrix", prec)
+                sol = solve([g_roots[a] for a in assign])
                 coords = []
                 for v in sol:
                     if abs(mp.im(v)) > mp.mpf(10) ** (-prec // 3):

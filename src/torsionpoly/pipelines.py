@@ -11,7 +11,7 @@ from .charvar import (
     geometric_branch, trace_relation,
 )
 from .numfield import NumberField, express_in_field, minimal_polynomial, \
-    NotInField, Undecided
+    NotInField, Undecided, _polyroots
 from .polys import MultiPoly, from_dense, to_text
 from .records import KnotRecord
 from .torsion_num import peripheral_torsions, riley_solve
@@ -185,7 +185,7 @@ def _diagnostic_scalar(record: KnotRecord, out) -> object:
     deg = max(by_tau)
     poly = [by_tau.get(i, mp.mpc(0)) for i in range(deg + 1)]
     try:
-        roots = mp.polyroots(list(reversed(poly)), maxsteps=200, extraprec=80)
+        roots = _polyroots(list(reversed(poly)), 200, 80)
     except mp.libmp.NoConvergence as exc:
         raise PipelineError("diagnostic scalar at trace "
                             f"{mp.nstr(mp.re(out['tr_mu']), 12)}: {exc}") from exc

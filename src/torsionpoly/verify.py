@@ -20,7 +20,7 @@ import mpmath as mp
 from . import mplinalg as la
 from . import pipelines as pl
 from .charvar import change_curve_apoly, change_curve_sq
-from .numfield import roots_numeric
+from .numfield import _polyroots, roots_numeric
 from .polys import MultiPoly, divides, from_dense, from_text, normalize_sign, \
     resultant, to_text
 from .records import KnotRecord, ingest_knot, validate_parabolic
@@ -267,8 +267,7 @@ def _apoly_samples(A, rng, n):
         em = mp.mpc(1 + rng.uniform(0.05, 0.3), rng.uniform(-0.05, 0.05))
         cs = [by_deg.get(d, MultiPoly.zero(("em",))).eval({"em": em})
               for d in range(deg + 1)]
-        for el in mp.polyroots([mp.mpmathify(c) for c in reversed(cs)],
-                               maxsteps=200, extraprec=80):
+        for el in _polyroots([mp.mpmathify(c) for c in reversed(cs)], 200, 80):
             if abs(el) > 1e-4 and len(pts) < n:
                 pts.append((em, el))
     return pts

@@ -1,10 +1,14 @@
+import io
+import itertools
 import random
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
-from torsionpoly import numfield, pipelines as pl
+from test_report_goldens import CASES
+from torsionpoly import cli, numfield, pipelines as pl, torsion_sym
 from torsionpoly.numfield import (
     AlgebraicNumber, NotInField, NumberField, NumFieldError, express_in_field,
     minimal_polynomial, rational_reconstruct, roots_numeric,
@@ -359,3 +363,157 @@ def test_claim_a_tau_squared_in_trace_field(knot, curve, coords):
     elem, _ = out
     assert elem == K.element(coords)
     assert minimal_polynomial(elem, var="s") == sq
+
+
+# -- machine-float seeds for every root pass ---------------------------------------
+
+def as_bits(roots):
+    return [(type(r).__name__, r._mpc_ if isinstance(r, mp.mpc) else r._mpf_)
+            for r in roots]
+
+
+def golden_root_inputs(monkeypatch):
+    """(polynomial, digits, ambient dps) of every roots_numeric call the
+    golden commands make."""
+    seen = []
+    real_roots = numfield.roots_numeric
+
+    def recorded(p, digits=numfield.DEFAULT_DIGITS):
+        seen.append((p, digits, mp.mp.dps))
+        return real_roots(p, digits)
+    with monkeypatch.context() as patch:
+        patch.setattr(numfield, "roots_numeric", recorded)
+        patch.setattr(torsion_sym, "roots_numeric", recorded)
+        for args in CASES.values():
+            with redirect_stdout(io.StringIO()):
+                assert cli.main(["--no-cache", *args]) == 0
+    return seen
+
+
+def test_golden_root_passes_are_the_cold_start_bit_for_bit(monkeypatch):
+    inputs = golden_root_inputs(monkeypatch)
+    assert len({(str(p), d) for p, d, _ in inputs}) == 5
+    for p, digits, ambient in inputs:
+        with mp.workdps(ambient):
+            seeded = roots_numeric(p, digits)
+            with monkeypatch.context() as patch:
+                patch.setattr(numfield, "_float_seed", lambda coeffs: None)
+                cold = roots_numeric(p, digits)
+        assert as_bits(seeded) == as_bits(cold), (str(p), digits)
+
+
+def random_integer_coeffs(rng):
+    deg = rng.randint(1, 6)
+    return [rng.choice([-1, 1]) * rng.randint(1, 9)] + \
+        [rng.randint(-9, 9) for _ in range(deg)]
+
+
+def sorted_bits_or_failure(find):
+    try:
+        return sorted(as_bits(find()))
+    except mp.libmp.NoConvergence:
+        return "NoConvergence"
+
+
+@pytest.mark.parametrize("digits", [20, 40, 64, 128])
+def test_seeded_polyroots_is_the_cold_start_bit_for_bit(digits):
+    # mp.polyroots sorts by (|Im|, Re) at its extended precision, so the
+    # list order of a conjugate pair follows rounding noise below the
+    # working precision; the roots themselves agree bit for bit, and
+    # roots_numeric sorts them again after rounding.  A multiple root
+    # fails both ways.
+    rng = random.Random(17)
+    dps = numfield.root_dps(digits)
+    with mp.workdps(dps):
+        for _ in range(200):
+            coeffs = [mp.mpf(c) for c in random_integer_coeffs(rng)]
+            seeded = sorted_bits_or_failure(
+                lambda: numfield._polyroots(coeffs, 300, 3 * dps))
+            cold = sorted_bits_or_failure(
+                lambda: mp.polyroots(coeffs, maxsteps=300, extraprec=3 * dps))
+            assert seeded == cold, coeffs
+
+
+def test_seeded_complex_polyroots_is_the_cold_start_bit_for_bit():
+    # the diagnostic scalar and the A-polynomial samples pass complex
+    # coefficients; without conjugate pairs the order agrees too
+    rng = random.Random(23)
+    with mp.workdps(40):
+        for _ in range(100):
+            coeffs = [mp.mpc(rng.uniform(-5, 5), rng.uniform(-5, 5))
+                      for _ in range(rng.randint(2, 7))]
+            seeded = numfield._polyroots(coeffs, 200, 80)
+            cold = mp.polyroots(coeffs, maxsteps=200, extraprec=80)
+            assert as_bits(seeded) == as_bits(cold), coeffs
+
+
+def expanded(roots):
+    """Coefficients of prod (x - r), highest degree first."""
+    coeffs = [mp.mpf(1)]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
+@pytest.mark.parametrize("coeffs", [
+    lambda: [mp.mpf(1), mp.mpf(10) ** 400, mp.mpf(1)],
+    lambda: [mp.mpf(10) ** -400, mp.mpf(0), -mp.mpf(10) ** -400],
+    lambda: expanded([mp.mpf(1), 1 + mp.mpf(10) ** -30]),
+    lambda: [mp.mpf(1), mp.mpf(0), -mp.mpf(10) ** 60],
+    lambda: [mp.mpf(1), mp.mpf(0), mp.mpf(0), mp.mpf(0), -mp.mpf(10) ** 80],
+], ids=["inf-coefficient", "zero-float-lead", "pair-below-float-resolution",
+        "unsettled-in-budget", "overflowing-iterate"])
+def test_no_seed_takes_the_cold_start(coeffs, monkeypatch):
+    calls = []
+    real_roots = mp.polyroots
+
+    def spied(*args, **kwargs):
+        calls.append(kwargs["roots_init"])
+        return real_roots(*args, **kwargs)
+    with mp.workdps(40):
+        coeffs = coeffs()
+        monkeypatch.setattr(mp, "polyroots", spied)
+        got = numfield._polyroots(coeffs, 300, 120)
+        monkeypatch.undo()
+        cold = mp.polyroots(coeffs, maxsteps=300, extraprec=120)
+    assert calls == [None]
+    assert as_bits(got) == as_bits(cold)
+
+
+@pytest.mark.parametrize("text,seeded", [
+    ("x^3 - x^2 + 1", 12),
+    ("tau^3 - 71*tau^2 + 2802*tau - 28075", 12),
+    ("tau^2 - 9", 2),
+])
+def test_seeded_pass_polishes_instead_of_searching(text, seeded, monkeypatch):
+    # mp.polyval calls per roots_numeric at 64 digits: a cold start makes
+    # 24, 36 and 20 of them; a float seed leaves a few polishing sweeps
+    calls = []
+    real_polyval = mp.mp.polyval
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real_polyval(*args, **kwargs)
+    monkeypatch.setattr(mp.mp, "polyval", counted)
+    roots_numeric(from_text(text), 64)
+    assert len(calls) == seeded
+
+
+def test_vandermonde_solver_is_lu_solve_bit_for_bit():
+    # every pairing express_in_field can try, for the rho0 value of each
+    # record that is not rational over its trace field
+    for knot, curve in (("4_1", "mu"), ("5_2", "lambda")):
+        record = ingest_knot(knot)
+        K = NumberField.create(record.trace_field_poly,
+                               embedding_hint=record.trace_field_embedding)
+        tau = pl.rho0_for_curve(record, curve)[0].value
+        with mp.workdps(94):
+            f_roots = K.all_embeddings(64)
+            V = mp.matrix([[r ** j for j in range(K.degree)] for r in f_roots])
+            solve = numfield._vandermonde_solver(f_roots)
+            pairings = [a for a in itertools.product(range(tau.degree), repeat=K.degree)
+                        if len(set(a)) == tau.degree]
+            assert pairings
+            for assign in pairings:
+                rhs = [tau.roots[a] for a in assign]
+                assert as_bits(solve(rhs)) == as_bits(mp.lu_solve(V, mp.matrix(rhs)))
