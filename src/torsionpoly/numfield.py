@@ -11,9 +11,11 @@ the digits they were found at, so a later step at those digits reads them
 instead of finding them again.  The
 minimal polynomial of A(x) is the squarefree part of Res_x(f(x), tau - A(x)).
 Field membership of an algebraic number is decided by a high-precision linear
-solve over all embeddings and rational reconstruction; each candidate is
-confirmed by exact evaluation in K, and a failed reconstruction is reported,
-never guessed around.
+solve over all embeddings.  Rationals are never guessed: each is read exactly
+off its mpf and rounded at a denominator the algebra proves (the rational
+root theorem, and disc(a*x) O_K in Z[a*x] for the integral generator a*x), and
+each candidate is confirmed by exact evaluation in K; a failed search is
+reported, never guessed around.
 
 Irreducibility of defining polynomials is asserted, not proven; squarefreeness
 and absence of rational roots are checked (sufficient at the field degrees
@@ -27,7 +29,7 @@ import dataclasses
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import mpmath as mp
 
@@ -153,48 +155,28 @@ def _multiplicity(p: MultiPoly, root) -> int:
         mult += 1
 
 
-def rational_reconstruct(v, denominator_bound: int) -> Optional[Fraction]:
-    """Nearest continued-fraction convergent p/q with q <= bound and
-    |v - p/q| < 1/(2 q bound); None on failure."""
-    x = mp.mpf(v)
-    if not mp.isfinite(x):
-        return None
-    a0 = mp.floor(x)
-    p_prev, q_prev = Fraction(1), Fraction(0)
-    p_cur, q_cur = Fraction(int(a0)), Fraction(1)
-    frac = x - a0
-    for _ in range(200):
-        if q_cur > denominator_bound:
-            break
-        cand = Fraction(p_cur, q_cur) if q_cur else None
-        if cand is not None:
-            err = abs(x - _to_mpf(cand))
-            if err < mp.mpf(1) / (2 * cand.denominator * denominator_bound):
-                return cand
-        if frac == 0:
-            break
-        inv = 1 / frac
-        a = mp.floor(inv)
-        frac = inv - a
-        p_cur, p_prev = Fraction(int(a)) * p_cur + p_prev, p_cur
-        q_cur, q_prev = Fraction(int(a)) * q_cur + q_prev, q_cur
-    return None
+def _exact(x) -> Fraction:
+    """The exact value of the mpf x, whatever the ambient precision."""
+    return Fraction(*mp.libmp.to_rational(x._mpf_))
 
 
-def _rational_roots(p: MultiPoly, roots, digits: int) -> List[Fraction]:
-    """Exact rational roots of the univariate p, read off its complex roots
-    `roots` (good to `digits` digits) and each confirmed by exact
-    evaluation."""
+def _rational_roots(p: MultiPoly, roots, digits: int) -> List[Tuple[object, Fraction]]:
+    """(root, q) for each exact rational root q of the univariate p, read off
+    its complex roots `roots` (good to `digits` digits).  By the rational
+    root theorem q has a denominator dividing the lead of p's primitive
+    integer form, so it is a real part rounded at that denominator; each q
+    is confirmed by exact evaluation.  A root near q rounds to q as well, so
+    q is paired with the root nearest to it, in exact distance."""
     prim = normalize_sign(p)
-    bound = abs(prim.leading_coefficient()) * 2 + 2
+    lead = prim.leading_coefficient()
     found = []
     for r in roots:
         if abs(mp.im(r)) > mp.mpf(10) ** (-digits // 2):
             continue
-        cand = rational_reconstruct(mp.re(r), bound)
-        if cand is not None and prim.eval({p.vars[0]: cand}) == 0 \
-                and cand not in found:
-            found.append(cand)
+        q = Fraction(round(lead * _exact(mp.re(r))), lead)
+        if prim.eval({p.vars[0]: q}) == 0 and r is min(roots, key=lambda s: (
+                (_exact(mp.re(s)) - q) ** 2 + _exact(mp.im(s)) ** 2)):
+            found.append((r, q))
     return found
 
 
@@ -451,6 +433,14 @@ def express_in_field(target: AlgebraicNumber, field: NumberField,
     if d_f % d_g != 0:
         return NotInField(f"degree {d_g} does not divide field degree {d_f}", digits)
 
+    # lead(g)*tau and a*x are algebraic integers, a the lead of the primitive
+    # integer form of f, and disc(a*x) = a^(d(d-1)) disc(f) multiplies O_K
+    # into Z[a*x] (Cohen, GTM 138, Section 4.4): each coordinate of a root of
+    # g in K has a denominator dividing lead(g) * |disc(a*x)|
+    f, x = field.defining_poly, field.defining_poly.vars[0]
+    den = int(g.leading_coefficient()
+              * normalize_sign(f).leading_coefficient() ** (d_f * (d_f - 1))
+              * abs(resultant(f, f.derivative(x), x).constant_value()))
     prec = digits
     while prec <= MAX_DIGITS:
         with mp.workdps(prec + 30):
@@ -460,7 +450,6 @@ def express_in_field(target: AlgebraicNumber, field: NumberField,
                     else roots_numeric(g, prec)
             except NumFieldError:
                 return Undecided("root refinement failed", prec)
-            bound = 10 ** max(6, prec // 4)
             try:
                 solve = _vandermonde_solver(f_roots)
             except ZeroDivisionError:
@@ -474,11 +463,7 @@ def express_in_field(target: AlgebraicNumber, field: NumberField,
                     if abs(mp.im(v)) > mp.mpf(10) ** (-prec // 3):
                         coords = None
                         break
-                    c = rational_reconstruct(mp.re(v), bound)
-                    if c is None:
-                        coords = None
-                        break
-                    coords.append(c)
+                    coords.append(Fraction(round(den * _exact(mp.re(v))), den))
                 if coords is None:
                     continue
                 cand = field.element(coords)

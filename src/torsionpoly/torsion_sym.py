@@ -230,19 +230,19 @@ def rho0_value(spec_poly: MultiPoly, selection, digits: int = 64) -> Rho0Value:
 
 def _exact_minpoly_factor(sf: MultiPoly, roots, root, digits: int) -> MultiPoly:
     """Exact primitive factor of a squarefree primitive polynomial containing
-    the selected root; `roots` are all its complex roots, as rho0_value found
-    them.
+    the selected root, which is one of `roots`: all its complex roots, as
+    rho0_value found them.
 
     Rational roots are split off exactly; the remaining part is asserted
     irreducible, which the rational-root check settles through degree 3.
     """
     var = sf.vars[0]
     rationals = _rational_roots(sf, roots, digits)
-    for q in rationals:
-        if abs(mp.mpc(root) - _to_mpf(q)) < mp.mpf(10) ** (-digits // 3):
+    for r, q in rationals:
+        if r is root:
             return from_dense(var, [-q.numerator, q.denominator])
     rest = sf
-    for q in rationals:
+    for _, q in rationals:
         rest = exact_div(rest, from_dense(var, [-q.numerator, q.denominator]))
     rest = normalize_sign(rest)
     if rest.degree_in(var) > 3:

@@ -11,7 +11,7 @@ from test_report_goldens import CASES
 from torsionpoly import cli, numfield, pipelines as pl, torsion_sym
 from torsionpoly.numfield import (
     AlgebraicNumber, NotInField, NumberField, NumFieldError, express_in_field,
-    minimal_polynomial, rational_reconstruct, roots_numeric,
+    minimal_polynomial, roots_numeric,
 )
 from torsionpoly.polys import (
     MultiPoly, dense_coeffs, from_dense, from_text, gcd_poly, resultant,
@@ -79,35 +79,34 @@ def test_roots_product_reexpands():
             assert abs(a - b) < mp.mpf(10) ** (-digits // 2)
 
 
-# -- rational reconstruction ------------------------------------------------------
-
-def test_reconstruct_one_third():
-    assert rational_reconstruct(mp.mpf("0.3333333333333"), 10**6) == Fraction(1, 3)
-
-
-def test_reconstruct_negative_integer():
-    assert rational_reconstruct(mp.mpf("-2.0"), 10**3) == Fraction(-2)
-
-
-def test_reconstruct_sqrt2_fails_small_bound():
-    v = mp.mpf("0.7071067811")
-    got = rational_reconstruct(v, 1000)
-    # exhaustive oracle over q <= 1000
-    best = None
-    for q in range(1, 1001):
-        p = round(v * q)
-        if abs(v - mp.mpf(p) / q) < mp.mpf(1) / (2 * q * 1000):
-            best = Fraction(p, q)
-            break
-    assert best is None
-    assert got is None
-
-
 # -- number fields and elements ----------------------------------------------------
 
 def test_field_rejects_rational_root():
     with pytest.raises(NumFieldError, match="rational root"):
         NumberField.create(from_text("x^3 + x - 2"))
+
+
+@pytest.mark.parametrize("poly, ambient", [
+    ("7*x^3 - 12345*x^2 + 7*x - 12345", 3),
+    ("7*x^3 - 100000000000000000003*x^2 + 7*x - 100000000000000000003", 15),
+])
+def test_field_rejects_rational_root_at_any_ambient_precision(poly, ambient):
+    # (7x - c)(x^2 + 1): the root c/7 is read exactly off the digits it was
+    # found at, not off an ambient rounding of it
+    with mp.workdps(ambient), pytest.raises(NumFieldError, match="rational root"):
+        NumberField.create(from_text(poly))
+
+
+@pytest.mark.parametrize("ambient", [3, 15, 64])
+def test_rational_roots_are_rounded_at_the_lead(ambient):
+    # (2x - 1)(3x + 1)(6x - 7): denominators 2, 3 and 6 divide the lead 36;
+    # each rational comes back with the very root it was read from
+    p = from_text("36*x^3 - 48*x^2 + x + 7")
+    roots = roots_numeric(p, 64)
+    with mp.workdps(ambient):
+        found = numfield._rational_roots(p, roots, 64)
+    assert [q for _, q in found] == [Fraction(-1, 3), Fraction(1, 2), Fraction(7, 6)]
+    assert all(r is root for (r, _), root in zip(found, roots))
 
 
 def test_field_rejects_non_squarefree():
@@ -204,18 +203,27 @@ def test_express_sqrt2_not_in_quadratic_field():
 
 
 def test_express_roundtrip_random_elements():
-    K = field_52()
+    # in the non-monic fields x is not integral, so the proven coordinate
+    # denominator carries a power of the lead; there an answer may also be
+    # a Galois conjugate of the element, which has the same minimal
+    # polynomial (x^3 - x^2 + 1 is not Galois: only the element itself)
     rng = random.Random(21)
-    for _ in range(50):
-        coords = [Fraction(rng.randint(-20, 20), rng.choice([1, 1, 2, 3])) for _ in range(3)]
-        if all(c == 0 for c in coords[1:]):
-            coords[1] = Fraction(1)
-        e = K.element(coords)
-        target = AlgebraicNumber.create(minimal_polynomial(e), e.embed(64), 48)
-        out = express_in_field(target, K)
-        assert not isinstance(out, NotInField), coords
-        got, _ = out
-        assert got.coords == e.coords
+    cases = [(field_52(), 50, [1, 1, 2, 3], False)] + [
+        (NumberField.create(from_text(poly)), 10, range(1, 13), True)
+        for poly in ("3*x^3 - x + 1", "2*x^4 - 3*x + 5", "5*x^2 - 2*x + 7")]
+    for K, count, denominators, conjugates in cases:
+        for _ in range(count):
+            coords = [Fraction(rng.randint(-20, 20), rng.choice(denominators))
+                      for _ in range(K.degree)]
+            if all(c == 0 for c in coords[1:]):
+                coords[1] = Fraction(1)
+            e = K.element(coords)
+            g = minimal_polynomial(e)
+            out = express_in_field(AlgebraicNumber.create(g, e.embed(64), 48), K)
+            assert not isinstance(out, NotInField), coords
+            got, _ = out
+            assert got.coords == e.coords \
+                or conjugates and minimal_polynomial(got) == g, coords
 
 
 def test_multipoly_eval_at_field_elements():
@@ -278,12 +286,13 @@ def test_express_ladders_up_from_low_precision():
 
 def test_escalated_express_finds_the_roots_again(monkeypatch):
     # at the digits the field and the target were certified at, both carry
-    # their roots; a coordinate with a denominator above the starting
-    # reconstruction bound (10^6 through 16 digits) sends the solve up to
-    # 32 digits, and every escalated precision takes fresh root passes
+    # their roots; coordinates over 10^6 and 10^7 give the target minimal
+    # polynomial a 40-digit lead, so the proven denominator 23 * lead times
+    # the solve error exceeds 1/2 through 16 digits and sends the solve up
+    # to 32 digits, and every escalated precision takes fresh root passes
     K = NumberField.create(from_text("x^3 - x^2 + 1"),
                            embedding_hint=mp.mpc("0.8774", "-0.7448"), digits=8)
-    e = K.element([1, Fraction(1, 1234567), 0])
+    e = K.element([1, Fraction(1, 1000003), Fraction(1, 10000019)])
     target = AlgebraicNumber.create(minimal_polynomial(e), e.embed(64), 8)
     calls = count_root_passes(monkeypatch)
     elem, _ = express_in_field(target, K, digits=8)

@@ -214,6 +214,18 @@ def test_cli_rejects_bad_flags(capsys, cache_dir, argv, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+def test_cli_membership_rational_root_at_low_precision(capsys, cache_dir, tmp_path):
+    # (7x - 12345)(x^2 + 1) as trace field is refused at --precision 3 as
+    # it is at 64
+    p = tmp_path / "5_2.knot"
+    p.write_text(bundled_record_text("5_2").replace(
+        "poly = x^3 - x^2 + 1", "poly = 7*x^3 - 12345*x^2 + 7*x - 12345"))
+    code, out, err = run_cli(capsys, "--no-cache", "--precision", "3",
+                             "membership", "--knot", str(p))
+    assert code == 2
+    assert err == "error: membership: defining polynomial has a rational root\n"
+
+
 def test_cli_torsion_point(capsys, cache_dir):
     code, out, _ = run_cli(capsys, "torsion", "--knot", "4_1", "--trace", "2.05")
     assert code == 0

@@ -212,6 +212,25 @@ def test_rho0_rational():
     assert out.value.minpoly == from_text("2*tau - 7")
 
 
+def test_rho0_rational_root_at_low_ambient_precision():
+    # the selected positive real root of (7 tau - 12345)(tau^2 + 1) is the
+    # rational 12345/7 at any ambient precision, and its minimal polynomial
+    # is the linear factor
+    spec = from_text("7*tau^3 - 12345*tau^2 + 7*tau - 12345")
+    with mp.workdps(3):
+        tau = rho0_value(spec, PositiveRealRoot()).value
+    assert tau.minpoly == from_text("7*tau - 12345")
+
+
+@pytest.mark.parametrize("hint, minpoly", [(1.7, "tau^2 - 3"), (2.1, "tau - 2")])
+def test_rho0_root_next_to_a_rational_root(hint, minpoly):
+    # sqrt(3) rounds to the root 2 of (tau - 2)(tau^2 - 3) at denominator 1;
+    # only the root that is 2 is taken for it
+    spec = from_text("tau^3 - 2*tau^2 - 3*tau + 6")
+    tau = rho0_value(spec, NearestToHint(hint)).value
+    assert tau.minpoly == from_text(minpoly)
+
+
 @pytest.mark.parametrize("spec, value", [("tau^2 - 9", Fraction(3)),
                                          ("4*tau^2 - 49", Fraction(7, 2)),
                                          ("3*tau^2 + 2*tau - 1", Fraction(1, 3))])
