@@ -198,12 +198,15 @@ def cmd_sweep(record, args):
         hi = _finite(mp.mpf(args.stop), "--to")
         traces = [mp.nstr(lo + (hi - lo) * i / max(1, steps - 1), 12)
                   for i in range(steps)]
-    payloads = [(record, t, dps, args.tolerance) for t in traces]
-    if args.jobs > 1:
+    # the report has one row per printed trace, so each is computed once
+    payloads = [(record, t, dps, args.tolerance) for t in dict.fromkeys(traces)]
+    # a fork pool starts all its workers at the first submit
+    jobs = min(args.jobs, len(payloads))
+    if jobs > 1:
         import concurrent.futures as cf
         # workers get the record with its symbolic artifacts already derived
         pl.derive_artifacts(record)
-        with cf.ProcessPoolExecutor(max_workers=args.jobs) as ex:
+        with cf.ProcessPoolExecutor(max_workers=jobs) as ex:
             rows = list(ex.map(_sweep_point, payloads))
     else:
         rows = [_sweep_point(p) for p in payloads]

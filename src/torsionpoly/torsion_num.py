@@ -24,6 +24,10 @@ over the same operand pairs in the same order as `mp.matrix.__mul__` (fdot
 forms the exact products and rounds once), a zero result is stored as
 `mp.mp.zero` as the sparse `mp.matrix` storage reads it back, and sums,
 scalings and negations are the same mpmath operations on the same operands.
+The one exception is the zero rule: a pair with an `mp.mp.zero` operand is
+left out of the fdot, because fdot's sum skips the exact zeros that products
+with a zero operand give, so only the result type records them (an mpc
+operand in a dropped pair still makes the entry an mpc).
 The reports print round-off digits, so any reordering of this arithmetic
 would change them.  A word image is the left fold I * g1 * ... * gn,
 recomputed on every read.
@@ -202,6 +206,8 @@ def fox_derivative(w: Word, k: int) -> GroupRingElem:
 _ZERO = mp.mp.zero
 _IDENTITY = (mp.mp.one, _ZERO, _ZERO, mp.mp.one)
 _fdot = mp.fdot
+_make_mpc = mp.mp.make_mpc
+_fzero = mp.libmp.fzero
 
 
 def _entries(M) -> tuple:
@@ -214,14 +220,29 @@ def _matrix(n: int, entries):
     return mp.matrix([entries[i:i + n] for i in range(0, n * n, n)])
 
 
+def _dot2(a, b, c, d):
+    """a * b + c * d as mp.fdot(((a, b), (c, d))) gives it, or _ZERO, with
+    the pairs that have a _ZERO operand left out by the zero rule."""
+    if a is _ZERO or b is _ZERO:
+        if c is _ZERO or d is _ZERO:
+            return _ZERO
+        a, b, c, d = c, d, a, b
+    elif c is not _ZERO and d is not _ZERO:
+        return _fdot(((a, b), (c, d))) or _ZERO
+    s = _fdot(((a, b),))
+    if not s:
+        return _ZERO
+    if hasattr(s, "_mpf_") and (hasattr(c, "_mpc_") or hasattr(d, "_mpc_")):
+        return _make_mpc((s._mpf_, _fzero))
+    return s
+
+
 def _mul2(A, B) -> tuple:
     """A * B entry by entry as mp.matrix.__mul__ computes it."""
     a0, a1, a2, a3 = A
     b0, b1, b2, b3 = B
-    return (_fdot(((a0, b0), (a1, b2))) or _ZERO,
-            _fdot(((a0, b1), (a1, b3))) or _ZERO,
-            _fdot(((a2, b0), (a3, b2))) or _ZERO,
-            _fdot(((a2, b1), (a3, b3))) or _ZERO)
+    return (_dot2(a0, b0, a1, b2), _dot2(a0, b1, a1, b3),
+            _dot2(a2, b0, a3, b2), _dot2(a2, b1, a3, b3))
 
 
 def _add2(A, B) -> tuple:
@@ -302,11 +323,14 @@ def riley_solve(p: Presentation, target_tr_mu, seed) -> Rep:
         relator = p.relators[0]
         last = None
         for _ in range(80):
-            F, J = _relator_and_derivative(relator, m, t)
+            images, prefixes = _relator_fold(relator, m, t)
+            M = prefixes[-1]
+            F = [M[0] - 1, M[1], M[2], M[3] - 1]
             res = mp.fsum(abs(f) ** 2 for f in F)
             last = mp.sqrt(res)
             if last < mp.mpf(10) ** (-(dps + 5)):
                 break
+            J = _relator_derivative(relator, images, prefixes)
             num = mp.fsum(mp.conj(j) * f for j, f in zip(J, F))
             den = mp.fsum(abs(j) ** 2 for j in J)
             if den == 0:
@@ -322,25 +346,32 @@ def riley_solve(p: Presentation, target_tr_mu, seed) -> Rep:
     return rep
 
 
-def _relator_and_derivative(relator: Word, m, t):
-    """rho(relator) - I and its t-derivative, both flattened."""
+def _relator_fold(relator: Word, m, t):
+    """The letter images of the ansatz at (m, t), and the prefix products
+    I, I * g1, ..., I * g1 * ... * gn of rho(relator)."""
     # the entries as mp.matrix([[m, 1], [0, 1 / m]]) etc. would read back
     a = (m, mp.mp.one, _ZERO, 1 / m)
     b = (m, _ZERO, t or _ZERO, 1 / m)
-    db = (_ZERO, _ZERO, mp.mp.one, _ZERO)
-    bi = _inv2(b)
-    # letter -> (image, t-derivative); a does not depend on t, and its zero
-    # derivative is left out because adding its products would add exact zeros
-    gens = {(0, 1): (a, None), (0, -1): (_inv2(a), None),
-            (1, 1): (b, db), (1, -1): (bi, _mul2(_mul2(_neg2(bi), db), bi))}
-    M = _IDENTITY
-    D = (_ZERO,) * 4
+    images = {(0, 1): a, (0, -1): _inv2(a), (1, 1): b, (1, -1): _inv2(b)}
+    prefixes = [_IDENTITY]
     for letter in relator.letters:
-        G, dG = gens[letter]
+        prefixes.append(_mul2(prefixes[-1], images[letter]))
+    return images, prefixes
+
+
+def _relator_derivative(relator: Word, images, prefixes) -> list:
+    """The t-derivative of rho(relator), flattened, by the product rule
+    D_k = D_(k-1) * g_k + (I * g1 * ... * g_(k-1)) * g_k' over the prefixes."""
+    db = (_ZERO, _ZERO, mp.mp.one, _ZERO)
+    bi = images[(1, -1)]
+    # a does not depend on t, and its zero derivative is left out because
+    # adding its products would add exact zeros
+    derivs = {(1, 1): db, (1, -1): _mul2(_mul2(_neg2(bi), db), bi)}
+    D = (_ZERO,) * 4
+    for letter, M in zip(relator.letters, prefixes):
+        G, dG = images[letter], derivs.get(letter)
         D = _mul2(D, G) if dG is None else _add2(_mul2(D, G), _mul2(M, dG))
-        M = _mul2(M, G)
-    F = [M[0] - 1, M[1], M[2], M[3] - 1]
-    return F, list(D)
+    return list(D)
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +391,14 @@ def adjoint(A) -> tuple:
     2x2 tuple: column j holds the (e, h, f) coordinates of A X_j A^-1."""
     if abs(_det2(A) - 1) > mp.mpf("1e-9"):
         raise TorsionNumError("adjoint input must have determinant 1")
-    Ai = _inv2(A)
-    cols = [_mul2(_mul2(A, X), Ai) for X in _SL2_BASIS]
-    return tuple(Y[i] for i in (1, 0, 2) for Y in cols)
+    i0, i1, i2, i3 = _inv2(A)
+    cols = []
+    for X in _SL2_BASIS:
+        p0, p1, p2, p3 = _mul2(A, X)
+        # entries (0, 1), (0, 0) and (1, 0) of (A X) A^-1; (1, 1) is -h
+        cols.append((_dot2(p0, i1, p1, i3), _dot2(p0, i0, p1, i2),
+                     _dot2(p2, i0, p3, i2)))
+    return tuple(Y[i] for i in range(3) for Y in cols)
 
 
 def _ad_eval_inv(elem: GroupRingElem, rep: Rep):
@@ -425,8 +461,10 @@ def basing(p: Presentation, rep: Rep, P, curves, chain):
     """Reference cycles of the complex chain = (d1, d2): one h1 per curve
     gamma, from the Fox expansion of gamma tensored with P, and one h2 shared
     by all curves, the kernel generator of d2 with largest coordinate
-    normalized to 1.  d2 is eliminated once, for its rank and its kernel.
-    Checks run in the order: first curve, h2, remaining curves."""
+    normalized to 1; returns (cycles, h2, pivots of d2).  d2 is eliminated
+    once, in natural column order, for its rank, its kernel and the interior
+    pivots that torsion_numeric reuses.  Checks run in the order: first
+    curve, h2, remaining curves."""
     d1, d2 = chain
     elim = la.eliminate(d2)
 
@@ -451,7 +489,7 @@ def basing(p: Presentation, rep: Rep, P, curves, chain):
     res = la.frob(d2 * h2)
     if res > mp.mpf("1e-8") * max(mp.mpf(1), la.frob(d2)):
         raise TorsionNumError(f"h2 kernel residual {mp.nstr(res, 5)}")
-    return [first] + [cycle(gamma) for gamma in curves[1:]], h2
+    return [first] + [cycle(gamma) for gamma in curves[1:]], h2, elim.pivots
 
 
 @dataclass
@@ -468,21 +506,23 @@ NORMALIZATION_NOTE = (
 )
 
 
-def torsion_numeric(chain, P, cycles, h2,
+def torsion_numeric(chain, P, cycles, h2, piv2,
                     basis_seed: Optional[int] = None) -> List[TorsionValue]:
     """Milnor torsion of the based twisted complex chain = (d1, d2) with
     homology basis (h1, h2), one value per h1 in cycles, each adding only its
-    determinant T1; homology dimensions must be (0, 1, 1)."""
+    determinant T1; homology dimensions must be (0, 1, 1).  piv2 are the
+    pivot columns of d2 in natural order, as basing returns them; a
+    basis_seed re-chooses both interior bases from shuffled column orders."""
     d1, d2 = chain
     n1, n2 = d1.cols, d2.cols
     order1 = list(range(n1))
-    order2 = list(range(n2))
     if basis_seed is not None:
         rng = random.Random(basis_seed)
         rng.shuffle(order1)
+        order2 = list(range(n2))
         rng.shuffle(order2)
+        piv2 = la.pivot_columns(d2, order2)
     piv1 = la.pivot_columns(d1, order1)
-    piv2 = la.pivot_columns(d2, order2)
     rank1, rank2 = len(piv1), len(piv2)
     h0 = d1.rows - rank1
     h1dim = n1 - rank1 - rank2
@@ -516,8 +556,8 @@ def peripheral_torsions(p: Presentation, rep: Rep,
     """Both peripheral torsions of one based complex, plus diagnostics."""
     chain = boundaries(p, rep)
     P = invariant_vector(rep, p.meridian, p.longitude)
-    cycles, h2 = basing(p, rep, P, (p.meridian, p.longitude), chain)
-    t_mu, t_la = torsion_numeric(chain, P, cycles, h2, basis_seed)
+    cycles, h2, piv2 = basing(p, rep, P, (p.meridian, p.longitude), chain)
+    t_mu, t_la = torsion_numeric(chain, P, cycles, h2, piv2, basis_seed)
     M, L = rep.image(p.meridian), rep.image(p.longitude)
     return {
         "tau_mu": t_mu,

@@ -164,10 +164,11 @@ def check_numeric_engine() -> Tuple[bool, str]:
             # P rescaling (shared h2 stays fixed by construction)
             P = invariant_vector(rep, pres.meridian, pres.longitude)
             c = mp.mpc(rng.uniform(0.3, 2), rng.uniform(-1, 1))
-            cycles, h2 = basing(pres, rep, P * c,
-                                (pres.meridian, pres.longitude), (d1, d2))
+            cycles, h2, piv2 = basing(pres, rep, P * c,
+                                      (pres.meridian, pres.longitude), (d1, d2))
             rescaled = dict(zip(("tau_mu", "tau_lambda"),
-                                torsion_numeric((d1, d2), P * c, cycles, h2)))
+                                torsion_numeric((d1, d2), P * c, cycles, h2,
+                                                piv2)))
             msg = drifted(rescaled, "P-rescaling")
             if msg:
                 return False, msg

@@ -308,6 +308,68 @@ def test_cli_sweep_parallel_matches_serial_52(capsys, cache_dir):
     assert payload(out1) == payload(out2)
 
 
+class SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps serially
+    and starts no process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("steps, jobs, workers", [
+    ("3", "500", [3]), ("3", "2", [2]), ("1", "8", [])])
+def test_cli_sweep_starts_no_more_workers_than_points(
+        capsys, cache_dir, monkeypatch, steps, jobs, workers):
+    import concurrent.futures
+    monkeypatch.setattr(SerialPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    args = ["sweep", "--knot", "4_1", "--from", "2.03", "--to", "2.09",
+            "--steps", steps, "--no-cache"]
+    code1, out1, _ = run_cli(capsys, *args)
+    code2, out2, _ = run_cli(capsys, *args, "--jobs", jobs)
+    assert code1 == code2 == 0
+    assert SerialPool.sizes == workers
+    payload = lambda s: s.split("[results]", 1)[1]
+    assert payload(out1) == payload(out2)
+
+
+def test_cli_sweep_computes_each_trace_once(capsys, cache_dir, monkeypatch):
+    calls = []
+    real = pl.torsion_at
+
+    def counted(record, trace, *args, **kwargs):
+        calls.append(trace)
+        return real(record, trace, *args, **kwargs)
+    monkeypatch.setattr(pl, "torsion_at", counted)
+    args = ["sweep", "--knot", "4_1", "--from", "2.05", "--to", "2.05",
+            "--no-cache"]
+    code1, out1, _ = run_cli(capsys, *args, "--steps", "5")
+    assert calls == ["2.05"]
+    code2, out2, _ = run_cli(capsys, *args, "--steps", "1")
+    assert code1 == code2 == 0
+    payload = lambda s: s.split("[results]", 1)[1]
+    assert payload(out1) == payload(out2)
+    # 7 steps over 2e-11 print as 3 distinct traces at 12 digits, each
+    # computed once, in first-occurrence order
+    calls.clear()
+    code, out, _ = run_cli(capsys, "sweep", "--knot", "4_1", "--from", "2.05",
+                           "--to", "2.05000000002", "--steps", "7",
+                           "--no-cache")
+    assert code == 0
+    assert calls == ["2.05", "2.05000000001", "2.05000000002"]
+
+
 def test_cli_sweep_skips_singular_points(capsys, cache_dir):
     # the parabolic point itself has a degenerate invariant form; the sweep
     # reports it per-point and completes the remaining traces

@@ -44,10 +44,11 @@ def solved_52(trace, dps=40):
 
 
 def based_complex(pres, rep, P):
-    """(d1, d2), the meridian and longitude cycles and the shared h2."""
+    """(d1, d2), the meridian and longitude cycles, the shared h2 and the
+    pivots of d2."""
     chain = boundaries(pres, rep)
-    cycles, h2 = basing(pres, rep, P, (pres.meridian, pres.longitude), chain)
-    return chain, cycles, h2
+    return (chain,) + basing(pres, rep, P, (pres.meridian, pres.longitude),
+                             chain)
 
 
 def assert_same_up_to_sign(values, reference):
@@ -297,7 +298,7 @@ def test_basing_single_generator_blocks():
     with mp.workdps(40):
         d1d2 = boundaries(PRES_41, rep)
         P = invariant_vector(rep, PRES_41.meridian, PRES_41.longitude)
-        (h1,), h2 = basing(PRES_41, rep, P, (parse_word("a"),), d1d2)
+        (h1,), h2, _ = basing(PRES_41, rep, P, (parse_word("a"),), d1d2)
         for i in range(3):
             assert abs(h1[i] - P[i]) < 1e-25
             assert abs(h1[3 + i]) < 1e-25
@@ -309,7 +310,7 @@ def test_basing_cycle_and_kernel_residuals():
             tr = mp.mpf(2) + mp.mpf("0.02") * (k + 1)
             rep = riley_solve(PRES_41, tr, SEED_41)
             P = invariant_vector(rep, PRES_41.meridian, PRES_41.longitude)
-            (d1, d2), cycles, h2 = based_complex(PRES_41, rep, P)
+            (d1, d2), cycles, h2, _ = based_complex(PRES_41, rep, P)
             for h1 in cycles:
                 assert la.frob(d1 * h1) < 1e-8 * max(1, la.frob(d1) * la.frob(h1))
             assert la.frob(d2 * h2) < 1e-8 * max(1, la.frob(d2))
@@ -346,23 +347,24 @@ def test_torsion_ratio_matches_change_factor():
 def check_P_rescaling(pres, rep, rng):
     with mp.workdps(40):
         P = invariant_vector(rep, pres.meridian, pres.longitude)
-        chain, cycles, h2 = based_complex(pres, rep, P)
-        t0 = torsion_numeric(chain, P, cycles, h2)
+        chain, cycles, h2, piv2 = based_complex(pres, rep, P)
+        t0 = torsion_numeric(chain, P, cycles, h2, piv2)
         for _ in range(3):
             c = mp.mpc(rng.uniform(0.2, 2), rng.uniform(-2, 2))
-            chain, cycles, h2 = based_complex(pres, rep, P * c)
+            chain, cycles, h2, piv2 = based_complex(pres, rep, P * c)
             assert_same_up_to_sign(
-                torsion_numeric(chain, P * c, cycles, h2), t0)
+                torsion_numeric(chain, P * c, cycles, h2, piv2), t0)
 
 
 def check_basis_rechoice(pres, rep):
     with mp.workdps(40):
         P = invariant_vector(rep, pres.meridian, pres.longitude)
-        chain, cycles, h2 = based_complex(pres, rep, P)
-        t0 = torsion_numeric(chain, P, cycles, h2)
+        chain, cycles, h2, piv2 = based_complex(pres, rep, P)
+        t0 = torsion_numeric(chain, P, cycles, h2, piv2)
         for seed in (1, 2, 3, 4):
             assert_same_up_to_sign(
-                torsion_numeric(chain, P, cycles, h2, basis_seed=seed), t0)
+                torsion_numeric(chain, P, cycles, h2, piv2, basis_seed=seed),
+                t0)
 
 
 def test_torsion_invariant_under_P_rescaling():
@@ -401,10 +403,10 @@ def test_peripheral_torsions_builds_one_based_complex(pres, seed, monkeypatch):
         count(module, name)
     with mp.workdps(40):
         peripheral_torsions(pres, rep)
-    # eliminations: the stacked peripheral holonomy (for P), d2 once, the two
-    # [d2 | h1] ranks, and the interior pivots of d1 and d2; determinants:
-    # T0, T2 and one T1 per curve
-    assert calls == {"eliminate": 6, "det": 4, "basing": 1,
+    # eliminations: the stacked peripheral holonomy (for P), d2 once (for its
+    # rank, kernel and interior pivots), the two [d2 | h1] ranks, and the
+    # interior pivots of d1; determinants: T0, T2 and one T1 per curve
+    assert calls == {"eliminate": 5, "det": 4, "basing": 1,
                      "torsion_numeric": 1}
 
 
@@ -463,7 +465,7 @@ def test_torsion_rejects_bad_homology():
         h2 = mp.matrix(3, 1)
         h2[0] = 1
         with pytest.raises(TorsionNumError, match="non-generic"):
-            torsion_numeric((d1, d2), P, [h1], h2)
+            torsion_numeric((d1, d2), P, [h1], h2, la.pivot_columns(d2))
 
 
 def test_torsion_diagnostic_scalar_is_stable():

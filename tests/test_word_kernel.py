@@ -13,7 +13,10 @@ import mpmath as mp
 import pytest
 
 from torsionpoly import torsion_num as tn
-from torsionpoly.torsion_num import Rep, Word, adjoint, fox_derivative
+from torsionpoly.records import ingest_knot
+from torsionpoly.torsion_num import (
+    Rep, Word, adjoint, fox_derivative, riley_solve,
+)
 
 DIGITS = (15, 32, 64, 100)
 
@@ -117,6 +120,18 @@ def rand_rep(rng, kind):
 KINDS = ("complex", "real", "riley")
 
 
+def rand_entry(rng, kind):
+    """An mpf or mpc computed 20 digits above the working precision."""
+    with mp.workdps(mp.mp.dps + 20):
+        x = mp.mpf(rng.uniform(-2, 2)) / 3
+        return x if kind == "mpf" else mp.mpc(x, mp.mpf(rng.uniform(-2, 2)) / 7)
+
+
+def ref_mul2(A, B):
+    """A * B through mp.matrix, read back as a 4-tuple of bits."""
+    return entries(mp.matrix([A[:2], A[2:]]) * mp.matrix([B[:2], B[2:]]))
+
+
 # -- tests ------------------------------------------------------------------
 
 @pytest.mark.parametrize("digits", DIGITS)
@@ -129,6 +144,79 @@ def test_of_word_matches_left_fold(digits):
             for w in words:
                 assert entries(rep.of_word(w)) \
                     == entries(ref_of_word(rep.matrices, w))
+
+
+@pytest.mark.parametrize("digits", DIGITS)
+def test_mul2_matches_matrix_product_with_zero_in_every_position(digits):
+    # each of the 256 zero patterns of the 8 operands, over mpf, mpc and
+    # mixed entries: the pairs with a zero operand are left out of the fdot
+    rng = random.Random(600 + digits)
+    with mp.workdps(digits):
+        for mask in range(256):
+            for kinds in (("mpf",), ("mpc",), ("mpf", "mpc")):
+                ops = [tn._ZERO if mask >> i & 1
+                       else rand_entry(rng, rng.choice(kinds))
+                       for i in range(8)]
+                A, B = tuple(ops[:4]), tuple(ops[4:])
+                assert [bits(x) for x in tn._mul2(A, B)] == ref_mul2(A, B)
+
+
+@pytest.mark.parametrize("digits", DIGITS)
+def test_mul2_dropped_complex_operand_keeps_mpc(digits):
+    # in every entry the only complex operand sits in a pair with a zero
+    # operand: fdot returns the real sum as an mpc with zero imaginary part
+    rng = random.Random(700 + digits)
+    with mp.workdps(digits):
+        x = lambda: rand_entry(rng, "mpf")
+        z = lambda: rand_entry(rng, "mpc")
+        cases = [((x(), z(), x(), z()), (x(), x(), tn._ZERO, tn._ZERO)),
+                 ((tn._ZERO, x(), tn._ZERO, x()), (z(), z(), x(), x())),
+                 ((z(), x(), z(), x()), (tn._ZERO, tn._ZERO, x(), x()))]
+        for A, B in cases:
+            got = tn._mul2(A, B)
+            assert [bits(y) for y in got] == ref_mul2(A, B)
+            for y in got:
+                assert type(y) is mp.mpc and y.imag == 0 and y.real != 0
+
+
+def solved(knot, trace):
+    record = ingest_knot(knot)
+    return record.presentation, riley_solve(
+        record.presentation, mp.mpf(trace), record.riley_seed)
+
+
+@pytest.mark.parametrize("digits", DIGITS)
+@pytest.mark.parametrize("knot", ("4_1", "5_2"))
+@pytest.mark.parametrize("trace", ("2.05", "1.95"), ids=("real-m", "complex-m"))
+def test_kernel_matches_reference_at_solved_reps(knot, trace, digits):
+    # above trace 2 the Riley m is real and b's t entry complex, below it
+    # both are complex: word images, adjoints, Fox sums and the Newton
+    # derivative at the solved (m, t) mix mpf, mpc and zero operands
+    rng = random.Random(800 + digits)
+    with mp.workdps(digits):
+        pres, rep = solved(knot, trace)
+        relator = pres.relators[0]
+        words = [relator, pres.meridian, pres.longitude] \
+            + [rand_word(rng) for _ in range(6)]
+        for w in words:
+            img = ref_of_word(rep.matrices, w)
+            assert entries(rep.of_word(w)) == entries(img)
+            assert [bits(x) for x in adjoint(tn._entries(img))] \
+                == entries(ref_adjoint(img))
+        for k in (0, 1):
+            elem = fox_derivative(relator, k)
+            assert entries(tn._ad_eval_inv(elem, rep)) \
+                == entries(ref_ad_eval_inv(elem, rep.matrices))
+        a, b = rep.matrices
+        m, t = a[0, 0], b[1, 0]
+        images, prefixes = tn._relator_fold(relator, m, t)
+        F, J = ref_relator_and_derivative(relator, m, t)
+        M = prefixes[-1]
+        assert [bits(x) for x in (M[0] - 1, M[1], M[2], M[3] - 1)] \
+            == [bits(x) for x in F]
+        assert [bits(x) for x in tn._relator_derivative(relator, images,
+                                                          prefixes)] \
+            == [bits(x) for x in J]
 
 
 @pytest.mark.parametrize("digits", DIGITS)
@@ -168,7 +256,10 @@ def test_relator_and_derivative_matches_reference(digits):
             t = rng.choice([mp.mpf(rng.uniform(-1, 1)),
                             mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)),
                             mp.mpc(0)])
-            got = tn._relator_and_derivative(relator, m, t)
+            images, prefixes = tn._relator_fold(relator, m, t)
+            M = prefixes[-1]
+            got = ([M[0] - 1, M[1], M[2], M[3] - 1],
+                   tn._relator_derivative(relator, images, prefixes))
             want = ref_relator_and_derivative(relator, m, t)
             for g, w in zip(got, want):
                 assert [bits(x) for x in g] == [bits(x) for x in w]
