@@ -127,6 +127,15 @@ def rand_entry(rng, kind):
         return x if kind == "mpf" else mp.mpc(x, mp.mpf(rng.uniform(-2, 2)) / 7)
 
 
+def lazy_relator_and_derivative(relator, m, t):
+    """rho(relator) - I from the kernel's prefix fold, and the t-derivative
+    built from the fold's prefixes, as riley_solve computes them."""
+    images, prefixes = tn._relator_fold(relator, m, t)
+    M = prefixes[-1]
+    return ([M[0] - 1, M[1], M[2], M[3] - 1],
+            tn._relator_derivative(relator, images, prefixes))
+
+
 def ref_mul2(A, B):
     """A * B through mp.matrix, read back as a 4-tuple of bits."""
     return entries(mp.matrix([A[:2], A[2:]]) * mp.matrix([B[:2], B[2:]]))
@@ -209,14 +218,10 @@ def test_kernel_matches_reference_at_solved_reps(knot, trace, digits):
                 == entries(ref_ad_eval_inv(elem, rep.matrices))
         a, b = rep.matrices
         m, t = a[0, 0], b[1, 0]
-        images, prefixes = tn._relator_fold(relator, m, t)
-        F, J = ref_relator_and_derivative(relator, m, t)
-        M = prefixes[-1]
-        assert [bits(x) for x in (M[0] - 1, M[1], M[2], M[3] - 1)] \
-            == [bits(x) for x in F]
-        assert [bits(x) for x in tn._relator_derivative(relator, images,
-                                                          prefixes)] \
-            == [bits(x) for x in J]
+        got = lazy_relator_and_derivative(relator, m, t)
+        want = ref_relator_and_derivative(relator, m, t)
+        for g, w in zip(got, want):
+            assert [bits(x) for x in g] == [bits(x) for x in w]
 
 
 @pytest.mark.parametrize("digits", DIGITS)
@@ -256,10 +261,7 @@ def test_relator_and_derivative_matches_reference(digits):
             t = rng.choice([mp.mpf(rng.uniform(-1, 1)),
                             mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)),
                             mp.mpc(0)])
-            images, prefixes = tn._relator_fold(relator, m, t)
-            M = prefixes[-1]
-            got = ([M[0] - 1, M[1], M[2], M[3] - 1],
-                   tn._relator_derivative(relator, images, prefixes))
+            got = lazy_relator_and_derivative(relator, m, t)
             want = ref_relator_and_derivative(relator, m, t)
             for g, w in zip(got, want):
                 assert [bits(x) for x in g] == [bits(x) for x in w]
