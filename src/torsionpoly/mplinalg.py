@@ -1,9 +1,17 @@
-"""Pivoted complex linear algebra on mpmath matrices.
+"""Pivoted complex linear algebra on row lists of mpmath numbers.
 
-Rank, pivots and kernels come from one elimination, whose rank decisions
-use a threshold relative to the largest entry of the input, per the
-working-precision contract of the torsion engine.  Determinants use their
-own LU.
+A matrix is a `Matrix`, a list of row lists with `rows` and `cols`; a vector
+is an n x 1 Matrix.  An exact zero entry is `mp.mp.zero`.  Rank, pivots and
+kernels come from one elimination, whose rank decisions use a threshold
+relative to the largest entry of the input, per the working-precision
+contract of the torsion engine.  Determinants use their own LU.
+
+The arithmetic is bit-exact with the `mp.matrix` code it replaced: every
+stored result is `x or mp.mp.zero`, which is how `mp.matrix` reads back a
+zero it did not store, and a product entry is one `mp.fdot` over every k,
+zero operands included, as `mp.matrix.__mul__` forms it.  Zeros are not
+skipped here: `mpf - mpc(0)` is an mpc, so a skipped zero product could
+change an entry's type.
 """
 
 from __future__ import annotations
@@ -13,11 +21,30 @@ from typing import NamedTuple
 import mpmath as mp
 
 REL_RANK_TOL = mp.mpf("1e-8")
+_ZERO = mp.mp.zero
+
+
+class Matrix(list):
+    """A list of row lists of mpmath numbers."""
+
+    __slots__ = ()
+
+    rows = property(len)
+
+    @property
+    def cols(self) -> int:
+        return len(self[0])
 
 
 def frob(M) -> object:
-    return mp.sqrt(mp.fsum(abs(M[i, j]) ** 2
-                           for i in range(M.rows) for j in range(M.cols)))
+    return mp.sqrt(mp.fsum(abs(x) ** 2 for row in M for x in row))
+
+
+def matmul(A, B) -> Matrix:
+    """A * B with one mp.fdot per entry over every k."""
+    cols = list(zip(*B))
+    return Matrix([[mp.fdot(zip(row, col)) or _ZERO for col in cols]
+                   for row in A])
 
 
 class Elimination(NamedTuple):
@@ -25,7 +52,7 @@ class Elimination(NamedTuple):
     reduced matrix, whose row k is the normalized pivot row of pivots[k]."""
 
     pivots: list
-    reduced: object
+    reduced: Matrix
 
     def kernel(self):
         """Basis of the right kernel: one vector per free column."""
@@ -36,7 +63,7 @@ class Elimination(NamedTuple):
                 continue
             v = basis_vector(nc, fc)
             for row, pc in enumerate(self.pivots):
-                v[pc] = -self.reduced[row, fc]
+                v[pc][0] = -self.reduced[row][fc] or _ZERO
             basis.append(v)
         return basis
 
@@ -50,31 +77,32 @@ def eliminate(M, col_order=None) -> Elimination:
     to the input scale keeps a numerically-zero column from promoting noise
     to a pivot; an explicit col_order lets callers re-choose interior bases
     among valid independent sets."""
-    A = M.copy()
+    A = Matrix(list(row) for row in M)
     nr, nc = A.rows, A.cols
-    scale = max((abs(A[i, j]) for i in range(nr) for j in range(nc)),
-                default=mp.mpf(0))
+    scale = max((abs(x) for row in A for x in row), default=mp.mpf(0))
     pivots = []
     for col in range(nc) if col_order is None else col_order:
         row = len(pivots)
         best, bi = mp.mpf(0), None
         for i in range(row, nr):
-            a = abs(A[i, col])
+            a = abs(A[i][col])
             if a > best:
                 best, bi = a, i
         if best <= REL_RANK_TOL * scale:
             continue
         if bi != row:
-            A[row, :], A[bi, :] = A[bi, :], A[row, :]
-        pv = A[row, col]
+            A[row], A[bi] = A[bi], A[row]
+        top = A[row]
+        pv = top[col]
         for c2 in range(nc):
-            A[row, c2] /= pv
+            top[c2] = top[c2] / pv or _ZERO
         for r2 in range(nr):
             if r2 != row:
-                f = A[r2, col]
+                other = A[r2]
+                f = other[col]
                 if f != 0:
                     for c2 in range(nc):
-                        A[r2, c2] -= f * A[row, c2]
+                        other[c2] = other[c2] - f * top[c2] or _ZERO
         pivots.append(col)
     return Elimination(pivots, A)
 
@@ -95,52 +123,46 @@ def nullspace(M):
 
 def det(M):
     """LU determinant with partial pivoting."""
-    A = M.copy()
-    n = A.rows
+    A = [list(row) for row in M]
+    n = len(A)
     sign = 1
     acc = mp.mpc(1)
     for col in range(n):
         best, bi = mp.mpf(0), None
         for i in range(col, n):
-            a = abs(A[i, col])
+            a = abs(A[i][col])
             if a > best:
                 best, bi = a, i
         if bi is None or best == 0:
             return mp.mpc(0)
         if bi != col:
-            A[col, :], A[bi, :] = A[bi, :], A[col, :]
+            A[col], A[bi] = A[bi], A[col]
             sign = -sign
-        acc *= A[col, col]
+        top = A[col]
+        acc *= top[col]
         for i in range(col + 1, n):
-            f = A[i, col] / A[col, col]
+            other = A[i]
+            f = other[col] / top[col]
             if f != 0:
                 for c2 in range(col + 1, n):
-                    A[i, c2] -= f * A[col, c2]
+                    other[c2] = other[c2] - f * top[c2] or _ZERO
     return acc * sign
 
 
-def columns(M, cols):
-    return hstack([M[:, c] for c in cols])
+def columns(M, cols) -> Matrix:
+    return Matrix([row[c] for c in cols] for row in M)
 
 
-def hstack(blocks):
-    nr = blocks[0].rows
-    nc = sum(b.cols for b in blocks)
-    out = mp.matrix(nr, nc)
-    at = 0
-    for b in blocks:
-        for j in range(b.cols):
-            for i in range(nr):
-                out[i, at + j] = b[i, j]
-        at += b.cols
-    return out
+def hstack(blocks) -> Matrix:
+    return Matrix([x for b in blocks for x in b[i]]
+                  for i in range(len(blocks[0])))
 
 
-def vstack(blocks):
-    return hstack([b.T for b in blocks]).T
+def vstack(blocks) -> Matrix:
+    return Matrix(list(row) for b in blocks for row in b)
 
 
-def basis_vector(n, i):
-    v = mp.matrix(n, 1)
-    v[i] = mp.mpf(1)
+def basis_vector(n, i) -> Matrix:
+    v = Matrix([_ZERO] for _ in range(n))
+    v[i][0] = mp.mpf(1)
     return v

@@ -17,20 +17,25 @@ throughout.  Each sample point builds one based complex (d1, d2, P, h2,
 interior bases, T0, T2); each peripheral curve adds its cycle h1 and T1.
 
 Inside this module a 2x2 matrix is a tuple (m00, m01, m10, m11) and the
-adjoint a row-major 9-tuple; `mp.matrix` appears only at the boundary (d1, d2,
-h1, P and everything in mplinalg; `Rep.of_word` returns one).  The tuple
-arithmetic is bit-exact with `mp.matrix`: each product entry is one `mp.fdot`
-over the same operand pairs in the same order as `mp.matrix.__mul__` (fdot
-forms the exact products and rounds once), a zero result is stored as
-`mp.mp.zero` as the sparse `mp.matrix` storage reads it back, and sums,
-scalings and negations are the same mpmath operations on the same operands.
-The one exception is the zero rule: a pair with an `mp.mp.zero` operand is
-left out of the fdot, because fdot's sum skips the exact zeros that products
-with a zero operand give, so only the result type records them (an mpc
-operand in a dropped pair still makes the entry an mpc).
-The reports print round-off digits, so any reordering of this arithmetic
-would change them.  A word image is the left fold I * g1 * ... * gn,
-recomputed on every read.
+adjoint a row-major 9-tuple; d1, d2, h1, P and h2 are row lists
+(`mplinalg.Matrix`), and `mp.matrix` is left only for the generator matrices
+of a `Rep` and for `Rep.of_word`.  The arithmetic is bit-exact with the
+`mp.matrix` code it replaced: each product entry is one `mp.fdot` over the
+same operand pairs in the same order as `mp.matrix.__mul__` (fdot forms the
+exact products and rounds once), a zero result is stored as `mp.mp.zero` as
+the sparse `mp.matrix` storage reads it back, `eye - X` is `e + (-1) * x`
+entry by entry, and sums, scalings and negations are the same mpmath
+operations on the same operands.  The tuple kernel has two exceptions.  A
+pair with an `mp.mp.zero` operand is left out of the fdot, because fdot's sum
+skips the exact zeros that products with a zero operand give, so only the
+result type records them (an mpc operand in a dropped pair still makes the
+entry an mpc).  A single remaining pair with at most one mpc operand is the
+product `a * b`, which rounds the exact product once as fdot's one-term sum
+does; a complex * complex pair stays on fdot, whose sum of the two real
+products can round differently from `mpc_mul`'s addition.  The matrices of
+`mplinalg` skip no zeros.  The reports print round-off digits, so any
+reordering of this arithmetic would change them.  A word image is the left
+fold I * g1 * ... * gn, recomputed on every read.
 
 Every function here runs at the caller's mpmath precision and sets none of
 its own; the entry points set it (`cli`, `verify`, `pipelines.torsion_at`,
@@ -41,7 +46,7 @@ Newton iteration works 15 digits above the caller's precision.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import mpmath as mp
@@ -222,16 +227,18 @@ def _matrix(n: int, entries):
 
 def _dot2(a, b, c, d):
     """a * b + c * d as mp.fdot(((a, b), (c, d))) gives it, or _ZERO, with
-    the pairs that have a _ZERO operand left out by the zero rule."""
+    the pairs that have a _ZERO operand left out by the zero rule, and a
+    single pair with at most one mpc operand formed as the product a * b."""
     if a is _ZERO or b is _ZERO:
         if c is _ZERO or d is _ZERO:
             return _ZERO
         a, b, c, d = c, d, a, b
     elif c is not _ZERO and d is not _ZERO:
         return _fdot(((a, b), (c, d))) or _ZERO
-    s = _fdot(((a, b),))
-    if not s:
-        return _ZERO
+    if hasattr(a, "_mpc_") and hasattr(b, "_mpc_"):
+        s = _fdot(((a, b),))
+    else:
+        s = a * b
     if hasattr(s, "_mpf_") and (hasattr(c, "_mpc_") or hasattr(d, "_mpc_")):
         return _make_mpc((s._mpf_, _fzero))
     return s
@@ -275,15 +282,19 @@ class Rep:
     """Numeric SL(2,C) images of the generators."""
 
     matrices: Tuple[object, ...]     # 2x2 mp.matrix per generator
+    # their entries as 2x2 tuples, read once
+    generators: Tuple[tuple, ...] = field(init=False, repr=False,
+                                          compare=False)
 
     def __post_init__(self):
-        for M in self.matrices:
-            if abs(_det2(_entries(M)) - 1) > mp.mpf("1e-9"):
+        self.generators = tuple(_entries(M) for M in self.matrices)
+        for A in self.generators:
+            if abs(_det2(A) - 1) > mp.mpf("1e-9"):
                 raise TorsionNumError("generator matrix is not in SL(2,C)")
 
     def image(self, w: Word) -> tuple:
         """rho(w) as a tuple: the left fold I * g1 * ... * gn."""
-        gens = [_entries(M) for M in self.matrices]
+        gens = self.generators
         acc = _IDENTITY
         for g, e in w.letters:
             acc = _mul2(acc, gens[g] if e > 0 else _inv2(gens[g]))
@@ -301,8 +312,8 @@ class Rep:
     def conjugated(self, C) -> "Rep":
         C = _entries(C)
         Ci = _inv2(C)
-        return Rep(tuple(_matrix(2, _mul2(_mul2(C, _entries(M)), Ci))
-                         for M in self.matrices))
+        return Rep(tuple(_matrix(2, _mul2(_mul2(C, A), Ci))
+                         for A in self.generators))
 
 
 def riley_solve(p: Presentation, target_tr_mu, seed) -> Rep:
@@ -401,20 +412,39 @@ def adjoint(A) -> tuple:
     return tuple(Y[i] for i in range(3) for Y in cols)
 
 
-def _ad_eval_inv(elem: GroupRingElem, rep: Rep):
+def _block(entries) -> la.Matrix:
+    """The 3x3 matrix with these row-major entries."""
+    return la.Matrix(list(entries[i:i + 3]) for i in (0, 3, 6))
+
+
+def _minus(A, B) -> la.Matrix:
+    """A - B for row-major 9-tuples, as mp.matrix computes it: A + (-1) * B."""
+    return _block([x + (-1 * y or _ZERO) or _ZERO for x, y in zip(A, B)])
+
+
+def _divide(v, c) -> la.Matrix:
+    """The vector v / c, divided entry by entry."""
+    return la.Matrix([x / c or _ZERO] for (x,) in v)
+
+
+_EYE3 = (mp.mp.one, _ZERO, _ZERO, _ZERO, mp.mp.one, _ZERO, _ZERO, _ZERO,
+         mp.mp.one)
+
+
+def _ad_eval_inv(elem: GroupRingElem, rep: Rep) -> la.Matrix:
     """Sum n_w Ad(rho(w)^-1); the inversion makes the boundaries compose."""
     out = (_ZERO,) * 9
     for w, n in elem.coeffs.items():
         term = adjoint(rep.image(w.inverse()))
         out = tuple(x + (n * y or _ZERO) or _ZERO for x, y in zip(out, term))
-    return _matrix(3, out)
+    return _block(out)
 
 
 def killing(u) -> object:
     """Invariant complex bilinear form tr(XY) summed over sl2 blocks."""
     acc = mp.mpc(0)
-    for k in range(0, u.rows, 3):
-        e, h, f = u[k], u[k + 1], u[k + 2]
+    for k in range(0, len(u), 3):
+        (e,), (h,), (f,) = u[k:k + 3]
         acc += 2 * (h * h + e * f)
     return acc
 
@@ -426,35 +456,32 @@ def boundaries(p: Presentation, rep: Rep):
         raise TorsionNumError(
             f"representation violates relators: {mp.nstr(resid, 5)}")
     s = p.generator_count
-    d1 = la.hstack([mp.eye(3)
-                    - _matrix(3, adjoint(_inv2(_entries(rep.matrices[k]))))
-                    for k in range(s)])
+    d1 = la.hstack([_minus(_EYE3, adjoint(_inv2(A)))
+                    for A in rep.generators])
     d2 = la.hstack([la.vstack([_ad_eval_inv(fox_derivative(rel, k), rep)
                                for k in range(s)])
                     for rel in p.relators])
-    prod_norm = la.frob(d1 * d2)
+    prod_norm = la.frob(la.matmul(d1, d2))
     if prod_norm > CHAIN_TOL * max(la.frob(d1) * la.frob(d2), mp.mpf(1)):
         raise TorsionNumError(
             f"chain condition failed: |d1 d2| = {mp.nstr(prod_norm, 5)}")
     return d1, d2
 
 
-def invariant_vector(rep: Rep, mu: Word, lam: Word):
-    """Unit-norm generator of ker(Ad(rho mu) - 1) ^ ker(Ad(rho lam) - 1)."""
+def invariant_vector(M, L) -> la.Matrix:
+    """Unit-norm generator of ker(Ad(M) - 1) ^ ker(Ad(L) - 1), for the
+    peripheral images M = rho(mu) and L = rho(lambda) as 2x2 tuples."""
     out = []
-    for w in (mu, lam):
-        M = rep.image(w)
-        if min(_dist_to_identity(M), _dist_to_identity(_neg2(M))) \
+    for A in (M, L):
+        if min(_dist_to_identity(A), _dist_to_identity(_neg2(A))) \
                 < mp.mpf("1e-9"):
             raise TorsionNumError("peripheral holonomy is central")
-        out.append(_matrix(3, adjoint(M)) - mp.eye(3))
+        out.append(_minus(adjoint(A), _EYE3))
     ker = la.nullspace(la.vstack(out))
     if len(ker) != 1:
         raise TorsionNumError(
             f"non-generic peripheral holonomy: invariant space dim {len(ker)}")
-    P = ker[0]
-    nrm = mp.sqrt(mp.fsum(abs(x) ** 2 for x in P))
-    return P / nrm
+    return _divide(ker[0], la.frob(ker[0]))
 
 
 def basing(p: Presentation, rep: Rep, P, curves, chain):
@@ -467,12 +494,14 @@ def basing(p: Presentation, rep: Rep, P, curves, chain):
     curve, h2, remaining curves."""
     d1, d2 = chain
     elim = la.eliminate(d2)
+    norm1 = la.frob(d1)
 
     def cycle(gamma):
-        h1 = la.vstack([_ad_eval_inv(fox_derivative(gamma, k), rep) * P
+        h1 = la.vstack([la.matmul(_ad_eval_inv(fox_derivative(gamma, k), rep),
+                                  P)
                         for k in range(p.generator_count)])
-        cyc = la.frob(d1 * h1)
-        if cyc > mp.mpf("1e-8") * max(mp.mpf(1), la.frob(d1) * la.frob(h1)):
+        cyc = la.frob(la.matmul(d1, h1))
+        if cyc > mp.mpf("1e-8") * max(mp.mpf(1), norm1 * la.frob(h1)):
             raise TorsionNumError(
                 f"h1 is not a cycle: residual {mp.nstr(cyc, 5)}")
         if la.rank(la.hstack([d2, h1])) == len(elim.pivots):
@@ -484,9 +513,9 @@ def basing(p: Presentation, rep: Rep, P, curves, chain):
     if len(ker) != 1:
         raise TorsionNumError(f"ker d2 has dimension {len(ker)}")
     h2 = ker[0]
-    top = max(range(h2.rows), key=lambda i: abs(h2[i]))
-    h2 = h2 / h2[top]
-    res = la.frob(d2 * h2)
+    (top,) = max(h2, key=lambda x: abs(x[0]))
+    h2 = _divide(h2, top)
+    res = la.frob(la.matmul(d2, h2))
     if res > mp.mpf("1e-8") * max(mp.mpf(1), la.frob(d2)):
         raise TorsionNumError(f"h2 kernel residual {mp.nstr(res, 5)}")
     return [first] + [cycle(gamma) for gamma in curves[1:]], h2, elim.pivots
@@ -555,10 +584,10 @@ def peripheral_torsions(p: Presentation, rep: Rep,
                         basis_seed: Optional[int] = None) -> dict:
     """Both peripheral torsions of one based complex, plus diagnostics."""
     chain = boundaries(p, rep)
-    P = invariant_vector(rep, p.meridian, p.longitude)
+    M, L = rep.image(p.meridian), rep.image(p.longitude)
+    P = invariant_vector(M, L)
     cycles, h2, piv2 = basing(p, rep, P, (p.meridian, p.longitude), chain)
     t_mu, t_la = torsion_numeric(chain, P, cycles, h2, piv2, basis_seed)
-    M, L = rep.image(p.meridian), rep.image(p.longitude)
     return {
         "tau_mu": t_mu,
         "tau_lambda": t_la,

@@ -25,7 +25,7 @@ from .polys import MultiPoly, divides, from_dense, from_text, normalize_sign, \
     resultant, to_text
 from .records import KnotRecord, ingest_knot, validate_parabolic
 from .torsion_num import (
-    _entries, _matrix, adjoint, basing, boundaries, fox_derivative,
+    _block, _entries, adjoint, basing, boundaries, fox_derivative,
     invariant_vector, parse_word, peripheral_torsions, riley_solve,
     torsion_numeric,
 )
@@ -162,12 +162,14 @@ def check_numeric_engine() -> Tuple[bool, str]:
                 return None
 
             # P rescaling (shared h2 stays fixed by construction)
-            P = invariant_vector(rep, pres.meridian, pres.longitude)
+            P = invariant_vector(rep.image(pres.meridian),
+                                 rep.image(pres.longitude))
             c = mp.mpc(rng.uniform(0.3, 2), rng.uniform(-1, 1))
-            cycles, h2, piv2 = basing(pres, rep, P * c,
+            Pc = la.Matrix([c * x or mp.mp.zero] for (x,) in P)
+            cycles, h2, piv2 = basing(pres, rep, Pc,
                                       (pres.meridian, pres.longitude), (d1, d2))
             rescaled = dict(zip(("tau_mu", "tau_lambda"),
-                                torsion_numeric((d1, d2), P * c, cycles, h2,
+                                torsion_numeric((d1, d2), Pc, cycles, h2,
                                                 piv2)))
             msg = drifted(rescaled, "P-rescaling")
             if msg:
@@ -222,9 +224,10 @@ def check_property_suites() -> Tuple[bool, str]:
         # adjoint homomorphism
         for _ in range(10):
             A, B = _random_sl2(rng), _random_sl2(rng)
-            ad = [_matrix(3, adjoint(_entries(M))) for M in (A * B, A, B)]
-            lhs, rhs = ad[0], ad[1] * ad[2]
-            if max(abs(lhs[i, j] - rhs[i, j]) for i in range(3) for j in range(3)) > 1e-9:
+            ad = [_block(adjoint(_entries(M))) for M in (A * B, A, B)]
+            lhs, rhs = ad[0], la.matmul(ad[1], ad[2])
+            if max(abs(x - y) for r, s in zip(lhs, rhs)
+                   for x, y in zip(r, s)) > 1e-9:
                 return False, "adjoint homomorphism failed"
         # chain condition at solved representations
         record = _record("4_1")
@@ -233,7 +236,7 @@ def check_property_suites() -> Tuple[bool, str]:
             tr = mp.mpf(2) + mp.mpf(rng.uniform(-0.1, 0.15))
             rep = riley_solve(pres, tr, record.riley_seed)
             d1, d2 = boundaries(pres, rep)
-            if la.frob(d1 * d2) > 1e-8 * la.frob(d1) * la.frob(d2):
+            if la.frob(la.matmul(d1, d2)) > 1e-8 * la.frob(d1) * la.frob(d2):
                 return False, "chain condition failed"
         # change-of-curve: A-polynomial partials against the branch formula
         A = record.apoly

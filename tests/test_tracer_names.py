@@ -1,9 +1,14 @@
 """The benchmark tracer wraps program functions by name; a renamed or deleted
-function would make every traced benchmark run fail after its timed loop."""
+function would make every traced benchmark run fail after its timed loop.
+It also reads the shapes of the boundary matrices, which must keep their
+`rows` and `cols`."""
 
 import importlib.util
 import sys
 from pathlib import Path
+
+from torsionpoly import pipelines as pl
+from torsionpoly.records import ingest_knot
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
@@ -41,3 +46,16 @@ def test_tracer_installs_and_uninstalls():
         tracer.uninstall()
     for short, attr in names:
         assert not hasattr(resolve(short, attr), "__wrapped__"), (short, attr)
+
+
+def test_tracer_reads_the_chain_matrix_shapes():
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for knot in ("4_1", "5_2"):
+            pl.torsion_at(ingest_knot(knot), "2.05", dps=32)
+    finally:
+        tracer.uninstall()
+    assert tracer.sizes()["chain_matrix_shapes"] \
+        == [{"d1": "3x6", "d2": "6x3"}]

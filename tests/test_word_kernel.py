@@ -7,6 +7,7 @@ and the Newton relator with its t-derivative.  Each result is compared with
 the reports print round-off digits that any change in rounding would move.
 """
 
+import itertools
 import random
 
 import mpmath as mp
@@ -83,7 +84,9 @@ def bits(x):
 
 
 def entries(M):
-    return [bits(M[i, j]) for i in range(M.rows) for j in range(M.cols)]
+    """Bits of every entry, row by row, of an mp.matrix or a row list."""
+    rows = M.tolist() if isinstance(M, mp.matrix) else M
+    return [bits(x) for row in rows for x in row]
 
 
 def rand_word(rng, max_len=14):
@@ -186,6 +189,48 @@ def test_mul2_dropped_complex_operand_keeps_mpc(digits):
             assert [bits(y) for y in got] == ref_mul2(A, B)
             for y in got:
                 assert type(y) is mp.mpc and y.imag == 0 and y.real != 0
+
+
+@pytest.mark.parametrize("digits", DIGITS)
+def test_dot2_single_pair_matches_fdot(digits):
+    # one pair left out by the zero rule, the other formed as a product: for
+    # every placement of one or two zeros in one pair and every mpf/mpc
+    # pattern of the other operands, _dot2 equals the two-pair fdot read
+    # back as mp.matrix stores it
+    rng = random.Random(900 + digits)
+    with mp.workdps(digits):
+        for zeros in ((0,), (1,), (0, 1), (2,), (3,), (2, 3)):
+            for kinds in itertools.product(("mpf", "mpc"),
+                                           repeat=4 - len(zeros)):
+                for _ in range(8):
+                    it = iter(kinds)
+                    ops = [tn._ZERO if i in zeros
+                           else rand_entry(rng, next(it)) for i in range(4)]
+                    a, b, c, d = ops
+                    want = mp.fdot(((a, b), (c, d))) or tn._ZERO
+                    assert bits(tn._dot2(*ops)) == bits(want)
+
+
+@pytest.mark.parametrize("digits", DIGITS)
+def test_dot2_calls_fdot_only_for_sums_and_complex_products(digits, monkeypatch):
+    calls = []
+
+    def counted(pairs):
+        calls.append(len(pairs))
+        return mp.fdot(pairs)
+    monkeypatch.setattr(tn, "_fdot", counted)
+    rng = random.Random(1000 + digits)
+    with mp.workdps(digits):
+        x = lambda: rand_entry(rng, "mpf")
+        z = lambda: rand_entry(rng, "mpc")
+        for a, b in ((x(), x()), (x(), z()), (z(), x())):
+            tn._dot2(a, b, tn._ZERO, z())
+            tn._dot2(tn._ZERO, x(), a, b)
+        assert calls == []
+        tn._dot2(z(), z(), tn._ZERO, x())
+        tn._dot2(x(), tn._ZERO, z(), z())
+        tn._dot2(x(), x(), x(), z())
+        assert calls == [1, 1, 2]
 
 
 def solved(knot, trace):
