@@ -26,6 +26,7 @@ from .front import (  # noqa: F401  (bound here for the tracer and the tests)
 from .numfield import NotInField
 from .polys import dense_coeffs, to_text
 from .records import ingest_knot, parse_record, validate_parabolic  # noqa: F401
+from .torsion_num import NORMALIZATION_NOTE
 
 REPORT_DIGITS = 12
 
@@ -143,8 +144,8 @@ def _torsion_results(point: dict, tolerance: float, dps: int) -> Dict[str, str]:
         results = {
             "tr_mu": fmt_mp(point["tr_mu"]),
             "tr_lambda": fmt_mp(point["tr_lambda"]),
-            "tau_mu": fmt_mp(point["tau_mu"].value),
-            "tau_lambda": fmt_mp(point["tau_lambda"].value),
+            "tau_mu": fmt_mp(point["tau_mu"]),
+            "tau_lambda": fmt_mp(point["tau_lambda"]),
             "ratio_sq": fmt_mp(point["ratio_sq"]),
             "homology_dims": "0 1 1",
         }
@@ -175,7 +176,7 @@ def cmd_torsion(record, args):
     point = pl.torsion_at(record, args.trace, dps=dps)
     results = {"trace": args.trace}
     results.update(_torsion_results(point, args.tolerance, dps))
-    notes = [H2_NOTE, point["tau_mu"].normalization_note]
+    notes = [H2_NOTE, NORMALIZATION_NOTE]
     return results, notes
 
 

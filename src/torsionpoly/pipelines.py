@@ -189,7 +189,7 @@ def _diagnostic_scalar(record: KnotRecord, out) -> object:
     except mp.libmp.NoConvergence as exc:
         raise PipelineError("diagnostic scalar at trace "
                             f"{mp.nstr(mp.re(out['tr_mu']), 12)}: {exc}") from exc
-    tau_num = out["tau_lambda"].value
+    tau_num = out["tau_lambda"]
     best = min(roots, key=lambda r: min(abs(r - tau_num), abs(r + tau_num)))
     if abs(best) < mp.mpf("1e-20"):
         return mp.mpc(0)

@@ -131,11 +131,10 @@ def parse_record(text: str) -> KnotRecord:
             gens, relators,
             parse_word(pres_sec.require("meridian"), gens),
             parse_word(pres_sec.require("longitude"), gens))
+        if not pres.abelianization_ok():
+            raise TorsionNumError("abelianization is not infinite cyclic")
     except (TorsionNumError, ValueError) as exc:
         raise RecordError(f"[presentation] line {pres_sec.line}: {exc}") from exc
-    if not pres.abelianization_ok():
-        raise RecordError(f"[presentation] line {pres_sec.line}: "
-                          "abelianization is not infinite cyclic")
 
     apoly = None
     branch_hint = None
@@ -254,8 +253,8 @@ def validate_parabolic(record: KnotRecord, dps: int = 40) -> dict:
     the universal longitude trace tr_lambda(rho0) = -2."""
     with mp.workdps(dps):
         rep = riley_solve(record.presentation, mp.mpf(2), record.riley_seed)
-        L = rep.of_word(record.presentation.longitude)
-        tr_l = L[0, 0] + L[1, 1]
+        L = rep.image(record.presentation.longitude)
+        tr_l = L[0] + L[3]
         return {
             "relator_residual": rep.relator_residual(record.presentation),
             "tr_lambda": tr_l,

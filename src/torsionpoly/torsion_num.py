@@ -16,16 +16,16 @@ representation-dependent scalar, which cancels in the mu/lambda ratios used
 throughout.  Each sample point builds one based complex (d1, d2, P, h2,
 interior bases, T0, T2); each peripheral curve adds its cycle h1 and T1.
 
-Inside this module a 2x2 matrix is a tuple (m00, m01, m10, m11) and the
-adjoint a row-major 9-tuple; d1, d2, h1, P and h2 are row lists
-(`mplinalg.Matrix`), and `mp.matrix` is left only for the generator matrices
-of a `Rep` and for `Rep.of_word`.  The arithmetic is bit-exact with the
-`mp.matrix` code it replaced: each product entry is one `mp.fdot` over the
-same operand pairs in the same order as `mp.matrix.__mul__` (fdot forms the
-exact products and rounds once), a zero result is stored as `mp.mp.zero` as
-the sparse `mp.matrix` storage reads it back, `eye - X` is `e + (-1) * x`
-entry by entry, and sums, scalings and negations are the same mpmath
-operations on the same operands.  The tuple kernel has two exceptions.  A
+A 2x2 matrix is a tuple (m00, m01, m10, m11), the generators of a `Rep`
+included, and the adjoint a row-major 9-tuple; d1, d2, h1, P and h2 are row
+lists (`mplinalg.Matrix`).  The arithmetic is bit-exact with the `mp.matrix`
+code it replaced: each entry of a generator is the object `mp.matrix` stored
+for it, each product entry is one `mp.fdot` over the same operand pairs in
+the same order as `mp.matrix.__mul__` (fdot forms the exact products and
+rounds once), a zero result is stored as `mp.mp.zero` as the sparse
+`mp.matrix` storage reads it back, `eye - X` is `e + (-1) * x` entry by
+entry, and sums, scalings and negations are the same mpmath operations on
+the same operands.  The tuple kernel has two exceptions.  A
 pair with an `mp.mp.zero` operand is left out of the fdot, because fdot's sum
 skips the exact zeros that products with a zero operand give, so only the
 result type records them (an mpc operand in a dropped pair still makes the
@@ -46,7 +46,7 @@ Newton iteration works 15 digits above the caller's precision.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import mpmath as mp
@@ -146,15 +146,16 @@ class Presentation:
 
     def abelianization_ok(self) -> bool:
         """H1 = Z test: the relator exponent matrix has rank s - 1 and its
-        (s-1)-minors have gcd 1.  Recorded, not enforced, on construction."""
+        (s-1)-minors have gcd 1.  False unless there are exactly s - 1
+        relators; decided only for s = 2 and raises otherwise.
+        `records.parse_record` refuses a presentation that fails it."""
         import math
         s = self.generator_count
         rows = [[r.exponent_sum(g) for g in range(s)] for r in self.relators]
-        # integer rank via fraction-free elimination, then gcd of minors for
-        # the two-generator corpus shape
         if s - 1 != len(rows):
             return False
-        if s == 2 and len(rows) == 1:
+        # one relator on two generators: its exponent sums are the 1-minors
+        if s == 2:
             return math.gcd(abs(rows[0][0]), abs(rows[0][1])) == 1
         raise TorsionNumError("abelianization check implemented for s = 2")
 
@@ -215,16 +216,6 @@ _make_mpc = mp.mp.make_mpc
 _fzero = mp.libmp.fzero
 
 
-def _entries(M) -> tuple:
-    """The entries of a 2x2 mp.matrix, as it reads them back."""
-    return (M[0, 0], M[0, 1], M[1, 0], M[1, 1])
-
-
-def _matrix(n: int, entries):
-    """The n x n mp.matrix with these row-major entries."""
-    return mp.matrix([entries[i:i + n] for i in range(0, n * n, n)])
-
-
 def _dot2(a, b, c, d):
     """a * b + c * d as mp.fdot(((a, b), (c, d))) gives it, or _ZERO, with
     the pairs that have a _ZERO operand left out by the zero rule, and a
@@ -279,15 +270,11 @@ def _dist_to_identity(A):
 
 @dataclass
 class Rep:
-    """Numeric SL(2,C) images of the generators."""
+    """Numeric SL(2,C) images of the generators, as 2x2 tuples."""
 
-    matrices: Tuple[object, ...]     # 2x2 mp.matrix per generator
-    # their entries as 2x2 tuples, read once
-    generators: Tuple[tuple, ...] = field(init=False, repr=False,
-                                          compare=False)
+    generators: Tuple[tuple, ...]
 
     def __post_init__(self):
-        self.generators = tuple(_entries(M) for M in self.matrices)
         for A in self.generators:
             if abs(_det2(A) - 1) > mp.mpf("1e-9"):
                 raise TorsionNumError("generator matrix is not in SL(2,C)")
@@ -300,9 +287,6 @@ class Rep:
             acc = _mul2(acc, gens[g] if e > 0 else _inv2(gens[g]))
         return acc
 
-    def of_word(self, w: Word):
-        return _matrix(2, self.image(w))
-
     def relator_residual(self, p: Presentation):
         worst = mp.mpf(0)
         for r in p.relators:
@@ -310,17 +294,20 @@ class Rep:
         return worst
 
     def conjugated(self, C) -> "Rep":
-        C = _entries(C)
+        """The generators conjugated A -> C A C^-1, for C a 2x2 tuple."""
         Ci = _inv2(C)
-        return Rep(tuple(_matrix(2, _mul2(_mul2(C, A), Ci))
-                         for A in self.generators))
+        return Rep(tuple(_mul2(_mul2(C, A), Ci) for A in self.generators))
+
+
+def _ansatz(m, t) -> tuple:
+    """The two-bridge ansatz a = [[m, 1], [0, 1/m]], b = [[m, 0], [t, 1/m]]."""
+    return ((m, mp.mp.one, _ZERO, 1 / m), (m, _ZERO, t or _ZERO, 1 / m))
 
 
 def riley_solve(p: Presentation, target_tr_mu, seed) -> Rep:
-    """Newton solve on the two-bridge ansatz a -> [[m,1],[0,1/m]],
-    b -> [[m,0],[t,1/m]] with m + 1/m = target, unknown t, from the complex
-    seed t.  Newton runs 15 digits above the caller's precision; the residual
-    is checked at the caller's precision."""
+    """Newton solve on the two-bridge `_ansatz` with m + 1/m = target,
+    unknown t, from the complex seed t.  Newton runs 15 digits above the
+    caller's precision; the residual is checked at the caller's precision."""
     if p.generator_count != 2:
         raise TorsionNumError("riley_solve needs a two-generator presentation")
     dps = mp.mp.dps
@@ -347,9 +334,8 @@ def riley_solve(p: Presentation, target_tr_mu, seed) -> Rep:
             if den == 0:
                 raise TorsionNumError("Newton stalled: zero derivative")
             t = t - num / den
-        matrices = (mp.matrix([[m, 1], [0, 1 / m]]),
-                    mp.matrix([[m, 0], [t, 1 / m]]))
-    rep = Rep(matrices)
+        generators = _ansatz(m, t)
+    rep = Rep(generators)
     resid = rep.relator_residual(p)
     if resid > NEWTON_TOL:
         raise TorsionNumError(
@@ -360,9 +346,7 @@ def riley_solve(p: Presentation, target_tr_mu, seed) -> Rep:
 def _relator_fold(relator: Word, m, t):
     """The letter images of the ansatz at (m, t), and the prefix products
     I, I * g1, ..., I * g1 * ... * gn of rho(relator)."""
-    # the entries as mp.matrix([[m, 1], [0, 1 / m]]) etc. would read back
-    a = (m, mp.mp.one, _ZERO, 1 / m)
-    b = (m, _ZERO, t or _ZERO, 1 / m)
+    a, b = _ansatz(m, t)
     images = {(0, 1): a, (0, -1): _inv2(a), (1, 1): b, (1, -1): _inv2(b)}
     prefixes = [_IDENTITY]
     for letter in relator.letters:
@@ -390,11 +374,11 @@ def _relator_derivative(relator: Word, images, prefixes) -> list:
 # ---------------------------------------------------------------------------
 
 # fixed ordered sl2 basis E, H, F; X = e E + h H + f F = [[h, e], [f, -h]]
-_SL2_BASIS = tuple(_entries(mp.matrix(X)) for X in (
-    ((0, 1), (0, 0)),
-    ((1, 0), (0, -1)),
-    ((0, 0), (1, 0)),
-))
+_SL2_BASIS = (
+    (_ZERO, mp.mp.one, _ZERO, _ZERO),
+    (mp.mp.one, _ZERO, _ZERO, -mp.mp.one),
+    (_ZERO, _ZERO, mp.mp.one, _ZERO),
+)
 
 
 def adjoint(A) -> tuple:
@@ -521,12 +505,6 @@ def basing(p: Presentation, rep: Rep, P, curves, chain):
     return [first] + [cycle(gamma) for gamma in curves[1:]], h2, elim.pivots
 
 
-@dataclass
-class TorsionValue:
-    value: object
-    normalization_note: str
-
-
 NORMALIZATION_NOTE = (
     "torsion = det ratio of the based complex, rescaled by sqrt(B(h2,h2)/B(P,P)) "
     "for the invariant bilinear form B; equals the fundamental-class-based "
@@ -536,7 +514,7 @@ NORMALIZATION_NOTE = (
 
 
 def torsion_numeric(chain, P, cycles, h2, piv2,
-                    basis_seed: Optional[int] = None) -> List[TorsionValue]:
+                    basis_seed: Optional[int] = None) -> list:
     """Milnor torsion of the based twisted complex chain = (d1, d2) with
     homology basis (h1, h2), one value per h1 in cycles, each adding only its
     determinant T1; homology dimensions must be (0, 1, 1).  piv2 are the
@@ -576,7 +554,7 @@ def torsion_numeric(chain, P, cycles, h2, piv2,
         if value == 0:
             raise TorsionNumError(
                 "torsion vanished; representation not gamma-regular")
-        out.append(TorsionValue(value, NORMALIZATION_NOTE))
+        out.append(value)
     return out
 
 
@@ -591,7 +569,7 @@ def peripheral_torsions(p: Presentation, rep: Rep,
     return {
         "tau_mu": t_mu,
         "tau_lambda": t_la,
-        "ratio_sq": (t_mu.value / t_la.value) ** 2,
+        "ratio_sq": (t_mu / t_la) ** 2,
         "tr_mu": M[0] + M[3],
         "tr_lambda": L[0] + L[3],
     }

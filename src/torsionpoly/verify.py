@@ -25,7 +25,7 @@ from .polys import MultiPoly, divides, from_dense, from_text, normalize_sign, \
     resultant, to_text
 from .records import KnotRecord, ingest_knot, validate_parabolic
 from .torsion_num import (
-    _block, _entries, adjoint, basing, boundaries, fox_derivative,
+    _block, _mul2, adjoint, basing, boundaries, fox_derivative,
     invariant_vector, parse_word, peripheral_torsions, riley_solve,
     torsion_numeric,
 )
@@ -152,11 +152,11 @@ def check_numeric_engine() -> Tuple[bool, str]:
             expected = cf.eval_at(tr)
             if abs(out["ratio_sq"] - expected) > 1e-6 * abs(expected):
                 return False, f"change-of-curve ratio off at trace {tr_text}"
-            base = {c: out[c].value for c in ("tau_mu", "tau_lambda")}
+            base = {c: out[c] for c in ("tau_mu", "tau_lambda")}
 
             def drifted(other, what):
                 for curve, t0 in base.items():
-                    t1 = other[curve].value
+                    t1 = other[curve]
                     if min(abs(t1 - t0), abs(t1 + t0)) > 1e-9 * abs(t0):
                         return f"{what} broke {curve} invariance at trace {tr_text}"
                 return None
@@ -192,11 +192,12 @@ def check_numeric_engine() -> Tuple[bool, str]:
 
 def _random_sl2(rng):
     while True:
-        M = mp.matrix([[mp.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2))
-                        for _ in range(2)] for _ in range(2)])
-        d = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+        M = tuple(mp.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                  for _ in range(4))
+        d = M[0] * M[3] - M[1] * M[2]
         if abs(d) > 0.05:
-            return M / mp.sqrt(d)
+            r = mp.sqrt(d)
+            return tuple(x / r for x in M)
 
 
 def check_property_suites() -> Tuple[bool, str]:
@@ -224,7 +225,7 @@ def check_property_suites() -> Tuple[bool, str]:
         # adjoint homomorphism
         for _ in range(10):
             A, B = _random_sl2(rng), _random_sl2(rng)
-            ad = [_block(adjoint(_entries(M))) for M in (A * B, A, B)]
+            ad = [_block(adjoint(M)) for M in (_mul2(A, B), A, B)]
             lhs, rhs = ad[0], la.matmul(ad[1], ad[2])
             if max(abs(x - y) for r, s in zip(lhs, rhs)
                    for x, y in zip(r, s)) > 1e-9:

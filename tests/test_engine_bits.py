@@ -24,8 +24,7 @@ DIGESTS = {
 
 
 def raw(x):
-    """Type name and raw value of an mpmath number, or of a TorsionValue's."""
-    x = getattr(x, "value", x)
+    """Type name and raw value of an mpmath number."""
     return type(x).__name__, getattr(x, "_mpc_", None) or x._mpf_
 
 

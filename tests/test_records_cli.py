@@ -67,6 +67,25 @@ def test_record_schema_error_names_line():
         parse_record(bad)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (("generators = 2\nrelator = aBAbaBabAB",
+      "generators = 3\nrelator = aBAbaBabAB\nrelator = c"),
+     "abelianization check implemented for s = 2"),
+    (("relator = aBAbaBabAB", "relator = aabb"),
+     "abelianization is not infinite cyclic"),
+], ids=["three-generators", "not-infinite-cyclic"])
+def test_record_abelianization_error_names_line(capsys, cache_dir, tmp_path,
+                                                edit, message):
+    p = tmp_path / "bad.knot"
+    p.write_text(bundled_record_text("4_1").replace(*edit))
+    with pytest.raises(RecordError) as info:
+        ingest_knot(str(p))
+    assert str(info.value) == f"[presentation] line 6: {message}"
+    code, out, err = run_cli(capsys, "eliminate", "--knot", str(p), "--no-cache")
+    assert (code, out) == (2, "")
+    assert err == f"error: eliminate: [presentation] line 6: {message}\n"
+
+
 def test_record_entry_outside_section():
     with pytest.raises(RecordError, match="line 1"):
         parse_record("foo = bar\n")
@@ -378,6 +397,16 @@ def test_cli_sweep_skips_singular_points(capsys, cache_dir):
     assert code == 0
     assert "2.0/error" in out
     assert "1.9/ratio_sq" in out and "2.1/ratio_sq" in out
+
+
+def test_cli_sweep_contains_newton_failure(capsys, cache_dir):
+    # at meridian trace 3 riley_solve's Newton iteration from the record's
+    # seed does not converge; only that point reports the error
+    code, out, err = run_cli(capsys, "sweep", "--knot", "4_1", "--from", "2.1",
+                             "--to", "3.0", "--steps", "2", "--no-cache")
+    assert code == 0, err
+    assert "2.1/ratio_sq = " in out
+    assert "3.0/error = Newton did not converge: residual 7.8015\n" in out
 
 
 def test_cli_sweep_contains_non_converging_point(capsys, cache_dir, monkeypatch):

@@ -1,5 +1,7 @@
 """sympy, hypothesis and pytest are test-only: no module of the package
-imports them, so the program runs without them."""
+imports them, so the program runs without them.  And `numfield` is the only
+module that uses `mp.matrix`: elsewhere a 2x2 matrix is a 4-tuple and a chain
+matrix a row list."""
 
 import ast
 from pathlib import Path
@@ -28,3 +30,29 @@ def test_guard_sees_every_import_form(tmp_path):
     probe.write_text("import os, sympy.core\nfrom hypothesis import given\n"
                      "from . import polys\ndef f():\n    import pytest\n")
     assert set(imported_roots(probe)) == {"os", "sympy", "hypothesis", "pytest"}
+
+
+def matrix_references(path):
+    """Lines that name mpmath's matrix class: any `<name>.matrix` attribute,
+    or `matrix` imported from mpmath."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Attribute) and node.attr == "matrix":
+            yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module \
+                and node.module.split(".")[0] == "mpmath" \
+                and any(alias.name == "matrix" for alias in node.names):
+            yield node.lineno
+
+
+def test_only_numfield_uses_mp_matrix():
+    users = {path.name for path in PACKAGE.rglob("*.py")
+             if any(matrix_references(path))}
+    assert users <= {"numfield.py"}
+
+
+def test_matrix_guard_sees_every_reference_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import mpmath as mp\nfrom mpmath import matrix\n"
+                     "M = mp.matrix(2)\nN = mpmath.matrices.matrix\n"
+                     "doc = 'mp.matrix'\n")
+    assert sorted(matrix_references(probe)) == [2, 3, 4]

@@ -5,9 +5,11 @@ import mpmath as mp
 import pytest
 
 from torsionpoly import mplinalg as la
+from torsionpoly import pipelines as pl
 from torsionpoly import torsion_num as tn
 from torsionpoly.charvar import change_curve_sq
 from torsionpoly.polys import from_text
+from torsionpoly.records import ingest_knot
 from torsionpoly.torsion_num import (
     GroupRingElem, Presentation, Rep, TorsionNumError, Word,
     adjoint, basing, boundaries, fox_derivative, invariant_vector,
@@ -61,6 +63,15 @@ def scaled(v, c):
     return la.Matrix([c * x or mp.mp.zero] for (x,) in v)
 
 
+def mat2(*entries):
+    """The 2x2 tuple with these row-major entries, read as mp.matrix stores
+    them: numbers as mpmath numbers, zeros as mp.mp.zero."""
+    return tuple(mp.mpmathify(x) or mp.mp.zero for x in entries)
+
+
+EYE = mat2(1, 0, 0, 1)
+
+
 def column(*entries):
     return la.Matrix([mp.mpmathify(x) or mp.mp.zero] for x in entries)
 
@@ -68,7 +79,6 @@ def column(*entries):
 def assert_same_up_to_sign(values, reference):
     assert len(values) == len(reference) == 2
     for t1, t0 in zip(values, reference):
-        t1, t0 = t1.value, t0.value
         assert min(abs(t1 - t0), abs(t1 + t0)) < 1e-9 * abs(t0)
 
 
@@ -153,35 +163,36 @@ def test_fox_product_rule_exact_200():
 # -- adjoint ---------------------------------------------------------------
 
 def ad(A):
-    """adjoint of a 2x2 mp.matrix, as a 3x3 mp.matrix."""
-    return tn._matrix(3, adjoint(tn._entries(A)))
+    """adjoint of a 2x2 tuple, as a 3x3 row list."""
+    return tn._block(adjoint(A))
 
 
 def rand_sl2(rng):
     while True:
-        M = mp.matrix([[mp.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2))
-                        for _ in range(2)] for _ in range(2)])
-        d = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+        M = tuple(mp.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                  for _ in range(4))
+        d = M[0] * M[3] - M[1] * M[2]
         if abs(d) > 0.05:
-            return M / mp.sqrt(d)
+            r = mp.sqrt(d)
+            return tuple(x / r for x in M)
 
 
 def test_adjoint_identity():
     with mp.workdps(40):
-        A = ad(mp.matrix([[1, 0], [0, 1]]))
-        assert all(abs(A[i, j] - (1 if i == j else 0)) < 1e-30
+        A = ad(EYE)
+        assert all(abs(A[i][j] - (1 if i == j else 0)) < 1e-30
                    for i in range(3) for j in range(3))
 
 
 def test_adjoint_diagonal():
     with mp.workdps(40):
         m = mp.mpf(3)
-        A = ad(mp.matrix([[m, 0], [0, 1 / m]]))
+        A = ad(mat2(m, 0, 0, 1 / m))
         expect = [m ** 2, 1, m ** -2]
         for i in range(3):
             for j in range(3):
                 want = expect[i] if i == j else 0
-                assert abs(A[i, j] - want) < 1e-30
+                assert abs(A[i][j] - want) < 1e-30
 
 
 def test_adjoint_homomorphism_and_det():
@@ -189,19 +200,19 @@ def test_adjoint_homomorphism_and_det():
     with mp.workdps(40):
         for _ in range(10):
             A, B = rand_sl2(rng), rand_sl2(rng)
-            lhs = ad(A * B)
-            rhs = ad(A) * ad(B)
-            assert max(abs(lhs[i, j] - rhs[i, j])
-                       for i in range(3) for j in range(3)) < 1e-9
-            d = (lhs[0, 0] * (lhs[1, 1] * lhs[2, 2] - lhs[1, 2] * lhs[2, 1])
-                 - lhs[0, 1] * (lhs[1, 0] * lhs[2, 2] - lhs[1, 2] * lhs[2, 0])
-                 + lhs[0, 2] * (lhs[1, 0] * lhs[2, 1] - lhs[1, 1] * lhs[2, 0]))
+            lhs = ad(tn._mul2(A, B))
+            rhs = la.matmul(ad(A), ad(B))
+            assert max(abs(x - y) for r, q in zip(lhs, rhs)
+                       for x, y in zip(r, q)) < 1e-9
+            d = (lhs[0][0] * (lhs[1][1] * lhs[2][2] - lhs[1][2] * lhs[2][1])
+                 - lhs[0][1] * (lhs[1][0] * lhs[2][2] - lhs[1][2] * lhs[2][0])
+                 + lhs[0][2] * (lhs[1][0] * lhs[2][1] - lhs[1][1] * lhs[2][0]))
             assert abs(d - 1) < 1e-9
 
 
 def test_adjoint_rejects_non_unimodular():
     with pytest.raises(TorsionNumError):
-        ad(mp.matrix([[2, 0], [0, 2]]))
+        ad(mat2(2, 0, 0, 2))
 
 
 # -- riley_solve ---------------------------------------------------------------
@@ -211,15 +222,15 @@ def test_riley_solve_41():
         target = mp.mpf("2.05")
         rep = riley_solve(PRES_41, target, SEED_41)
         assert rep.relator_residual(PRES_41) < 1e-10
-        a = rep.matrices[0]
-        assert abs(a[0, 0] + a[1, 1] - target) < 1e-25
+        a = rep.generators[0]
+        assert abs(a[0] + a[3] - target) < 1e-25
 
 
 def test_riley_solve_parabolic_longitude_trace():
     with mp.workdps(40):
         rep = riley_solve(PRES_41, 2.0, SEED_41)
-        L = rep.of_word(PRES_41.longitude)
-        assert abs(L[0, 0] + L[1, 1] + 2) < 1e-9
+        L = rep.image(PRES_41.longitude)
+        assert abs(L[0] + L[3] + 2) < 1e-9
 
 
 def test_engine_runs_at_the_callers_precision():
@@ -232,8 +243,8 @@ def test_engine_runs_at_the_callers_precision():
         with mp.workdps(digits):
             rep = riley_solve(PRES_41, mp.mpf(2.05), SEED_41)
             out = peripheral_torsions(PRES_41, rep)
-            runs[digits] = [rep.matrices[1][1, 0], out["tau_mu"].value,
-                            out["tau_lambda"].value, out["ratio_sq"]]
+            runs[digits] = [rep.generators[1][2], out["tau_mu"],
+                            out["tau_lambda"], out["ratio_sq"]]
     with mp.workdps(100):
         def gap(digits):
             return max(abs(low - high) / max(1, abs(high))
@@ -246,16 +257,15 @@ def test_riley_solve_52():
     with mp.workdps(40):
         rep = riley_solve(PRES_52, 2.0, SEED_52)
         assert rep.relator_residual(PRES_52) < 1e-10
-        L = rep.of_word(PRES_52.longitude)
-        assert abs(L[0, 0] + L[1, 1] + 2) < 1e-9
+        L = rep.image(PRES_52.longitude)
+        assert abs(L[0] + L[3] + 2) < 1e-9
 
 
 # -- chain complex ---------------------------------------------------------------
 
 def test_boundaries_trivial_rep():
     with mp.workdps(40):
-        eye = mp.matrix([[1, 0], [0, 1]])
-        rep = Rep((eye, eye))
+        rep = Rep((EYE, EYE))
         d1, d2 = boundaries(PRES_41, rep)
         assert (d1.rows, d1.cols, d2.rows, d2.cols) == (3, 6, 6, 3)
         assert max(abs(x) for row in d1 for x in row) < 1e-30
@@ -283,9 +293,9 @@ def test_chain_condition_random_traces():
 def test_invariant_vector_diagonal():
     with mp.workdps(40):
         m = mp.mpf(3)
-        d = mp.matrix([[m, 0], [0, 1 / m]])
+        d = mat2(m, 0, 0, 1 / m)
         rep = Rep((d, d))
-        (e,), (h,), (f,) = invariant_vector(tn._entries(d), tn._entries(d))
+        (e,), (h,), (f,) = invariant_vector(d, d)
         # commutant of a regular diagonal is spanned by H = coords (0, 1, 0)
         assert abs(abs(h) - 1) < 1e-25
         assert abs(e) < 1e-25 and abs(f) < 1e-25
@@ -293,18 +303,17 @@ def test_invariant_vector_diagonal():
 
 def test_invariant_vector_parabolic():
     with mp.workdps(40):
-        u1 = mp.matrix([[1, 1], [0, 1]])
-        u2 = mp.matrix([[1, mp.mpf(3) / 2], [0, 1]])
-        (e,), (h,), (f,) = invariant_vector(tn._entries(u1), tn._entries(u2))
+        u1 = mat2(1, 1, 0, 1)
+        u2 = mat2(1, mp.mpf(3) / 2, 0, 1)
+        (e,), (h,), (f,) = invariant_vector(u1, u2)
         assert abs(abs(e) - 1) < 1e-25
         assert abs(h) < 1e-25 and abs(f) < 1e-25
 
 
 def test_invariant_vector_rejects_central():
     with mp.workdps(40):
-        eye = tn._entries(mp.matrix([[1, 0], [0, 1]]))
         with pytest.raises(TorsionNumError, match="central"):
-            invariant_vector(eye, eye)
+            invariant_vector(EYE, EYE)
 
 
 def test_basing_single_generator_blocks():
@@ -335,7 +344,7 @@ def test_basing_checks_first_curve_then_h2_then_other_curves():
     # at the trivial representation of <a, b | abAB> both boundaries vanish,
     # so ker d2 has dimension 3; the empty word's cycle is degenerate
     with mp.workdps(40):
-        rep = Rep((mp.eye(2), mp.eye(2)))
+        rep = Rep((EYE, EYE))
         pres = Presentation.create(2, [parse_word("abAB")],
                                    parse_word("a"), parse_word("b"))
         chain = boundaries(pres, rep)
@@ -425,42 +434,51 @@ def test_peripheral_torsions_builds_one_based_complex(pres, seed, monkeypatch):
                      "torsion_numeric": 1}
 
 
-@pytest.mark.parametrize("pres, seed", [(PRES_41, SEED_41), (PRES_52, SEED_52)],
-                         ids=["4_1", "5_2"])
-def test_newton_and_fox_terms_make_no_matrix_products(pres, seed, monkeypatch):
-    products = Counter()
-    mul, ad = mp.matrix.__mul__, tn.adjoint
+@pytest.mark.parametrize("knot", ["4_1", "5_2"])
+def test_newton_and_fox_terms_make_no_matrix_products(knot, monkeypatch):
+    record = ingest_knot(knot)
+    pres = record.presentation
+    matrices, adjoints = Counter(), []
 
-    def counted(self, other):
-        products["mp.matrix"] += 1
-        return mul(self, other)
+    def count(name):
+        fn = getattr(mp.matrix, name)
 
-    def counted_adjoint(A):
-        products["adjoint"] += 1
+        def counted(*args, **kwargs):
+            matrices[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(mp.matrix, name, counted)
+
+    def counted_adjoint(A, ad=tn.adjoint):
+        adjoints.append(A)
         return ad(A)
-    monkeypatch.setattr(mp.matrix, "__mul__", counted)
+    count("__init__")
+    count("__mul__")
     monkeypatch.setattr(tn, "adjoint", counted_adjoint)
     terms = 0
     with mp.workdps(40):
-        rep = riley_solve(pres, mp.mpf("2.05"), seed)
+        rep = riley_solve(pres, mp.mpf("2.05"), record.riley_seed)
         for gamma in (pres.relators[0], pres.longitude):
             for k in range(2):
                 elem = fox_derivative(gamma, k)
                 tn._ad_eval_inv(elem, rep)
                 terms += len(elem.coeffs)
     # one public adjoint per Fox term, the name the benchmark trace counts
-    assert products == {"adjoint": terms}
+    assert len(adjoints) == terms
+    # a whole sample point, its symbolic cross-checks included, builds and
+    # multiplies no mp.matrix
+    pl.torsion_at(record, "2.05", dps=40)
+    assert matrices == {}
 
 
 def test_torsion_invariant_under_conjugation():
     rng = random.Random(6)
     rep = solved_41(mp.mpf("1.95"))
     with mp.workdps(40):
-        t0 = peripheral_torsions(PRES_41, rep)["tau_lambda"].value
+        t0 = peripheral_torsions(PRES_41, rep)["tau_lambda"]
         for _ in range(3):
             C = rand_sl2(rng)
             rep2 = rep.conjugated(C)
-            t1 = peripheral_torsions(PRES_41, rep2)["tau_lambda"].value
+            t1 = peripheral_torsions(PRES_41, rep2)["tau_lambda"]
             assert min(abs(t1 - t0), abs(t1 + t0)) < 1e-9 * abs(t0)
 
 
@@ -468,7 +486,7 @@ def test_torsion_rejects_bad_homology():
     with mp.workdps(40):
         # abelian representation: common fixed vector makes H0 nonzero
         m = mp.mpf(2)
-        d = mp.matrix([[m, 0], [0, 1 / m]])
+        d = mat2(m, 0, 0, 1 / m)
         rep = Rep((d, d))
         pres = Presentation.create(2, [parse_word("abAB")],
                                    parse_word("a"), parse_word("b"))
@@ -488,14 +506,13 @@ def test_torsion_diagnostic_scalar_is_stable():
         for tr in ("2.04", "2.1"):
             rep = riley_solve(PRES_41, mp.mpf(tr), SEED_41)
             out = peripheral_torsions(PRES_41, rep)
-            ratio = out["tau_lambda"].value ** 2 / (17 + 4 * out["tr_lambda"])
+            ratio = out["tau_lambda"] ** 2 / (17 + 4 * out["tr_lambda"])
             vals.append(ratio)
         assert all(abs(v) > 1e-12 for v in vals)
 
 
 def test_boundaries_rejects_relator_violation():
     with mp.workdps(40):
-        bad = Rep((mp.matrix([[2, 0], [0, mp.mpf(1) / 2]]),
-                   mp.matrix([[1, 1], [0, 1]])))
+        bad = Rep((mat2(2, 0, 0, mp.mpf(1) / 2), mat2(1, 1, 0, 1)))
         with pytest.raises(TorsionNumError, match="relator"):
             boundaries(PRES_41, bad)

@@ -89,6 +89,21 @@ def entries(M):
     return [bits(x) for row in rows for x in row]
 
 
+def flat(T):
+    """Bits of every entry of a row-major tuple."""
+    return [bits(x) for x in T]
+
+
+def as_tuple(M):
+    """The entries of a 2x2 mp.matrix, as it reads them back."""
+    return (M[0, 0], M[0, 1], M[1, 0], M[1, 1])
+
+
+def as_matrix(A):
+    """The 2x2 mp.matrix with the entries of a 2x2 tuple."""
+    return mp.matrix([A[:2], A[2:]])
+
+
 def rand_word(rng, max_len=14):
     return Word.from_letters([(rng.randrange(2), rng.choice((1, -1)))
                               for _ in range(rng.randint(0, max_len))])
@@ -117,7 +132,9 @@ def rand_sl2(rng, kind):
 
 
 def rand_rep(rng, kind):
-    return Rep((rand_sl2(rng, kind), rand_sl2(rng, kind)))
+    """Two random generator mp.matrices and the Rep of their entries."""
+    matrices = (rand_sl2(rng, kind), rand_sl2(rng, kind))
+    return Rep(tuple(map(as_tuple, matrices))), matrices
 
 
 KINDS = ("complex", "real", "riley")
@@ -141,7 +158,7 @@ def lazy_relator_and_derivative(relator, m, t):
 
 def ref_mul2(A, B):
     """A * B through mp.matrix, read back as a 4-tuple of bits."""
-    return entries(mp.matrix([A[:2], A[2:]]) * mp.matrix([B[:2], B[2:]]))
+    return entries(as_matrix(A) * as_matrix(B))
 
 
 # -- tests ------------------------------------------------------------------
@@ -151,11 +168,10 @@ def test_of_word_matches_left_fold(digits):
     rng = random.Random(digits)
     with mp.workdps(digits):
         for kind in KINDS:
-            rep = rand_rep(rng, kind)
+            rep, matrices = rand_rep(rng, kind)
             words = [rand_word(rng) for _ in range(12)]
             for w in words:
-                assert entries(rep.of_word(w)) \
-                    == entries(ref_of_word(rep.matrices, w))
+                assert flat(rep.image(w)) == entries(ref_of_word(matrices, w))
 
 
 @pytest.mark.parametrize("digits", DIGITS)
@@ -249,20 +265,20 @@ def test_kernel_matches_reference_at_solved_reps(knot, trace, digits):
     rng = random.Random(800 + digits)
     with mp.workdps(digits):
         pres, rep = solved(knot, trace)
+        matrices = tuple(map(as_matrix, rep.generators))
         relator = pres.relators[0]
         words = [relator, pres.meridian, pres.longitude] \
             + [rand_word(rng) for _ in range(6)]
         for w in words:
-            img = ref_of_word(rep.matrices, w)
-            assert entries(rep.of_word(w)) == entries(img)
-            assert [bits(x) for x in adjoint(tn._entries(img))] \
-                == entries(ref_adjoint(img))
+            img = ref_of_word(matrices, w)
+            assert flat(rep.image(w)) == entries(img)
+            assert flat(adjoint(as_tuple(img))) == entries(ref_adjoint(img))
         for k in (0, 1):
             elem = fox_derivative(relator, k)
             assert entries(tn._ad_eval_inv(elem, rep)) \
-                == entries(ref_ad_eval_inv(elem, rep.matrices))
-        a, b = rep.matrices
-        m, t = a[0, 0], b[1, 0]
+                == entries(ref_ad_eval_inv(elem, matrices))
+        a, b = rep.generators
+        m, t = a[0], b[2]
         got = lazy_relator_and_derivative(relator, m, t)
         want = ref_relator_and_derivative(relator, m, t)
         for g, w in zip(got, want):
@@ -276,8 +292,7 @@ def test_adjoint_matches_reference(digits):
         for kind in KINDS:
             for _ in range(4):
                 A = rand_sl2(rng, kind)
-                got = adjoint(tn._entries(A))
-                assert [bits(x) for x in got] == entries(ref_adjoint(A))
+                assert flat(adjoint(as_tuple(A))) == entries(ref_adjoint(A))
 
 
 @pytest.mark.parametrize("digits", DIGITS)
@@ -285,13 +300,13 @@ def test_ad_eval_inv_matches_reference(digits):
     rng = random.Random(200 + digits)
     with mp.workdps(digits):
         for kind in KINDS:
-            rep = rand_rep(rng, kind)
+            rep, matrices = rand_rep(rng, kind)
             for _ in range(3):
                 w = rand_word(rng, 10)
                 for k in (0, 1):
                     elem = fox_derivative(w, k)
                     assert entries(tn._ad_eval_inv(elem, rep)) \
-                        == entries(ref_ad_eval_inv(elem, rep.matrices))
+                        == entries(ref_ad_eval_inv(elem, matrices))
 
 
 @pytest.mark.parametrize("digits", DIGITS)
@@ -316,23 +331,23 @@ def test_relator_and_derivative_matches_reference(digits):
 def test_conjugated_matches_reference(digits):
     rng = random.Random(400 + digits)
     with mp.workdps(digits):
-        rep = rand_rep(rng, "complex")
+        rep, matrices = rand_rep(rng, "complex")
         C = rand_sl2(rng, "complex")
         Ci = ref_inv2(C)
-        got = rep.conjugated(C)
-        for M, N in zip(got.matrices, rep.matrices):
-            assert entries(M) == entries(C * N * Ci)
+        got = rep.conjugated(as_tuple(C))
+        for A, N in zip(got.generators, matrices):
+            assert flat(A) == entries(C * N * Ci)
 
 
 def test_one_rep_read_at_two_precisions():
     rng = random.Random(5)
     with mp.workdps(120):
-        rep = Rep((rand_sl2(rng, "complex"), rand_sl2(rng, "complex")))
+        rep, matrices = rand_rep(rng, "complex")
     words = [rand_word(rng) for _ in range(8)]
     seen = {}
     for digits in (15, 100, 15, 100):
         with mp.workdps(digits):
-            got = [entries(rep.of_word(w)) for w in words]
-            assert got == [entries(ref_of_word(rep.matrices, w)) for w in words]
+            got = [flat(rep.image(w)) for w in words]
+            assert got == [entries(ref_of_word(matrices, w)) for w in words]
             assert seen.setdefault(digits, got) == got
     assert seen[15] != seen[100]
