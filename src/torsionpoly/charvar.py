@@ -45,24 +45,17 @@ def apoly_normalize(laurent_terms: List[Tuple[int, int, object]]) -> APoly:
     Denominators are cleared by a unit monomial, minimal exponents are shifted
     to zero and the leading graded-lex coefficient is made positive.
     """
-    terms = [(a, b, Fraction(c)) for a, b, c in laurent_terms if Fraction(c) != 0]
+    summed = {}
+    for a, b, c in laurent_terms:
+        summed[a, b] = summed.get((a, b), 0) + Fraction(c)
+    terms = {m: c for m, c in summed.items() if c}
     if not terms:
         raise CharVarError("all-zero A-polynomial input")
-    min_a = min(a for a, _, _ in terms)
-    min_b = min(b for _, b, _ in terms)
-    shifted = {}
-    for a, b, c in terms:
-        key = (a - min_a, b - min_b)
-        shifted[key] = shifted.get(key, Fraction(0)) + c
-    poly = MultiPoly((E_MU, E_LAMBDA), shifted)
-    if poly.is_zero():
-        raise CharVarError("all-zero A-polynomial input")
-    # quotient out any residual unit monomial after cancellation
-    min_a = min(m[0] for m in poly.terms)
-    min_b = min(m[1] for m in poly.terms)
-    if min_a or min_b:
-        poly = MultiPoly((E_MU, E_LAMBDA),
-                         {(m[0] - min_a, m[1] - min_b): c for m, c in poly.terms.items()})
+    # summed before the shift, so no unit monomial survives a cancellation
+    min_a = min(a for a, _ in terms)
+    min_b = min(b for _, b in terms)
+    poly = MultiPoly((E_MU, E_LAMBDA),
+                     {(a - min_a, b - min_b): c for (a, b), c in terms.items()})
     return APoly(normalize_sign(poly))
 
 

@@ -12,12 +12,29 @@ convert it from and to its coefficient list, constant term first.
 
 Term order is graded lexicographic (total degree first, ties broken by the
 declared variable order), which fixes a canonical serialization used for
-golden-file comparisons.  Resultants are computed by the subresultant
-polynomial remainder sequence on integer polynomials, each remainder divided
-exactly by its known factor; the Sylvester matrix and its integer Bareiss
-determinant remain as the reference for tests.  Gcds are primitive
-polynomial remainder sequences in which each polynomial's content is
-computed once.
+golden-file comparisons.  Each term is stored under one packed int key: over
+the variables v0 ... v(n-1), the monomial with exponents e0 ... e(n-1) and
+total degree T is
+
+    T * 2^(32n) + e0 * 2^(32(n-1)) + ... + e(n-1),
+
+one 32-bit field per exponent below the total degree.  Comparing two keys
+compares T first, then e0, e1, ... in turn, so int order is grlex order: the
+largest key is the leading monomial and keys sorted in reverse give the
+canonical text order.  A monomial product is the sum of the keys.  Every
+total degree, hence every exponent, stays below `DEGREE_LIMIT` = 2^31, so
+the top bit of each exponent field is a guard: the difference of two keys
+is the quotient monomial exactly when it is >= 0 and sets no guard bit, as
+an exponent that would go negative borrows from the field above and leaves
+its own guard set.  The constructor and products refuse a degree at the
+limit with `PolyError`.  Keys stay inside this module: `as_dict` reads the
+terms as exponent tuples, and the constructor accepts them.
+
+Resultants are computed by the subresultant polynomial remainder sequence on
+integer polynomials, each remainder divided exactly by its known factor; the
+Sylvester matrix and its integer Bareiss determinant remain as the reference
+for tests.  Gcds are primitive polynomial remainder sequences in which each
+polynomial's content is computed once.
 """
 
 from __future__ import annotations
@@ -25,14 +42,40 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from operator import add, sub
 from typing import Dict, Iterable, Tuple
 
 Monomial = Tuple[int, ...]
 
+_FIELD = 32                         # bits per exponent field of a key
+_MASK = (1 << _FIELD) - 1
+DEGREE_LIMIT = 1 << (_FIELD - 1)    # every total degree stays below this
+
 
 class PolyError(ValueError):
     pass
+
+
+def _pack(mono: Monomial) -> int:
+    """The key of a valid exponent tuple."""
+    key = sum(mono)
+    for e in mono:
+        key = key << _FIELD | e
+    return key
+
+
+def _unpack(key: int, n: int) -> Monomial:
+    """The exponent tuple of a key over n variables."""
+    return tuple(key >> _FIELD * (n - 1 - i) & _MASK for i in range(n))
+
+
+def _unit(n: int, i: int) -> int:
+    """The key of variable i of n: its exponent field's 1 plus the degree's."""
+    return (1 << _FIELD * (n - 1 - i)) + (1 << _FIELD * n)
+
+
+def _guards(n: int) -> int:
+    """The guard bits of the n exponent fields of a key."""
+    return DEGREE_LIMIT * (((1 << _FIELD * n) - 1) // _MASK)
 
 
 def _exact(c):
@@ -56,12 +99,9 @@ def _quo(a, b):
     return q.numerator if q.denominator == 1 else q
 
 
-def _grlex_key(mono: Monomial):
-    return (sum(mono), mono)
-
-
 class MultiPoly:
-    """Sparse multivariate polynomial over Q with a fixed variable order."""
+    """Sparse multivariate polynomial over Q with a fixed variable order;
+    `terms` maps packed monomial keys to coefficients."""
 
     __slots__ = ("vars", "terms")
 
@@ -76,14 +116,16 @@ class MultiPoly:
                 raise PolyError("exponent vector length mismatch")
             if any(e < 0 for e in mono):
                 raise PolyError("negative exponent in monomial")
+            if sum(mono) >= DEGREE_LIMIT:
+                raise PolyError(f"total degree reaches the limit {DEGREE_LIMIT}")
             if c != 0:
-                clean[tuple(mono)] = c
+                clean[_pack(mono)] = c
         self.terms = clean
 
     @classmethod
     def _make(cls, variables: Tuple[str, ...], terms: dict) -> "MultiPoly":
         """Trusted constructor for results built in this module: distinct
-        variables, exact coefficients keyed by valid exponent tuples.  Only
+        variables, exact coefficients keyed by valid packed keys.  Only
         drops zero terms and canonicalizes an integral Fraction."""
         p = object.__new__(cls)
         p.vars = variables
@@ -99,8 +141,10 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, variables, c):
-        variables = tuple(variables)
-        return cls(variables, {(0,) * len(variables): c})
+        p, c = cls(variables), _exact(c)
+        if c:
+            p.terms[0] = c  # the key of the constant monomial
+        return p
 
     @classmethod
     def var(cls, variables, name):
@@ -116,7 +160,7 @@ class MultiPoly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return not any(map(any, self.terms))
+        return not any(self.terms)
 
     def constant_value(self):
         if not self.is_constant():
@@ -124,16 +168,23 @@ class MultiPoly:
         return next(iter(self.terms.values()), 0)
 
     def degree_in(self, name: str) -> int:
-        i = self._index(name)
-        return max((m[i] for m in self.terms), default=0)
+        shift = _FIELD * (len(self.vars) - 1 - self._index(name))
+        return max((m >> shift & _MASK for m in self.terms), default=0)
+
+    def as_dict(self) -> Dict[Monomial, object]:
+        """The terms keyed by exponent tuples, as the constructor takes them."""
+        n = len(self.vars)
+        return {_unpack(m, n): c for m, c in self.terms.items()}
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
+        """(exponent tuple, coefficient) pairs, leading term first."""
+        n = len(self.vars)
+        return [(_unpack(m, n), c) for m, c in sorted(self.terms.items(), reverse=True)]
 
     def leading_coefficient(self):
         if self.is_zero():
             return 0
-        return self.terms[max(self.terms, key=_grlex_key)]
+        return self.terms[max(self.terms)]
 
     def _index(self, name: str) -> int:
         try:
@@ -180,18 +231,12 @@ class MultiPoly:
             c = _exact(other)
             return MultiPoly._make(self.vars, {m: c * v for m, v in self.terms.items()})
         if self.vars == other.vars:  # a product by the constant 1 is the other factor
-            one = {(0,) * len(self.vars): 1}
-            if other.terms == one:
+            if other.terms == {0: 1}:
                 return self
-            if self.terms == one:
+            if self.terms == {0: 1}:
                 return other
         a, b = align(self, other)
-        terms = {}
-        for m1, c1 in a.terms.items():
-            for m2, c2 in b.terms.items():
-                m = tuple(map(add, m1, m2))
-                terms[m] = terms.get(m, 0) + c1 * c2
-        return MultiPoly._make(a.vars, terms)
+        return MultiPoly._make(a.vars, _add_product({}, a.terms, b.terms, len(a.vars)))
 
     __rmul__ = __mul__
 
@@ -208,9 +253,10 @@ class MultiPoly:
     # -- calculus and evaluation ------------------------------------------
 
     def derivative(self, name: str) -> "MultiPoly":
-        i = self._index(name)
-        return MultiPoly._make(self.vars, {m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i]
-                                           for m, c in self.terms.items() if m[i]})
+        n, i = len(self.vars), self._index(name)
+        shift, unit = _FIELD * (n - 1 - i), _unit(n, i)
+        return MultiPoly._make(self.vars, {m - unit: c * e for m, c in self.terms.items()
+                                           if (e := m >> shift & _MASK)})
 
     def eval(self, assignment: dict):
         """Evaluate with values from any commutative ring (Fraction, mpc,
@@ -227,7 +273,8 @@ class MultiPoly:
 
     def substitute(self, name: str, q: "MultiPoly") -> "MultiPoly":
         """Exact composition p[name := q]."""
-        i = self._index(name)
+        n, i = len(self.vars), self._index(name)
+        shift, unit = _FIELD * (n - 1 - i), _unit(n, i)
         merged_vars = list(self.vars)
         for v in q.vars:
             if v not in merged_vars:
@@ -235,7 +282,8 @@ class MultiPoly:
         # Horner on powers of the substituted variable.
         by_deg: Dict[int, dict] = {}
         for m, c in self.terms.items():
-            by_deg.setdefault(m[i], {})[m[:i] + (0,) + m[i + 1:]] = c
+            e = m >> shift & _MASK
+            by_deg.setdefault(e, {})[m - e * unit] = c
         if not by_deg:
             return MultiPoly.zero(merged_vars)
         qm = q.with_vars(merged_vars)
@@ -258,23 +306,40 @@ class MultiPoly:
             if v not in new_vars:
                 raise PolyError(f"variable {v!r} dropped in with_vars")
             pos.append(new_vars.index(v))
-        terms = {}
-        for m, c in self.terms.items():
-            m2 = [0] * len(new_vars)
-            for p, e in zip(pos, m):
-                m2[p] = e
-            terms[tuple(m2)] = c
-        return MultiPoly._make(new_vars, terms)
+        return self._reindex(new_vars, pos)
 
     def drop_vars(self) -> "MultiPoly":
         """Remove variables that no term uses."""
-        used = [i for i in range(len(self.vars))
-                if any(m[i] for m in self.terms)]
-        if len(used) == len(self.vars):
+        n = len(self.vars)
+        used = [i for i in range(n)
+                if any(m >> _FIELD * (n - 1 - i) & _MASK for m in self.terms)]
+        if len(used) == n:
             return self
-        new_vars = tuple(self.vars[i] for i in used)
-        terms = {tuple(m[i] for i in used): c for m, c in self.terms.items()}
+        pos = [used.index(i) if i in used else None for i in range(n)]
+        return self._reindex(tuple(self.vars[i] for i in used), pos)
+
+    def _reindex(self, new_vars: Tuple[str, ...], pos) -> "MultiPoly":
+        """Move the exponent of variable i to position pos[i] of new_vars,
+        or drop it where pos[i] is None (an exponent that is 0 in every term)."""
+        n, n_new = len(self.vars), len(new_vars)
+        moves = [(_FIELD * (n - 1 - i), _FIELD * (n_new - 1 - p))
+                 for i, p in enumerate(pos) if p is not None]
+        terms = {}
+        for m, c in self.terms.items():
+            key = m >> _FIELD * n << _FIELD * n_new
+            for old, new in moves:
+                key |= (m >> old & _MASK) << new
+            terms[key] = c
         return MultiPoly._make(new_vars, terms)
+
+    def rename(self, old: str, new: str) -> "MultiPoly":
+        """The same polynomial with variable old called new; unchanged when
+        old does not occur in vars."""
+        if old not in self.vars:
+            return self
+        if new in self.vars:
+            raise PolyError(f"variable {new!r} already present")
+        return MultiPoly._make(tuple(new if v == old else v for v in self.vars), self.terms)
 
     # -- coefficient views -------------------------------------------------
 
@@ -282,10 +347,29 @@ class MultiPoly:
         """Map degree -> coefficient polynomial in the remaining variables."""
         i = self._index(name)
         rest_vars = self.vars[:i] + self.vars[i + 1:]
+        # a key is [degree, e0 .. e(i-1)] [ei] [low]: drop the ei field and
+        # take ei off the degree
+        low = _FIELD * (len(self.vars) - 1 - i)
+        low_mask, degree_unit = (1 << low) - 1, 1 << _FIELD * i
         out: Dict[int, dict] = {}
         for m, c in self.terms.items():
-            out.setdefault(m[i], {})[m[:i] + m[i + 1:]] = c
+            e = m >> low & _MASK
+            key = ((m >> low + _FIELD) - e * degree_unit) << low | m & low_mask
+            out.setdefault(e, {})[key] = c
         return {d: MultiPoly._make(rest_vars, t) for d, t in out.items()}
+
+
+def _add_product(terms: dict, a: dict, b: dict, n: int) -> dict:
+    """terms plus the product of the term dicts a and b over n variables."""
+    # the leading keys' sum leads the product: its degree bounds all others
+    if a and b and max(a) + max(b) >> _FIELD * n >= DEGREE_LIMIT:
+        raise PolyError(f"total degree reaches the limit {DEGREE_LIMIT}")
+    get = terms.get
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = m1 + m2
+            terms[m] = get(m, 0) + c1 * c2
+    return terms
 
 
 def _content(coeffs) -> Tuple[int, int]:
@@ -317,9 +401,10 @@ def dense_coeffs(p: MultiPoly) -> list:
     first, zeros included; [] for the zero polynomial."""
     if len(p.vars) > 1:
         raise PolyError(f"polynomial is not univariate: vars {p.vars}")
-    coeffs = [0] * (max(map(sum, p.terms), default=-1) + 1)
+    shift = _FIELD * len(p.vars)  # the degree field
+    coeffs = [0] * ((max(p.terms, default=-1) >> shift) + 1)
     for m, c in p.terms.items():
-        coeffs[sum(m)] = c
+        coeffs[m >> shift] = c
     return coeffs
 
 
@@ -352,19 +437,20 @@ def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     if q.is_constant():
         c = q.constant_value()
         return MultiPoly._make(p.vars, {m: _quo(v, c) for m, v in p.terms.items()})
-    qlead = max(q.terms, key=_grlex_key)
+    guards = _guards(len(p.vars))
+    qlead = max(q.terms)
     qc = q.terms[qlead]
     qrest = [(m, c) for m, c in q.terms.items() if m != qlead]
     rem = dict(p.terms)
     quot = {}
     while rem:
-        rlead = max(rem, key=_grlex_key)
-        mono = tuple(map(sub, rlead, qlead))
-        if min(mono) < 0:
+        rlead = max(rem)
+        mono = rlead - qlead
+        if mono < 0 or mono & guards:
             raise PolyError("not divisible")
         c = quot[mono] = _quo(rem.pop(rlead), qc)
         for m, v in qrest:
-            m = tuple(map(add, mono, m))
+            m += mono
             r = rem.get(m, 0) - c * v
             if r:
                 rem[m] = r
@@ -396,17 +482,23 @@ def _content_primitive(p: MultiPoly, name: str) -> Tuple[MultiPoly, MultiPoly]:
 
 def _slice(p: MultiPoly, i: int, d: int, e: int) -> MultiPoly:
     """The terms of p of degree d in variable i, that degree set to e."""
-    return MultiPoly._make(p.vars, {m[:i] + (e,) + m[i + 1:]: c
-                                    for m, c in p.terms.items() if m[i] == d})
+    n = len(p.vars)
+    shift, move = _FIELD * (n - 1 - i), (e - d) * _unit(n, i)
+    return MultiPoly._make(p.vars, {m + move: c for m, c in p.terms.items()
+                                    if m >> shift & _MASK == d})
 
 
 def _pseudo_rem(p: MultiPoly, q: MultiPoly, name: str) -> MultiPoly:
     """Pseudo-remainder: lc(q)^(deg p - deg q + 1) * p mod q, no divisions."""
-    i, dq = q._index(name), q.degree_in(name)
+    p, q = align(p, q)
+    n, i, dq = len(q.vars), q._index(name), q.degree_in(name)
     lc_q = _slice(q, i, dq, 0)
     rem, e = p, p.degree_in(name) - dq + 1
     while not rem.is_zero() and (dr := rem.degree_in(name)) >= dq:
-        rem = lc_q * rem - _slice(rem, i, dr, dr - dq) * q
+        # rem := lc_q * rem - (its leading part in name, shifted) * q
+        lead = {m: -c for m, c in _slice(rem, i, dr, dr - dq).terms.items()}
+        terms = _add_product({}, lc_q.terms, rem.terms, n)
+        rem = MultiPoly._make(q.vars, _add_product(terms, lead, q.terms, n))
         e -= 1
     return rem * lc_q ** e if e > 0 else rem
 
@@ -558,7 +650,8 @@ def resultant(p: MultiPoly, q: MultiPoly, name: str) -> MultiPoly:
     d = a.degree_in(name)
     res = exact_div(b ** d, h ** (d - 1))
     den = sign * sp ** dq * sq ** dp
-    return MultiPoly._make(rest, {m[:i] + m[i + 1:]: _quo(c, den) for m, c in res.terms.items()})
+    res = res.coeffs_wrt(name)[0]  # free of name: drop its exponent field
+    return MultiPoly._make(rest, {m: _quo(c, den) for m, c in res.terms.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,10 @@ def parse_record(text: str) -> KnotRecord:
             gens, relators,
             parse_word(pres_sec.require("meridian"), gens),
             parse_word(pres_sec.require("longitude"), gens))
+        if len(relators) != gens - 1:
+            raise TorsionNumError(
+                f"presentation is not deficiency one: {len(relators)} relators "
+                f"on {gens} generators")
         if not pres.abelianization_ok():
             raise TorsionNumError("abelianization is not infinite cyclic")
     except (TorsionNumError, ValueError) as exc:

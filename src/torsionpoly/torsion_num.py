@@ -146,17 +146,18 @@ class Presentation:
 
     def abelianization_ok(self) -> bool:
         """H1 = Z test: the relator exponent matrix has rank s - 1 and its
-        (s-1)-minors have gcd 1.  False unless there are exactly s - 1
-        relators; decided only for s = 2 and raises otherwise.
-        `records.parse_record` refuses a presentation that fails it."""
+        (s-1)-minors have gcd 1, whatever the number of relators; decided
+        only for s = 2 and raises otherwise.  `records.parse_record`
+        refuses a presentation that fails it or is not deficiency one."""
         import math
         s = self.generator_count
         rows = [[r.exponent_sum(g) for g in range(s)] for r in self.relators]
-        if s - 1 != len(rows):
-            return False
-        # one relator on two generators: its exponent sums are the 1-minors
+        # two generators: rank 1 when every 2-minor vanishes, and then the
+        # exponent sums are the 1-minors
         if s == 2:
-            return math.gcd(abs(rows[0][0]), abs(rows[0][1])) == 1
+            return all(a * d == b * c for k, (a, b) in enumerate(rows)
+                       for c, d in rows[k + 1:]) \
+                and math.gcd(*(e for row in rows for e in row)) == 1
         raise TorsionNumError("abelianization check implemented for s = 2")
 
 

@@ -26,7 +26,7 @@ from .numfield import (
     AlgebraicNumber, _rational_roots, _to_mpf, coeff_norm, root_dps, roots_numeric,
 )
 from .polys import (
-    MultiPoly, PolyError, dense_coeffs, divides, exact_div, from_dense,
+    MultiPoly, dense_coeffs, divides, exact_div, from_dense,
     normalize_sign, resultant, squarefree_primitive,
 )
 
@@ -127,7 +127,7 @@ def transport_T(T_src: TPoly, factor: ChangeFactor, branch: MultiPoly,
     """
     x = branch.vars[0]
     allvars = (TAU, TAU_OLD, x)
-    src = _rename(T_src.poly, TAU, TAU_OLD)
+    src = T_src.poly.rename(TAU, TAU_OLD)
     subst = src.substitute(T_src.trace_var, branch) \
         .drop_vars().with_vars((TAU_OLD, x)).with_vars(allvars)
     tau_new = MultiPoly.var(allvars, TAU)
@@ -146,16 +146,8 @@ def transport_T(T_src: TPoly, factor: ChangeFactor, branch: MultiPoly,
     _require_vanishing(resultant(out, G, TAU), subst, TAU_OLD,
                        "transported polynomial over the source")
     if new_var != x:
-        out = _rename(out, x, new_var)
+        out = out.rename(x, new_var)
     return TPoly(out, new_var)
-
-
-def _rename(p: MultiPoly, old: str, new: str) -> MultiPoly:
-    if old not in p.vars:
-        return p
-    if new in p.vars:
-        raise PolyError(f"variable {new!r} already present")
-    return MultiPoly._make(tuple(new if v == old else v for v in p.vars), p.terms)
 
 
 def specialize(T: TPoly, trace_value: Fraction) -> MultiPoly:

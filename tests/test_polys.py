@@ -5,9 +5,9 @@ import mpmath as mp
 import pytest
 
 from torsionpoly.polys import (
-    MultiPoly, PolyError, dense_coeffs, exact_div, divides, from_dense,
-    from_text, gcd_poly, normalize_sign, resultant, squarefree_primitive,
-    to_text,
+    DEGREE_LIMIT, MultiPoly, PolyError, dense_coeffs, exact_div, divides,
+    from_dense, from_text, gcd_poly, normalize_sign, resultant,
+    squarefree_primitive, to_text,
 )
 
 
@@ -84,7 +84,7 @@ def test_eval_constant_term_at_zero():
     rng = random.Random(3)
     p = random_poly(rng, ("x", "y"))
     zero = {"x": Fraction(0), "y": Fraction(0)}
-    assert p.eval(zero) == p.terms.get((0, 0), Fraction(0))
+    assert p.eval(zero) == p.as_dict().get((0, 0), Fraction(0))
 
 
 def test_eval_unassigned_variable_named():
@@ -418,19 +418,226 @@ def test_kernel_results_on_bundled_eliminants_are_canonical():
 def test_exact_division_by_an_integer_gives_a_fraction():
     x = MultiPoly.var(("x",), "x")
     q = exact_div(x, MultiPoly.constant(("x",), 3))
-    assert q.terms == {(1,): Fraction(1, 3)}
-    assert type(q.terms[(1,)]) is Fraction
-    assert (q * 3).terms == {(1,): 1} and type((q * 3).terms[(1,)]) is int
-    assert exact_div(x * 6, MultiPoly.constant(("x",), 3)).terms == {(1,): 2}
+    assert q.as_dict() == {(1,): Fraction(1, 3)}
+    assert type(q.as_dict()[(1,)]) is Fraction
+    assert (q * 3).as_dict() == {(1,): 1} and type((q * 3).as_dict()[(1,)]) is int
+    assert exact_div(x * 6, MultiPoly.constant(("x",), 3)).as_dict() == {(1,): 2}
 
 
 def test_public_constructor_canonicalizes_and_validates():
     p = MultiPoly(("x", "y"), {(1, 0): Fraction(4, 2), (0, 1): "3/6", (0, 0): 0})
-    assert p.terms == {(1, 0): 2, (0, 1): Fraction(1, 2)}
-    assert type(p.terms[(1, 0)]) is int
+    assert p.as_dict() == {(1, 0): 2, (0, 1): Fraction(1, 2)}
+    assert type(p.as_dict()[(1, 0)]) is int
     with pytest.raises(PolyError, match="not exact"):
         MultiPoly(("x",), {(1,): 0.5})
     with pytest.raises(PolyError, match="negative exponent"):
         MultiPoly(("x",), {(-1,): 1})
     with pytest.raises(PolyError, match="length mismatch"):
         MultiPoly(("x", "y"), {(1,): 1})
+
+
+# -- packed keys against a tuple-keyed reference --------------------------------
+#
+# The reference keeps terms as {exponent tuple: coefficient} dicts over a
+# variable list and orders monomials by (total degree, exponent tuple).
+
+NAMES = ("x", "y", "z", "w")
+
+
+def grlex(mono):
+    return (sum(mono), mono)
+
+
+def ref_clean(terms):
+    return {m: c for m, c in terms.items() if c}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + c
+    return ref_clean(out)
+
+
+def ref_mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return ref_clean(out)
+
+
+def ref_pow(a, k, n):
+    out = {(0,) * n: 1}
+    for _ in range(k):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_exact_div(p, q):
+    """The quotient p / q by grlex long division, or None if q does not divide p."""
+    qlead = max(q, key=grlex)
+    rem, quot = dict(p), {}
+    while rem:
+        lead = max(rem, key=grlex)
+        mono = tuple(a - b for a, b in zip(lead, qlead))
+        if min(mono) < 0:
+            return None
+        c = quot[mono] = Fraction(rem[lead]) / q[qlead]
+        rem = ref_add(rem, ref_mul({mono: -c}, q))
+    return quot
+
+
+def ref_drop(m, i):
+    return m[:i] + m[i + 1:]
+
+
+def random_terms(rng, n, max_exp=20, max_terms=6):
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        mono = tuple(rng.randint(0, max_exp) for _ in range(n))
+        terms[mono] = rng.choice([rng.randint(-9, 9),
+                                  Fraction(rng.randint(-9, 9), rng.randint(1, 5))])
+    return ref_clean(terms)
+
+
+def random_case(seed):
+    """A seeded variable list of 1-4 names and two term dicts over it."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 4)
+    return rng, NAMES[:n], random_terms(rng, n), random_terms(rng, n)
+
+
+SEEDS = range(40)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_packed_ring_operations_match_reference(seed):
+    rng, names, a, b = random_case(seed)
+    A, B = MultiPoly(names, a), MultiPoly(names, b)
+    assert A.as_dict() == a
+    assert (A + B).as_dict() == ref_add(a, b)
+    assert (A - B).as_dict() == ref_add(a, {m: -c for m, c in b.items()})
+    assert (-A).as_dict() == {m: -c for m, c in a.items()}
+    assert (A * B).as_dict() == ref_mul(a, b)
+    assert (A * Fraction(3, 7)).as_dict() == {m: c * Fraction(3, 7) for m, c in a.items()}
+    k = rng.randint(0, 3)
+    assert (A ** k).as_dict() == ref_pow(a, k, len(names))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_packed_exact_div_matches_reference(seed):
+    rng, names, a, b = random_case(seed)
+    A, B = MultiPoly(names, a), MultiPoly(names, b)
+    assert exact_div(A * B, B).as_dict() == a == ref_exact_div(ref_mul(a, b), b)
+    # a perturbed product: both divide, or both refuse
+    r = random_terms(rng, len(names), max_terms=2)
+    p = ref_add(ref_mul(a, b), r)
+    expected = ref_exact_div(p, b) if p else {}
+    if expected is None:
+        with pytest.raises(PolyError, match="not divisible"):
+            exact_div(MultiPoly(names, p), B)
+    else:
+        assert exact_div(MultiPoly(names, p), B).as_dict() == expected
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_exact_div_refuses_a_monomial_that_borrows_in_one_field(n):
+    # p's exponents are 5 but a 0 at i and q is variable i: p's key is the
+    # larger, so the key difference is >= 0 and only field i borrows
+    names = NAMES[:n]
+    for i in range(n):
+        p = MultiPoly(names, {tuple(0 if j == i else 5 for j in range(n)): 1})
+        q = MultiPoly.var(names, names[i])
+        assert max(p.terms) > max(q.terms)
+        assert ref_exact_div(p.as_dict(), q.as_dict()) is None
+        with pytest.raises(PolyError, match="not divisible"):
+            exact_div(p, q)
+        assert not divides(q, p)
+        assert exact_div(p * q, q) == p
+
+
+def test_exact_div_refuses_a_monomial_of_lower_degree():
+    one, x = MultiPoly.constant(("x",), 1), MultiPoly.var(("x",), "x")
+    with pytest.raises(PolyError, match="not divisible"):
+        exact_div(one, x)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_packed_views_match_reference(seed):
+    rng, names, a, _ = random_case(seed)
+    A, n = MultiPoly(names, a), len(names)
+    i = rng.randrange(n)
+    name = names[i]
+    assert A.degree_in(name) == max(m[i] for m in a)
+    coeffs = A.coeffs_wrt(name)
+    expected = {}
+    for m, c in a.items():
+        expected.setdefault(m[i], {})[ref_drop(m, i)] = c
+    assert {d: (c.vars, c.as_dict()) for d, c in coeffs.items()} \
+        == {d: (ref_drop(names, i), t) for d, t in expected.items()}
+    assert A.derivative(name).as_dict() == ref_clean(
+        {m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i] for m, c in a.items() if m[i]})
+    # substitute name := a small q, expanded term by term in the reference
+    q = random_terms(rng, n, max_exp=2, max_terms=2)
+    expected = {}
+    for m, c in a.items():
+        term = ref_mul({m[:i] + (0,) + m[i + 1:]: c}, ref_pow(q, m[i], n))
+        expected = ref_add(expected, term)
+    assert A.substitute(name, MultiPoly(names, q)).as_dict() == expected
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_packed_reindexing_matches_reference(seed):
+    rng, names, a, _ = random_case(seed)
+    A = MultiPoly(names, a)
+    new_vars = list(names) + ["u", "v"][:rng.randint(0, 2)]
+    rng.shuffle(new_vars)
+    pos = [new_vars.index(v) for v in names]
+    moved = {}
+    for m, c in a.items():
+        m2 = [0] * len(new_vars)
+        for p, e in zip(pos, m):
+            m2[p] = e
+        moved[tuple(m2)] = c
+    W = A.with_vars(new_vars)
+    assert W.vars == tuple(new_vars) and W.as_dict() == moved
+    used = [k for k in range(len(new_vars)) if any(m[k] for m in moved)]
+    D = W.drop_vars()
+    assert D.vars == tuple(new_vars[k] for k in used)
+    assert D.as_dict() == {tuple(m[k] for k in used): c for m, c in moved.items()}
+    assert D == W == A
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_packed_text_round_trip_and_order_match_reference(seed):
+    _, names, a, _ = random_case(seed)
+    A = MultiPoly(names, a)
+    assert A.sorted_terms() == sorted(a.items(), key=lambda kv: grlex(kv[0]), reverse=True)
+    assert from_text(to_text(A), names).as_dict() == a
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_key_order_is_grlex_order(seed):
+    _, names, a, b = random_case(seed)
+    monos = sorted(set(a) | set(b))
+    key = {m: next(iter(MultiPoly(names, {m: 1}).terms)) for m in monos}
+    assert sorted(monos, key=key.get) == sorted(monos, key=grlex)
+
+
+def test_degree_at_the_limit_raises_instead_of_wrapping():
+    top = DEGREE_LIMIT - 1
+    x = MultiPoly(("x", "y"), {(top, 0): 1})
+    assert x.as_dict() == {(top, 0): 1} and x.degree_in("x") == top
+    assert exact_div(x, MultiPoly.var(("x", "y"), "x")).as_dict() == {(top - 1, 0): 1}
+    for mono in ((DEGREE_LIMIT, 0), (top, 1), (0, DEGREE_LIMIT)):
+        with pytest.raises(PolyError, match="limit"):
+            MultiPoly(("x", "y"), {mono: 1})
+    half = MultiPoly(("x", "y"), {(DEGREE_LIMIT // 2, 0): 1})
+    assert (half * MultiPoly(("x", "y"), {(0, DEGREE_LIMIT // 2 - 1): 1})).as_dict() \
+        == {(DEGREE_LIMIT // 2, DEGREE_LIMIT // 2 - 1): 1}
+    with pytest.raises(PolyError, match="limit"):
+        half * half
+    with pytest.raises(PolyError, match="limit"):
+        x * MultiPoly.var(("x", "y"), "y")

@@ -73,7 +73,9 @@ def test_record_schema_error_names_line():
      "abelianization check implemented for s = 2"),
     (("relator = aBAbaBabAB", "relator = aabb"),
      "abelianization is not infinite cyclic"),
-], ids=["three-generators", "not-infinite-cyclic"])
+    (("relator = aBAbaBabAB", "relator = aBAbaBabAB\nrelator = aBAbaBabAB"),
+     "presentation is not deficiency one: 2 relators on 2 generators"),
+], ids=["three-generators", "not-infinite-cyclic", "two-relators"])
 def test_record_abelianization_error_names_line(capsys, cache_dir, tmp_path,
                                                 edit, message):
     p = tmp_path / "bad.knot"

@@ -38,7 +38,7 @@ def to_sympy(f, syms):
     sympy = pytest.importorskip("sympy")
     return sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
                        * sympy.Mul(*(syms[v] ** e for v, e in zip(f.vars, m)))
-                       for m, c in f.terms.items()))
+                       for m, c in f.as_dict().items()))
 
 
 def from_sympy(expr, variables, syms):

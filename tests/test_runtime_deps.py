@@ -1,7 +1,8 @@
 """sympy, hypothesis and pytest are test-only: no module of the package
-imports them, so the program runs without them.  And `numfield` is the only
+imports them, so the program runs without them.  `numfield` is the only
 module that uses `mp.matrix`: elsewhere a 2x2 matrix is a 4-tuple and a chain
-matrix a row list."""
+matrix a row list.  And `polys` is the only module that reads or builds the
+packed monomial keys of a polynomial's terms."""
 
 import ast
 from pathlib import Path
@@ -56,3 +57,47 @@ def test_matrix_guard_sees_every_reference_form(tmp_path):
                      "M = mp.matrix(2)\nN = mpmath.matrices.matrix\n"
                      "doc = 'mp.matrix'\n")
     assert sorted(matrix_references(probe)) == [2, 3, 4]
+
+
+# the names in `polys` that make, take apart or move packed monomial keys
+KEY_HELPERS = {"_make", "_pack", "_unpack", "_unit", "_guards", "_FIELD",
+               "_MASK", "_add_product", "_reindex"}
+
+
+def monomial_key_uses(path):
+    """Lines that index, unpack or build monomial keys: a polynomial's
+    `terms` used other than as `.terms.values()`, or a key helper named."""
+    tree = ast.parse(path.read_text(), str(path))
+    parent = {child: node for node in ast.walk(tree)
+              for child in ast.iter_child_nodes(node)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "terms":
+            up = parent[node]
+            if not (isinstance(up, ast.Attribute) and up.attr == "values"
+                    and isinstance(parent[up], ast.Call) and parent[up].func is up):
+                yield node.lineno
+        elif isinstance(node, ast.Attribute) and node.attr in KEY_HELPERS \
+                or isinstance(node, ast.Name) and node.id in KEY_HELPERS \
+                or isinstance(node, ast.ImportFrom) \
+                and any(alias.name in KEY_HELPERS for alias in node.names):
+            yield node.lineno
+
+
+def test_only_polys_touches_monomial_keys():
+    users = {path.name for path in PACKAGE.rglob("*.py")
+             if any(monomial_key_uses(path))}
+    assert users <= {"polys.py"}
+
+
+def test_key_guard_sees_every_key_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from .polys import MultiPoly, _pack\n"
+                     "scale = max(p.terms.values())\n"
+                     "low = min(m[0] for m in p.terms)\n"
+                     "c = p.terms[(1, 0)]\n"
+                     "for m, c in p.terms.items():\n    pass\n"
+                     "q = MultiPoly._make(p.vars, p.terms)\n"
+                     "k = polys._unpack(key, 2)\n"
+                     "n = len(p.terms)\n"
+                     "doc = 'p.terms[m]'\n")
+    assert sorted(set(monomial_key_uses(probe))) == [1, 3, 4, 5, 7, 8, 9]

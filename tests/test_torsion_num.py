@@ -107,6 +107,20 @@ def test_word_roundtrip():
         assert parse_word(w.to_text()) == w
 
 
+@pytest.mark.parametrize("relators, h1_is_z", [
+    (["aBAbaBabAB"], True),
+    (["aBAbaBabAB", "aBAbaBabAB"], True),
+    (["ab", "AB"], True),
+    (["aabb"], False),
+    (["a", "b"], False),
+    (["a", "", "b"], False),
+])
+def test_abelianization_decides_h1_whatever_the_relator_count(relators, h1_is_z):
+    pres = Presentation.create(2, [parse_word(r) for r in relators],
+                               parse_word("a"), parse_word("b"))
+    assert pres.abelianization_ok() is h1_is_z
+
+
 # -- fox calculus ---------------------------------------------------------------
 
 def gr_single(text, c=1):
