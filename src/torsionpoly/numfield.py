@@ -1,6 +1,7 @@
 """Exact algebraic numbers and number fields.
 
-Every root pass seeds mp.polyroots with a Durand-Kerner run in machine
+A root pass takes a squarefree polynomial, decided by one exact gcd with
+its derivative, and seeds mp.polyroots with a Durand-Kerner run in machine
 floats, so mpmath polishes the roots at the unchanged working precision
 instead of searching for them; where no seed forms, the pass starts cold.
 
@@ -11,7 +12,9 @@ the digits they were found at, so a later step at those digits reads them
 instead of finding them again.  The
 minimal polynomial of A(x) is the squarefree part of Res_x(f(x), tau - A(x)).
 Field membership of an algebraic number is decided by a high-precision linear
-solve over all embeddings.  Rationals are never guessed: each is read exactly
+solve over all embeddings: the inverse Vandermonde matrix comes from one
+mplinalg elimination of [V | I], and each pairing is a product with it.
+Rationals are never guessed: each is read exactly
 off its mpf and rounded at a denominator the algebra proves (the rational
 root theorem, and disc(a*x) O_K in Z[a*x] for the integral generator a*x), and
 each candidate is confirmed by exact evaluation in K; a failed search is
@@ -33,6 +36,7 @@ from typing import List, Tuple
 
 import mpmath as mp
 
+from . import mplinalg as la
 from .polys import (
     MultiPoly, dense_coeffs, from_dense, gcd_poly, normalize_sign, resultant,
     squarefree_primitive,
@@ -112,47 +116,32 @@ def _polyroots(coeffs, maxsteps: int, extraprec: int):
 
 
 def roots_numeric(p: MultiPoly, digits: int = DEFAULT_DIGITS):
-    """All complex roots of the univariate p with multiplicity, each with
-    residual |p(root)| <= 10^-digits * max|coeff|.  Sorted by (Re, Im)."""
+    """All complex roots of the squarefree univariate p, each with residual
+    |p(root)| <= 10^-digits * max|coeff|.  Sorted by (Re, Im).  The
+    requested digits are tried at least once, however many they are."""
     if p.is_zero():
         raise NumFieldError("zero polynomial has no well-defined roots")
     if p.is_constant():
         return []
     var = p.vars[0]
+    if gcd_poly(p, p.derivative(var)).degree_in(var) > 0:
+        raise NumFieldError("polynomial is not squarefree")
     target = mp.mpf(10) ** (-digits) * coeff_norm(p.terms.values())
-    sf = squarefree_primitive(p, var)
-    multiple = sf.degree_in(var) < p.degree_in(var)
+    prim = normalize_sign(p)
     dps = root_dps(digits)
-    while dps <= 8 * MAX_DIGITS:
+    while dps <= max(8 * MAX_DIGITS, root_dps(digits)):
         with mp.workdps(dps):
-            coeffs = [_to_mpf(c) for c in reversed(dense_coeffs(sf))]
+            coeffs = [_to_mpf(c) for c in reversed(dense_coeffs(prim))]
             try:
                 roots = _polyroots(coeffs, 300, 3 * dps)
             except mp.libmp.NoConvergence:
                 dps *= 2
                 continue
-            if multiple:
-                roots = [r for root in roots for r in [root] * _multiplicity(p, root)]
             roots = sorted(roots, key=lambda z: (mp.re(z), mp.im(z)))
             if all(abs(p.eval({var: r})) <= target for r in roots):
                 return [mp.mpc(r) for r in roots]
         dps *= 2
     raise NumFieldError(f"root refinement failed at {digits} digits")
-
-
-def _multiplicity(p: MultiPoly, root) -> int:
-    """Multiplicity of a (numerically known) root via the exact gcd chain."""
-    var = p.vars[0]
-    mult = 1
-    g = p
-    while True:
-        g = gcd_poly(g, g.derivative(var))
-        if g.degree_in(var) <= 0:
-            return mult
-        if abs(g.eval({var: root})) > \
-                mp.mpf(10) ** (-mp.mp.dps // 2) * coeff_norm(g.terms.values()):
-            return mult
-        mult += 1
 
 
 def _exact(x) -> Fraction:
@@ -214,8 +203,6 @@ class NumberField:
         var = poly.vars[0]
         if poly.degree_in(var) < 2:
             raise NumFieldError("defining polynomial must have degree >= 2")
-        if gcd_poly(poly, poly.derivative(var)).degree_in(var) > 0:
-            raise NumFieldError("defining polynomial is not squarefree")
         monic = poly * Fraction(1, poly.leading_coefficient())
         roots = roots_numeric(monic, digits)
         if _rational_roots(monic, roots, digits):
@@ -369,9 +356,6 @@ class AlgebraicNumber:
     @classmethod
     def create(cls, minpoly: MultiPoly, approx, digits: int = DEFAULT_DIGITS):
         prim = normalize_sign(minpoly)
-        var = prim.vars[0]
-        if gcd_poly(prim, prim.derivative(var)).degree_in(var) > 0:
-            raise NumFieldError("minimal polynomial must be squarefree")
         return cls._isolating(prim, roots_numeric(prim, digits), approx, digits)
 
     @classmethod
@@ -402,19 +386,17 @@ class Undecided:
     precision: int
 
 
-def _vandermonde_solver(nodes):
-    """solve(rhs) for V c = rhs, V the Vandermonde matrix of nodes, as
-    mp.lu_solve(V, rhs) computes it but with V factored once, at the 10
-    extra bits lu_solve works at.  ZeroDivisionError when V is numerically
-    singular."""
-    V = mp.matrix([[r ** j for j in range(len(nodes))] for r in nodes])
-    with mp.extraprec(10):
-        LU, perm = mp.mp.LU_decomp(V)
-
-    def solve(rhs):
-        with mp.extraprec(10):
-            return mp.mp.U_solve(LU, mp.mp.L_solve(LU, mp.matrix(rhs), perm))
-    return solve
+def _vandermonde_inverse(nodes):
+    """V^-1 for the Vandermonde matrix V of nodes, read off the right half
+    of [V | I] reduced by mplinalg's elimination; None when V has fewer
+    than len(nodes) pivots."""
+    n = len(nodes)
+    VI = la.Matrix([r ** j for j in range(n)] + [mp.mpf(int(i == j)) for j in range(n)]
+                   for i, r in enumerate(nodes))
+    pivots, reduced = la.eliminate(VI, col_order=range(n))
+    if len(pivots) < n:
+        return None
+    return la.Matrix(row[n:] for row in reduced)
 
 
 def express_in_field(target: AlgebraicNumber, field: NumberField,
@@ -442,7 +424,7 @@ def express_in_field(target: AlgebraicNumber, field: NumberField,
               * normalize_sign(f).leading_coefficient() ** (d_f * (d_f - 1))
               * abs(resultant(f, f.derivative(x), x).constant_value()))
     prec = digits
-    while prec <= MAX_DIGITS:
+    while prec <= max(MAX_DIGITS, digits):
         with mp.workdps(prec + 30):
             try:
                 f_roots = field.all_embeddings(prec)
@@ -450,16 +432,15 @@ def express_in_field(target: AlgebraicNumber, field: NumberField,
                     else roots_numeric(g, prec)
             except NumFieldError:
                 return Undecided("root refinement failed", prec)
-            try:
-                solve = _vandermonde_solver(f_roots)
-            except ZeroDivisionError:
+            inverse = _vandermonde_inverse(f_roots)
+            if inverse is None:
                 return Undecided("degenerate embedding matrix", prec)
             for assign in itertools.product(range(len(g_roots)), repeat=d_f):
                 if len(set(assign)) != len(g_roots):
                     continue
-                sol = solve([g_roots[a] for a in assign])
+                sol = la.matmul(inverse, [[g_roots[a]] for a in assign])
                 coords = []
-                for v in sol:
+                for (v,) in sol:
                     if abs(mp.im(v)) > mp.mpf(10) ** (-prec // 3):
                         coords = None
                         break

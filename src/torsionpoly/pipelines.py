@@ -128,7 +128,6 @@ def membership(record: KnotRecord, curve: str, digits: int = 64) -> dict:
         return {
             "in_field": False,
             "outcome": out,
-            "specialized": poly,
             "notes": notes,
         }
     elem, note = out
@@ -137,7 +136,6 @@ def membership(record: KnotRecord, curve: str, digits: int = 64) -> dict:
         "element": elem,
         "element_minpoly": minimal_polynomial(elem, var=poly.vars[0]),
         "pairing_note": note,
-        "specialized": poly,
         "value": value,
         "notes": notes + [f"embedding pairing: {note}"],
     }

@@ -26,7 +26,7 @@ from .numfield import (
     AlgebraicNumber, _rational_roots, _to_mpf, coeff_norm, root_dps, roots_numeric,
 )
 from .polys import (
-    MultiPoly, dense_coeffs, divides, exact_div, from_dense,
+    MultiPoly, divides, exact_div, from_dense,
     normalize_sign, resultant, squarefree_primitive,
 )
 
@@ -197,7 +197,8 @@ def rho0_value(spec_poly: MultiPoly, selection, digits: int = 64) -> Rho0Value:
         chosen = cands[0]
         note = "positive real root rule"
     elif isinstance(selection, NearestToHint):
-        hint = mp.mpc(selection.hint)
+        with mp.workprec(max(mp.mp.prec, 53)):  # all 53 bits of the float hint
+            hint = mp.mpc(selection.hint)
         by_dist = sorted(roots, key=lambda r: abs(r - hint))
         chosen = by_dist[0]
         if len(by_dist) > 1:
@@ -207,32 +208,28 @@ def rho0_value(spec_poly: MultiPoly, selection, digits: int = 64) -> Rho0Value:
         note = f"root nearest to hint {mp.nstr(hint, 8)}"
     else:
         raise TorsionSymError(f"unknown selection rule {selection!r}")
-    minpoly = _exact_minpoly_factor(sf, roots, chosen, digits)
-    if minpoly == sf:  # the roots just found are the minimal polynomial's
-        value = AlgebraicNumber._isolating(sf, roots, chosen, digits)
-    elif minpoly.degree_in(var) == 1:  # a rational root, known exactly
-        c0, c1 = dense_coeffs(minpoly)
-        with mp.workdps(root_dps(digits)):
-            root = mp.mpc(_to_mpf(Fraction(-c0, c1)))
-        value = AlgebraicNumber._isolating(minpoly, [root], chosen, digits)
-    else:
-        value = AlgebraicNumber.create(minpoly, chosen, digits)
-    return Rho0Value(value, note)
+    minpoly, min_roots = _exact_minpoly_factor(sf, roots, chosen, digits)
+    return Rho0Value(AlgebraicNumber._isolating(minpoly, min_roots, chosen, digits),
+                     note)
 
 
-def _exact_minpoly_factor(sf: MultiPoly, roots, root, digits: int) -> MultiPoly:
-    """Exact primitive factor of a squarefree primitive polynomial containing
-    the selected root, which is one of `roots`: all its complex roots, as
-    rho0_value found them.
+def _exact_minpoly_factor(sf: MultiPoly, roots, root, digits: int):
+    """(factor, its roots): the exact primitive factor of a squarefree
+    primitive polynomial containing the selected root, which is one of
+    `roots`, all its complex roots as rho0_value found them.
 
-    Rational roots are split off exactly; the remaining part is asserted
-    irreducible, which the rational-root check settles through degree 3.
+    A selected rational root is its linear factor, with the exact root at
+    the working digits of the pass.  Otherwise rational roots are split off
+    exactly, and the rest is asserted irreducible, which the rational-root
+    check settles through degree 3; its roots are the pass's other roots.
     """
     var = sf.vars[0]
     rationals = _rational_roots(sf, roots, digits)
     for r, q in rationals:
         if r is root:
-            return from_dense(var, [-q.numerator, q.denominator])
+            with mp.workdps(root_dps(digits)):
+                exact = mp.mpc(_to_mpf(q))
+            return from_dense(var, [-q.numerator, q.denominator]), [exact]
     rest = sf
     for _, q in rationals:
         rest = exact_div(rest, from_dense(var, [-q.numerator, q.denominator]))
@@ -240,4 +237,4 @@ def _exact_minpoly_factor(sf: MultiPoly, roots, root, digits: int) -> MultiPoly:
     if rest.degree_in(var) > 3:
         raise TorsionSymError(
             "cannot certify irreducibility above degree 3 without factorization")
-    return rest
+    return rest, [r for r in roots if not any(r is s for s, _ in rationals)]

@@ -21,8 +21,8 @@ from . import mplinalg as la
 from . import pipelines as pl
 from .charvar import change_curve_apoly, change_curve_sq
 from .numfield import _polyroots, roots_numeric
-from .polys import MultiPoly, divides, from_dense, from_text, normalize_sign, \
-    resultant, to_text
+from .polys import MultiPoly, divides, exact_div, from_dense, from_text, \
+    gcd_poly, normalize_sign, resultant, to_text
 from .records import KnotRecord, ingest_knot, validate_parabolic
 from .torsion_num import (
     _block, _mul2, adjoint, basing, boundaries, fox_derivative,
@@ -217,8 +217,9 @@ def check_property_suites() -> Tuple[bool, str]:
             p, q = _rand_univariate(rng), _rand_univariate(rng)
             res = resultant(p, q, "x")
             acc = mp.mpmathify(p.leading_coefficient()) ** q.degree_in("x")
-            for r in roots_numeric(p, 30):
-                acc *= q.eval({"x": r})
+            for part, i in _squarefree_parts(p):
+                for r in roots_numeric(part, 30):
+                    acc *= q.eval({"x": r}) ** i
             want = mp.mpmathify(res.constant_value())
             if abs(acc - want) > 1e-6 * max(1, abs(want)):
                 return False, "resultant root-product oracle failed"
@@ -253,6 +254,25 @@ def check_property_suites() -> Tuple[bool, str]:
                 return False, "change-of-curve formulas disagree"
     return True, ("Fox rule exact on 200 pairs; resultant, adjoint, chain "
                   "condition and the two change-of-curve formulas all agree")
+
+
+def _squarefree_parts(p: MultiPoly) -> List[Tuple[MultiPoly, int]]:
+    """[(a_i, i)]: pairwise-coprime squarefree a_i of positive degree with
+    p = c * prod a_i^i for a constant c; Yun's decomposition (SYMSAC 1976)
+    of the univariate p."""
+    var = p.vars[0]
+    dp = p.derivative(var)
+    a = gcd_poly(p, dp)
+    b, c = exact_div(p, a), exact_div(dp, a)
+    parts, i = [], 1
+    while b.degree_in(var) > 0:
+        d = c - b.derivative(var)
+        a = gcd_poly(b, d)
+        if a.degree_in(var) > 0:
+            parts.append((a, i))
+        b, c = exact_div(b, a), exact_div(d, a)
+        i += 1
+    return parts
 
 
 def _rand_univariate(rng):

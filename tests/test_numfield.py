@@ -8,10 +8,10 @@ import mpmath as mp
 import pytest
 
 from test_report_goldens import CASES
-from torsionpoly import cli, numfield, pipelines as pl, torsion_sym
+from torsionpoly import cli, mplinalg as la, numfield, pipelines as pl, torsion_sym
 from torsionpoly.numfield import (
-    AlgebraicNumber, NotInField, NumberField, NumFieldError, express_in_field,
-    minimal_polynomial, roots_numeric,
+    AlgebraicNumber, NotInField, NumberField, NumFieldError, Undecided,
+    express_in_field, minimal_polynomial, roots_numeric,
 )
 from torsionpoly.polys import (
     MultiPoly, dense_coeffs, from_dense, from_text, gcd_poly, resultant,
@@ -50,11 +50,12 @@ def test_roots_cubic_trace_field():
     assert abs(mp.im(best) + mp.mpf("0.74486176")) < 1e-6
 
 
-def test_roots_with_multiplicity():
-    # (x-1)^3
-    roots = roots_numeric(from_text("x^3 - 3*x^2 + 3*x - 1"), 20)
-    assert len(roots) == 3
-    assert all(abs(r - 1) < 1e-5 for r in roots)
+@pytest.mark.parametrize("text", ["x^3 - 3*x^2 + 3*x - 1", "-2/3*x^3 - 1/2*x^2"])
+def test_roots_refuse_a_non_squarefree_polynomial(text):
+    # (x - 1)^3 and x^2 (4x + 3): a root pass takes squarefree input only;
+    # roots with multiplicity come from the squarefree parts
+    with pytest.raises(NumFieldError, match="polynomial is not squarefree"):
+        roots_numeric(from_text(text), 20)
 
 
 def test_roots_zero_poly_rejected():
@@ -508,21 +509,49 @@ def test_seeded_pass_polishes_instead_of_searching(text, seeded, monkeypatch):
     assert len(calls) == seeded
 
 
-def test_vandermonde_solver_is_lu_solve_bit_for_bit():
-    # every pairing express_in_field can try, for the rho0 value of each
-    # record that is not rational over its trace field
+def record_fields_and_values():
+    """(field, rho0 value) for each record whose rho0 value is not rational
+    over its trace field."""
     for knot, curve in (("4_1", "mu"), ("5_2", "lambda")):
         record = ingest_knot(knot)
         K = NumberField.create(record.trace_field_poly,
                                embedding_hint=record.trace_field_embedding)
-        tau = pl.rho0_for_curve(record, curve)[0].value
-        with mp.workdps(94):
-            f_roots = K.all_embeddings(64)
+        yield K, pl.rho0_for_curve(record, curve)[0].value
+
+
+def test_vandermonde_inverse_solve_agrees_with_lu_solve():
+    # every pairing express_in_field can try, at the digits it works at:
+    # mpmath's own LU solve is the test's oracle
+    prec = 64
+    for K, tau in record_fields_and_values():
+        with mp.workdps(prec + 30):
+            f_roots = K.all_embeddings(prec)
             V = mp.matrix([[r ** j for j in range(K.degree)] for r in f_roots])
-            solve = numfield._vandermonde_solver(f_roots)
+            inverse = numfield._vandermonde_inverse(f_roots)
             pairings = [a for a in itertools.product(range(tau.degree), repeat=K.degree)
                         if len(set(a)) == tau.degree]
             assert pairings
             for assign in pairings:
                 rhs = [tau.roots[a] for a in assign]
-                assert as_bits(solve(rhs)) == as_bits(mp.lu_solve(V, mp.matrix(rhs)))
+                got = la.matmul(inverse, [[v] for v in rhs])
+                want = mp.lu_solve(V, mp.matrix(rhs))
+                assert all(abs(g - w) < mp.mpf(10) ** -prec
+                           for (g,), w in zip(got, want))
+
+
+def test_repeated_embedding_node_is_undecided(monkeypatch):
+    K, tau = list(record_fields_and_values())[1]
+    roots = K.all_embeddings()
+    monkeypatch.setattr(NumberField, "all_embeddings",
+                        lambda self, digits=64: [roots[0], roots[0], roots[2]])
+    assert express_in_field(tau, K) == Undecided("degenerate embedding matrix", 64)
+
+
+def test_field_creation_makes_one_squarefree_test(monkeypatch):
+    tests = []
+    real = numfield.gcd_poly
+    monkeypatch.setattr(numfield, "gcd_poly",
+                        lambda *a: tests.append(a) or real(*a))
+    monkeypatch.setattr(numfield, "squarefree_primitive", None)
+    field_52()
+    assert len(tests) == 1

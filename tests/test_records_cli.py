@@ -247,6 +247,42 @@ def test_cli_membership_rational_root_at_low_precision(capsys, cache_dir, tmp_pa
     assert err == "error: membership: defining polynomial has a rational root\n"
 
 
+GOLDENS = os.path.join(os.path.dirname(__file__), "goldens")
+
+
+def report_body(text):
+    """The [results] and [notes] lines of a text report."""
+    lines = text.splitlines()
+    return lines[lines.index("[results]"):lines.index("[tolerances]")]
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (("--precision", "513", "membership", "--knot", "5_2"), "membership-5_2.txt"),
+    (("--precision", "600", "membership", "--knot", "4_1", "--curve", "mu"), None),
+    (("--precision", "4100", "rho0", "--knot", "4_1", "--curve", "mu"),
+     "rho0-mu-4_1.txt"),
+], ids=["membership-513", "membership-mu-600", "rho0-4100"])
+def test_cli_precision_above_the_search_caps_is_tried(capsys, cache_dir, argv, golden):
+    # a precision above the membership search's or the root pass's cap is
+    # still tried once, and finds what the default precision finds
+    code, out, _ = run_cli(capsys, "--no-cache", *argv)
+    assert code == 0
+    if golden is None:
+        assert "in_field = true" in out and "element = -1/2*x" in out
+    else:
+        with open(os.path.join(GOLDENS, golden)) as f:
+            assert report_body(out) == report_body(f.read())
+
+
+@pytest.mark.parametrize("precision", ["1", "5", "64"])
+def test_cli_hint_note_reads_the_record_hint(capsys, cache_dir, precision):
+    # the note prints the record's float hint, not its value at --precision
+    code, out, _ = run_cli(capsys, "--no-cache", "--precision", precision,
+                           "rho0", "--knot", "4_1", "--curve", "mu")
+    assert code == 0
+    assert "- root selection: root nearest to hint (0.0 + 0.87j)\n" in out
+
+
 def test_cli_torsion_point(capsys, cache_dir):
     code, out, _ = run_cli(capsys, "torsion", "--knot", "4_1", "--trace", "2.05")
     assert code == 0

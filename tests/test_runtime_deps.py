@@ -1,8 +1,9 @@
 """sympy, hypothesis and pytest are test-only: no module of the package
-imports them, so the program runs without them.  `numfield` is the only
-module that uses `mp.matrix`: elsewhere a 2x2 matrix is a 4-tuple and a chain
-matrix a row list.  And `polys` is the only module that reads or builds the
-packed monomial keys of a polynomial's terms."""
+imports them, so the program runs without them.  No module uses `mp.matrix`
+or mpmath's own solvers: a 2x2 matrix is a 4-tuple, a chain matrix and the
+embedding solve's Vandermonde matrix are row lists, and every solve runs on
+`mplinalg`'s one elimination.  And `polys` is the only module that reads or
+builds the packed monomial keys of a polynomial's terms."""
 
 import ast
 from pathlib import Path
@@ -33,30 +34,40 @@ def test_guard_sees_every_import_form(tmp_path):
     assert set(imported_roots(probe)) == {"os", "sympy", "hypothesis", "pytest"}
 
 
+# mpmath's matrix class and its LU, QR and Cholesky solvers
+MATRIX_NAMES = {"matrix", "LU_decomp", "L_solve", "U_solve", "lu_solve",
+                "qr_solve", "cholesky_solve"}
+
+
 def matrix_references(path):
-    """Lines that name mpmath's matrix class: any `<name>.matrix` attribute,
-    or `matrix` imported from mpmath."""
+    """Lines that name mpmath's matrix class or one of its solvers: any
+    `<name>.<one of MATRIX_NAMES>` attribute, or one imported from mpmath."""
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
-        if isinstance(node, ast.Attribute) and node.attr == "matrix":
+        if isinstance(node, ast.Attribute) and node.attr in MATRIX_NAMES:
             yield node.lineno
         elif isinstance(node, ast.ImportFrom) and node.module \
                 and node.module.split(".")[0] == "mpmath" \
-                and any(alias.name == "matrix" for alias in node.names):
+                and any(alias.name in MATRIX_NAMES for alias in node.names):
             yield node.lineno
 
 
 def test_only_numfield_uses_mp_matrix():
     users = {path.name for path in PACKAGE.rglob("*.py")
              if any(matrix_references(path))}
-    assert users <= {"numfield.py"}
+    assert users == set()
 
 
 def test_matrix_guard_sees_every_reference_form(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("import mpmath as mp\nfrom mpmath import matrix\n"
                      "M = mp.matrix(2)\nN = mpmath.matrices.matrix\n"
-                     "doc = 'mp.matrix'\n")
-    assert sorted(matrix_references(probe)) == [2, 3, 4]
+                     "doc = 'mp.matrix'\n"
+                     "LU, p = mp.mp.LU_decomp(M)\n"
+                     "y = mp.mp.U_solve(LU, mp.mp.L_solve(LU, b, p))\n"
+                     "from mpmath import lu_solve, qr_solve\n"
+                     "x = mp.cholesky_solve(M, b)\n"
+                     "doc = 'mp.lu_solve'\n")
+    assert sorted(set(matrix_references(probe))) == [2, 3, 4, 6, 7, 8, 9]
 
 
 # the names in `polys` that make, take apart or move packed monomial keys

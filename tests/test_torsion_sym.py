@@ -223,12 +223,25 @@ def test_rho0_rational_root_at_low_ambient_precision():
 
 
 @pytest.mark.parametrize("hint, minpoly", [(1.7, "tau^2 - 3"), (2.1, "tau - 2")])
-def test_rho0_root_next_to_a_rational_root(hint, minpoly):
+def test_rho0_root_next_to_a_rational_root(hint, minpoly, monkeypatch):
     # sqrt(3) rounds to the root 2 of (tau - 2)(tau^2 - 3) at denominator 1;
-    # only the root that is 2 is taken for it
+    # only the root that is 2 is taken for it.  The cubic's is the one root
+    # pass: a quadratic value carries its two irrational roots
+    passes = []
+    for module in (numfield, torsion_sym):
+        real = module.roots_numeric
+        monkeypatch.setattr(
+            module, "roots_numeric",
+            lambda *a, _real=real: passes.append(_real(*a)) or passes[-1])
     spec = from_text("tau^3 - 2*tau^2 - 3*tau + 6")
     tau = rho0_value(spec, NearestToHint(hint)).value
     assert tau.minpoly == from_text(minpoly)
+    (cubic,) = passes
+    if tau.degree == 2:
+        two = min(cubic, key=lambda r: abs(r - 2))
+        irrational = [r for r in cubic if r is not two]
+        assert len(tau.roots) == 2 and abs(two - 2) < 1e-60
+        assert all(r is s for r, s in zip(tau.roots, irrational))
 
 
 @pytest.mark.parametrize("spec, value", [("tau^2 - 9", Fraction(3)),
