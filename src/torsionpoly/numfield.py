@@ -12,8 +12,8 @@ the digits they were found at, so a later step at those digits reads them
 instead of finding them again.  The
 minimal polynomial of A(x) is the squarefree part of Res_x(f(x), tau - A(x)).
 Field membership of an algebraic number is decided by a high-precision linear
-solve over all embeddings: the inverse Vandermonde matrix comes from one
-mplinalg elimination of [V | I], and each pairing is a product with it.
+solve over all embeddings: the inverse Vandermonde matrix is the Lagrange
+basis of the embeddings, and each pairing is an mplinalg product with it.
 Rationals are never guessed: each is read exactly
 off its mpf and rounded at a denominator the algebra proves (the rational
 root theorem, and disc(a*x) O_K in Z[a*x] for the integral generator a*x), and
@@ -344,8 +344,8 @@ class AlgebraicNumber:
     """A root of a squarefree rational polynomial plus an isolating
     approximation.
 
-    Carries the roots of minpoly it certified, as roots_numeric found them
-    at `digits`."""
+    Carries all complex roots of minpoly good to `digits`: a root pass of
+    minpoly, or the matching roots of a pass of a multiple of it."""
 
     minpoly: MultiPoly    # primitive, in one variable
     approx: object        # mp.mpc
@@ -360,8 +360,8 @@ class AlgebraicNumber:
 
     @classmethod
     def _isolating(cls, prim: MultiPoly, roots, approx, digits: int):
-        """The root of the squarefree primitive prim that approx isolates,
-        kept as found; `roots` are roots_numeric(prim, digits)."""
+        """The root of the squarefree primitive prim that approx isolates
+        among `roots`, all complex roots of prim good to `digits`."""
         isolated = _isolate(prim, roots, mp.mpc(approx), digits)
         if isolated is None:
             raise NumFieldError("approximation does not isolate a root")
@@ -387,16 +387,19 @@ class Undecided:
 
 
 def _vandermonde_inverse(nodes):
-    """V^-1 for the Vandermonde matrix V of nodes, read off the right half
-    of [V | I] reduced by mplinalg's elimination; None when V has fewer
-    than len(nodes) pivots."""
-    n = len(nodes)
-    VI = la.Matrix([r ** j for j in range(n)] + [mp.mpf(int(i == j)) for j in range(n)]
-                   for i, r in enumerate(nodes))
-    pivots, reduced = la.eliminate(VI, col_order=range(n))
-    if len(pivots) < n:
-        return None
-    return la.Matrix(row[n:] for row in reduced)
+    """V^-1 for the Vandermonde matrix of distinct nodes, in closed form, so
+    no rank tolerance enters: column i holds the coefficients, lowest first,
+    of prod_{j != i} (x - r_j) / (r_i - r_j).  None when two nodes coincide."""
+    cols = []
+    for i, ri in enumerate(nodes):
+        num, den = [mp.mpf(1)], mp.mpf(1)
+        for rj in nodes[:i] + nodes[i + 1:]:
+            num = [a - rj * b for a, b in zip([0] + num, num + [0])]
+            den *= ri - rj
+        if not den:
+            return None
+        cols.append([c / den for c in num])
+    return la.Matrix(map(list, zip(*cols)))
 
 
 def express_in_field(target: AlgebraicNumber, field: NumberField,

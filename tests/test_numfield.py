@@ -547,6 +547,22 @@ def test_repeated_embedding_node_is_undecided(monkeypatch):
     assert express_in_field(tau, K) == Undecided("degenerate embedding matrix", 64)
 
 
+@pytest.mark.parametrize("f, hint, coords, note", [
+    # max|root|^(n-1) = 1e8: a rank tolerance relative to V's largest entry
+    # would drop the column of ones
+    ("x^2 - 10000000000000001", "1e8", (0, -1),
+     "matched at the non-declared embedding x ~ (-1.0e+8 + 0.0j)"),
+    # roots 1 +- sqrt(2)*1e-10, closer than 1e-8 relative
+    ("100000000000000000000*x^2 - 200000000000000000000*x + 99999999999999999998",
+     "1.0000000001", (2, -1), "matched at the non-declared embedding x ~ (1.0 + 0.0j)"),
+])
+def test_embedding_solve_needs_no_rank_tolerance(f, hint, coords, note):
+    # tau is a root of f itself, so tau lies in K = Q[x]/(f)
+    K = NumberField.create(from_text(f), embedding_hint=mp.mpc(hint))
+    tau = AlgebraicNumber.create(from_text(f.replace("x", "tau")), mp.mpc(hint))
+    assert express_in_field(tau, K) == (K.element(coords), note)
+
+
 def test_field_creation_makes_one_squarefree_test(monkeypatch):
     tests = []
     real = numfield.gcd_poly

@@ -1,8 +1,9 @@
 """sympy, hypothesis and pytest are test-only: no module of the package
 imports them, so the program runs without them.  No module uses `mp.matrix`
 or mpmath's own solvers: a 2x2 matrix is a 4-tuple, a chain matrix and the
-embedding solve's Vandermonde matrix are row lists, and every solve runs on
-`mplinalg`'s one elimination.  And `polys` is the only module that reads or
+embedding solve's inverse Vandermonde matrix are row lists, chain ranks and
+kernels come from `mplinalg`'s one elimination, and the Vandermonde inverse
+is formed in closed form.  And `polys` is the only module that reads or
 builds the packed monomial keys of a polynomial's terms."""
 
 import ast
