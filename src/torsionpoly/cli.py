@@ -25,7 +25,7 @@ from .front import (  # noqa: F401  (bound here for the tracer and the tests)
 )
 from .numfield import NotInField
 from .polys import dense_coeffs, to_text
-from .records import ingest_knot, parse_record, validate_parabolic  # noqa: F401
+from .records import ingest_knot, parse_record  # noqa: F401
 from .torsion_num import NORMALIZATION_NOTE
 
 REPORT_DIGITS = 12
@@ -132,30 +132,32 @@ def cmd_membership(record, args):
     }, out["notes"]
 
 
-def _engine_dps(args) -> int:
-    """The numeric engine's working digits for --precision."""
-    return max(30, args.precision // 2)
+def _working_dps(args) -> int:
+    """The mpmath digits a command works at: the numeric engine's commands
+    at half --precision, and at least 30, the others at --precision."""
+    if args.cmd in ("torsion", "sweep", "validate"):
+        return max(30, args.precision // 2)
+    return args.precision
 
 
-def _torsion_results(point: dict, tolerance: float, dps: int) -> Dict[str, str]:
-    """The report lines of a torsion_at point, formatted at the dps that
-    computed it rather than at the ambient --precision."""
-    with mp.workdps(dps):
-        results = {
-            "tr_mu": fmt_mp(point["tr_mu"]),
-            "tr_lambda": fmt_mp(point["tr_lambda"]),
-            "tau_mu": fmt_mp(point["tau_mu"]),
-            "tau_lambda": fmt_mp(point["tau_lambda"]),
-            "ratio_sq": fmt_mp(point["ratio_sq"]),
-            "homology_dims": "0 1 1",
-        }
-        if "change_factor" in point:
-            results["change_factor"] = fmt_mp(point["change_factor"])
-            err = point["change_factor_rel_err"]
-            results["change_factor_rel_err"] = mp.nstr(err, 3)
-            results["change_factor_ok"] = "true" if err < tolerance else "false"
-        if "diag_scalar" in point:
-            results["diagnostic_scalar"] = fmt_mp(point["diag_scalar"])
+def _torsion_results(point: dict, tolerance: float) -> Dict[str, str]:
+    """The report lines of a torsion_at point, formatted at the precision
+    that computed it."""
+    results = {
+        "tr_mu": fmt_mp(point["tr_mu"]),
+        "tr_lambda": fmt_mp(point["tr_lambda"]),
+        "tau_mu": fmt_mp(point["tau_mu"]),
+        "tau_lambda": fmt_mp(point["tau_lambda"]),
+        "ratio_sq": fmt_mp(point["ratio_sq"]),
+        "homology_dims": "0 1 1",
+    }
+    if "change_factor" in point:
+        results["change_factor"] = fmt_mp(point["change_factor"])
+        err = point["change_factor_rel_err"]
+        results["change_factor_rel_err"] = mp.nstr(err, 3)
+        results["change_factor_ok"] = "true" if err < tolerance else "false"
+    if "diag_scalar" in point:
+        results["diagnostic_scalar"] = fmt_mp(point["diag_scalar"])
     return results
 
 
@@ -172,35 +174,36 @@ def cmd_torsion(record, args):
         _finite(mp.mpmathify(args.trace), "--trace")
     except TypeError:  # mpmath's error for text that is not a number
         raise ValueError(f"--trace {args.trace!r} is not a number") from None
-    dps = _engine_dps(args)
-    point = pl.torsion_at(record, args.trace, dps=dps)
+    point = pl.torsion_at(record, args.trace)
     results = {"trace": args.trace}
-    results.update(_torsion_results(point, args.tolerance, dps))
+    results.update(_torsion_results(point, args.tolerance))
     notes = [H2_NOTE, NORMALIZATION_NOTE]
     return results, notes
 
 
 def _sweep_point(payload):
+    """One sweep row, at the precision the payload carries: a worker process
+    does not share `run`'s."""
     record, trace, dps, tolerance = payload
-    try:
-        point = pl.torsion_at(record, trace, dps=dps)
-    except ValueError as exc:
-        # singular samples (e.g. the parabolic point itself) are reported
-        # per-point, the rest of the sweep continues
-        return trace, {"error": str(exc)}
-    return trace, _torsion_results(point, tolerance, dps)
+    with mp.workdps(dps):
+        try:
+            point = pl.torsion_at(record, trace)
+        except ValueError as exc:
+            # singular samples (e.g. the parabolic point itself) are reported
+            # per-point, the rest of the sweep continues
+            return trace, {"error": str(exc)}
+        return trace, _torsion_results(point, tolerance)
 
 
 def cmd_sweep(record, args):
-    dps = _engine_dps(args)
     steps = args.steps
-    with mp.workdps(dps):  # the sample traces carry the engine's digits
-        lo = _finite(mp.mpf(args.start), "--from")
-        hi = _finite(mp.mpf(args.stop), "--to")
-        traces = [mp.nstr(lo + (hi - lo) * i / max(1, steps - 1), 12)
-                  for i in range(steps)]
+    lo = _finite(mp.mpf(args.start), "--from")
+    hi = _finite(mp.mpf(args.stop), "--to")
+    traces = [mp.nstr(lo + (hi - lo) * i / max(1, steps - 1), 12)
+              for i in range(steps)]
     # the report has one row per printed trace, so each is computed once
-    payloads = [(record, t, dps, args.tolerance) for t in dict.fromkeys(traces)]
+    payloads = [(record, t, mp.mp.dps, args.tolerance)
+                for t in dict.fromkeys(traces)]
     # a fork pool starts all its workers at the first submit
     jobs = min(args.jobs, len(payloads))
     if jobs > 1:
@@ -219,15 +222,13 @@ def cmd_sweep(record, args):
 
 
 def cmd_validate(record, args):
-    dps = _engine_dps(args)
-    out = validate_parabolic(record, dps=dps)
-    with mp.workdps(dps):
-        results = {
-            "abelianization": "Z",
-            "parabolic_relator_residual": mp.nstr(out["relator_residual"], 4),
-            "parabolic_tr_lambda": fmt_mp(out["tr_lambda"]),
-            "ok": "true" if out["ok"] else "false",
-        }
+    out = pl.validate_parabolic(record)
+    results = {
+        "abelianization": "Z",
+        "parabolic_relator_residual": mp.nstr(out["relator_residual"], 4),
+        "parabolic_tr_lambda": fmt_mp(out["tr_lambda"]),
+        "ok": "true" if out["ok"] else "false",
+    }
     return results, [record.presentation_note] if record.presentation_note else []
 
 
@@ -238,7 +239,7 @@ def run(args, command_echo: str, text: str, digest: str) -> int:
     """front.main past a cache miss: parse the record text it read and
     hashed, run the handler and store the report."""
     record = parse_record(text)
-    with mp.workdps(args.precision):
+    with mp.workdps(_working_dps(args)):
         results, notes = HANDLERS[args.cmd](record, args)
     rep = report_dict(command_echo, digest, results, notes, {
         "precision_digits": str(args.precision),

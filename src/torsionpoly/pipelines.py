@@ -1,4 +1,7 @@
-"""End-to-end flows composed from the core modules, shared by CLI and verify."""
+"""End-to-end flows composed from the core modules, shared by CLI and verify.
+
+The numeric flows run at the caller's mpmath precision and set none of
+their own; `cli` and `verify` set it."""
 
 from __future__ import annotations
 
@@ -145,28 +148,40 @@ def field_element_text(elem) -> str:
     return to_text(from_dense("x", elem.coords))
 
 
-def torsion_at(record: KnotRecord, trace, dps: int = 40) -> dict:
+def torsion_at(record: KnotRecord, trace) -> dict:
     """Numeric torsion data at one meridian trace, with symbolic cross-checks."""
-    with mp.workdps(dps):
-        rep = riley_solve(record.presentation, mp.mpmathify(trace),
-                          record.riley_seed)
-        out = peripheral_torsions(record.presentation, rep)
-        result = {
-            "trace": mp.mpmathify(trace),
-            "tr_mu": out["tr_mu"],
-            "tr_lambda": out["tr_lambda"],
-            "tau_mu": out["tau_mu"],
-            "tau_lambda": out["tau_lambda"],
-            "ratio_sq": out["ratio_sq"],
-        }
-        if record.apoly is not None and record.branch_hint is not None:
-            _, factor = branch_and_factor(record)
-            expected = factor.eval_at(out["tr_mu"])
-            result["change_factor"] = expected
-            result["change_factor_rel_err"] = abs(out["ratio_sq"] - expected) / abs(expected)
-        if record.param_torsion is not None:
-            result["diag_scalar"] = _diagnostic_scalar(record, out)
-        return result
+    rep = riley_solve(record.presentation, mp.mpmathify(trace),
+                      record.riley_seed)
+    out = peripheral_torsions(record.presentation, rep)
+    result = {
+        "trace": mp.mpmathify(trace),
+        "tr_mu": out["tr_mu"],
+        "tr_lambda": out["tr_lambda"],
+        "tau_mu": out["tau_mu"],
+        "tau_lambda": out["tau_lambda"],
+        "ratio_sq": out["ratio_sq"],
+    }
+    if record.apoly is not None and record.branch_hint is not None:
+        _, factor = branch_and_factor(record)
+        expected = factor.eval_at(out["tr_mu"])
+        result["change_factor"] = expected
+        result["change_factor_rel_err"] = abs(out["ratio_sq"] - expected) / abs(expected)
+    if record.param_torsion is not None:
+        result["diag_scalar"] = _diagnostic_scalar(record, out)
+    return result
+
+
+def validate_parabolic(record: KnotRecord) -> dict:
+    """Deep record validation: solve the parabolic representation and check
+    the universal longitude trace tr_lambda(rho0) = -2."""
+    rep = riley_solve(record.presentation, mp.mpf(2), record.riley_seed)
+    L = rep.image(record.presentation.longitude)
+    tr_l = L[0] + L[3]
+    return {
+        "relator_residual": rep.relator_residual(record.presentation),
+        "tr_lambda": tr_l,
+        "ok": bool(abs(tr_l + 2) < mp.mpf("1e-8")),
+    }
 
 
 def _diagnostic_scalar(record: KnotRecord, out) -> object:

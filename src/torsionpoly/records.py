@@ -7,28 +7,28 @@ cleanly.  Complex numbers are written as `re im` pairs.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-import mpmath as mp
-
 from .charvar import APoly, apoly_normalize
 from .front import RecordError, bundled_record_text, record_text  # noqa: F401
 from .polys import MultiPoly, PolyError, from_text
-from .torsion_num import Presentation, TorsionNumError, parse_word, riley_solve
 from .torsion_sym import NearestToHint, ParamTorsion, PositiveRealRoot, TorsionSymError
+from .words import Presentation, WordError, parse_word
 
 
 def _parse_complex(tokens: List[str], where: str) -> complex:
+    """A finite `re [im]`: nan and inf would compare false against every
+    tolerance downstream."""
     try:
-        if len(tokens) == 1:
-            return complex(float(tokens[0]), 0.0)
-        if len(tokens) == 2:
-            return complex(float(tokens[0]), float(tokens[1]))
+        value = complex(*map(float, tokens)) if len(tokens) in (1, 2) else None
     except ValueError:
-        pass
-    raise RecordError(f"{where}: expected `re [im]`, got {' '.join(tokens)!r}")
+        value = None
+    if value is None or not cmath.isfinite(value):
+        raise RecordError(f"{where}: expected finite `re [im]`, got {' '.join(tokens)!r}")
+    return value
 
 
 @dataclass
@@ -132,12 +132,12 @@ def parse_record(text: str) -> KnotRecord:
             parse_word(pres_sec.require("meridian"), gens),
             parse_word(pres_sec.require("longitude"), gens))
         if len(relators) != gens - 1:
-            raise TorsionNumError(
+            raise WordError(
                 f"presentation is not deficiency one: {len(relators)} relators "
                 f"on {gens} generators")
         if not pres.abelianization_ok():
-            raise TorsionNumError("abelianization is not infinite cyclic")
-    except (TorsionNumError, ValueError) as exc:
+            raise WordError("abelianization is not infinite cyclic")
+    except ValueError as exc:
         raise RecordError(f"[presentation] line {pres_sec.line}: {exc}") from exc
 
     apoly = None
@@ -151,7 +151,7 @@ def parse_record(text: str) -> KnotRecord:
                 raise RecordError(f"[apoly] line {ln}: expected `a b c`")
             try:
                 triples.append((int(toks[0]), int(toks[1]), Fraction(toks[2])))
-            except ValueError as exc:
+            except (ValueError, ZeroDivisionError) as exc:
                 raise RecordError(f"[apoly] line {ln}: {exc}") from exc
         if not triples:
             raise RecordError(f"[apoly] line {sec.line}: no terms")
@@ -161,7 +161,8 @@ def parse_record(text: str) -> KnotRecord:
             toks = bh.split()
             if len(toks) != 2:
                 raise RecordError(f"[apoly] line {sec.line}: branch_hint needs two numbers")
-            branch_hint = (float(toks[0]), float(toks[1]))
+            hint = _parse_complex(toks, f"[apoly] line {sec.line}")
+            branch_hint = (hint.real, hint.imag)
 
     param = None
     trace_of = ""
@@ -224,8 +225,12 @@ def parse_record(text: str) -> KnotRecord:
             if tv is None or rule is None:
                 raise RecordError(f"[rho0] line {sec.line}: {curve} needs both "
                                   "trace_value and rule")
-            rho0[curve] = Rho0Data(Fraction(tv),
-                                   _parse_rule(rule, f"[rho0] line {sec.line}"))
+            where = f"[rho0] line {sec.line}"
+            try:
+                trace_value = Fraction(tv)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise RecordError(f"{where}: {exc}") from exc
+            rho0[curve] = Rho0Data(trace_value, _parse_rule(rule, where))
         seed = sec.get("riley_seed")
         if seed is not None:
             riley_seed = _parse_complex(seed.split(), f"[rho0] line {sec.line}")
@@ -251,16 +256,3 @@ def ingest_knot(path_or_name: str) -> KnotRecord:
     """Load a record from a path, or from the bundled corpus by knot name."""
     return parse_record(record_text(path_or_name))
 
-
-def validate_parabolic(record: KnotRecord, dps: int = 40) -> dict:
-    """Deep record validation: solve the parabolic representation and check
-    the universal longitude trace tr_lambda(rho0) = -2."""
-    with mp.workdps(dps):
-        rep = riley_solve(record.presentation, mp.mpf(2), record.riley_seed)
-        L = rep.image(record.presentation.longitude)
-        tr_l = L[0] + L[3]
-        return {
-            "relator_residual": rep.relator_residual(record.presentation),
-            "tr_lambda": tr_l,
-            "ok": bool(abs(tr_l + 2) < mp.mpf("1e-8")),
-        }

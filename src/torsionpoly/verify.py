@@ -23,13 +23,13 @@ from .charvar import change_curve_apoly, change_curve_sq
 from .numfield import _polyroots, roots_numeric
 from .polys import MultiPoly, divides, exact_div, from_dense, from_text, \
     gcd_poly, normalize_sign, resultant, to_text
-from .records import KnotRecord, ingest_knot, validate_parabolic
+from .records import KnotRecord, ingest_knot
 from .torsion_num import (
-    _block, _mul2, adjoint, basing, boundaries, fox_derivative,
-    invariant_vector, parse_word, peripheral_torsions, riley_solve,
-    torsion_numeric,
+    _block, _mul2, adjoint, basing, boundaries, invariant_vector,
+    peripheral_torsions, riley_solve, torsion_numeric,
 )
 from .torsion_sym import specialize
+from .words import fox_derivative, parse_word
 
 T52_TEXT = ("tau^3 - 47*tau^2 + 14*tau^2*y^2 - 5*tau^2*y^4"
             " - 5138*tau + 10057*tau*y^2 - 7830*tau*y^4 + 3213*tau*y^6"
@@ -299,10 +299,11 @@ def _apoly_samples(A, rng, n):
 
 
 def check_records() -> Tuple[bool, str]:
-    for name in ("4_1", "5_2"):
-        out = validate_parabolic(_record(name))
-        if not out["ok"]:
-            return False, f"record {name}: parabolic longitude trace is not -2"
+    with mp.workdps(40):
+        for name in ("4_1", "5_2"):
+            out = pl.validate_parabolic(_record(name))
+            if not out["ok"]:
+                return False, f"record {name}: parabolic longitude trace is not -2"
     return True, "bundled records pass deep validation (parabolic trace -2)"
 
 

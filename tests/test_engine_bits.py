@@ -33,7 +33,8 @@ def grid_lines(knot):
     for digits in DIGITS:
         for trace in TRACES:
             try:
-                point = pl.torsion_at(record, trace, dps=digits)
+                with mp.workdps(digits):
+                    point = pl.torsion_at(record, trace)
             except ValueError as exc:
                 yield f"{digits} {trace} error {type(exc).__name__}: {exc}"
                 continue

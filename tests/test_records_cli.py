@@ -7,7 +7,6 @@ import pytest
 from torsionpoly import cli, pipelines as pl
 from torsionpoly.records import (
     RecordError, bundled_record_text, ingest_knot, parse_record,
-    validate_parabolic,
 )
 
 
@@ -88,6 +87,40 @@ def test_record_abelianization_error_names_line(capsys, cache_dir, tmp_path,
     assert err == f"error: eliminate: [presentation] line 6: {message}\n"
 
 
+@pytest.mark.parametrize("edit, message", [
+    (("embedding = 0 1.7320508", "embedding = nan 0"),
+     "[trace_field] line 37: expected finite `re [im]`, got 'nan 0'"),
+    (("mu_rule = hint 0 0.87", "mu_rule = hint inf 0.87"),
+     "[rho0] line 41: expected finite `re [im]`, got 'inf 0.87'"),
+    (("hint = u 3", "hint = u nan"),
+     "[param_torsion] line 33: expected finite `re [im]`, got 'nan'"),
+    (("riley_seed = 0.5 0.9", "riley_seed = nan 0.9"),
+     "[rho0] line 41: expected finite `re [im]`, got 'nan 0.9'"),
+    (("branch_hint = 2 -2", "branch_hint = 2 -inf"),
+     "[apoly] line 13: expected finite `re [im]`, got '2 -inf'"),
+    (("branch_hint = 2 -2", "branch_hint = 2 x"),
+     "[apoly] line 13: expected finite `re [im]`, got '2 x'"),
+    (("lambda_trace_value = -2", "lambda_trace_value = abc"),
+     "[rho0] line 41: Invalid literal for Fraction: 'abc'"),
+    (("mu_trace_value = 2", "mu_trace_value = 2/0"),
+     "[rho0] line 41: Fraction(2, 0)"),
+    (("term = 0 0 -2", "term = 0 0 1/0"),
+     "[apoly] line 21: Fraction(1, 0)"),
+], ids=["embedding-nan", "mu-rule-inf", "hint-nan", "riley-seed-nan",
+        "branch-hint-inf", "branch-hint-text", "trace-value-text",
+        "trace-value-zero-denominator", "term-zero-denominator"])
+def test_record_numbers_are_finite_and_errors_name_their_place(
+        capsys, cache_dir, tmp_path, edit, message):
+    p = tmp_path / "bad.knot"
+    p.write_text(bundled_record_text("4_1").replace(*edit))
+    with pytest.raises(RecordError) as info:
+        ingest_knot(str(p))
+    assert str(info.value) == message
+    code, out, err = run_cli(capsys, "validate", "--knot", str(p), "--no-cache")
+    assert (code, out) == (2, "")
+    assert err == f"error: validate: {message}\n"
+
+
 def test_record_entry_outside_section():
     with pytest.raises(RecordError, match="line 1"):
         parse_record("foo = bar\n")
@@ -100,7 +133,8 @@ def test_record_bad_word_letter():
 
 
 def test_deep_validation():
-    out = validate_parabolic(ingest_knot("4_1"))
+    with mp.workdps(40):
+        out = pl.validate_parabolic(ingest_knot("4_1"))
     assert out["ok"]
 
 

@@ -3,10 +3,14 @@ imports them, so the program runs without them.  No module uses `mp.matrix`
 or mpmath's own solvers: a 2x2 matrix is a 4-tuple, a chain matrix and the
 embedding solve's inverse Vandermonde matrix are row lists, chain ranks and
 kernels come from `mplinalg`'s one elimination, and the Vandermonde inverse
-is formed in closed form.  And `polys` is the only module that reads or
-builds the packed monomial keys of a polynomial's terms."""
+is formed in closed form.  `polys` is the only module that reads or
+builds the packed monomial keys of a polynomial's terms.  The free group of
+`words` needs only the standard library, `records` parses without the numeric
+engine, and only the entry points `cli` and `verify`, and the modules that
+work at digits they are given, name mpmath's working precision."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,12 +19,23 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "torsionpoly"
 TEST_ONLY = {"sympy", "hypothesis", "pytest"}
 
 
-def imported_roots(path):
+def imported_modules(path):
+    """Each module an import in path names; a relative one keeps its dots."""
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, ast.Import):
-            yield from (alias.name.split(".")[0] for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            yield node.module.split(".")[0]
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            dots = "." * node.level
+            if node.module:
+                yield dots + node.module
+            else:
+                yield from (dots + alias.name for alias in node.names)
+
+
+def imported_roots(path):
+    for name in imported_modules(path):
+        if not name.startswith("."):
+            yield name.split(".")[0]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")), ids=lambda p: p.name)
@@ -113,3 +128,83 @@ def test_key_guard_sees_every_key_form(tmp_path):
                      "n = len(p.terms)\n"
                      "doc = 'p.terms[m]'\n")
     assert sorted(set(monomial_key_uses(probe))) == [1, 3, 4, 5, 7, 8, 9]
+
+
+def non_stdlib_imports(path):
+    return [name for name in imported_modules(path)
+            if name.split(".")[0] not in sys.stdlib_module_names]
+
+
+def test_words_imports_only_the_standard_library():
+    assert non_stdlib_imports(PACKAGE / "words.py") == []
+
+
+def test_stdlib_guard_sees_every_import_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from __future__ import annotations\nimport math, mpmath\n"
+                     "from typing import Dict\nfrom . import polys\n"
+                     "from .torsion_num import Rep\nimport mpmath.libmp as lm\n")
+    assert non_stdlib_imports(probe) == ["mpmath", ".polys", ".torsion_num",
+                                         "mpmath.libmp"]
+
+
+def package_modules(path):
+    """The modules an import in path names, package-relative ones by their
+    own name (`.torsion_num` and `torsionpoly.torsion_num` as
+    `torsion_num`), the rest by their root."""
+    for name in imported_modules(path):
+        if name.startswith("torsionpoly."):
+            name = name[len("torsionpoly."):]
+        yield name.lstrip(".").split(".")[0]
+
+
+def test_records_imports_no_numeric_engine():
+    assert not {"mpmath", "torsion_num", "mplinalg"} \
+        & set(package_modules(PACKAGE / "records.py"))
+
+
+def test_package_guard_sees_every_import_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import mpmath as mp\nfrom .torsion_num import Rep\n"
+                     "from . import mplinalg as la\nimport torsionpoly.numfield\n"
+                     "from torsionpoly.polys import MultiPoly\n")
+    assert set(package_modules(probe)) \
+        == {"mpmath", "torsion_num", "mplinalg", "numfield", "polys"}
+
+
+PRECISION_NAMES = {"workdps", "workprec"}
+# the entry points, and the modules that work at the digits they are given
+PRECISION_MODULES = {"cli.py", "verify.py", "numfield.py", "torsion_num.py",
+                     "torsion_sym.py"}
+
+
+def precision_references(path):
+    """Lines that name mpmath's working precision: `workdps` or `workprec`
+    as an attribute, a name or an import, or `dps` or `prec` read off `mp`
+    (the module or its context)."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Attribute):
+            owner = node.value
+            if node.attr in PRECISION_NAMES or node.attr in ("dps", "prec") \
+                    and (isinstance(owner, ast.Name) and owner.id == "mp"
+                         or isinstance(owner, ast.Attribute) and owner.attr == "mp"):
+                yield node.lineno
+        elif isinstance(node, ast.Name) and node.id in PRECISION_NAMES \
+                or isinstance(node, ast.ImportFrom) \
+                and any(alias.name in PRECISION_NAMES for alias in node.names):
+            yield node.lineno
+
+
+def test_only_entry_points_set_the_precision():
+    users = {path.name for path in PACKAGE.rglob("*.py")
+             if any(precision_references(path))}
+    assert users <= PRECISION_MODULES
+
+
+def test_precision_guard_sees_every_reference_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import mpmath as mp\nwith mp.workdps(40):\n    pass\n"
+                     "p = mp.mp.prec\nd = mp.dps\nfrom mpmath import workprec\n"
+                     "with workprec(53):\n    pass\nctx.prec = 3\n"
+                     "doc = 'mp.dps'\nn = mpmath.mp.dps\n")
+    assert sorted(set(precision_references(probe))) == [2, 4, 5, 6, 7, 11]

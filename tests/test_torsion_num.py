@@ -11,9 +11,11 @@ from torsionpoly.charvar import change_curve_sq
 from torsionpoly.polys import from_text
 from torsionpoly.records import ingest_knot
 from torsionpoly.torsion_num import (
-    GroupRingElem, Presentation, Rep, TorsionNumError, Word,
-    adjoint, basing, boundaries, fox_derivative, invariant_vector,
-    parse_word, peripheral_torsions, riley_solve, torsion_numeric,
+    Rep, TorsionNumError, adjoint, basing, boundaries, invariant_vector,
+    peripheral_torsions, riley_solve, torsion_numeric,
+)
+from torsionpoly.words import (
+    GroupRingElem, Presentation, Word, WordError, fox_derivative, parse_word,
 )
 
 BRANCH41 = from_text("x^4 - 5*x^2 + 2")
@@ -95,7 +97,7 @@ def test_parse_word_free_reduction():
 
 
 def test_parse_word_bad_letter():
-    with pytest.raises(TorsionNumError, match="position 1"):
+    with pytest.raises(WordError, match="position 1"):
         parse_word("a1b")
 
 
@@ -247,24 +249,59 @@ def test_riley_solve_parabolic_longitude_trace():
         assert abs(L[0] + L[3] + 2) < 1e-9
 
 
+def gaps_from_100_digits(compute):
+    """The largest relative gaps of compute()'s values at 40 and at 60 digits
+    from its values at 100 digits; the caller's precision is left as it was."""
+    prec = mp.mp.prec
+    runs = {}
+    for digits in (40, 60, 100):
+        with mp.workdps(digits):
+            runs[digits] = compute()
+    assert mp.mp.prec == prec
+    with mp.workdps(100):
+        return [max(abs(low - high) / max(1, abs(high))
+                    for low, high in zip(runs[digits], runs[100]))
+                for digits in (40, 60)]
+
+
 def test_engine_runs_at_the_callers_precision():
     # the solve and both torsions follow the ambient precision: a 60-digit
     # run agrees with a 100-digit run to 1e-50, and a 40-digit run does not.
     # The trace is the double nearest 2.05, the same number at every
     # precision, so a fixed-precision engine would give three equal runs
-    runs = {}
-    for digits in (40, 60, 100):
-        with mp.workdps(digits):
-            rep = riley_solve(PRES_41, mp.mpf(2.05), SEED_41)
-            out = peripheral_torsions(PRES_41, rep)
-            runs[digits] = [rep.generators[1][2], out["tau_mu"],
-                            out["tau_lambda"], out["ratio_sq"]]
-    with mp.workdps(100):
-        def gap(digits):
-            return max(abs(low - high) / max(1, abs(high))
-                       for low, high in zip(runs[digits], runs[100]))
-        assert gap(60) < mp.mpf("1e-50")
-        assert gap(40) > mp.mpf("1e-50")
+    def compute():
+        rep = riley_solve(PRES_41, mp.mpf(2.05), SEED_41)
+        out = peripheral_torsions(PRES_41, rep)
+        return [rep.generators[1][2], out["tau_mu"], out["tau_lambda"],
+                out["ratio_sq"]]
+    gap40, gap60 = gaps_from_100_digits(compute)
+    assert gap60 < mp.mpf("1e-50")
+    assert gap40 > mp.mpf("1e-50")
+
+
+@pytest.mark.parametrize("flow, keys", [
+    (lambda record: pl.torsion_at(record, 2.05),
+     ("tr_lambda", "tau_mu", "tau_lambda", "ratio_sq", "change_factor",
+      "diag_scalar")),
+    (lambda record: pl.validate_parabolic(record),
+     ("relator_residual", "tr_lambda")),
+], ids=["torsion_at", "validate_parabolic"])
+def test_pipelines_run_at_the_callers_precision(flow, keys):
+    # the flows set no precision either
+    record = ingest_knot("4_1")
+    gap40, gap60 = gaps_from_100_digits(
+        lambda: [flow(record)[key] for key in keys])
+    assert gap60 < mp.mpf("1e-50")
+    assert gap40 > mp.mpf("1e-50")
+
+
+@pytest.mark.parametrize("pres", [PRES_41, PRES_52], ids=["4_1", "5_2"])
+def test_riley_solve_refuses_a_nan_seed(pres):
+    # a NaN residual compares false against the tolerance
+    with mp.workdps(40):
+        with pytest.raises(TorsionNumError,
+                           match="Newton did not converge: residual nan"):
+            riley_solve(pres, mp.mpf("2.05"), complex("nan"))
 
 
 def test_riley_solve_52():
@@ -480,7 +517,8 @@ def test_newton_and_fox_terms_make_no_matrix_products(knot, monkeypatch):
     assert len(adjoints) == terms
     # a whole sample point, its symbolic cross-checks included, builds and
     # multiplies no mp.matrix
-    pl.torsion_at(record, "2.05", dps=40)
+    with mp.workdps(40):
+        pl.torsion_at(record, "2.05")
     assert matrices == {}
 
 
@@ -523,6 +561,16 @@ def test_torsion_diagnostic_scalar_is_stable():
             ratio = out["tau_lambda"] ** 2 / (17 + 4 * out["tr_lambda"])
             vals.append(ratio)
         assert all(abs(v) > 1e-12 for v in vals)
+
+
+@pytest.mark.parametrize("pres", [PRES_41, PRES_52], ids=["4_1", "5_2"])
+def test_boundaries_refuses_a_nan_representation(pres):
+    with mp.workdps(40):
+        rep = Rep((mat2(2, 0, 0, 0.5), mat2(1, 0, "nan", 1)))
+        assert mp.isnan(rep.relator_residual(pres))
+        with pytest.raises(TorsionNumError,
+                           match="representation violates relators: nan"):
+            boundaries(pres, rep)
 
 
 def test_boundaries_rejects_relator_violation():

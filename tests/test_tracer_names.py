@@ -7,6 +7,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import mpmath as mp
+
 from torsionpoly import pipelines as pl
 from torsionpoly.records import ingest_knot
 
@@ -54,7 +56,8 @@ def test_tracer_reads_the_chain_matrix_shapes():
     tracer.install()
     try:
         for knot in ("4_1", "5_2"):
-            pl.torsion_at(ingest_knot(knot), "2.05", dps=32)
+            with mp.workdps(32):
+                pl.torsion_at(ingest_knot(knot), "2.05")
     finally:
         tracer.uninstall()
     assert tracer.sizes()["chain_matrix_shapes"] \

@@ -15,9 +15,8 @@ import pytest
 
 from torsionpoly import torsion_num as tn
 from torsionpoly.records import ingest_knot
-from torsionpoly.torsion_num import (
-    Rep, Word, adjoint, fox_derivative, riley_solve,
-)
+from torsionpoly.torsion_num import Rep, adjoint, riley_solve
+from torsionpoly.words import Word, fox_derivative
 
 DIGITS = (15, 32, 64, 100)
 
