@@ -3,8 +3,9 @@
 The eigenvalue-trace bridge tr = e + 1/e is realized by adjoining the
 quadratic e^2 - tr*e + 1 and eliminating with resultants, never by taking
 square roots.  The geometric branch is a trace relation linear in the
-longitude trace, checked against a numeric hint near the discrete faithful
-representation.
+longitude trace, checked exactly against a numeric hint near the discrete
+faithful representation.  No decision here is numeric, and none reads a
+working precision.
 """
 
 from __future__ import annotations
@@ -13,11 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
-import mpmath as mp
-
-from .numfield import coeff_norm
 from .polys import (
-    MultiPoly, exact_div, gcd_poly, normalize_sign, resultant,
+    MultiPoly, exact_div, gcd_poly, nearly_vanishes, normalize_sign, resultant,
     squarefree_primitive,
 )
 
@@ -34,9 +32,6 @@ class APoly:
     """Normalized A-polynomial in the eigenvalue variables (em, el)."""
 
     poly: MultiPoly
-
-    def eval_at(self, em, el):
-        return self.poly.eval({E_MU: em, E_LAMBDA: el})
 
 
 def apoly_normalize(laurent_terms: List[Tuple[int, int, object]]) -> APoly:
@@ -102,10 +97,7 @@ def geometric_branch(R: TraceRelation, hint: Tuple[float, float]):
     NoGraphBranch.  No bivariate factorization is attempted, so a relation
     of higher degree in y is a NoGraphBranch too."""
     poly = R.poly
-    x0, y0 = mp.mpc(hint[0]), mp.mpc(hint[1])
-    scale = coeff_norm(poly.terms.values())
-    resid = abs(poly.eval({TR_MU: x0, TR_LAMBDA: y0}))
-    if resid > 1e-6 * max(1, scale):
+    if not nearly_vanishes(poly, {TR_MU: hint[0], TR_LAMBDA: hint[1]}):
         raise CharVarError("hint off-variety")
     deg_y = poly.degree_in(TR_LAMBDA)
     if deg_y == 0:
@@ -150,26 +142,3 @@ def change_curve_sq(branch: MultiPoly) -> ChangeFactor:
     dnorm = normalize_sign(den)
     unit = exact_div(den, dnorm)
     return ChangeFactor(exact_div(num, unit), dnorm)
-
-
-def change_curve_apoly(A: APoly, samples):
-    """Evaluate (el/em) * (dA/del) / (dA/dem) at points of A = 0.
-
-    Per-sample output is either a complex ratio or an error string for
-    singular points; a sample off the variety raises.
-    """
-    dA_m = A.poly.derivative(E_MU)
-    dA_l = A.poly.derivative(E_LAMBDA)
-    scale = coeff_norm(A.poly.terms.values())
-    out = []
-    for em, el in samples:
-        em, el = mp.mpc(em), mp.mpc(el)
-        if abs(A.eval_at(em, el)) > 1e-8 * max(1, scale) * max(1, abs(em)) ** A.poly.degree_in(E_MU):
-            raise CharVarError(f"sample ({em}, {el}) violates A = 0")
-        dm = dA_m.eval({E_MU: em, E_LAMBDA: el})
-        dl = dA_l.eval({E_MU: em, E_LAMBDA: el})
-        if abs(dm) < 1e-8 * max(1, scale):
-            out.append("singular point: dA/dem vanishes")
-            continue
-        out.append((el / em) * dl / dm)
-    return out

@@ -161,19 +161,22 @@ def _torsion_results(point: dict, tolerance: float) -> Dict[str, str]:
     return results
 
 
-def _finite(value, flag: str):
-    """A parsed number; inf and nan would fail inside mpmath's arithmetic or
-    compare false against every error."""
+def _flag_number(text: str, flag: str, parse):
+    """The value of a numeric flag, read by `parse` (mp.mpf for a real one,
+    mp.mpmathify where a complex value is allowed) and required finite: inf
+    and nan would fail inside mpmath's arithmetic or compare false against
+    every error."""
+    try:
+        value = parse(text)
+    except (TypeError, ValueError):  # mpmathify and mpf's errors for text
+        raise ValueError(f"{flag} {text!r} is not a number") from None
     if not mp.isfinite(value):
         raise ValueError(f"{flag} must be a finite number, got {mp.nstr(value)}")
     return value
 
 
 def cmd_torsion(record, args):
-    try:
-        _finite(mp.mpmathify(args.trace), "--trace")
-    except TypeError:  # mpmath's error for text that is not a number
-        raise ValueError(f"--trace {args.trace!r} is not a number") from None
+    _flag_number(args.trace, "--trace", mp.mpmathify)
     point = pl.torsion_at(record, args.trace)
     results = {"trace": args.trace}
     results.update(_torsion_results(point, args.tolerance))
@@ -197,8 +200,8 @@ def _sweep_point(payload):
 
 def cmd_sweep(record, args):
     steps = args.steps
-    lo = _finite(mp.mpf(args.start), "--from")
-    hi = _finite(mp.mpf(args.stop), "--to")
+    lo = _flag_number(args.start, "--from", mp.mpf)
+    hi = _flag_number(args.stop, "--to", mp.mpf)
     traces = [mp.nstr(lo + (hi - lo) * i / max(1, steps - 1), 12)
               for i in range(steps)]
     # the report has one row per printed trace, so each is computed once

@@ -4,6 +4,10 @@ A root pass takes a squarefree polynomial, decided by one exact gcd with
 its derivative, and seeds mp.polyroots with a Durand-Kerner run in machine
 floats, so mpmath polishes the roots at the unchanged working precision
 instead of searching for them; where no seed forms, the pass starts cold.
+`algebraic_root` makes one root of a pass exact: an AlgebraicNumber whose
+minimal polynomial is the exact factor the root belongs to, rational roots
+split off by the rational root theorem, isolated among the pass's roots of
+that factor.
 
 A NumberField is Q[x]/(f) for a monic squarefree f without rational roots,
 together with one complex root, certified isolated, as the embedding.  A
@@ -38,8 +42,8 @@ import mpmath as mp
 
 from . import mplinalg as la
 from .polys import (
-    MultiPoly, dense_coeffs, from_dense, gcd_poly, normalize_sign, resultant,
-    squarefree_primitive,
+    MultiPoly, dense_coeffs, exact_div, from_dense, gcd_poly, normalize_sign,
+    resultant, squarefree_primitive,
 )
 
 DEFAULT_DIGITS = 64
@@ -52,12 +56,6 @@ class NumFieldError(ValueError):
 
 def _to_mpf(c: Fraction):
     return mp.mpf(c.numerator) / mp.mpf(c.denominator)
-
-
-def coeff_norm(coeffs):
-    """max |c| over exact (int or Fraction) coefficients, each read as
-    mpf(numerator) / mpf(denominator) at the working precision."""
-    return max(abs(_to_mpf(c)) for c in coeffs)
 
 
 def root_dps(digits: int) -> int:
@@ -126,7 +124,7 @@ def roots_numeric(p: MultiPoly, digits: int = DEFAULT_DIGITS):
     var = p.vars[0]
     if gcd_poly(p, p.derivative(var)).degree_in(var) > 0:
         raise NumFieldError("polynomial is not squarefree")
-    target = mp.mpf(10) ** (-digits) * coeff_norm(p.terms.values())
+    target = mp.mpf(10) ** (-digits) * max(abs(_to_mpf(c)) for c in p.terms.values())
     prim = normalize_sign(p)
     dps = root_dps(digits)
     while dps <= max(8 * MAX_DIGITS, root_dps(digits)):
@@ -167,6 +165,39 @@ def _rational_roots(p: MultiPoly, roots, digits: int) -> List[Tuple[object, Frac
                 (_exact(mp.re(s)) - q) ** 2 + _exact(mp.im(s)) ** 2)):
             found.append((r, q))
     return found
+
+
+def algebraic_root(sf: MultiPoly, roots, root, digits: int) -> "AlgebraicNumber":
+    """`root` as an AlgebraicNumber, for `roots` all complex roots of the
+    squarefree primitive univariate sf as one root pass found them good to
+    `digits`, and `root` one of them.
+
+    Its minimal polynomial is the exact primitive factor of sf it is a root
+    of.  A rational root is its linear factor, with the exact root at the
+    working digits of the pass.  Otherwise rational roots are split off
+    exactly, and the rest is asserted irreducible, which the rational-root
+    check settles through degree 3; its roots are the pass's other roots.
+    """
+    var = sf.vars[0]
+    rationals = _rational_roots(sf, roots, digits)
+    factor = sf
+    for r, q in rationals:
+        linear = from_dense(var, [-q.numerator, q.denominator])
+        if r is root:
+            with mp.workdps(root_dps(digits)):
+                factor, roots = linear, [mp.mpc(_to_mpf(q))]
+            break
+        factor = exact_div(factor, linear)
+    else:
+        factor = normalize_sign(factor)
+        if factor.degree_in(var) > 3:
+            raise NumFieldError(
+                "cannot certify irreducibility above degree 3 without factorization")
+        roots = [r for r in roots if not any(r is s for s, _ in rationals)]
+    isolated = _isolate(factor, roots, root, digits)
+    if isolated is None:
+        raise NumFieldError("approximation does not isolate a root")
+    return AlgebraicNumber(factor, *isolated, tuple(roots), digits)
 
 
 def _isolate(f: MultiPoly, roots, near, digits: int):
@@ -356,12 +387,7 @@ class AlgebraicNumber:
     @classmethod
     def create(cls, minpoly: MultiPoly, approx, digits: int = DEFAULT_DIGITS):
         prim = normalize_sign(minpoly)
-        return cls._isolating(prim, roots_numeric(prim, digits), approx, digits)
-
-    @classmethod
-    def _isolating(cls, prim: MultiPoly, roots, approx, digits: int):
-        """The root of the squarefree primitive prim that approx isolates
-        among `roots`, all complex roots of prim good to `digits`."""
+        roots = roots_numeric(prim, digits)
         isolated = _isolate(prim, roots, mp.mpc(approx), digits)
         if isolated is None:
             raise NumFieldError("approximation does not isolate a root")

@@ -425,6 +425,62 @@ def _horner_eval(p: MultiPoly, var_order, assignment):
     return result
 
 
+class _Dyadic:
+    """(re + im*i) / 2^k for ints re, im and k >= 0: the ring, closed under
+    integers, in which `nearly_vanishes` runs `MultiPoly.eval`."""
+
+    __slots__ = ("re", "im", "k")
+
+    def __init__(self, re: int, im: int, k: int):
+        self.re, self.im, self.k = re, im, k
+
+    @classmethod
+    def of(cls, x) -> "_Dyadic":
+        """The exact value of an int, float or complex."""
+        (a, da), (b, db) = x.real.as_integer_ratio(), x.imag.as_integer_ratio()
+        if da & da - 1 or db & db - 1:
+            raise PolyError(f"{x!r} is not a dyadic value")
+        ka, kb = da.bit_length() - 1, db.bit_length() - 1
+        k = max(ka, kb)
+        return cls(a << k - ka, b << k - kb, k)
+
+    def __add__(self, other):
+        if type(other) is int:
+            return _Dyadic(self.re + (other << self.k), self.im, self.k)
+        a, b = (self, other) if self.k >= other.k else (other, self)
+        s = a.k - b.k
+        return _Dyadic(a.re + (b.re << s), a.im + (b.im << s), a.k)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        if type(other) is int:
+            return _Dyadic(self.re * other, self.im * other, self.k)
+        return _Dyadic(self.re * other.re - self.im * other.im,
+                       self.re * other.im + self.im * other.re, self.k + other.k)
+
+    __rmul__ = __mul__
+
+
+HINT_TOL = Fraction(1, 10 ** 6)
+
+
+def nearly_vanishes(p: MultiPoly, point: dict) -> bool:
+    """Whether |p(point)| <= HINT_TOL * max(1, max |c|) over the
+    coefficients c of p, decided exactly.
+
+    Each coordinate of the point is an int, float or complex; every float
+    part is the dyadic rational it stores.  The integer multiple L*p is
+    evaluated in Z[i][1/2] and the squares of both sides, scaled by L, are
+    compared, so no working precision enters the decision."""
+    den = _content(p.terms.values())[1]
+    val = (p * den).eval({v: _Dyadic.of(x) for v, x in point.items()})
+    if type(val) is int:
+        val = _Dyadic(val, 0, 0)
+    bound = HINT_TOL * max([den] + [abs(c) * den for c in p.terms.values()])
+    return Fraction(val.re ** 2 + val.im ** 2, 1 << 2 * val.k) <= bound ** 2
+
+
 # ---------------------------------------------------------------------------
 # Exact division, gcd, squarefree
 # ---------------------------------------------------------------------------

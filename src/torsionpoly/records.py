@@ -37,17 +37,23 @@ class RawSection:
     line: int
     entries: List[Tuple[str, str, int]] = field(default_factory=list)
 
-    def get(self, key: str, default=None) -> Optional[str]:
-        vals = [v for k, v, _ in self.entries if k == key]
-        if len(vals) > 1:
-            raise RecordError(f"[{self.name}] line {self.line}: duplicate key {key!r}")
-        return vals[0] if vals else default
+    def get(self, key: str) -> Optional[Tuple[str, int]]:
+        """(value, line) of the key's one entry, or None."""
+        found = self.get_all(key)
+        if len(found) > 1:
+            raise RecordError(f"[{self.name}] line {found[1][1]}: duplicate key {key!r}")
+        return found[0] if found else None
 
-    def require(self, key: str) -> str:
-        v = self.get(key)
-        if v is None:
+    def require(self, key: str) -> Tuple[str, int]:
+        found = self.get(key)
+        if found is None:
             raise RecordError(f"[{self.name}] line {self.line}: missing key {key!r}")
-        return v
+        return found
+
+    def note(self, key: str) -> str:
+        """The value of an optional free-text key, or ''."""
+        found = self.get(key)
+        return found[0] if found else ""
 
     def get_all(self, key: str) -> List[Tuple[str, int]]:
         return [(v, ln) for k, v, ln in self.entries if k == key]
@@ -121,16 +127,16 @@ def parse_record(text: str) -> KnotRecord:
         return sections[name]
 
     knot = section("knot")
-    name = knot.require("name")
+    name, _ = knot.require("name")
 
     pres_sec = section("presentation")
     try:
-        gens = int(pres_sec.require("generators"))
+        gens = int(pres_sec.require("generators")[0])
         relators = [parse_word(v, gens) for v, _ in pres_sec.get_all("relator")]
         pres = Presentation.create(
             gens, relators,
-            parse_word(pres_sec.require("meridian"), gens),
-            parse_word(pres_sec.require("longitude"), gens))
+            parse_word(pres_sec.require("meridian")[0], gens),
+            parse_word(pres_sec.require("longitude")[0], gens))
         if len(relators) != gens - 1:
             raise WordError(
                 f"presentation is not deficiency one: {len(relators)} relators "
@@ -158,10 +164,10 @@ def parse_record(text: str) -> KnotRecord:
         apoly = apoly_normalize(triples)
         bh = sec.get("branch_hint")
         if bh is not None:
-            toks = bh.split()
+            toks, where = bh[0].split(), f"[apoly] line {bh[1]}"
             if len(toks) != 2:
-                raise RecordError(f"[apoly] line {sec.line}: branch_hint needs two numbers")
-            hint = _parse_complex(toks, f"[apoly] line {sec.line}")
+                raise RecordError(f"{where}: branch_hint needs two numbers")
+            hint = _parse_complex(toks, where)
             branch_hint = (hint.real, hint.imag)
 
     param = None
@@ -169,18 +175,23 @@ def parse_record(text: str) -> KnotRecord:
     torsion_note = ""
     if "param_torsion" in sections:
         sec = sections["param_torsion"]
-        trace_of = sec.require("trace_of")
+        trace_of, ln = sec.require("trace_of")
         if trace_of not in ("lambda", "mu"):
-            raise RecordError(f"[param_torsion] line {sec.line}: "
+            raise RecordError(f"[param_torsion] line {ln}: "
                               f"trace_of must be lambda or mu, got {trace_of!r}")
-        aux = tuple(sec.require("aux_vars").split())
-        trace_var = sec.require("trace_var")
+        aux = tuple(sec.require("aux_vars")[0].split())
+        trace_var, _ = sec.require("trace_var")
         allvars = aux + (trace_var,)
-        try:
-            tau_expr = from_text(sec.require("tau_expr"), allvars)
-            constraints = [from_text(v, allvars) for v, _ in sec.get_all("constraint")]
-        except PolyError as exc:
-            raise RecordError(f"[param_torsion] line {sec.line}: {exc}") from exc
+
+        def polynomial(entry):
+            text, ln = entry
+            try:
+                return from_text(text, allvars)
+            except PolyError as exc:
+                raise RecordError(f"[param_torsion] line {ln}: {exc}") from exc
+
+        tau_expr = polynomial(sec.require("tau_expr"))
+        constraints = [polynomial(e) for e in sec.get_all("constraint")]
         hints = {}
         for v, ln in sec.get_all("hint"):
             toks = v.split()
@@ -195,7 +206,7 @@ def parse_record(text: str) -> KnotRecord:
             param = ParamTorsion.create(tau_expr, constraints, aux, trace_var, hints)
         except TorsionSymError as exc:
             raise RecordError(f"[param_torsion] line {sec.line}: {exc}") from exc
-        torsion_note = sec.get("note", "")
+        torsion_note = sec.note("note")
 
     if apoly is None and param is None:
         raise RecordError("record needs at least one of [apoly] / [param_torsion]")
@@ -204,19 +215,20 @@ def parse_record(text: str) -> KnotRecord:
     tf_emb = None
     if "trace_field" in sections:
         sec = sections["trace_field"]
+        poly, ln = sec.require("poly")
         try:
-            tf_poly = from_text(sec.require("poly"), ["x"])
+            tf_poly = from_text(poly, ["x"])
         except PolyError as exc:
-            raise RecordError(f"[trace_field] line {sec.line}: {exc}") from exc
-        tf_emb = _parse_complex(sec.require("embedding").split(),
-                                f"[trace_field] line {sec.line}")
+            raise RecordError(f"[trace_field] line {ln}: {exc}") from exc
+        emb, ln = sec.require("embedding")
+        tf_emb = _parse_complex(emb.split(), f"[trace_field] line {ln}")
 
     rho0: Dict[str, Rho0Data] = {}
     mu_note = ""
     riley_seed = complex(0.5, 0.9)
     if "rho0" in sections:
         sec = sections["rho0"]
-        mu_note = sec.get("mu_note", "")
+        mu_note = sec.note("mu_note")
         for curve in ("lambda", "mu"):
             tv = sec.get(f"{curve}_trace_value")
             rule = sec.get(f"{curve}_rule")
@@ -225,20 +237,20 @@ def parse_record(text: str) -> KnotRecord:
             if tv is None or rule is None:
                 raise RecordError(f"[rho0] line {sec.line}: {curve} needs both "
                                   "trace_value and rule")
-            where = f"[rho0] line {sec.line}"
             try:
-                trace_value = Fraction(tv)
+                trace_value = Fraction(tv[0])
             except (ValueError, ZeroDivisionError) as exc:
-                raise RecordError(f"{where}: {exc}") from exc
-            rho0[curve] = Rho0Data(trace_value, _parse_rule(rule, where))
+                raise RecordError(f"[rho0] line {tv[1]}: {exc}") from exc
+            rho0[curve] = Rho0Data(trace_value,
+                                   _parse_rule(rule[0], f"[rho0] line {rule[1]}"))
         seed = sec.get("riley_seed")
         if seed is not None:
-            riley_seed = _parse_complex(seed.split(), f"[rho0] line {sec.line}")
+            riley_seed = _parse_complex(seed[0].split(), f"[rho0] line {seed[1]}")
 
     return KnotRecord(
         name=name,
         presentation=pres,
-        presentation_note=pres_sec.get("note", ""),
+        presentation_note=pres_sec.note("note"),
         apoly=apoly,
         branch_hint=branch_hint,
         param_torsion=param,

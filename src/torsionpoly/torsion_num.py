@@ -126,6 +126,25 @@ def _dist_to_identity(A):
 # Representations
 # ---------------------------------------------------------------------------
 
+def _image(gens, w: Word) -> tuple:
+    """rho(w) for the generator images gens."""
+    acc = _IDENTITY
+    for g, e in w.letters:
+        acc = _mul2(acc, gens[g] if e > 0 else _inv2(gens[g]))
+    return acc
+
+
+def _relator_residual(gens, p: Presentation):
+    """The largest distance of a relator image from I; a NaN, which
+    compares false against every bound, is kept."""
+    worst = mp.mpf(0)
+    for r in p.relators:
+        d = _dist_to_identity(_image(gens, r))
+        if d > worst or mp.isnan(d):
+            worst = d
+    return worst
+
+
 @dataclass
 class Rep:
     """Numeric SL(2,C) images of the generators, as 2x2 tuples."""
@@ -134,26 +153,16 @@ class Rep:
 
     def __post_init__(self):
         for A in self.generators:
-            if abs(_det2(A) - 1) > mp.mpf("1e-9"):
+            if not abs(_det2(A) - 1) <= mp.mpf("1e-9"):
                 raise TorsionNumError("generator matrix is not in SL(2,C)")
 
     def image(self, w: Word) -> tuple:
         """rho(w) as a tuple: the left fold I * g1 * ... * gn."""
-        gens = self.generators
-        acc = _IDENTITY
-        for g, e in w.letters:
-            acc = _mul2(acc, gens[g] if e > 0 else _inv2(gens[g]))
-        return acc
+        return _image(self.generators, w)
 
     def relator_residual(self, p: Presentation):
-        """The largest distance of a relator image from I; a NaN, which
-        compares false against every bound, is kept."""
-        worst = mp.mpf(0)
-        for r in p.relators:
-            d = _dist_to_identity(self.image(r))
-            if d > worst or mp.isnan(d):
-                worst = d
-        return worst
+        """The largest distance of a relator image from I, NaN kept."""
+        return _relator_residual(self.generators, p)
 
     def conjugated(self, C) -> "Rep":
         """The generators conjugated A -> C A C^-1, for C a 2x2 tuple."""
@@ -197,12 +206,12 @@ def riley_solve(p: Presentation, target_tr_mu, seed) -> Rep:
                 raise TorsionNumError("Newton stalled: zero derivative")
             t = t - num / den
         generators = _ansatz(m, t)
-    rep = Rep(generators)
-    resid = rep.relator_residual(p)
+    # checked before the Rep, whose determinant check a NaN t also fails
+    resid = _relator_residual(generators, p)
     if not resid <= NEWTON_TOL:
         raise TorsionNumError(
             f"Newton did not converge: residual {mp.nstr(resid, 5)}")
-    return rep
+    return Rep(generators)
 
 
 def _relator_fold(relator: Word, m, t):
@@ -246,7 +255,7 @@ _SL2_BASIS = (
 def adjoint(A) -> tuple:
     """Row-major entries of X -> A X A^-1 in the basis (E, H, F), for A a
     2x2 tuple: column j holds the (e, h, f) coordinates of A X_j A^-1."""
-    if abs(_det2(A) - 1) > mp.mpf("1e-9"):
+    if not abs(_det2(A) - 1) <= mp.mpf("1e-9"):
         raise TorsionNumError("adjoint input must have determinant 1")
     i0, i1, i2, i3 = _inv2(A)
     cols = []
@@ -308,7 +317,7 @@ def boundaries(p: Presentation, rep: Rep):
                                for k in range(s)])
                     for rel in p.relators])
     prod_norm = la.frob(la.matmul(d1, d2))
-    if prod_norm > CHAIN_TOL * max(la.frob(d1) * la.frob(d2), mp.mpf(1)):
+    if not prod_norm <= CHAIN_TOL * max(la.frob(d1) * la.frob(d2), mp.mpf(1)):
         raise TorsionNumError(
             f"chain condition failed: |d1 d2| = {mp.nstr(prod_norm, 5)}")
     return d1, d2
@@ -319,8 +328,8 @@ def invariant_vector(M, L) -> la.Matrix:
     peripheral images M = rho(mu) and L = rho(lambda) as 2x2 tuples."""
     out = []
     for A in (M, L):
-        if min(_dist_to_identity(A), _dist_to_identity(_neg2(A))) \
-                < mp.mpf("1e-9"):
+        if not min(_dist_to_identity(A), _dist_to_identity(_neg2(A))) \
+                >= mp.mpf("1e-9"):
             raise TorsionNumError("peripheral holonomy is central")
         out.append(_minus(adjoint(A), _EYE3))
     ker = la.nullspace(la.vstack(out))
@@ -347,7 +356,7 @@ def basing(p: Presentation, rep: Rep, P, curves, chain):
                                   P)
                         for k in range(p.generator_count)])
         cyc = la.frob(la.matmul(d1, h1))
-        if cyc > mp.mpf("1e-8") * max(mp.mpf(1), norm1 * la.frob(h1)):
+        if not cyc <= mp.mpf("1e-8") * max(mp.mpf(1), norm1 * la.frob(h1)):
             raise TorsionNumError(
                 f"h1 is not a cycle: residual {mp.nstr(cyc, 5)}")
         if la.rank(la.hstack([d2, h1])) == len(elim.pivots):
@@ -362,7 +371,7 @@ def basing(p: Presentation, rep: Rep, P, curves, chain):
     (top,) = max(h2, key=lambda x: abs(x[0]))
     h2 = _divide(h2, top)
     res = la.frob(la.matmul(d2, h2))
-    if res > mp.mpf("1e-8") * max(mp.mpf(1), la.frob(d2)):
+    if not res <= mp.mpf("1e-8") * max(mp.mpf(1), la.frob(d2)):
         raise TorsionNumError(f"h2 kernel residual {mp.nstr(res, 5)}")
     return [first] + [cycle(gamma) for gamma in curves[1:]], h2, elim.pivots
 
@@ -405,7 +414,7 @@ def torsion_numeric(chain, P, cycles, h2, piv2,
         raise TorsionNumError("degenerate basis choice")
     bh2 = killing(h2)
     bp = killing(P)
-    if abs(bh2) < mp.mpf("1e-20") or abs(bp) < mp.mpf("1e-20"):
+    if not (abs(bh2) >= mp.mpf("1e-20") and abs(bp) >= mp.mpf("1e-20")):
         raise TorsionNumError("invariant form degenerates (parabolic point?)")
     b2 = la.columns(d2, piv2)
     e1 = [la.basis_vector(n1, c) for c in piv1]

@@ -9,25 +9,26 @@ primitive parts.
 
 Elimination and transport prove their result exactly: the polynomial must
 vanish on the curve it was derived from, which by Gauss's lemma is the exact
-division of its pullback by the curve's squarefree primitive part.  Neither
-sets a working precision.
+division of its pullback by the curve's squarefree primitive part.  A record's
+hints are checked against its constraints exactly too.  None of these reads
+or sets a working precision.  Only `rho0_value` is numeric: it holds the rule
+that selects one root of a root pass, and `numfield.algebraic_root` makes the
+selected root exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Tuple
 
 import mpmath as mp
 
 from .charvar import ChangeFactor
-from .numfield import (
-    AlgebraicNumber, _rational_roots, _to_mpf, coeff_norm, root_dps, roots_numeric,
-)
+from .numfield import AlgebraicNumber, algebraic_root, roots_numeric
 from .polys import (
-    MultiPoly, divides, exact_div, from_dense,
-    normalize_sign, resultant, squarefree_primitive,
+    MultiPoly, divides, nearly_vanishes, normalize_sign, resultant,
+    squarefree_primitive,
 )
 
 TAU = "tau"
@@ -46,21 +47,18 @@ class ParamTorsion:
     constraints: Tuple[MultiPoly, ...]
     aux_vars: Tuple[str, ...]
     trace_var: str
-    hints: Dict[str, complex]
 
     @classmethod
     def create(cls, tau_expr, constraints, aux_vars, trace_var, hints):
+        """Check that the hints, a point given as a value for each variable,
+        satisfy every constraint."""
         aux_used = [v for v in aux_vars if tau_expr.degree_in(v) > 0]
         if aux_used and not constraints:
             raise TorsionSymError("auxiliary variables without constraints")
         for c in constraints:
-            val = c.eval({k: mp.mpc(v) for k, v in hints.items()})
-            scale = coeff_norm(c.terms.values())
-            if abs(val) > 1e-6 * max(1, scale):
-                raise TorsionSymError(
-                    f"hint violates constraint (residual {mp.nstr(abs(val), 4)})")
-        return cls(tau_expr, tuple(constraints), tuple(aux_vars), trace_var,
-                   dict(hints))
+            if not nearly_vanishes(c, hints):
+                raise TorsionSymError("hint violates constraint")
+        return cls(tau_expr, tuple(constraints), tuple(aux_vars), trace_var)
 
 
 @dataclass(frozen=True)
@@ -208,33 +206,4 @@ def rho0_value(spec_poly: MultiPoly, selection, digits: int = 64) -> Rho0Value:
         note = f"root nearest to hint {mp.nstr(hint, 8)}"
     else:
         raise TorsionSymError(f"unknown selection rule {selection!r}")
-    minpoly, min_roots = _exact_minpoly_factor(sf, roots, chosen, digits)
-    return Rho0Value(AlgebraicNumber._isolating(minpoly, min_roots, chosen, digits),
-                     note)
-
-
-def _exact_minpoly_factor(sf: MultiPoly, roots, root, digits: int):
-    """(factor, its roots): the exact primitive factor of a squarefree
-    primitive polynomial containing the selected root, which is one of
-    `roots`, all its complex roots as rho0_value found them.
-
-    A selected rational root is its linear factor, with the exact root at
-    the working digits of the pass.  Otherwise rational roots are split off
-    exactly, and the rest is asserted irreducible, which the rational-root
-    check settles through degree 3; its roots are the pass's other roots.
-    """
-    var = sf.vars[0]
-    rationals = _rational_roots(sf, roots, digits)
-    for r, q in rationals:
-        if r is root:
-            with mp.workdps(root_dps(digits)):
-                exact = mp.mpc(_to_mpf(q))
-            return from_dense(var, [-q.numerator, q.denominator]), [exact]
-    rest = sf
-    for _, q in rationals:
-        rest = exact_div(rest, from_dense(var, [-q.numerator, q.denominator]))
-    rest = normalize_sign(rest)
-    if rest.degree_in(var) > 3:
-        raise TorsionSymError(
-            "cannot certify irreducibility above degree 3 without factorization")
-    return rest, [r for r in roots if not any(r is s for s, _ in rationals)]
+    return Rho0Value(algebraic_root(sf, roots, chosen, digits), note)

@@ -19,7 +19,7 @@ import mpmath as mp
 
 from . import mplinalg as la
 from . import pipelines as pl
-from .charvar import change_curve_apoly, change_curve_sq
+from .charvar import E_LAMBDA, E_MU, APoly, CharVarError, change_curve_sq
 from .numfield import _polyroots, roots_numeric
 from .polys import MultiPoly, divides, exact_div, from_dense, from_text, \
     gcd_poly, normalize_sign, resultant, to_text
@@ -282,6 +282,30 @@ def _rand_univariate(rng):
         p = from_dense("x", cs)
         if p.degree_in("x") >= 1:
             return p
+
+
+def change_curve_apoly(A: APoly, samples):
+    """Evaluate (el/em) * (dA/del) / (dA/dem) at points of A = 0.
+
+    Per-sample output is either a complex ratio or an error string for
+    singular points; a sample off the variety raises.
+    """
+    dA_m = A.poly.derivative(E_MU)
+    dA_l = A.poly.derivative(E_LAMBDA)
+    scale = max(abs(c) for c in A.poly.terms.values())
+    out = []
+    for em, el in samples:
+        em, el = mp.mpc(em), mp.mpc(el)
+        at = {E_MU: em, E_LAMBDA: el}
+        if abs(A.poly.eval(at)) > 1e-8 * max(1, scale) * max(1, abs(em)) ** A.poly.degree_in(E_MU):
+            raise CharVarError(f"sample ({em}, {el}) violates A = 0")
+        dm = dA_m.eval(at)
+        dl = dA_l.eval(at)
+        if abs(dm) < 1e-8 * max(1, scale):
+            out.append("singular point: dA/dem vanishes")
+            continue
+        out.append((el / em) * dl / dm)
+    return out
 
 
 def _apoly_samples(A, rng, n):

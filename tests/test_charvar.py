@@ -5,10 +5,11 @@ import mpmath as mp
 import pytest
 
 from torsionpoly.charvar import (
-    CharVarError, NoGraphBranch, apoly_normalize, change_curve_apoly,
-    change_curve_sq, geometric_branch, trace_relation,
+    CharVarError, NoGraphBranch, apoly_normalize, change_curve_sq,
+    geometric_branch, trace_relation,
 )
 from torsionpoly.polys import MultiPoly, divides, from_text, normalize_sign
+from torsionpoly.verify import change_curve_apoly
 
 # Laurent triples (a, b, c) meaning c * em^a el^b for the figure-eight knot,
 # in the form whose vanishing gives tr_lam = tr_mu^4 - 5 tr_mu^2 + 2.
@@ -185,7 +186,7 @@ def test_change_factor_constant_branch_rejected():
         change_curve_sq(from_text("5", ["x"]))
 
 
-# -- change_curve_apoly ------------------------------------------------------------
+# -- change_curve_apoly (the verify oracle) --------------------------------------
 
 def sample_points_41(n, seed=5, digits=40):
     A = a41()

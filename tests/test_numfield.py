@@ -11,7 +11,7 @@ from test_report_goldens import CASES
 from torsionpoly import cli, mplinalg as la, numfield, pipelines as pl, torsion_sym
 from torsionpoly.numfield import (
     AlgebraicNumber, NotInField, NumberField, NumFieldError, Undecided,
-    express_in_field, minimal_polynomial, roots_numeric,
+    algebraic_root, express_in_field, minimal_polynomial, roots_numeric,
 )
 from torsionpoly.polys import (
     MultiPoly, dense_coeffs, from_dense, from_text, gcd_poly, resultant,
@@ -108,6 +108,24 @@ def test_rational_roots_are_rounded_at_the_lead(ambient):
         found = numfield._rational_roots(p, roots, 64)
     assert [q for _, q in found] == [Fraction(-1, 3), Fraction(1, 2), Fraction(7, 6)]
     assert all(r is root for (r, _), root in zip(found, roots))
+
+
+@pytest.mark.parametrize("near, minpoly", [(2, "tau - 2"), (1.41, "tau^2 - 2"),
+                                            (-1.41, "tau^2 - 2")])
+def test_algebraic_root_is_a_root_of_its_exact_factor(near, minpoly):
+    sf = from_text("tau^3 - 2*tau^2 - 2*tau + 4")    # (tau - 2)(tau^2 - 2)
+    roots = roots_numeric(sf, 40)
+    root = min(roots, key=lambda r: abs(r - near))
+    value = algebraic_root(sf, roots, root, 40)
+    assert value.minpoly == from_text(minpoly)
+    assert abs(value.approx - root) < mp.mpf(10) ** -40
+
+
+def test_algebraic_root_refuses_an_uncertified_factor():
+    sf = from_text("tau^4 - 5*tau^2 + 6")             # (tau^2 - 2)(tau^2 - 3)
+    roots = roots_numeric(sf, 40)
+    with pytest.raises(NumFieldError, match="irreducibility above degree 3"):
+        algebraic_root(sf, roots, roots[0], 40)
 
 
 def test_field_rejects_non_squarefree():

@@ -5,9 +5,9 @@ import mpmath as mp
 import pytest
 
 from torsionpoly.polys import (
-    DEGREE_LIMIT, MultiPoly, PolyError, dense_coeffs, exact_div, divides,
-    from_dense, from_text, gcd_poly, normalize_sign, resultant,
-    squarefree_primitive, to_text,
+    DEGREE_LIMIT, HINT_TOL, MultiPoly, PolyError, dense_coeffs, exact_div,
+    divides, from_dense, from_text, gcd_poly, nearly_vanishes, normalize_sign,
+    resultant, squarefree_primitive, to_text,
 )
 
 
@@ -96,6 +96,47 @@ def test_eval_complex():
     p = P("x^2 + 1")
     v = p.eval({"x": mp.mpc(0, 1)})
     assert abs(v) < 1e-30
+
+
+# -- exact hint checks ----------------------------------------------------------
+
+@pytest.mark.parametrize("text, point, expected", [
+    ("x^2 - 2*x*y + y^2", {"x": 0.1, "y": 0.1}, True),
+    # |p| = 1 is the bound 1e-6 * 10^6 itself
+    ("1000000*x - 1", {"x": 0.0}, True),
+    ("1000000*x - 1", {"x": 2.0 ** -80}, True),
+    # 10^6 * 2^-80 past the bound: below a double's resolution of 1
+    ("1000000*x - 1", {"x": -2.0 ** -80}, False),
+    ("x^2 + 1", {"x": 1j}, True),
+    ("x^2 + 1", {"x": 1.0000001j}, True),
+    ("x^2 + 1", {"x": 1.00001j}, False),
+    ("x*y - 1/2", {"x": 0.5 + 0.5j, "y": 0.5 - 0.5j}, True),
+    ("x*y - 1/2", {"x": 0.5 + 0.5j, "y": 0.5 + 0.5j}, False),
+], ids=["exact-zero", "on-the-bound", "just-inside", "just-outside",
+        "imaginary-zero", "imaginary-inside", "imaginary-outside",
+        "gaussian-zero", "gaussian-outside"])
+def test_nearly_vanishes(text, point, expected):
+    assert nearly_vanishes(P(text, tuple(point)), point) is expected
+
+
+def test_nearly_vanishes_matches_rational_evaluation():
+    # at real points the same decision over Fractions, for Fraction
+    # coefficients, with the constant term moved to put p near the bound
+    rng = random.Random(17)
+    for _ in range(200):
+        p = random_poly(rng, ("x", "y"), max_deg=3)
+        point = {v: rng.uniform(-2, 2) for v in ("x", "y")}
+        exact = {v: Fraction(x) for v, x in point.items()}
+        scale = max([1] + [abs(c) for c in p.as_dict().values()])
+        shift = p.eval(exact) + HINT_TOL * scale * Fraction(rng.randint(-20, 20), 10)
+        q = p - shift
+        bound = HINT_TOL * max([1] + [abs(c) for c in q.as_dict().values()])
+        assert nearly_vanishes(q, point) is (abs(q.eval(exact)) <= bound)
+
+
+def test_nearly_vanishes_refuses_a_non_dyadic_value():
+    with pytest.raises(PolyError, match="dyadic"):
+        nearly_vanishes(P("x - 1"), {"x": Fraction(1, 3)})
 
 
 # -- derivative ---------------------------------------------------------------

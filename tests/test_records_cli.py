@@ -32,6 +32,14 @@ def test_bundled_records_ingest():
         assert rec.presentation.abelianization_ok()
 
 
+@pytest.mark.parametrize("dps", [1, 2, 5, 15, 64])
+def test_bundled_records_ingest_at_any_working_precision(dps):
+    # the hint checks are exact, so no working precision decides them
+    for name in ("4_1", "5_2"):
+        with mp.workdps(dps):
+            assert ingest_knot(name).name == name
+
+
 def test_ingest_from_path(tmp_path):
     p = tmp_path / "my.knot"
     p.write_text(bundled_record_text("4_1"))
@@ -89,26 +97,31 @@ def test_record_abelianization_error_names_line(capsys, cache_dir, tmp_path,
 
 @pytest.mark.parametrize("edit, message", [
     (("embedding = 0 1.7320508", "embedding = nan 0"),
-     "[trace_field] line 37: expected finite `re [im]`, got 'nan 0'"),
+     "[trace_field] line 39: expected finite `re [im]`, got 'nan 0'"),
     (("mu_rule = hint 0 0.87", "mu_rule = hint inf 0.87"),
-     "[rho0] line 41: expected finite `re [im]`, got 'inf 0.87'"),
+     "[rho0] line 45: expected finite `re [im]`, got 'inf 0.87'"),
     (("hint = u 3", "hint = u nan"),
      "[param_torsion] line 33: expected finite `re [im]`, got 'nan'"),
     (("riley_seed = 0.5 0.9", "riley_seed = nan 0.9"),
-     "[rho0] line 41: expected finite `re [im]`, got 'nan 0.9'"),
+     "[rho0] line 47: expected finite `re [im]`, got 'nan 0.9'"),
     (("branch_hint = 2 -2", "branch_hint = 2 -inf"),
-     "[apoly] line 13: expected finite `re [im]`, got '2 -inf'"),
+     "[apoly] line 24: expected finite `re [im]`, got '2 -inf'"),
     (("branch_hint = 2 -2", "branch_hint = 2 x"),
-     "[apoly] line 13: expected finite `re [im]`, got '2 x'"),
+     "[apoly] line 24: expected finite `re [im]`, got '2 x'"),
     (("lambda_trace_value = -2", "lambda_trace_value = abc"),
-     "[rho0] line 41: Invalid literal for Fraction: 'abc'"),
+     "[rho0] line 42: Invalid literal for Fraction: 'abc'"),
     (("mu_trace_value = 2", "mu_trace_value = 2/0"),
-     "[rho0] line 41: Fraction(2, 0)"),
+     "[rho0] line 44: Fraction(2, 0)"),
     (("term = 0 0 -2", "term = 0 0 1/0"),
      "[apoly] line 21: Fraction(1, 0)"),
+    (("constraint = u^2 - 4*y - 17", "constraint = u^2 - 4*y - 17 +"),
+     "[param_torsion] line 32: cannot parse polynomial text 'u^2 - 4*y - 17 +'"),
+    (("riley_seed = 0.5 0.9", "riley_seed = 0.5 0.9\nriley_seed = 0.5 0.9"),
+     "[rho0] line 48: duplicate key 'riley_seed'"),
 ], ids=["embedding-nan", "mu-rule-inf", "hint-nan", "riley-seed-nan",
         "branch-hint-inf", "branch-hint-text", "trace-value-text",
-        "trace-value-zero-denominator", "term-zero-denominator"])
+        "trace-value-zero-denominator", "term-zero-denominator",
+        "constraint-text", "duplicate-key"])
 def test_record_numbers_are_finite_and_errors_name_their_place(
         capsys, cache_dir, tmp_path, edit, message):
     p = tmp_path / "bad.knot"
@@ -228,20 +241,61 @@ def test_cli_knot_directory_is_a_record_error(capsys, cache_dir, tmp_path):
     assert err.startswith("error: torsion: cannot read knot record")
 
 
-@pytest.mark.parametrize("argv", [
-    ("torsion", "--trace", "inf"),
-    ("torsion", "--trace", "nan"),
-    ("torsion", "--trace", "abc"),
-    ("sweep", "--from", "nan", "--to", "2.1", "--steps", "2"),
-    ("sweep", "--from", "1.9", "--to", "inf", "--steps", "2"),
+def results_section(out: str) -> str:
+    """The [results] lines of a text report."""
+    return out.split("[results]\n", 1)[-1].split("\n[", 1)[0]
+
+
+# 2.1 -0.6019 is on the branch y = x^4 - 5x^2 + 2 up to the floats' rounding
+BRANCH_HINT_EDIT = ("branch_hint = 2 -2", "branch_hint = 2.1 -0.6019")
+
+
+@pytest.mark.parametrize("cmd", ["eliminate", "trace-relation", "change-curve",
+                                 "transport"])
+@pytest.mark.parametrize("knot", ["4_1", "5_2", "4_1-branch-hint"])
+def test_exact_commands_read_no_precision(capsys, cache_dir, tmp_path, cmd, knot):
+    if knot == "4_1-branch-hint":
+        knot = tmp_path / "hint.knot"
+        knot.write_text(bundled_record_text("4_1").replace(*BRANCH_HINT_EDIT))
+    runs = []
+    for precision in ("1", "64"):
+        code, out, err = run_cli(capsys, "--precision", precision, cmd,
+                                 "--knot", str(knot), "--no-cache")
+        runs.append((code, results_section(out), err))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == (2 if knot == "5_2" and cmd != "eliminate" else 0)
+
+
+@pytest.mark.parametrize("trace, tr_mu", [("41/20", "2.05"),
+                                          ("2+0.1j", "2.0 + 0.1i")])
+def test_cli_torsion_accepts_rational_and_complex_traces(capsys, cache_dir,
+                                                         trace, tr_mu):
+    code, out, _ = run_cli(capsys, "--precision", "20", "torsion", "--knot",
+                           "4_1", "--trace", trace, "--no-cache")
+    assert code == 0
+    assert f"tr_mu = {tr_mu}\n" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("torsion", "--trace", "inf"), "--trace must be a finite number, got +inf"),
+    (("torsion", "--trace", "nan"), "--trace must be a finite number, got nan"),
+    (("torsion", "--trace", "abc"), "--trace 'abc' is not a number"),
+    (("sweep", "--from", "nan", "--to", "2.1", "--steps", "2"),
+     "--from must be a finite number, got nan"),
+    (("sweep", "--from", "x", "--to", "2.1", "--steps", "2"),
+     "--from 'x' is not a number"),
+    (("sweep", "--from", "1.9", "--to", "inf", "--steps", "2"),
+     "--to must be a finite number, got +inf"),
+    (("sweep", "--from", "1.9", "--to", "2+0.1j", "--steps", "2"),
+     "--to '2+0.1j' is not a number"),
 ], ids=["torsion-inf", "torsion-nan", "torsion-text", "sweep-from-nan",
-        "sweep-to-inf"])
-def test_cli_rejects_bad_trace(capsys, cache_dir, argv):
+        "sweep-from-text", "sweep-to-inf", "sweep-to-text"])
+def test_cli_rejects_bad_trace(capsys, cache_dir, argv, message):
     code, out, err = run_cli(capsys, argv[0], "--knot", "4_1", *argv[1:],
                              "--no-cache")
     assert code == 2
     assert out == ""
-    assert err.startswith(f"error: {argv[0]}: --")
+    assert err == f"error: {argv[0]}: {message}\n"
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -7,7 +7,10 @@ is formed in closed form.  `polys` is the only module that reads or
 builds the packed monomial keys of a polynomial's terms.  The free group of
 `words` needs only the standard library, `records` parses without the numeric
 engine, and only the entry points `cli` and `verify`, and the modules that
-work at digits they are given, name mpmath's working precision."""
+work at digits they are given, name mpmath's working precision.  The exact
+layer (`polys`, `words`, `charvar` and `records`) imports no mpmath, since
+its hint checks are exact, and `charvar` imports none of the numeric modules
+`numfield`, `mplinalg` and `torsion_num`."""
 
 import ast
 import sys
@@ -161,6 +164,29 @@ def package_modules(path):
 def test_records_imports_no_numeric_engine():
     assert not {"mpmath", "torsion_num", "mplinalg"} \
         & set(package_modules(PACKAGE / "records.py"))
+
+
+# the exact layer reads no working precision; charvar makes no numeric step
+NO_NUMERICS = {
+    "polys.py": {"mpmath"},
+    "words.py": {"mpmath"},
+    "charvar.py": {"mpmath", "numfield", "mplinalg", "torsion_num"},
+    "records.py": {"mpmath"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(NO_NUMERICS))
+def test_exact_layer_imports_no_numerics(name):
+    assert not NO_NUMERICS[name] & set(package_modules(PACKAGE / name))
+
+
+def test_numerics_guard_sees_every_import_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from mpmath import mpf\nfrom . import numfield, polys\n"
+                     "def f():\n    from .torsion_num import Rep\n"
+                     "    import torsionpoly.mplinalg as la\n")
+    assert NO_NUMERICS["charvar.py"] & set(package_modules(probe)) \
+        == {"mpmath", "numfield", "mplinalg", "torsion_num"}
 
 
 def test_package_guard_sees_every_import_form(tmp_path):

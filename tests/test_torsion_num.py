@@ -231,6 +231,18 @@ def test_adjoint_rejects_non_unimodular():
         ad(mat2(2, 0, 0, 2))
 
 
+@pytest.mark.parametrize("check, message", [
+    (lambda A: adjoint(A), "determinant 1"),
+    (lambda A: invariant_vector(A, A), "central"),
+], ids=["adjoint", "invariant-vector"])
+def test_a_nan_fails_the_tolerance_checks(check, message):
+    # a NaN compares false against every tolerance, so each check is
+    # written to fail unless the value is within it
+    with mp.workdps(40):
+        with pytest.raises(TorsionNumError, match=message):
+            check(mat2(1, 0, "nan", 1))
+
+
 # -- riley_solve ---------------------------------------------------------------
 
 def test_riley_solve_41():
@@ -565,8 +577,13 @@ def test_torsion_diagnostic_scalar_is_stable():
 
 @pytest.mark.parametrize("pres", [PRES_41, PRES_52], ids=["4_1", "5_2"])
 def test_boundaries_refuses_a_nan_representation(pres):
+    gens = (mat2(2, 0, 0, 0.5), mat2(1, 0, "nan", 1))
     with mp.workdps(40):
-        rep = Rep((mat2(2, 0, 0, 0.5), mat2(1, 0, "nan", 1)))
+        # a NaN determinant compares false against the tolerance
+        with pytest.raises(TorsionNumError, match="not in SL"):
+            Rep(gens)
+        rep = object.__new__(Rep)   # past the determinant check
+        rep.generators = gens
         assert mp.isnan(rep.relator_residual(pres))
         with pytest.raises(TorsionNumError,
                            match="representation violates relators: nan"):
