@@ -33,8 +33,13 @@ terms as exponent tuples, and the constructor accepts them.
 Resultants are computed by the subresultant polynomial remainder sequence on
 integer polynomials, each remainder divided exactly by its known factor; the
 Sylvester matrix and its integer Bareiss determinant remain as the reference
-for tests.  Gcds are primitive polynomial remainder sequences in which each
-polynomial's content is computed once.
+for tests.  Gcds and squarefree parts come from the heuristic GCD on
+integer images: one variable at a time is evaluated at an integer xi, the
+gcd of the images is rebuilt from its symmetric xi-adic digits, and a
+candidate counts only when it divides both inputs exactly.  After
+`_HEU_TRIES` points, or when an image would pass `_HEU_BITS` bits, the
+primitive polynomial remainder sequence answers instead; it stays as the
+reference for tests.
 """
 
 from __future__ import annotations
@@ -493,17 +498,26 @@ def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     if q.is_constant():
         c = q.constant_value()
         return MultiPoly._make(p.vars, {m: _quo(v, c) for m, v in p.terms.items()})
-    guards = _guards(len(p.vars))
-    qlead = max(q.terms)
-    qc = q.terms[qlead]
-    qrest = [(m, c) for m, c in q.terms.items() if m != qlead]
-    rem = dict(p.terms)
+    quot = _divide(p.terms, q.terms, len(p.vars))
+    if quot is None:
+        raise PolyError("not divisible")
+    return MultiPoly._make(p.vars, quot)
+
+
+def _divide(p: dict, q: dict, n: int):
+    """The quotient of the term dicts p / q over n variables, q nonzero, or
+    None when q does not divide p."""
+    guards = _guards(n)
+    qlead = max(q)
+    qc = q[qlead]
+    qrest = [(m, c) for m, c in q.items() if m != qlead]
+    rem = dict(p)
     quot = {}
     while rem:
         rlead = max(rem)
         mono = rlead - qlead
         if mono < 0 or mono & guards:
-            raise PolyError("not divisible")
+            return None
         c = quot[mono] = _quo(rem.pop(rlead), qc)
         for m, v in qrest:
             m += mono
@@ -512,7 +526,7 @@ def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly:
                 rem[m] = r
             else:
                 del rem[m]
-    return MultiPoly._make(p.vars, quot)
+    return quot
 
 
 def divides(q: MultiPoly, p: MultiPoly) -> bool:
@@ -572,11 +586,85 @@ def _primitive_prs(a: MultiPoly, b: MultiPoly, name: str) -> MultiPoly:
     return a
 
 
+_HEU_TRIES = 6          # evaluation points before the PRS fallback
+_HEU_BITS = 1 << 16     # largest degree * bit_length(xi) evaluated densely
+
+
+def _heu_gcd(a: dict, b: dict, n: int):
+    """(g, a/g, b/g) for nonzero integer term dicts a and b over n variables
+    by the heuristic GCD (Char, Geddes and Gonnet, J. Symbolic Comput. 7,
+    1989), or None when it gives up.
+
+    With the integer contents taken out, a variable of a is evaluated at
+    xi > 1 + 2 min(|a|, |b|) (max norms), the gcd of the two images is
+    found by recursion, and g is rebuilt from its symmetric xi-adic digits.
+    The primitive part of g is accepted only when it divides a and b
+    exactly, and under that bound it is then their gcd."""
+    ca, cb = math.gcd(*a.values()), math.gcd(*b.values())
+    c = math.gcd(ca, cb)
+    a = {m: v // ca for m, v in a.items()}
+    b = {m: v // cb for m, v in b.items()}
+    if a.keys() == {0} or b.keys() == {0}:      # a unit: the contents decide
+        g, qa, qb = {0: 1}, a, b
+    else:
+        lead = max(a)
+        j = next(i for i in range(n) if lead >> _FIELD * (n - 1 - i) & _MASK)
+        shift, unit = _FIELD * (n - 1 - j), _unit(n, j)
+        deg = max(m >> shift & _MASK for f in (a, b) for m in f)
+        xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 2
+        for _ in range(_HEU_TRIES):
+            if deg * xi.bit_length() > _HEU_BITS:
+                return None
+            powers = [xi ** e for e in range(deg + 1)]
+            images = [{}, {}]
+            for f, image in zip((a, b), images):
+                for m, v in f.items():
+                    e = m >> shift & _MASK
+                    image[m - e * unit] = image.get(m - e * unit, 0) + v * powers[e]
+            images = [{m: v for m, v in image.items() if v} for image in images]
+            # a zero image (x_j - xi divides an input) skips to the next point
+            found = all(images) and _heu_gcd(*images, n)
+            if found:
+                g, half = {}, xi // 2
+                for m, v in found[0].items():
+                    while v:
+                        d = (v + half) % xi - half
+                        if d:
+                            g[m] = d
+                        v, m = (v - d) // xi, m + unit
+                cg = math.gcd(*g.values())
+                g = {m: v // cg for m, v in g.items()}
+                qa = _divide(a, g, n)
+                qb = None if qa is None else _divide(b, g, n)
+                if qb is not None:
+                    break
+            xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+        else:
+            return None
+    return ({m: v * c for m, v in g.items()}, {m: v * (ca // c) for m, v in qa.items()},
+            {m: v * (cb // c) for m, v in qb.items()})
+
+
+def _integral(p: MultiPoly) -> dict:
+    """The terms of the integer multiple of p by its common denominator."""
+    den = _content(p.terms.values())[1]
+    return {m: v.numerator * (den // v.denominator) for m, v in p.terms.items()}
+
+
+def _prs_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    """gcd of two nonconstant polynomials over the same variables: in the
+    first variable that occurs, the gcd of the two contents times the
+    primitive PRS gcd of the two primitive parts, each content computed
+    once.  The heuristic GCD's fallback, and its reference in tests."""
+    name = next(v for v in p.vars if p.degree_in(v) > 0 or q.degree_in(v) > 0)
+    (cp, a), (cq, b) = _content_primitive(p, name), _content_primitive(q, name)
+    return gcd_poly(cp, cq) * _primitive_prs(a, b, name)
+
+
 def gcd_poly(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     """GCD, normalized integer-primitive with positive leading graded-lex
-    coefficient: in the first variable that occurs, the gcd of the two
-    contents times the primitive PRS gcd of the two primitive parts, each
-    content computed once.
+    coefficient: by the heuristic GCD on the integer multiples of p and q,
+    or by the primitive PRS when that gives up.
 
     Backs squarefree decomposition and rational-function reduction; sized
     for the low degrees this package meets.
@@ -586,9 +674,8 @@ def gcd_poly(p: MultiPoly, q: MultiPoly) -> MultiPoly:
         return normalize_sign(p + q)
     if p.is_constant() or q.is_constant():
         return MultiPoly.constant(p.vars, 1)
-    name = next(v for v in p.vars if p.degree_in(v) > 0 or q.degree_in(v) > 0)
-    (cp, a), (cq, b) = _content_primitive(p, name), _content_primitive(q, name)
-    return normalize_sign(gcd_poly(cp, cq) * _primitive_prs(a, b, name))
+    found = _heu_gcd(_integral(p), _integral(q), len(p.vars))
+    return normalize_sign(MultiPoly._make(p.vars, found[0]) if found else _prs_gcd(p, q))
 
 
 def normalize_sign(p: MultiPoly) -> MultiPoly:
@@ -604,9 +691,11 @@ def normalize_sign(p: MultiPoly) -> MultiPoly:
 
 def squarefree_primitive(p: MultiPoly, main_var: str) -> MultiPoly:
     """Squarefree part of p in main_var, with main_var-free content removed:
-    the primitive part of p over its primitive PRS gcd with the primitive
-    part of its derivative, one content each.  A p free of main_var is all
-    content, so its part is the constant 1.
+    p over its gcd with its derivative in main_var.  That gcd holds the
+    content of p too, so no content is computed: the heuristic GCD's
+    cofactor of p is the answer, or p is divided by the primitive PRS gcd
+    when the heuristic gives up.  A p free of main_var is all content, so
+    its part is the constant 1.
 
     Output is integer-primitive with positive leading graded-lex coefficient.
     """
@@ -614,9 +703,10 @@ def squarefree_primitive(p: MultiPoly, main_var: str) -> MultiPoly:
         raise PolyError("squarefree_primitive of zero polynomial")
     if p.degree_in(main_var) == 0:
         return MultiPoly.constant(p.vars, 1)
-    p = _content_primitive(p, main_var)[1]
-    dp = _content_primitive(p.derivative(main_var), main_var)[1]
-    return normalize_sign(exact_div(p, _primitive_prs(p, dp, main_var)))
+    dp = p.derivative(main_var)
+    found = _heu_gcd(_integral(p), _integral(dp), len(p.vars))
+    return normalize_sign(MultiPoly._make(p.vars, found[1]) if found
+                          else exact_div(p, _prs_gcd(p, dp)))
 
 
 # ---------------------------------------------------------------------------
@@ -756,10 +846,15 @@ def from_text(text: str, variables=None) -> MultiPoly:
             continue
         if not chunk:
             continue
-        m = _TERM_RE.match(chunk.replace(" ", ""))
+        if re.search(r"\s", chunk):
+            raise PolyError(f"whitespace inside term {chunk!r} in {text!r}")
+        m = _TERM_RE.match(chunk)
         if not m or (m.group("coeff") is None and not m.group("body")):
             raise PolyError(f"bad term {chunk!r} in {text!r}")
-        coeff, sign = sign * Fraction(m.group("coeff") or 1), 1
+        try:
+            coeff, sign = sign * Fraction(m.group("coeff") or 1), 1
+        except ZeroDivisionError:
+            raise PolyError(f"zero denominator in term {chunk!r} in {text!r}") from None
         mono = [0] * len(variables)
         for name, exp in _FACTOR_RE.findall(m.group("body")):
             if name not in variables:

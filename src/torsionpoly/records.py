@@ -31,6 +31,15 @@ def _parse_complex(tokens: List[str], where: str) -> complex:
     return value
 
 
+def _rational(text: str) -> Fraction:
+    """The exact rational a text such as `-3/4` or `2.5` names; ValueError
+    for any other text, a zero denominator included."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 @dataclass
 class RawSection:
     name: str
@@ -156,8 +165,8 @@ def parse_record(text: str) -> KnotRecord:
             if len(toks) != 3:
                 raise RecordError(f"[apoly] line {ln}: expected `a b c`")
             try:
-                triples.append((int(toks[0]), int(toks[1]), Fraction(toks[2])))
-            except (ValueError, ZeroDivisionError) as exc:
+                triples.append((int(toks[0]), int(toks[1]), _rational(toks[2])))
+            except ValueError as exc:
                 raise RecordError(f"[apoly] line {ln}: {exc}") from exc
         if not triples:
             raise RecordError(f"[apoly] line {sec.line}: no terms")
@@ -238,8 +247,8 @@ def parse_record(text: str) -> KnotRecord:
                 raise RecordError(f"[rho0] line {sec.line}: {curve} needs both "
                                   "trace_value and rule")
             try:
-                trace_value = Fraction(tv[0])
-            except (ValueError, ZeroDivisionError) as exc:
+                trace_value = _rational(tv[0])
+            except ValueError as exc:
                 raise RecordError(f"[rho0] line {tv[1]}: {exc}") from exc
             rho0[curve] = Rho0Data(trace_value,
                                    _parse_rule(rule[0], f"[rho0] line {rule[1]}"))

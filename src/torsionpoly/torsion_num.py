@@ -328,6 +328,8 @@ def invariant_vector(M, L) -> la.Matrix:
     peripheral images M = rho(mu) and L = rho(lambda) as 2x2 tuples."""
     out = []
     for A in (M, L):
+        if not all(map(mp.isfinite, A)):
+            raise TorsionNumError("peripheral holonomy is non-finite")
         if not min(_dist_to_identity(A), _dist_to_identity(_neg2(A))) \
                 >= mp.mpf("1e-9"):
             raise TorsionNumError("peripheral holonomy is central")

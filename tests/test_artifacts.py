@@ -92,14 +92,14 @@ def test_errors_are_not_stored():
     assert record.artifacts == {}
 
 
-@pytest.mark.parametrize("knot, read, count", [("5_2", pl.eliminated_T, 4),
-                                               ("4_1", pl.transported_T, 8)])
+@pytest.mark.parametrize("knot, read, count", [("5_2", pl.eliminated_T, 0),
+                                               ("4_1", pl.transported_T, 1)])
 def test_gcd_calls_per_derivation(knot, read, count, monkeypatch):
-    """Each content is computed once and squarefree_primitive runs its
-    remainder sequence without gcd_poly, so a fresh record's derivation
-    makes few gcd_poly calls (56 and 74 when contents were recomputed).
-    Two of the 5_2 calls take the contents of the constraint's own
-    squarefree part, which the exact vanishing check divides by."""
+    """squarefree_primitive takes the squarefree part as a cofactor of the
+    heuristic GCD, with no content and no gcd_poly call, so a fresh
+    record's derivation calls gcd_poly only to reduce the 4_1
+    change-of-curve factor (56 and 74 calls when contents were recomputed,
+    4 and 8 when squarefree_primitive took contents by gcd_poly)."""
     calls = count_calls(monkeypatch, (polys, charvar), "gcd_poly")
     read(ingest_knot(knot))
     assert len(calls) == count

@@ -1,13 +1,18 @@
 """gcd_poly, squarefree_primitive, exact_div and minimal_polynomial against
-sympy on seeded random inputs.  sympy is a test-only oracle: without it the
+sympy on seeded random inputs, and the heuristic GCD against its primitive
+remainder sequence fallback.  sympy is a test-only oracle: without it the
 module is skipped.  The resultant row is in test_resultant_oracle.py."""
 
+import contextlib
+import io
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from test_resultant_oracle import RECORD_INPUTS, from_sympy, random_poly, to_sympy
+from torsionpoly import cli, polys
 from torsionpoly.numfield import NumberField, minimal_polynomial
 from torsionpoly.polys import (
     MultiPoly, PolyError, divides, exact_div, from_dense, from_text, gcd_poly,
@@ -144,3 +149,127 @@ def test_minimal_polynomial_against_sympy(coeffs):
         want = sympy.Poly(sympy.minimal_polynomial(expr, tau), tau).all_coeffs()
         assert minimal_polynomial(K.element(coords)) == normalize_sign(from_dense(
             "tau", [Fraction(int(c.p), int(c.q)) for c in reversed(want)]))
+
+
+# -- the heuristic GCD and its fallback ----------------------------------------
+
+@pytest.fixture
+def prs_calls(monkeypatch):
+    """The calls of the primitive remainder sequence, the heuristic GCD's
+    fallback."""
+    calls = []
+    real = polys._primitive_prs
+    monkeypatch.setattr(polys, "_primitive_prs",
+                        lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def by_prs(monkeypatch, f, *args):
+    """f(*args) with no evaluation point for the heuristic GCD, so the
+    primitive remainder sequence answers."""
+    with monkeypatch.context() as m:
+        m.setattr(polys, "_HEU_TRIES", 0)
+        return f(*args)
+
+
+def gcd_pairs():
+    """Seeded pairs in 1, 2 and 3 variables with a shared factor in most,
+    Fraction coefficients, shared integer contents, a constant or zero
+    side, and the record eliminants against their derivatives."""
+    rng = random.Random(89)
+    pairs = []
+    for variables, degrees in ((("x",), (4,)), (("x", "y"), (2, 2)),
+                               (("x", "y", "z"), (1, 2, 1))):
+        for k in range(8):
+            p, q = (random_poly(rng, variables, degrees, 4) for _ in range(2))
+            if k % 4:
+                g = random_poly(rng, variables, degrees, 3)
+                p, q = p * g, q * g ** (k % 2 + 1)
+            if k % 3 == 0:   # integer polynomials with contents 6 and 10
+                p, q = normalize_sign(p) * 6, normalize_sign(q) * -10
+            pairs.append((p, q))
+    f = random_poly(rng, ("x", "y"), (2, 2), 4) + MultiPoly.var(("x", "y"), "x")
+    pairs += [(f, MultiPoly.constant(("x", "y"), Fraction(-3, 4))),
+              (f, MultiPoly.zero(("x", "y"))), (MultiPoly.zero(("x",)), f)]
+    for label, main in (("4_1 trace relation, el (6x6)", "y"),
+                        ("5_2 eliminate T (5x5)", "tau"),
+                        ("4_1 transport tau0 (4x4)", "tau")):
+        p = resultant(*RECORD_INPUTS[label]).drop_vars()
+        pairs.append((p, p.derivative(main)))
+    return pairs
+
+
+def sympy_gcd(p, q):
+    p, q = polys.align(p, q)
+    syms = {v: sympy.Symbol(v) for v in p.vars}
+    want = sympy.gcd(to_sympy(p, syms), to_sympy(q, syms))
+    return normalize_sign(from_sympy(want, p.vars, syms))
+
+
+def test_heuristic_gcd_against_sympy_and_the_prs(monkeypatch, prs_calls):
+    pairs = gcd_pairs()
+    for p, q in pairs:
+        got = gcd_poly(p, q)
+        assert to_text(got) == to_text(sympy_gcd(p, q))
+        assert got == by_prs(monkeypatch, gcd_poly, p, q)
+        for var in p.vars if not p.is_zero() else ():
+            assert squarefree_primitive(p, var) \
+                == by_prs(monkeypatch, squarefree_primitive, p, var)
+    assert prs_calls                    # the fallback ran with no point
+    prs_calls.clear()
+    for p, q in pairs:
+        gcd_poly(p, q)
+        for var in p.vars if not p.is_zero() else ():
+            squarefree_primitive(p, var)
+    assert prs_calls == []              # and the heuristic GCD never needs it
+
+
+def test_first_evaluation_point_can_fail(monkeypatch, prs_calls):
+    """Found by a seeded search.  At xi = 2*2 + 2 = 6 the images are 156
+    and 208, whose gcd 52 is twice g(6) = 26; its digits give
+    2*x^2 - 3*x - 2, which divides neither input, so that point is refused.
+    At the next point, xi = 16, the gcd 452 is again 2*g(16), and its
+    digits 2*x^2 - 4*x + 4 have g as primitive part."""
+    p, q = from_text("x^3 - 2*x^2 + 2*x"), from_text("x^3 - 2*x + 4")
+    g = from_text("x^2 - 2*x + 2")
+    assert gcd_poly(p, q) == g and prs_calls == []
+    with monkeypatch.context() as m:
+        m.setattr(polys, "_HEU_TRIES", 1)
+        assert gcd_poly(p, q) == g
+    assert len(prs_calls) == 1
+
+
+def test_a_sparse_high_degree_input_falls_back_within_the_bit_budget(prs_calls):
+    """x^(2^30) - 1 at xi = 4 would be an integer of 2^31 bits.  The bit
+    budget sends both calls to the remainder sequence, which ends after one
+    pseudo-remainder, and no dense image is ever built."""
+    p = from_text(f"x^{2 ** 30} - 1")
+    tracemalloc.start()
+    try:
+        got = gcd_poly(p, p.derivative("x")), squarefree_primitive(p, "x")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == (MultiPoly.constant(("x",), 1), p)
+    assert len(prs_calls) == 2
+    assert peak < 1 << 20
+
+
+SYMBOLIC_COMMANDS = [
+    ("eliminate", "--knot", "4_1"), ("eliminate", "--knot", "5_2"),
+    ("trace-relation", "--knot", "4_1"), ("change-curve", "--knot", "4_1"),
+    ("transport", "--knot", "4_1"),
+    ("rho0", "--knot", "4_1", "--curve", "lambda"),
+    ("rho0", "--knot", "5_2", "--curve", "lambda"),
+    ("rho0", "--knot", "4_1", "--curve", "mu"),
+    ("membership", "--knot", "4_1"), ("membership", "--knot", "5_2"),
+]
+
+
+def test_symbolic_commands_never_fall_back(prs_calls):
+    """Every gcd and squarefree part the ten symbolic commands take on fresh
+    records is answered by the heuristic GCD."""
+    for argv in SYMBOLIC_COMMANDS:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["--no-cache", *argv]) == 0
+    assert prs_calls == []

@@ -317,6 +317,23 @@ def test_text_rational_coefficients():
     assert from_text(txt, ("x",)) == p
 
 
+@pytest.mark.parametrize("text, message", [
+    ("2/0*u", "zero denominator in term '2/0\\*u'"),
+    ("x^2 + 3/0", "zero denominator in term '3/0'"),
+    ("x - 1 2", "whitespace inside term '1 2'"),
+    ("x^1 0 + 3", "whitespace inside term 'x\\^1 0'"),
+    ("7*u^2 0 0 5*u^2*y^2", "whitespace inside term"),
+    ("x * y", "whitespace inside term"),
+], ids=["zero-denominator", "zero-denominator-constant", "split-number",
+        "split-exponent", "split-exponents", "spaced-product"])
+def test_from_text_refuses_malformed_terms(text, message):
+    # a zero denominator is a PolyError, not a ZeroDivisionError, and a
+    # space never joins two numbers into one
+    with pytest.raises(PolyError, match=message):
+        from_text(text)
+    assert from_text(" x^2  -  3/4*y ") == from_text("x^2 - 3/4*y")
+
+
 # -- univariate polynomials ---------------------------------------------------
 
 def test_unipoly_divmod_gcd():

@@ -111,17 +111,27 @@ def test_record_abelianization_error_names_line(capsys, cache_dir, tmp_path,
     (("lambda_trace_value = -2", "lambda_trace_value = abc"),
      "[rho0] line 42: Invalid literal for Fraction: 'abc'"),
     (("mu_trace_value = 2", "mu_trace_value = 2/0"),
-     "[rho0] line 44: Fraction(2, 0)"),
+     "[rho0] line 44: zero denominator in '2/0'"),
     (("term = 0 0 -2", "term = 0 0 1/0"),
-     "[apoly] line 21: Fraction(1, 0)"),
+     "[apoly] line 21: zero denominator in '1/0'"),
     (("constraint = u^2 - 4*y - 17", "constraint = u^2 - 4*y - 17 +"),
      "[param_torsion] line 32: cannot parse polynomial text 'u^2 - 4*y - 17 +'"),
+    (("tau_expr = u", "tau_expr = 2/0*u"),
+     "[param_torsion] line 31: zero denominator in term '2/0*u' in '2/0*u'"),
+    (("poly = x^2 + 3", "poly = x^2 + 3/0"),
+     "[trace_field] line 38: zero denominator in term '3/0' in 'x^2 + 3/0'"),
+    (("constraint = u^2 - 4*y - 17", "constraint = u^2 - 4*y - 1 7"),
+     "[param_torsion] line 32: whitespace inside term '1 7' in 'u^2 - 4*y - 1 7'"),
+    (("poly = x^2 + 3", "poly = x^1 0 + 3"),
+     "[trace_field] line 38: whitespace inside term 'x^1 0' in 'x^1 0 + 3'"),
     (("riley_seed = 0.5 0.9", "riley_seed = 0.5 0.9\nriley_seed = 0.5 0.9"),
      "[rho0] line 48: duplicate key 'riley_seed'"),
 ], ids=["embedding-nan", "mu-rule-inf", "hint-nan", "riley-seed-nan",
         "branch-hint-inf", "branch-hint-text", "trace-value-text",
         "trace-value-zero-denominator", "term-zero-denominator",
-        "constraint-text", "duplicate-key"])
+        "constraint-text", "tau-expr-zero-denominator",
+        "trace-field-zero-denominator", "constraint-split-number",
+        "trace-field-split-exponent", "duplicate-key"])
 def test_record_numbers_are_finite_and_errors_name_their_place(
         capsys, cache_dir, tmp_path, edit, message):
     p = tmp_path / "bad.knot"
@@ -132,6 +142,20 @@ def test_record_numbers_are_finite_and_errors_name_their_place(
     code, out, err = run_cli(capsys, "validate", "--knot", str(p), "--no-cache")
     assert (code, out) == (2, "")
     assert err == f"error: validate: {message}\n"
+
+
+def test_spaces_inside_a_term_do_not_join_exponents(capsys, cache_dir, tmp_path):
+    # read with its spaces deleted, this term was 7*u^2007*y^2, and the
+    # elimination ran for more than a minute
+    text = bundled_record_text("5_2")
+    assert "7*u^2 - 5*u^2*y^2" in text
+    p = tmp_path / "bad.knot"
+    p.write_text(text.replace("7*u^2 - 5*u^2*y^2", "7*u^2 0 0 5*u^2*y^2"))
+    code, out, err = run_cli(capsys, "eliminate", "--knot", str(p), "--no-cache")
+    assert (code, out) == (2, "")
+    assert err == ("error: eliminate: [param_torsion] line 23: whitespace inside "
+                   "term '7*u^2 0 0 5*u^2*y^2' in "
+                   "'5*u*y^4 - 37*u*y^2 + 36*u + 7*u^2 0 0 5*u^2*y^2'\n")
 
 
 def test_record_entry_outside_section():

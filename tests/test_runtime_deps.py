@@ -1,5 +1,7 @@
-"""sympy, hypothesis and pytest are test-only: no module of the package
-imports them, so the program runs without them.  No module uses `mp.matrix`
+"""The package imports only the standard library, mpmath and itself, so an
+installed package such as numpy or gmpy2 never becomes a dependency; sympy,
+hypothesis and pytest, in particular, are test-only, so the program runs
+without them.  No module uses `mp.matrix`
 or mpmath's own solvers: a 2x2 matrix is a 4-tuple, a chain matrix and the
 embedding solve's inverse Vandermonde matrix are row lists, chain ranks and
 kernels come from `mplinalg`'s one elimination, and the Vandermonde inverse
@@ -136,6 +138,32 @@ def test_key_guard_sees_every_key_form(tmp_path):
 def non_stdlib_imports(path):
     return [name for name in imported_modules(path)
             if name.split(".")[0] not in sys.stdlib_module_names]
+
+
+RUNTIME_ROOTS = {"mpmath", "torsionpoly"}
+
+
+def foreign_imports(path):
+    """The imports in path whose root is neither in the standard library,
+    nor mpmath, nor the package itself (by name or relative)."""
+    return [name for name in imported_modules(path)
+            if not name.startswith(".") and name.split(".")[0] not in
+            sys.stdlib_module_names | RUNTIME_ROOTS]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")), ids=lambda p: p.name)
+def test_module_imports_only_the_runtime_allowlist(path):
+    # numpy is installed but unused, and gmpy2 would change mpmath's backend
+    assert foreign_imports(path) == []
+
+
+def test_allowlist_guard_sees_every_import_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import math, mpmath.libmp\nfrom . import polys\n"
+                     "from .words import Word\nimport torsionpoly.cli\n"
+                     "import numpy as np\nfrom gmpy2 import mpz\n"
+                     "def f():\n    import sympy.core\n")
+    assert foreign_imports(probe) == ["numpy", "gmpy2", "sympy.core"]
 
 
 def test_words_imports_only_the_standard_library():
