@@ -15,8 +15,8 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from .polys import (
-    MultiPoly, exact_div, gcd_poly, nearly_vanishes, normalize_sign, resultant,
-    squarefree_primitive,
+    MultiPoly, exact_div, gcd_cofactors, nearly_vanishes, normalize_sign,
+    resultant, squarefree_primitive,
 )
 
 E_MU, E_LAMBDA = "em", "el"
@@ -136,9 +136,8 @@ def change_curve_sq(branch: MultiPoly) -> ChangeFactor:
     x = MultiPoly.var((TR_MU,), TR_MU)
     num = branch * branch - 4
     den = (x * x - 4) * branch.derivative(TR_MU) ** 2
-    g = gcd_poly(num, den)
-    num, den = exact_div(num, g), exact_div(den, g)
+    _, num, den = gcd_cofactors(num, den)
     # fix the representative: integer-primitive den with positive lead
     dnorm = normalize_sign(den)
-    unit = exact_div(den, dnorm)
-    return ChangeFactor(exact_div(num, unit), dnorm)
+    return ChangeFactor(num * Fraction(dnorm.leading_coefficient(),
+                                       den.leading_coefficient()), dnorm)

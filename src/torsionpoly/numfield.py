@@ -10,7 +10,9 @@ split off by the rational root theorem, isolated among the pass's roots of
 that factor.
 
 A NumberField is Q[x]/(f) for a monic squarefree f without rational roots,
-together with one complex root, certified isolated, as the embedding.  A
+together with one complex root, certified isolated, as the embedding.  Field
+arithmetic reduces through `polys`: a product is the `polys` product of the
+two power-basis polynomials, reduced by `pseudo_rem` modulo the monic f.  A
 NumberField and an AlgebraicNumber each carry the roots they certified, with
 the digits they were found at, so a later step at those digits reads them
 instead of finding them again.  The
@@ -43,7 +45,7 @@ import mpmath as mp
 from . import mplinalg as la
 from .polys import (
     MultiPoly, dense_coeffs, exact_div, from_dense, gcd_poly, normalize_sign,
-    resultant, squarefree_primitive,
+    pseudo_rem, resultant, squarefree_primitive,
 )
 
 DEFAULT_DIGITS = 64
@@ -111,6 +113,15 @@ def _polyroots(coeffs, maxsteps: int, extraprec: int):
     so both round to the same roots."""
     return mp.polyroots(coeffs, maxsteps=maxsteps, extraprec=extraprec,
                         roots_init=_float_seed(coeffs))
+
+
+def roots_at(p: MultiPoly, var: str, point: dict):
+    """The complex roots in var of p with its other variables at the numeric
+    point: each coefficient in var evaluated there as an mpmath number, then
+    `_polyroots` at 200 steps and 80 extra bits."""
+    by_deg = p.coeffs_wrt(var)
+    return _polyroots([mp.mpmathify(by_deg[d].eval(point)) if d in by_deg else mp.mpc(0)
+                       for d in range(max(by_deg), -1, -1)], 200, 80)
 
 
 def roots_numeric(p: MultiPoly, digits: int = DEFAULT_DIGITS):
@@ -311,14 +322,12 @@ class FieldElement:
         if isinstance(other, (int, Fraction)):
             return FieldElement(self.field, tuple(a * other for a in self.coords))
         other = self._coerce(other)
-        d = self.field.degree
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self.coords):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coords):
-                prod[i + j] += a * b
-        return FieldElement(self.field, _reduce_power_basis(self.field, prod))
+        f = self.field.defining_poly
+        x = f.vars[0]
+        # the pseudo-remainder by the monic f is the plain remainder
+        prod = dense_coeffs(pseudo_rem(from_dense(x, self.coords)
+                                       * from_dense(x, other.coords), f, x))
+        return FieldElement(self.field, prod + [0] * (self.field.degree - len(prod)))
 
     __rmul__ = __mul__
 
@@ -338,21 +347,6 @@ class FieldElement:
             for c in reversed(self.coords):
                 acc = acc * x + _to_mpf(c)
             return acc
-
-
-def _reduce_power_basis(field: NumberField, coeffs: List[Fraction]):
-    f = dense_coeffs(field.defining_poly)
-    d = len(f) - 1
-    work = list(coeffs)
-    for k in range(len(work) - 1, d - 1, -1):
-        c = work[k]
-        if c == 0:
-            continue
-        # x^k = x^(k-d) * (x^d - f(x)) since f is monic
-        for j in range(d):
-            work[k - d + j] -= c * f[j]
-        work[k] = Fraction(0)
-    return tuple(work[:d])
 
 
 def minimal_polynomial(e: FieldElement, var: str = "tau") -> MultiPoly:

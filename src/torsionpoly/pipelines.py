@@ -14,7 +14,7 @@ from .charvar import (
     geometric_branch, trace_relation,
 )
 from .numfield import NumberField, express_in_field, minimal_polynomial, \
-    NotInField, Undecided, _polyroots
+    NotInField, Undecided, roots_at
 from .polys import MultiPoly, from_dense, to_text
 from .records import KnotRecord
 from .torsion_num import peripheral_torsions, riley_solve
@@ -192,13 +192,8 @@ def _diagnostic_scalar(record: KnotRecord, out) -> object:
     """
     T = eliminated_T(record)
     tv = out["tr_lambda"] if record.trace_of == "lambda" else out["tr_mu"]
-    by_tau = {}
-    for d, c in T.poly.coeffs_wrt("tau").items():
-        by_tau[d] = mp.mpmathify(c.eval({T.trace_var: tv}))
-    deg = max(by_tau)
-    poly = [by_tau.get(i, mp.mpc(0)) for i in range(deg + 1)]
     try:
-        roots = _polyroots(list(reversed(poly)), 200, 80)
+        roots = roots_at(T.poly, "tau", {T.trace_var: tv})
     except mp.libmp.NoConvergence as exc:
         raise PipelineError("diagnostic scalar at trace "
                             f"{mp.nstr(mp.re(out['tr_mu']), 12)}: {exc}") from exc

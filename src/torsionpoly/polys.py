@@ -33,7 +33,8 @@ terms as exponent tuples, and the constructor accepts them.
 Resultants are computed by the subresultant polynomial remainder sequence on
 integer polynomials, each remainder divided exactly by its known factor; the
 Sylvester matrix and its integer Bareiss determinant remain as the reference
-for tests.  Gcds and squarefree parts come from the heuristic GCD on
+for tests; `pseudo_rem` is public, and reduces number-field products.
+`gcd_cofactors` returns a gcd with both cofactors, from the heuristic GCD on
 integer images: one variable at a time is evaluated at an integer xi, the
 gcd of the images is rebuilt from its symmetric xi-adic digits, and a
 candidate counts only when it divides both inputs exactly.  After
@@ -558,7 +559,7 @@ def _slice(p: MultiPoly, i: int, d: int, e: int) -> MultiPoly:
                                     if m >> shift & _MASK == d})
 
 
-def _pseudo_rem(p: MultiPoly, q: MultiPoly, name: str) -> MultiPoly:
+def pseudo_rem(p: MultiPoly, q: MultiPoly, name: str) -> MultiPoly:
     """Pseudo-remainder: lc(q)^(deg p - deg q + 1) * p mod q, no divisions."""
     p, q = align(p, q)
     n, i, dq = len(q.vars), q._index(name), q.degree_in(name)
@@ -581,7 +582,7 @@ def _primitive_prs(a: MultiPoly, b: MultiPoly, name: str) -> MultiPoly:
     while not b.is_zero():
         if b.degree_in(name) == 0:
             return MultiPoly.constant(a.vars, 1)
-        r = _pseudo_rem(a, b, name)
+        r = pseudo_rem(a, b, name)
         a, b = b, r if r.is_zero() else _content_primitive(r, name)[1]
     return a
 
@@ -645,10 +646,10 @@ def _heu_gcd(a: dict, b: dict, n: int):
             {m: v * (cb // c) for m, v in qb.items()})
 
 
-def _integral(p: MultiPoly) -> dict:
-    """The terms of the integer multiple of p by its common denominator."""
+def _integral(p: MultiPoly) -> Tuple[dict, int]:
+    """(terms, den): the integer multiple of p by its common denominator."""
     den = _content(p.terms.values())[1]
-    return {m: v.numerator * (den // v.denominator) for m, v in p.terms.items()}
+    return {m: v.numerator * (den // v.denominator) for m, v in p.terms.items()}, den
 
 
 def _prs_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
@@ -661,21 +662,33 @@ def _prs_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     return gcd_poly(cp, cq) * _primitive_prs(a, b, name)
 
 
-def gcd_poly(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """GCD, normalized integer-primitive with positive leading graded-lex
-    coefficient: by the heuristic GCD on the integer multiples of p and q,
-    or by the primitive PRS when that gives up.
-
-    Backs squarefree decomposition and rational-function reduction; sized
-    for the low degrees this package meets.
-    """
+def gcd_cofactors(p: MultiPoly, q: MultiPoly) -> Tuple[MultiPoly, MultiPoly, MultiPoly]:
+    """(g, p/g, q/g) for the gcd g, normalized integer-primitive with positive
+    leading graded-lex coefficient, and gcd(0, 0) = 0: by the heuristic GCD
+    on the integer multiples of p and q, its cofactors rescaled, or by the
+    primitive PRS and exact division when that gives up."""
     p, q = align(p, q)
     if p.is_zero() or q.is_zero():
-        return normalize_sign(p + q)
-    if p.is_constant() or q.is_constant():
-        return MultiPoly.constant(p.vars, 1)
-    found = _heu_gcd(_integral(p), _integral(q), len(p.vars))
-    return normalize_sign(MultiPoly._make(p.vars, found[0]) if found else _prs_gcd(p, q))
+        g = normalize_sign(p + q)
+        if g.is_zero():
+            return g, g, g
+    elif p.is_constant() or q.is_constant():
+        return MultiPoly.constant(p.vars, 1), p, q
+    else:
+        (a, dp), (b, dq) = _integral(p), _integral(q)
+        found = _heu_gcd(a, b, len(p.vars))
+        if found:
+            G, qp, qq = (MultiPoly._make(p.vars, f) for f in found)
+            g = normalize_sign(G)
+            s = Fraction(G.leading_coefficient(), g.leading_coefficient())
+            return g, qp * (s / dp), qq * (s / dq)
+        g = normalize_sign(_prs_gcd(p, q))
+    return g, exact_div(p, g), exact_div(q, g)
+
+
+def gcd_poly(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    """The gcd of `gcd_cofactors`, without its cofactors."""
+    return gcd_cofactors(p, q)[0]
 
 
 def normalize_sign(p: MultiPoly) -> MultiPoly:
@@ -691,11 +704,9 @@ def normalize_sign(p: MultiPoly) -> MultiPoly:
 
 def squarefree_primitive(p: MultiPoly, main_var: str) -> MultiPoly:
     """Squarefree part of p in main_var, with main_var-free content removed:
-    p over its gcd with its derivative in main_var.  That gcd holds the
-    content of p too, so no content is computed: the heuristic GCD's
-    cofactor of p is the answer, or p is divided by the primitive PRS gcd
-    when the heuristic gives up.  A p free of main_var is all content, so
-    its part is the constant 1.
+    the cofactor of p over its gcd with its derivative in main_var.  That
+    gcd holds the content of p too, so no content is computed.  A p free of
+    main_var is all content, so its part is the constant 1.
 
     Output is integer-primitive with positive leading graded-lex coefficient.
     """
@@ -703,10 +714,7 @@ def squarefree_primitive(p: MultiPoly, main_var: str) -> MultiPoly:
         raise PolyError("squarefree_primitive of zero polynomial")
     if p.degree_in(main_var) == 0:
         return MultiPoly.constant(p.vars, 1)
-    dp = p.derivative(main_var)
-    found = _heu_gcd(_integral(p), _integral(dp), len(p.vars))
-    return normalize_sign(MultiPoly._make(p.vars, found[1]) if found
-                          else exact_div(p, _prs_gcd(p, dp)))
+    return normalize_sign(gcd_cofactors(p, p.derivative(main_var))[1])
 
 
 # ---------------------------------------------------------------------------
@@ -785,7 +793,7 @@ def resultant(p: MultiPoly, q: MultiPoly, name: str) -> MultiPoly:
         da, db = a.degree_in(name), b.degree_in(name)
         if da % 2 and db % 2:
             sign = -sign
-        r = _pseudo_rem(a, b, name)
+        r = pseudo_rem(a, b, name)
         if r.is_zero():
             return MultiPoly.zero(rest)
         delta = da - db

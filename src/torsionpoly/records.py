@@ -2,7 +2,8 @@
 
 Line-oriented sections `[section]` with `key = value` pairs; polynomials use
 the canonical text grammar and words the letter grammar, so the files diff
-cleanly.  Complex numbers are written as `re im` pairs.
+cleanly.  Complex numbers are written as `re im` pairs.  The record's types
+live here, so a record parses without the numeric engine.
 """
 
 from __future__ import annotations
@@ -14,9 +15,48 @@ from typing import Dict, List, Optional, Tuple
 
 from .charvar import APoly, apoly_normalize
 from .front import RecordError, bundled_record_text, record_text  # noqa: F401
-from .polys import MultiPoly, PolyError, from_text
-from .torsion_sym import NearestToHint, ParamTorsion, PositiveRealRoot, TorsionSymError
+from .polys import MultiPoly, PolyError, from_text, nearly_vanishes
 from .words import Presentation, WordError, parse_word
+
+TRACE_VALUE_BITS = 64    # bounds the exact work a trace value starts
+
+
+class TorsionSymError(ValueError):
+    pass
+
+
+@dataclass(frozen=True)
+class ParamTorsion:
+    """Torsion parametrized by auxiliary variables on a constraint variety."""
+
+    tau_expr: MultiPoly
+    constraints: Tuple[MultiPoly, ...]
+    aux_vars: Tuple[str, ...]
+    trace_var: str
+
+    @classmethod
+    def create(cls, tau_expr, constraints, aux_vars, trace_var, hints):
+        """Check that the hints, a point given as a value for each variable,
+        satisfy every constraint."""
+        aux_used = [v for v in aux_vars if tau_expr.degree_in(v) > 0]
+        if aux_used and not constraints:
+            raise TorsionSymError("auxiliary variables without constraints")
+        for c in constraints:
+            if not nearly_vanishes(c, hints):
+                raise TorsionSymError("hint violates constraint")
+        return cls(tau_expr, tuple(constraints), tuple(aux_vars), trace_var)
+
+
+@dataclass(frozen=True)
+class PositiveRealRoot:
+    """Root selection rule: the positive real root (4_1 longitude convention)."""
+
+
+@dataclass(frozen=True)
+class NearestToHint:
+    """Root selection rule: nearest to a stored numeric hint."""
+
+    hint: complex
 
 
 def _parse_complex(tokens: List[str], where: str) -> complex:
@@ -250,6 +290,10 @@ def parse_record(text: str) -> KnotRecord:
                 trace_value = _rational(tv[0])
             except ValueError as exc:
                 raise RecordError(f"[rho0] line {tv[1]}: {exc}") from exc
+            if max(trace_value.numerator.bit_length(),
+                   trace_value.denominator.bit_length()) > TRACE_VALUE_BITS:
+                raise RecordError(f"[rho0] line {tv[1]}: {curve}_trace_value has a "
+                                  f"numerator or denominator over {TRACE_VALUE_BITS} bits")
             rho0[curve] = Rho0Data(trace_value,
                                    _parse_rule(rule[0], f"[rho0] line {rule[1]}"))
         seed = sec.get("riley_seed")

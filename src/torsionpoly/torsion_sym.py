@@ -9,9 +9,10 @@ primitive parts.
 
 Elimination and transport prove their result exactly: the polynomial must
 vanish on the curve it was derived from, which by Gauss's lemma is the exact
-division of its pullback by the curve's squarefree primitive part.  A record's
-hints are checked against its constraints exactly too.  None of these reads
-or sets a working precision.  Only `rho0_value` is numeric: it holds the rule
+division of its pullback by the curve's squarefree primitive part.  The
+record's types read here, `ParamTorsion` with its exact hint check and the
+root-selection rules, live in `records`.  None of these reads or sets a
+working precision.  Only `rho0_value` is numeric: it holds the rule
 that selects one root of a root pass, and `numfield.algebraic_root` makes the
 selected root exact.
 """
@@ -20,45 +21,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
 
 import mpmath as mp
 
 from .charvar import ChangeFactor
 from .numfield import AlgebraicNumber, algebraic_root, roots_numeric
-from .polys import (
-    MultiPoly, divides, nearly_vanishes, normalize_sign, resultant,
-    squarefree_primitive,
-)
+from .polys import MultiPoly, divides, normalize_sign, resultant, squarefree_primitive
+from .records import NearestToHint, ParamTorsion, PositiveRealRoot, TorsionSymError
 
 TAU = "tau"
 TAU_OLD = "tau0"
-
-
-class TorsionSymError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class ParamTorsion:
-    """Torsion parametrized by auxiliary variables on a constraint variety."""
-
-    tau_expr: MultiPoly
-    constraints: Tuple[MultiPoly, ...]
-    aux_vars: Tuple[str, ...]
-    trace_var: str
-
-    @classmethod
-    def create(cls, tau_expr, constraints, aux_vars, trace_var, hints):
-        """Check that the hints, a point given as a value for each variable,
-        satisfy every constraint."""
-        aux_used = [v for v in aux_vars if tau_expr.degree_in(v) > 0]
-        if aux_used and not constraints:
-            raise TorsionSymError("auxiliary variables without constraints")
-        for c in constraints:
-            if not nearly_vanishes(c, hints):
-                raise TorsionSymError("hint violates constraint")
-        return cls(tau_expr, tuple(constraints), tuple(aux_vars), trace_var)
 
 
 @dataclass(frozen=True)
@@ -158,18 +130,6 @@ def specialize(T: TPoly, trace_value: Fraction) -> MultiPoly:
         raise TorsionSymError(
             f"torsion polynomial vanishes identically at trace {trace_value}")
     return normalize_sign(uni)
-
-
-@dataclass(frozen=True)
-class PositiveRealRoot:
-    """Root selection rule: the positive real root (4_1 longitude convention)."""
-
-
-@dataclass(frozen=True)
-class NearestToHint:
-    """Root selection rule: nearest to a stored numeric hint."""
-
-    hint: complex
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,9 @@ import mpmath as mp
 from . import mplinalg as la
 from . import pipelines as pl
 from .charvar import E_LAMBDA, E_MU, APoly, CharVarError, change_curve_sq
-from .numfield import _polyroots, roots_numeric
-from .polys import MultiPoly, divides, exact_div, from_dense, from_text, \
-    gcd_poly, normalize_sign, resultant, to_text
+from .numfield import roots_at, roots_numeric
+from .polys import MultiPoly, divides, from_dense, from_text, gcd_cofactors, \
+    normalize_sign, resultant, to_text
 from .records import KnotRecord, ingest_knot
 from .torsion_num import (
     _block, _mul2, adjoint, basing, boundaries, invariant_vector,
@@ -261,16 +261,12 @@ def _squarefree_parts(p: MultiPoly) -> List[Tuple[MultiPoly, int]]:
     p = c * prod a_i^i for a constant c; Yun's decomposition (SYMSAC 1976)
     of the univariate p."""
     var = p.vars[0]
-    dp = p.derivative(var)
-    a = gcd_poly(p, dp)
-    b, c = exact_div(p, a), exact_div(dp, a)
+    _, b, c = gcd_cofactors(p, p.derivative(var))
     parts, i = [], 1
     while b.degree_in(var) > 0:
-        d = c - b.derivative(var)
-        a = gcd_poly(b, d)
+        a, b, c = gcd_cofactors(b, c - b.derivative(var))
         if a.degree_in(var) > 0:
             parts.append((a, i))
-        b, c = exact_div(b, a), exact_div(d, a)
         i += 1
     return parts
 
@@ -310,13 +306,9 @@ def change_curve_apoly(A: APoly, samples):
 
 def _apoly_samples(A, rng, n):
     pts = []
-    by_deg = A.poly.coeffs_wrt("el")
-    deg = max(by_deg)
     while len(pts) < n:
         em = mp.mpc(1 + rng.uniform(0.05, 0.3), rng.uniform(-0.05, 0.05))
-        cs = [by_deg.get(d, MultiPoly.zero(("em",))).eval({"em": em})
-              for d in range(deg + 1)]
-        for el in _polyroots([mp.mpmathify(c) for c in reversed(cs)], 200, 80):
+        for el in roots_at(A.poly, "el", {"em": em}):
             if abs(el) > 1e-4 and len(pts) < n:
                 pts.append((em, el))
     return pts

@@ -92,17 +92,18 @@ def test_errors_are_not_stored():
     assert record.artifacts == {}
 
 
-@pytest.mark.parametrize("knot, read, count", [("5_2", pl.eliminated_T, 0),
-                                               ("4_1", pl.transported_T, 1)])
-def test_gcd_calls_per_derivation(knot, read, count, monkeypatch):
-    """squarefree_primitive takes the squarefree part as a cofactor of the
-    heuristic GCD, with no content and no gcd_poly call, so a fresh
-    record's derivation calls gcd_poly only to reduce the 4_1
-    change-of-curve factor (56 and 74 calls when contents were recomputed,
-    4 and 8 when squarefree_primitive took contents by gcd_poly)."""
-    calls = count_calls(monkeypatch, (polys, charvar), "gcd_poly")
+@pytest.mark.parametrize("knot, read, reductions", [("5_2", pl.eliminated_T, 0),
+                                                    ("4_1", pl.transported_T, 1)])
+def test_gcd_calls_per_derivation(knot, read, reductions, monkeypatch):
+    """squarefree_primitive takes the squarefree part as a cofactor of one
+    gcd_cofactors call, with no content computed, and reducing the 4_1
+    change-of-curve factor takes one more: a fresh record's derivation
+    takes 2 and 5 squarefree parts, so 2 and 6 gcds (56 and 74 when
+    contents were recomputed)."""
+    parts = count_calls(monkeypatch, (torsion_sym, charvar), "squarefree_primitive")
+    calls = count_calls(monkeypatch, (polys, charvar), "gcd_cofactors")
     read(ingest_knot(knot))
-    assert len(calls) == count
+    assert len(calls) == len(parts) + reductions == {"5_2": 2, "4_1": 6}[knot]
 
 
 @pytest.mark.parametrize("knot, read", [("5_2", pl.eliminated_T),

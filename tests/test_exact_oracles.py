@@ -1,7 +1,8 @@
-"""gcd_poly, squarefree_primitive, exact_div and minimal_polynomial against
-sympy on seeded random inputs, and the heuristic GCD against its primitive
-remainder sequence fallback.  sympy is a test-only oracle: without it the
-module is skipped.  The resultant row is in test_resultant_oracle.py."""
+"""gcd_poly, gcd_cofactors, squarefree_primitive, exact_div and
+minimal_polynomial against sympy on seeded random inputs, and the heuristic
+GCD against its primitive remainder sequence fallback.  sympy is a
+test-only oracle: without it the module is skipped.  The resultant row is
+in test_resultant_oracle.py."""
 
 import contextlib
 import io
@@ -15,8 +16,8 @@ from test_resultant_oracle import RECORD_INPUTS, from_sympy, random_poly, to_sym
 from torsionpoly import cli, polys
 from torsionpoly.numfield import NumberField, minimal_polynomial
 from torsionpoly.polys import (
-    MultiPoly, PolyError, divides, exact_div, from_dense, from_text, gcd_poly,
-    normalize_sign, resultant, squarefree_primitive, to_text,
+    MultiPoly, PolyError, divides, exact_div, from_dense, from_text, gcd_cofactors,
+    gcd_poly, normalize_sign, resultant, squarefree_primitive, to_text,
 )
 
 sympy = pytest.importorskip("sympy")
@@ -222,6 +223,33 @@ def test_heuristic_gcd_against_sympy_and_the_prs(monkeypatch, prs_calls):
         for var in p.vars if not p.is_zero() else ():
             squarefree_primitive(p, var)
     assert prs_calls == []              # and the heuristic GCD never needs it
+
+
+@pytest.mark.parametrize("tries", [polys._HEU_TRIES, 0], ids=["heuristic", "prs"])
+def test_gcd_cofactors_against_sympy(monkeypatch, prs_calls, tries):
+    """The cofactors multiply back to each input exactly, the gcd is
+    gcd_poly's, and all three agree with sympy's cofactors up to scale, on
+    the seeded pairs and on zero, constant and Fraction-coefficient sides;
+    with no evaluation point the remainder sequence and exact division
+    answer instead."""
+    monkeypatch.setattr(polys, "_HEU_TRIES", tries)
+    zero, three = MultiPoly.zero(("x",)), MultiPoly.constant(("x",), 3)
+    pairs = gcd_pairs() + [(zero, zero), (zero, three), (three, MONIC),
+                           (MONIC * LINEAR, QUADRATIC * LINEAR * Fraction(-3, 2)),
+                           (MONIC * LINEAR ** 2, (MONIC * LINEAR ** 2).derivative("x"))]
+    for p, q in pairs:
+        g, cp, cq = gcd_cofactors(p, q)
+        assert (g * cp, g * cq) == (p, q)
+        assert g == gcd_poly(p, q)
+        if p.is_zero() and q.is_zero():     # sympy raises on gcd(0, 0)
+            assert (g, cp, cq) == (p, p, p)
+            continue
+        p, q = polys.align(p, q)
+        syms = {v: sympy.Symbol(v) for v in p.vars}
+        want = sympy.cofactors(to_sympy(p, syms), to_sympy(q, syms))
+        for got, w in zip((g, cp, cq), want):
+            assert normalize_sign(got) == normalize_sign(from_sympy(w, p.vars, syms))
+    assert bool(prs_calls) == (tries == 0)
 
 
 def test_first_evaluation_point_can_fail(monkeypatch, prs_calls):

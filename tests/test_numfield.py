@@ -14,7 +14,7 @@ from torsionpoly.numfield import (
     algebraic_root, express_in_field, minimal_polynomial, roots_numeric,
 )
 from torsionpoly.polys import (
-    MultiPoly, dense_coeffs, from_dense, from_text, gcd_poly, resultant,
+    MultiPoly, dense_coeffs, divides, from_dense, from_text, gcd_poly, resultant,
     squarefree_primitive,
 )
 from torsionpoly.records import ingest_knot
@@ -143,6 +143,26 @@ def test_field_element_arithmetic_matches_embedding():
             lhs = (a * b + a - b).embed(50)
             rhs = a.embed(50) * b.embed(50) + a.embed(50) - b.embed(50)
             assert abs(lhs - rhs) < 1e-40
+
+
+@pytest.mark.parametrize("field", [field_41, field_52,
+                                   lambda: NumberField.create(from_text("x^5 - x - 1"))],
+                         ids=["4_1", "5_2", "degree-5"])
+def test_field_product_is_the_remainder_of_the_polynomial_product(field):
+    """A*B - C is a multiple of f, and C has degree below f's, for seeded
+    elements with Fraction coordinates, zero included."""
+    K = field()
+    f, d = K.defining_poly, K.degree
+    rng = random.Random(d)
+    for k in range(12):
+        a, b = (K.element([Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7)))
+                           for _ in range(d)]) for _ in range(2))
+        if k == 0:
+            a = K.from_rational(0)
+        c = a * b
+        A, B, C = (from_dense("x", e.coords) for e in (a, b, c))
+        assert len(c.coords) == d and C.degree_in("x") < d
+        assert divides(f, A * B - C)
 
 
 def test_minimal_polynomial_reference_element():
@@ -473,6 +493,19 @@ def test_seeded_complex_polyroots_is_the_cold_start_bit_for_bit():
             seeded = numfield._polyroots(coeffs, 200, 80)
             cold = mp.polyroots(coeffs, maxsteps=200, extraprec=80)
             assert as_bits(seeded) == as_bits(cold), coeffs
+
+
+def test_roots_at_is_the_specialized_root_pass_bit_for_bit():
+    """roots_at evaluates each coefficient in the root variable at the point,
+    a missing degree as a complex zero, and runs the seeded pass at 200
+    steps and 80 extra bits."""
+    p = from_text("2*tau^3*y - tau*y^2 + 1/3*y + 5", ["tau", "y"])
+    point = {"y": mp.mpc("1.25", "-0.5")}
+    by_tau = p.coeffs_wrt("tau")
+    with mp.workdps(40):
+        at = {d: mp.mpmathify(c.eval(point)) for d, c in by_tau.items()}
+        want = numfield._polyroots([at[3], mp.mpc(0), at[1], at[0]], 200, 80)
+        assert as_bits(numfield.roots_at(p, "tau", point)) == as_bits(want)
 
 
 def expanded(roots):

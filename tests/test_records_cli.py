@@ -1,13 +1,19 @@
 import json
 import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
 
 from torsionpoly import cli, pipelines as pl
 from torsionpoly.records import (
-    RecordError, bundled_record_text, ingest_knot, parse_record,
+    TRACE_VALUE_BITS, RecordError, bundled_record_text, ingest_knot, parse_record,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture()
@@ -156,6 +162,27 @@ def test_spaces_inside_a_term_do_not_join_exponents(capsys, cache_dir, tmp_path)
     assert err == ("error: eliminate: [param_torsion] line 23: whitespace inside "
                    "term '7*u^2 0 0 5*u^2*y^2' in "
                    "'5*u*y^4 - 37*u*y^2 + 36*u + 7*u^2 0 0 5*u^2*y^2'\n")
+
+
+@pytest.mark.parametrize("value", ["1e400", "1/18446744073709551616"])
+def test_long_trace_values_are_refused_at_once(tmp_path, cache_dir, value):
+    """A trace value of 10^400 kept membership busy for about 17 s before it
+    answered; one whose numerator or denominator has more than 64 bits is
+    refused with the key's line and the limit, well inside the guard."""
+    p = tmp_path / "big.knot"
+    p.write_text(bundled_record_text("5_2").replace(
+        "lambda_trace_value = 2", f"lambda_trace_value = {value}"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "torsionpoly.cli", "--no-cache", "membership",
+         "--knot", str(p)], capture_output=True, text=True, timeout=5,
+        env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: membership: [rho0] line 34: lambda_trace_value has a "
+                           f"numerator or denominator over {TRACE_VALUE_BITS} bits\n")
+    limit = 2 ** TRACE_VALUE_BITS - 1
+    p.write_text(bundled_record_text("5_2").replace(
+        "lambda_trace_value = 2", f"lambda_trace_value = -{limit}/{limit - 2}"))
+    assert ingest_knot(str(p)).rho0["lambda"].trace_value == Fraction(-limit, limit - 2)
 
 
 def test_record_entry_outside_section():

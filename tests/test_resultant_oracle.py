@@ -167,12 +167,12 @@ def test_resultant_takes_no_determinants_and_few_pseudo_remainders(monkeypatch):
             calls[fn.__name__] += 1
             return fn(*args)
         return wrapper
-    for name in ("sylvester_matrix", "bareiss_det", "_pseudo_rem"):
+    for name in ("sylvester_matrix", "bareiss_det", "pseudo_rem"):
         monkeypatch.setattr(polys, name, counted(getattr(polys, name)))
     p, q, name = RECORD_INPUTS["4_1 trace relation, em (10x10)"]
     assert not resultant(p, q, name).is_zero()
     assert calls["sylvester_matrix"] == calls["bareiss_det"] == 0
-    assert 1 <= calls["_pseudo_rem"] <= min(p.degree_in(name), q.degree_in(name)) + 1
+    assert 1 <= calls["pseudo_rem"] <= min(p.degree_in(name), q.degree_in(name)) + 1
 
 
 # -- the subresultant sequence's hard cases -----------------------------------
@@ -182,12 +182,12 @@ XY = ("x", "y")
 
 def remainder_degrees(monkeypatch):
     """Record (deg a, deg b) in x of every pseudo-remainder step."""
-    steps, prem = [], polys._pseudo_rem
+    steps, prem = [], polys.pseudo_rem
 
     def recorded(a, b, name):
         steps.append((a.degree_in(name), b.degree_in(name)))
         return prem(a, b, name)
-    monkeypatch.setattr(polys, "_pseudo_rem", recorded)
+    monkeypatch.setattr(polys, "pseudo_rem", recorded)
     return steps
 
 

@@ -12,9 +12,12 @@ engine, and only the entry points `cli` and `verify`, and the modules that
 work at digits they are given, name mpmath's working precision.  The exact
 layer (`polys`, `words`, `charvar` and `records`) imports no mpmath, since
 its hint checks are exact, and `charvar` imports none of the numeric modules
-`numfield`, `mplinalg` and `torsion_num`."""
+`numfield`, `mplinalg` and `torsion_num`; loading any of the four, with all
+it imports in turn, loads none of the numeric engine."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -206,6 +209,21 @@ NO_NUMERICS = {
 @pytest.mark.parametrize("name", sorted(NO_NUMERICS))
 def test_exact_layer_imports_no_numerics(name):
     assert not NO_NUMERICS[name] & set(package_modules(PACKAGE / name))
+
+
+@pytest.mark.parametrize("name", ["polys", "words", "charvar", "records"])
+def test_exact_layer_loads_no_numerics(name):
+    """Followed through every import, not only the module's own: a fresh
+    interpreter that imports an exact-layer module has loaded none of the
+    numeric engine."""
+    numeric = ["mpmath", "torsionpoly.numfield", "torsionpoly.mplinalg",
+               "torsionpoly.torsion_num", "torsionpoly.torsion_sym"]
+    probe = (f"import sys, torsionpoly.{name}\n"
+             f"print(sorted(set({numeric!r}) & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+                          timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_numerics_guard_sees_every_import_form(tmp_path):

@@ -8,9 +8,11 @@ from torsionpoly import numfield, torsion_sym
 from torsionpoly.charvar import ChangeFactor, change_curve_sq
 from torsionpoly.numfield import root_dps, roots_numeric
 from torsionpoly.polys import MultiPoly, from_text, normalize_sign
+from torsionpoly.records import (
+    NearestToHint, ParamTorsion, PositiveRealRoot, TorsionSymError,
+)
 from torsionpoly.torsion_sym import (
-    NearestToHint, ParamTorsion, PositiveRealRoot, TPoly, TorsionSymError,
-    eliminate_T, rho0_value, specialize, transport_T,
+    TPoly, eliminate_T, rho0_value, specialize, transport_T,
 )
 
 # Ex. 1.6 data for 5_2: tau = (5y^4-37y^2+36)u + (7-5y^2)u^2 with
