@@ -9,6 +9,7 @@ live here, so a record parses without the numeric engine.
 from __future__ import annotations
 
 import cmath
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -18,7 +19,8 @@ from .front import RecordError, bundled_record_text, record_text  # noqa: F401
 from .polys import MultiPoly, PolyError, from_text, nearly_vanishes
 from .words import Presentation, WordError, parse_word
 
-TRACE_VALUE_BITS = 64    # bounds the exact work a trace value starts
+RATIONAL_BITS = 64       # bounds the exact work a record number starts
+RECORD_DEGREE = 64       # bounds the total degree of a record polynomial
 
 
 class TorsionSymError(ValueError):
@@ -71,13 +73,45 @@ def _parse_complex(tokens: List[str], where: str) -> complex:
     return value
 
 
-def _rational(text: str) -> Fraction:
-    """The exact rational a text such as `-3/4` or `2.5` names; ValueError
-    for any other text, a zero denominator included."""
+# a decimal in Fraction's grammar: digits, fraction digits and exponent
+_DECIMAL = re.compile(r"\s*[-+]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)"
+                      r"(?:\.(\d*|\d+(?:_\d+)*))?(?:[eE]([-+]?\d+(?:_\d+)*))?\s*")
+
+
+def _rational(text: str, what: str) -> Fraction:
+    """The exact rational a text such as `-3/4`, `2.5` or `1e3` names;
+    ValueError for any other text, a zero denominator included, and for a
+    numerator or denominator over RATIONAL_BITS bits.  Fraction expands a
+    decimal exponent in full, so a decimal is sized from its text first:
+    with its trailing zeros moved into the exponent k, a nonzero value is
+    an integer of at least 10^k when k >= 0, and has a denominator of at
+    least 2^-k otherwise."""
+    too_long = ValueError(f"{what} has a numerator or denominator over "
+                          f"{RATIONAL_BITS} bits")
+    m = _DECIMAL.fullmatch(text)
+    if m:
+        digits = (m[1] + (m[2] or "")).replace("_", "")
+        body = digits.rstrip("0")
+        k = int(m[3] or 0) - len(m[2] or "") + len(digits) - len(body)
+        if not body:
+            return Fraction(0)
+        if abs(k) > RATIONAL_BITS:
+            raise too_long
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+    if max(value.numerator.bit_length(),
+           value.denominator.bit_length()) > RATIONAL_BITS:
+        raise too_long
+    return value
+
+
+def _degree_capped(p: MultiPoly) -> MultiPoly:
+    """p, or PolyError when its total degree passes RECORD_DEGREE."""
+    if max(map(sum, p.as_dict()), default=0) > RECORD_DEGREE:
+        raise PolyError(f"total degree over {RECORD_DEGREE}")
+    return p
 
 
 @dataclass
@@ -205,7 +239,10 @@ def parse_record(text: str) -> KnotRecord:
             if len(toks) != 3:
                 raise RecordError(f"[apoly] line {ln}: expected `a b c`")
             try:
-                triples.append((int(toks[0]), int(toks[1]), _rational(toks[2])))
+                a, b = int(toks[0]), int(toks[1])
+                if abs(a) + abs(b) > RECORD_DEGREE:
+                    raise ValueError(f"term total degree over {RECORD_DEGREE}")
+                triples.append((a, b, _rational(toks[2], "term coefficient")))
             except ValueError as exc:
                 raise RecordError(f"[apoly] line {ln}: {exc}") from exc
         if not triples:
@@ -235,7 +272,7 @@ def parse_record(text: str) -> KnotRecord:
         def polynomial(entry):
             text, ln = entry
             try:
-                return from_text(text, allvars)
+                return _degree_capped(from_text(text, allvars))
             except PolyError as exc:
                 raise RecordError(f"[param_torsion] line {ln}: {exc}") from exc
 
@@ -266,7 +303,7 @@ def parse_record(text: str) -> KnotRecord:
         sec = sections["trace_field"]
         poly, ln = sec.require("poly")
         try:
-            tf_poly = from_text(poly, ["x"])
+            tf_poly = _degree_capped(from_text(poly, ["x"]))
         except PolyError as exc:
             raise RecordError(f"[trace_field] line {ln}: {exc}") from exc
         emb, ln = sec.require("embedding")
@@ -287,13 +324,9 @@ def parse_record(text: str) -> KnotRecord:
                 raise RecordError(f"[rho0] line {sec.line}: {curve} needs both "
                                   "trace_value and rule")
             try:
-                trace_value = _rational(tv[0])
+                trace_value = _rational(tv[0], f"{curve}_trace_value")
             except ValueError as exc:
                 raise RecordError(f"[rho0] line {tv[1]}: {exc}") from exc
-            if max(trace_value.numerator.bit_length(),
-                   trace_value.denominator.bit_length()) > TRACE_VALUE_BITS:
-                raise RecordError(f"[rho0] line {tv[1]}: {curve}_trace_value has a "
-                                  f"numerator or denominator over {TRACE_VALUE_BITS} bits")
             rho0[curve] = Rho0Data(trace_value,
                                    _parse_rule(rule[0], f"[rho0] line {rule[1]}"))
         seed = sec.get("riley_seed")

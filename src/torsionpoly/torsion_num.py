@@ -36,7 +36,20 @@ does; a complex * complex pair stays on fdot, whose sum of the two real
 products can round differently from `mpc_mul`'s addition.  The matrices of
 `mplinalg` skip no zeros.  The reports print round-off digits, so any
 reordering of this arithmetic would change them.  A word image is the left
-fold I * g1 * ... * gn, recomputed on every read.
+fold I * g1 * ... * gn.
+
+Each sample point shares its derived values through one short-lived
+`Evaluation`, which `peripheral_torsions` builds and drops: word images by
+prefix (a left fold's partial products are the images of the word's
+prefixes), the Fox-term adjoints Ad(rho(w^-1)) by word, so d2 and both h1
+share them, and the Frobenius norms of d1 and d2, which `boundaries` and
+`basing` both read.  `riley_solve` hands the relator residual it checked to
+the `Rep` it builds, and `boundaries` reads it only at the same relators and
+precision.  Each shared value is the result of the same operations on the
+same operands at the same precision as the repeat it replaces, so the
+sharing is bit-exact.  No memo is kept on a `Rep` or at module level: one
+that outlived the point would outlive a precision change and be shared
+between threads.
 
 Every function here runs at the caller's mpmath precision and sets none of
 its own, and neither do the `pipelines` flows built on it; only the entry
@@ -47,7 +60,7 @@ Newton iteration works 15 digits above the caller's precision.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import mpmath as mp
@@ -147,9 +160,13 @@ def _relator_residual(gens, p: Presentation):
 
 @dataclass
 class Rep:
-    """Numeric SL(2,C) images of the generators, as 2x2 tuples."""
+    """Numeric SL(2,C) images of the generators, as 2x2 tuples.  `checked`
+    is the relator check `riley_solve` made, (relators, precision in bits,
+    residual), set once when the Rep is built and read by `boundaries` at
+    the same relators and precision instead of folding them again."""
 
     generators: Tuple[tuple, ...]
+    checked: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         for A in self.generators:
@@ -170,15 +187,70 @@ class Rep:
         return Rep(tuple(_mul2(_mul2(C, A), Ci) for A in self.generators))
 
 
-def _ansatz(m, t) -> tuple:
-    """The two-bridge ansatz a = [[m, 1], [0, 1/m]], b = [[m, 0], [t, 1/m]]."""
-    return ((m, mp.mp.one, _ZERO, 1 / m), (m, _ZERO, t or _ZERO, 1 / m))
+class Evaluation:
+    """One sample point: a `Rep` evaluated at the caller's precision, each
+    derived value computed once.  Word images are memoised by prefix, since
+    a left fold's partial products are the images of the word's prefixes;
+    Fox-term adjoints by word; Frobenius norms by matrix.  Each is the
+    first computation's result, which a repeat would reproduce bit for bit.
+    `peripheral_torsions` builds one and drops it when the point ends, so
+    nothing outlives a precision change or is shared between threads."""
+
+    __slots__ = ("rep", "_prefixes", "_adjoints", "_norms")
+
+    def __init__(self, rep: Rep):
+        self.rep = rep
+        self._prefixes = {}     # letter -> (image of the prefix, its children)
+        self._adjoints = {}     # word w -> Ad(rho(w^-1))
+        self._norms = {}        # id(M) -> (M, |M|_F)
+
+    def image(self, w: Word) -> tuple:
+        """rho(w), the left fold I * g1 * ... * gn, from its longest
+        prefix already folded at this point."""
+        acc, node = _IDENTITY, self._prefixes
+        for letter in w.letters:
+            hit = node.get(letter)
+            if hit is None:
+                A = self.rep.generators[letter[0]]
+                hit = node[letter] = (
+                    _mul2(acc, A if letter[1] > 0 else _inv2(A)), {})
+            acc, node = hit
+        return acc
+
+    def ad_inv(self, w: Word) -> tuple:
+        """Ad(rho(w)^-1) = Ad(rho(w^-1)), the coefficient of a Fox term w."""
+        hit = self._adjoints.get(w)
+        if hit is None:
+            hit = self._adjoints[w] = adjoint(self.image(w.inverse()))
+        return hit
+
+    def relator_residual(self, p: Presentation):
+        """The relator residual `riley_solve` checked at these relators and
+        this precision, or the relators folded once more."""
+        checked = self.rep.checked
+        if checked is not None and checked[:2] == (p.relators, mp.mp.prec):
+            return checked[2]
+        return _relator_residual(self.rep.generators, p)
+
+    def frob(self, M):
+        """The Frobenius norm of M, computed once per matrix object."""
+        hit = self._norms.get(id(M))
+        if hit is None:
+            hit = self._norms[id(M)] = (M, la.frob(M))
+        return hit[1]
+
+
+def _evaluation(rep) -> Evaluation:
+    """The point's Evaluation, or a new one for a plain Rep."""
+    return rep if isinstance(rep, Evaluation) else Evaluation(rep)
 
 
 def riley_solve(p: Presentation, target_tr_mu, seed) -> Rep:
-    """Newton solve on the two-bridge `_ansatz` with m + 1/m = target,
-    unknown t, from the complex seed t.  Newton runs 15 digits above the
-    caller's precision; the residual is checked at the caller's precision."""
+    """Newton solve on the two-bridge ansatz a = [[m, 1], [0, 1/m]],
+    b = [[m, 0], [t, 1/m]] with m + 1/m = target, unknown t, from the
+    complex seed t.  Newton runs 15 digits above the caller's precision,
+    with m, 1/m, a, a^-1 and the stopping bound computed once; the residual
+    is checked at the caller's precision and handed to the Rep."""
     if p.generator_count != 2:
         raise TorsionNumError("riley_solve needs a two-generator presentation")
     dps = mp.mp.dps
@@ -189,15 +261,19 @@ def riley_solve(p: Presentation, target_tr_mu, seed) -> Rep:
         m = (target + disc) / 2
         if abs(m) < 1:
             m = (target - disc) / 2
+        im = 1 / m
+        a = (m, mp.mp.one, _ZERO, im)
+        images = {(0, 1): a, (0, -1): _inv2(a)}
+        bound = mp.mpf(10) ** (-(dps + 5))
         relator = p.relators[0]
-        last = None
         for _ in range(80):
-            images, prefixes = _relator_fold(relator, m, t)
+            b = (m, _ZERO, t or _ZERO, im)
+            images[1, 1], images[1, -1] = b, _inv2(b)
+            prefixes = _relator_prefixes(relator, images)
             M = prefixes[-1]
             F = [M[0] - 1, M[1], M[2], M[3] - 1]
             res = mp.fsum(abs(f) ** 2 for f in F)
-            last = mp.sqrt(res)
-            if last < mp.mpf(10) ** (-(dps + 5)):
+            if mp.sqrt(res) < bound:
                 break
             J = _relator_derivative(relator, images, prefixes)
             num = mp.fsum(mp.conj(j) * f for j, f in zip(J, F))
@@ -205,24 +281,22 @@ def riley_solve(p: Presentation, target_tr_mu, seed) -> Rep:
             if den == 0:
                 raise TorsionNumError("Newton stalled: zero derivative")
             t = t - num / den
-        generators = _ansatz(m, t)
+        generators = (a, (m, _ZERO, t or _ZERO, im))
     # checked before the Rep, whose determinant check a NaN t also fails
     resid = _relator_residual(generators, p)
     if not resid <= NEWTON_TOL:
         raise TorsionNumError(
             f"Newton did not converge: residual {mp.nstr(resid, 5)}")
-    return Rep(generators)
+    return Rep(generators, (p.relators, mp.mp.prec, resid))
 
 
-def _relator_fold(relator: Word, m, t):
-    """The letter images of the ansatz at (m, t), and the prefix products
-    I, I * g1, ..., I * g1 * ... * gn of rho(relator)."""
-    a, b = _ansatz(m, t)
-    images = {(0, 1): a, (0, -1): _inv2(a), (1, 1): b, (1, -1): _inv2(b)}
+def _relator_prefixes(relator: Word, images) -> list:
+    """The prefix products I, I * g1, ..., I * g1 * ... * gn of
+    rho(relator), for the letter images `images`."""
     prefixes = [_IDENTITY]
     for letter in relator.letters:
         prefixes.append(_mul2(prefixes[-1], images[letter]))
-    return images, prefixes
+    return prefixes
 
 
 def _relator_derivative(relator: Word, images, prefixes) -> list:
@@ -286,11 +360,11 @@ _EYE3 = (mp.mp.one, _ZERO, _ZERO, _ZERO, mp.mp.one, _ZERO, _ZERO, _ZERO,
          mp.mp.one)
 
 
-def _ad_eval_inv(elem: GroupRingElem, rep: Rep) -> la.Matrix:
+def _ad_eval_inv(elem: GroupRingElem, point: Evaluation) -> la.Matrix:
     """Sum n_w Ad(rho(w)^-1); the inversion makes the boundaries compose."""
     out = (_ZERO,) * 9
     for w, n in elem.coeffs.items():
-        term = adjoint(rep.image(w.inverse()))
+        term = point.ad_inv(w)
         out = tuple(x + (n * y or _ZERO) or _ZERO for x, y in zip(out, term))
     return _block(out)
 
@@ -304,20 +378,23 @@ def killing(u) -> object:
     return acc
 
 
-def boundaries(p: Presentation, rep: Rep):
-    """Twisted boundary matrices (d1, d2) at a solved representation."""
-    resid = rep.relator_residual(p)
+def boundaries(p: Presentation, rep):
+    """Twisted boundary matrices (d1, d2) at a solved representation, a
+    `Rep` or the point's `Evaluation`."""
+    point = _evaluation(rep)
+    resid = point.relator_residual(p)
     if not resid <= mp.mpf("1e-8"):
         raise TorsionNumError(
             f"representation violates relators: {mp.nstr(resid, 5)}")
     s = p.generator_count
     d1 = la.hstack([_minus(_EYE3, adjoint(_inv2(A)))
-                    for A in rep.generators])
-    d2 = la.hstack([la.vstack([_ad_eval_inv(fox_derivative(rel, k), rep)
+                    for A in point.rep.generators])
+    d2 = la.hstack([la.vstack([_ad_eval_inv(fox_derivative(rel, k), point)
                                for k in range(s)])
                     for rel in p.relators])
     prod_norm = la.frob(la.matmul(d1, d2))
-    if not prod_norm <= CHAIN_TOL * max(la.frob(d1) * la.frob(d2), mp.mpf(1)):
+    if not prod_norm <= CHAIN_TOL * max(point.frob(d1) * point.frob(d2),
+                                        mp.mpf(1)):
         raise TorsionNumError(
             f"chain condition failed: |d1 d2| = {mp.nstr(prod_norm, 5)}")
     return d1, d2
@@ -341,21 +418,23 @@ def invariant_vector(M, L) -> la.Matrix:
     return _divide(ker[0], la.frob(ker[0]))
 
 
-def basing(p: Presentation, rep: Rep, P, curves, chain):
+def basing(p: Presentation, rep, P, curves, chain):
     """Reference cycles of the complex chain = (d1, d2): one h1 per curve
     gamma, from the Fox expansion of gamma tensored with P, and one h2 shared
     by all curves, the kernel generator of d2 with largest coordinate
     normalized to 1; returns (cycles, h2, pivots of d2).  d2 is eliminated
     once, in natural column order, for its rank, its kernel and the interior
     pivots that torsion_numeric reuses.  Checks run in the order: first
-    curve, h2, remaining curves."""
+    curve, h2, remaining curves.  rep is a `Rep` or the point's
+    `Evaluation`."""
+    point = _evaluation(rep)
     d1, d2 = chain
     elim = la.eliminate(d2)
-    norm1 = la.frob(d1)
+    norm1 = point.frob(d1)
 
     def cycle(gamma):
-        h1 = la.vstack([la.matmul(_ad_eval_inv(fox_derivative(gamma, k), rep),
-                                  P)
+        h1 = la.vstack([la.matmul(_ad_eval_inv(fox_derivative(gamma, k),
+                                               point), P)
                         for k in range(p.generator_count)])
         cyc = la.frob(la.matmul(d1, h1))
         if not cyc <= mp.mpf("1e-8") * max(mp.mpf(1), norm1 * la.frob(h1)):
@@ -373,7 +452,7 @@ def basing(p: Presentation, rep: Rep, P, curves, chain):
     (top,) = max(h2, key=lambda x: abs(x[0]))
     h2 = _divide(h2, top)
     res = la.frob(la.matmul(d2, h2))
-    if not res <= mp.mpf("1e-8") * max(mp.mpf(1), la.frob(d2)):
+    if not res <= mp.mpf("1e-8") * max(mp.mpf(1), point.frob(d2)):
         raise TorsionNumError(f"h2 kernel residual {mp.nstr(res, 5)}")
     return [first] + [cycle(gamma) for gamma in curves[1:]], h2, elim.pivots
 
@@ -433,11 +512,13 @@ def torsion_numeric(chain, P, cycles, h2, piv2,
 
 def peripheral_torsions(p: Presentation, rep: Rep,
                         basis_seed: Optional[int] = None) -> dict:
-    """Both peripheral torsions of one based complex, plus diagnostics."""
-    chain = boundaries(p, rep)
-    M, L = rep.image(p.meridian), rep.image(p.longitude)
+    """Both peripheral torsions of one based complex, plus diagnostics; the
+    point's one `Evaluation` is shared by its chain, P and cycles."""
+    point = Evaluation(rep)
+    chain = boundaries(p, point)
+    M, L = point.image(p.meridian), point.image(p.longitude)
     P = invariant_vector(M, L)
-    cycles, h2, piv2 = basing(p, rep, P, (p.meridian, p.longitude), chain)
+    cycles, h2, piv2 = basing(p, point, P, (p.meridian, p.longitude), chain)
     t_mu, t_la = torsion_numeric(chain, P, cycles, h2, piv2, basis_seed)
     return {
         "tau_mu": t_mu,

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,8 +10,9 @@ import mpmath as mp
 import pytest
 
 from torsionpoly import cli, pipelines as pl
+from torsionpoly import records
 from torsionpoly.records import (
-    TRACE_VALUE_BITS, RecordError, bundled_record_text, ingest_knot, parse_record,
+    RATIONAL_BITS, RECORD_DEGREE, RecordError, bundled_record_text, ingest_knot, parse_record,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -178,11 +180,90 @@ def test_long_trace_values_are_refused_at_once(tmp_path, cache_dir, value):
         env=dict(os.environ, PYTHONPATH=str(SRC)))
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == ("error: membership: [rho0] line 34: lambda_trace_value has a "
-                           f"numerator or denominator over {TRACE_VALUE_BITS} bits\n")
-    limit = 2 ** TRACE_VALUE_BITS - 1
+                           f"numerator or denominator over {RATIONAL_BITS} bits\n")
+    limit = 2 ** RATIONAL_BITS - 1
     p.write_text(bundled_record_text("5_2").replace(
         "lambda_trace_value = 2", f"lambda_trace_value = -{limit}/{limit - 2}"))
     assert ingest_knot(str(p)).rho0["lambda"].trace_value == Fraction(-limit, limit - 2)
+
+
+@pytest.mark.parametrize("key, edit, message", [
+    ("5_2", ("lambda_trace_value = 2", "lambda_trace_value = 1e10000000"),
+     "[rho0] line 34: lambda_trace_value has a numerator or denominator over "
+     f"{RATIONAL_BITS} bits"),
+    ("5_2", ("lambda_trace_value = 2", "lambda_trace_value = 1e-10000000"),
+     "[rho0] line 34: lambda_trace_value has a numerator or denominator over "
+     f"{RATIONAL_BITS} bits"),
+    ("4_1", ("term = 0 0 -2", "term = 0 0 1e10000000"),
+     "[apoly] line 21: term coefficient has a numerator or denominator over "
+     f"{RATIONAL_BITS} bits"),
+    ("4_1", ("term = 0 0 -2", "term = 0 0 1/18446744073709551616"),
+     "[apoly] line 21: term coefficient has a numerator or denominator over "
+     f"{RATIONAL_BITS} bits"),
+], ids=["trace-value-exponent", "trace-value-negative-exponent",
+        "term-coefficient-exponent", "term-coefficient-denominator"])
+def test_long_numbers_are_refused_before_conversion(capsys, cache_dir, tmp_path,
+                                                    key, edit, message):
+    """Fraction expands a decimal exponent in full: 1e10000000 took about
+    9 s before the size cap refused it, and term coefficients had no cap."""
+    text = bundled_record_text(key)
+    assert edit[0] in text
+    p = tmp_path / "big.knot"
+    p.write_text(text.replace(*edit, 1))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "validate", "--knot", str(p), "--no-cache")
+    assert time.perf_counter() - start < 2
+    assert (code, out, err) == (2, "", f"error: validate: {message}\n")
+
+
+@pytest.mark.parametrize("text", [
+    "0", "-3/4", "2.5", "1e3", "1_000.5", "+.5e1", "5.", "-0e10000000",
+    "1" + "0" * 80 + "e-80", "1.8446744073709551615e19", "2e-19",
+    "12345678901234567890e-1", "  7  ",
+])
+def test_rational_reads_what_fraction_reads(text):
+    assert records._rational(text, "x") == Fraction(text.replace("e10000000", ""))
+
+
+@pytest.mark.parametrize("text", [
+    "1e65", "1.8446744073709551616e19", "1e-65", "5e-28", "1" * 30,
+    "-1e99999999999", "1/" + "9" * 30,
+])
+def test_rational_refuses_what_passes_the_bits(text):
+    with pytest.raises(ValueError, match=f"x has a numerator or denominator "
+                                         f"over {RATIONAL_BITS} bits"):
+        records._rational(text, "x")
+
+
+@pytest.mark.parametrize("key, edit, message", [
+    ("4_1", ("constraint = u^2 - 4*y - 17", "constraint = u^100000 - 1"),
+     f"[param_torsion] line 32: total degree over {RECORD_DEGREE}"),
+    ("4_1", ("tau_expr = u", "tau_expr = u^33*y^32"),
+     f"[param_torsion] line 31: total degree over {RECORD_DEGREE}"),
+    ("5_2", ("poly = x^3 - x^2 + 1", "poly = x^65 - x^2 + 1"),
+     f"[trace_field] line 30: total degree over {RECORD_DEGREE}"),
+    ("4_1", ("term = 4 0 1", "term = 40 -25 1"),
+     f"[apoly] line 17: term total degree over {RECORD_DEGREE}"),
+], ids=["constraint", "tau-expr", "trace-field", "apoly-term"])
+def test_record_polynomials_have_a_total_degree_cap(capsys, cache_dir, tmp_path,
+                                                    key, edit, message):
+    text = bundled_record_text(key)
+    assert edit[0] in text
+    p = tmp_path / "deep.knot"
+    p.write_text(text.replace(*edit, 1))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "eliminate", "--knot", str(p), "--no-cache")
+    assert time.perf_counter() - start < 2
+    assert (code, out, err) == (2, "", f"error: eliminate: {message}\n")
+
+
+def test_record_polynomials_at_the_degree_cap_are_read(tmp_path):
+    p = tmp_path / "deep.knot"
+    p.write_text(bundled_record_text("4_1")
+                 .replace("poly = x^2 + 3", f"poly = x^{RECORD_DEGREE} + 3")
+                 .replace("term = 4 0 1", f"term = 32 {32 - RECORD_DEGREE} 1"))
+    record = ingest_knot(str(p))
+    assert record.trace_field_poly.degree_in("x") == RECORD_DEGREE
 
 
 def test_record_entry_outside_section():

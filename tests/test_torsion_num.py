@@ -517,21 +517,61 @@ def test_newton_and_fox_terms_make_no_matrix_products(knot, monkeypatch):
     count("__init__")
     count("__mul__")
     monkeypatch.setattr(tn, "adjoint", counted_adjoint)
-    terms = 0
+    words = set()
     with mp.workdps(40):
         rep = riley_solve(pres, mp.mpf("2.05"), record.riley_seed)
+        point = tn.Evaluation(rep)
         for gamma in (pres.relators[0], pres.longitude):
             for k in range(2):
                 elem = fox_derivative(gamma, k)
-                tn._ad_eval_inv(elem, rep)
-                terms += len(elem.coeffs)
-    # one public adjoint per Fox term, the name the benchmark trace counts
-    assert len(adjoints) == terms
+                tn._ad_eval_inv(elem, point)
+                words.update(elem.coeffs)
+    # one public adjoint per distinct Fox-term word per point, the name the
+    # benchmark trace counts
+    assert len(adjoints) == len(words)
     # a whole sample point, its symbolic cross-checks included, builds and
     # multiplies no mp.matrix
     with mp.workdps(40):
         pl.torsion_at(record, "2.05")
     assert matrices == {}
+
+
+def fox_words(pres):
+    """The distinct words of the Fox terms one point evaluates: those of the
+    relators (d2) and of the meridian and longitude (h1)."""
+    return {w for gamma in pres.relators + (pres.meridian, pres.longitude)
+            for k in range(pres.generator_count)
+            for w in fox_derivative(gamma, k).coeffs}
+
+
+@pytest.mark.parametrize("knot, adjoints, products",
+                         [("4_1", 17, 311), ("5_2", 29, 536)])
+def test_a_point_computes_each_shared_value_once(knot, adjoints, products,
+                                                 monkeypatch):
+    record = ingest_knot(knot)
+    calls, normed = Counter(), []
+    for name in ("adjoint", "_mul2", "_relator_residual"):
+        def counted(*args, _fn=getattr(tn, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(tn, name, counted)
+
+    def frob(M, _fn=la.frob):
+        normed.append(M)
+        return _fn(M)
+    monkeypatch.setattr(la, "frob", frob)
+    with mp.workdps(32):
+        pl.torsion_at(record, "2.05")
+    # two adjoints for the d1 blocks and two for P, then one per distinct
+    # Fox-term word, however many curves and relators share it
+    assert calls["adjoint"] == len(fox_words(record.presentation)) + 4 \
+        == adjoints
+    # riley_solve's residual check is the point's one fold of its relator
+    assert calls["_relator_residual"] == 1
+    # Newton steps and the point's word images: 379 and 649 without sharing
+    assert calls["_mul2"] == products
+    # d1 and d2 are normed once, in boundaries, and basing reuses the norms
+    assert len(normed) == len({id(M) for M in normed})
 
 
 def test_torsion_invariant_under_conjugation():

@@ -149,7 +149,10 @@ def rand_entry(rng, kind):
 def lazy_relator_and_derivative(relator, m, t):
     """rho(relator) - I from the kernel's prefix fold, and the t-derivative
     built from the fold's prefixes, as riley_solve computes them."""
-    images, prefixes = tn._relator_fold(relator, m, t)
+    a = (m, mp.mp.one, tn._ZERO, 1 / m)
+    b = (m, tn._ZERO, t or tn._ZERO, 1 / m)
+    images = {(0, 1): a, (0, -1): tn._inv2(a), (1, 1): b, (1, -1): tn._inv2(b)}
+    prefixes = tn._relator_prefixes(relator, images)
     M = prefixes[-1]
     return ([M[0] - 1, M[1], M[2], M[3] - 1],
             tn._relator_derivative(relator, images, prefixes))
@@ -168,9 +171,14 @@ def test_of_word_matches_left_fold(digits):
     with mp.workdps(digits):
         for kind in KINDS:
             rep, matrices = rand_rep(rng, kind)
+            # one point for all words, so later words reuse folded prefixes
+            point = tn.Evaluation(rep)
             words = [rand_word(rng) for _ in range(12)]
+            words += [w * v for w, v in zip(words, words[1:])]
             for w in words:
-                assert flat(rep.image(w)) == entries(ref_of_word(matrices, w))
+                want = entries(ref_of_word(matrices, w))
+                assert flat(rep.image(w)) == want
+                assert flat(point.image(w)) == want
 
 
 @pytest.mark.parametrize("digits", DIGITS)
@@ -272,10 +280,12 @@ def test_kernel_matches_reference_at_solved_reps(knot, trace, digits):
             img = ref_of_word(matrices, w)
             assert flat(rep.image(w)) == entries(img)
             assert flat(adjoint(as_tuple(img))) == entries(ref_adjoint(img))
-        for k in (0, 1):
-            elem = fox_derivative(relator, k)
-            assert entries(tn._ad_eval_inv(elem, rep)) \
-                == entries(ref_ad_eval_inv(elem, matrices))
+        point = tn.Evaluation(rep)
+        for gamma in (relator, pres.longitude):
+            for k in (0, 1):
+                elem = fox_derivative(gamma, k)
+                assert entries(tn._ad_eval_inv(elem, point)) \
+                    == entries(ref_ad_eval_inv(elem, matrices))
         a, b = rep.generators
         m, t = a[0], b[2]
         got = lazy_relator_and_derivative(relator, m, t)
@@ -300,11 +310,13 @@ def test_ad_eval_inv_matches_reference(digits):
     with mp.workdps(digits):
         for kind in KINDS:
             rep, matrices = rand_rep(rng, kind)
+            # one point for all words, so later terms reuse its adjoints
+            point = tn.Evaluation(rep)
             for _ in range(3):
                 w = rand_word(rng, 10)
                 for k in (0, 1):
                     elem = fox_derivative(w, k)
-                    assert entries(tn._ad_eval_inv(elem, rep)) \
+                    assert entries(tn._ad_eval_inv(elem, point)) \
                         == entries(ref_ad_eval_inv(elem, matrices))
 
 
