@@ -8,7 +8,7 @@ canonicalizes them.  Results built inside this module go through the trusted
 `Fraction` into its `int`, so the ring operations, remainder sequences and
 exact division of integer polynomials run on plain ints.  A univariate
 polynomial is a one-variable `MultiPoly`; `from_dense` and `dense_coeffs`
-convert it from and to its coefficient list, constant term first.
+convert it from and to its list of exact coefficients, constant term first.
 
 Term order is graded lexicographic (total degree first, ties broken by the
 declared variable order), which fixes a canonical serialization used for
@@ -398,8 +398,10 @@ def align(a: MultiPoly, b: MultiPoly) -> Tuple[MultiPoly, MultiPoly]:
 
 
 def from_dense(var: str, coeffs) -> MultiPoly:
-    """The polynomial sum coeffs[d] * var^d in the one variable var."""
-    return MultiPoly((var,), {(d,): c for d, c in enumerate(coeffs)})
+    """The polynomial sum coeffs[d] * var^d in the one variable var, for
+    exact coefficients (ints or Fractions), built by the trusted `_make`."""
+    unit = _unit(1, 0)
+    return MultiPoly._make((var,), {d * unit: c for d, c in enumerate(coeffs)})
 
 
 def dense_coeffs(p: MultiPoly) -> list:
@@ -662,18 +664,16 @@ def _prs_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     return gcd_poly(cp, cq) * _primitive_prs(a, b, name)
 
 
-def gcd_cofactors(p: MultiPoly, q: MultiPoly) -> Tuple[MultiPoly, MultiPoly, MultiPoly]:
-    """(g, p/g, q/g) for the gcd g, normalized integer-primitive with positive
-    leading graded-lex coefficient, and gcd(0, 0) = 0: by the heuristic GCD
-    on the integer multiples of p and q, its cofactors rescaled, or by the
-    primitive PRS and exact division when that gives up."""
+def _gcd_parts(p: MultiPoly, q: MultiPoly):
+    """(g, (a, s), (b, t)): the gcd g of `gcd_cofactors`, and its cofactors
+    p/g = s·a and q/g = t·b with the rational scalars s, t not yet applied."""
     p, q = align(p, q)
     if p.is_zero() or q.is_zero():
         g = normalize_sign(p + q)
         if g.is_zero():
-            return g, g, g
+            return g, (g, 1), (g, 1)
     elif p.is_constant() or q.is_constant():
-        return MultiPoly.constant(p.vars, 1), p, q
+        return MultiPoly.constant(p.vars, 1), (p, 1), (q, 1)
     else:
         (a, dp), (b, dq) = _integral(p), _integral(q)
         found = _heu_gcd(a, b, len(p.vars))
@@ -681,9 +681,18 @@ def gcd_cofactors(p: MultiPoly, q: MultiPoly) -> Tuple[MultiPoly, MultiPoly, Mul
             G, qp, qq = (MultiPoly._make(p.vars, f) for f in found)
             g = normalize_sign(G)
             s = Fraction(G.leading_coefficient(), g.leading_coefficient())
-            return g, qp * (s / dp), qq * (s / dq)
+            return g, (qp, s / dp), (qq, s / dq)
         g = normalize_sign(_prs_gcd(p, q))
-    return g, exact_div(p, g), exact_div(q, g)
+    return g, (exact_div(p, g), 1), (exact_div(q, g), 1)
+
+
+def gcd_cofactors(p: MultiPoly, q: MultiPoly) -> Tuple[MultiPoly, MultiPoly, MultiPoly]:
+    """(g, p/g, q/g) for the gcd g, normalized integer-primitive with positive
+    leading graded-lex coefficient, and gcd(0, 0) = 0: by the heuristic GCD
+    on the integer multiples of p and q, its cofactors rescaled, or by the
+    primitive PRS and exact division when that gives up."""
+    g, (a, s), (b, t) = _gcd_parts(p, q)
+    return g, a if s == 1 else a * s, b if t == 1 else b * t
 
 
 def gcd_poly(p: MultiPoly, q: MultiPoly) -> MultiPoly:
@@ -714,7 +723,8 @@ def squarefree_primitive(p: MultiPoly, main_var: str) -> MultiPoly:
         raise PolyError("squarefree_primitive of zero polynomial")
     if p.degree_in(main_var) == 0:
         return MultiPoly.constant(p.vars, 1)
-    return normalize_sign(gcd_cofactors(p, p.derivative(main_var))[1])
+    # normalized once: a scalar multiple of p/g has the same normal form
+    return normalize_sign(_gcd_parts(p, p.derivative(main_var))[1][0])
 
 
 # ---------------------------------------------------------------------------

@@ -73,34 +73,58 @@ def _parse_complex(tokens: List[str], where: str) -> complex:
     return value
 
 
-# a decimal in Fraction's grammar: digits, fraction digits and exponent
-_DECIMAL = re.compile(r"\s*[-+]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)"
-                      r"(?:\.(\d*|\d+(?:_\d+)*))?(?:[eE]([-+]?\d+(?:_\d+)*))?\s*")
+# a number in Fraction's grammar: sign, numerator, then a denominator, or
+# fraction digits and an exponent
+_NUMBER = re.compile(r"\s*([-+]?)(?=\d|\.\d)(\d*|\d+(?:_\d+)*)"
+                     r"(?:/(\d+(?:_\d+)*)"
+                     r"|(?:\.(\d*|\d+(?:_\d+)*))?(?:[eE]([-+]?\d+(?:_\d+)*))?)\s*")
+_DIGITS = 2 * RATIONAL_BITS     # significant digits a number may be written with
 
 
 def _rational(text: str, what: str) -> Fraction:
     """The exact rational a text such as `-3/4`, `2.5` or `1e3` names;
     ValueError for any other text, a zero denominator included, and for a
-    numerator or denominator over RATIONAL_BITS bits.  Fraction expands a
-    decimal exponent in full, so a decimal is sized from its text first:
-    with its trailing zeros moved into the exponent k, a nonzero value is
-    an integer of at least 10^k when k >= 0, and has a denominator of at
-    least 2^-k otherwise."""
+    numerator or denominator over RATIONAL_BITS bits.
+
+    Fraction expands a decimal exponent in full, and refuses a digit string
+    of over 4300 digits with a message that names neither the key nor the
+    cap, so a number is sized from its text and converted from its
+    significant digits.  A written numerator or denominator, or an
+    exponent, of more than _DIGITS significant digits is refused whatever
+    it reduces to.  A decimal's significant digits, with its trailing zeros
+    moved into the exponent k, form an integer b, and its value is b·10^k:
+    for |k| > RATIONAL_BITS the denominator is at least 2^-k or the value
+    at least 10^k, and a b of more than _DIGITS digits leaves a numerator
+    of at least b/10^RATIONAL_BITS >= 10^RATIONAL_BITS."""
     too_long = ValueError(f"{what} has a numerator or denominator over "
                           f"{RATIONAL_BITS} bits")
-    m = _DECIMAL.fullmatch(text)
-    if m:
-        digits = (m[1] + (m[2] or "")).replace("_", "")
-        body = digits.rstrip("0")
-        k = int(m[3] or 0) - len(m[2] or "") + len(digits) - len(body)
-        if not body:
-            return Fraction(0)
-        if abs(k) > RATIONAL_BITS:
+    m = _NUMBER.fullmatch(text)
+    if m is None:
+        value = Fraction(text)      # not a number: Fraction's own error
+    else:
+        sign, num, den, frac, exp = (g.replace("_", "") if g else ""
+                                     for g in m.groups())
+        exp_sign = -1 if exp.startswith("-") else 1
+        num, den, exp = (g.lstrip("+-").lstrip("0") for g in (num, den, exp))
+        if max(map(len, (num, den, exp))) > _DIGITS:
             raise too_long
-    try:
-        value = Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+        if m[3]:
+            if not den:
+                raise ValueError(f"zero denominator in {text!r}")
+            value = Fraction(int(num or "0"), int(den))
+        else:
+            digits = num + frac
+            body = digits.rstrip("0")
+            k = exp_sign * int(exp or "0") - len(frac) + len(digits) - len(body)
+            body = body.lstrip("0")
+            if not body:
+                return Fraction(0)
+            if abs(k) > RATIONAL_BITS or len(body) > _DIGITS:
+                raise too_long
+            value = (Fraction(int(body) * 10 ** k) if k >= 0
+                     else Fraction(int(body), 10 ** -k))
+        if sign == "-":
+            value = -value
     if max(value.numerator.bit_length(),
            value.denominator.bit_length()) > RATIONAL_BITS:
         raise too_long

@@ -45,11 +45,15 @@ prefixes), the Fox-term adjoints Ad(rho(w^-1)) by word, so d2 and both h1
 share them, and the Frobenius norms of d1 and d2, which `boundaries` and
 `basing` both read.  `riley_solve` hands the relator residual it checked to
 the `Rep` it builds, and `boundaries` reads it only at the same relators and
-precision.  Each shared value is the result of the same operations on the
-same operands at the same precision as the repeat it replaces, so the
-sharing is bit-exact.  No memo is kept on a `Rep` or at module level: one
-that outlived the point would outlive a precision change and be shared
-between threads.
+precision.  The point's linear algebra is shared the same way: d2 is
+eliminated once, for its rank, kernel and interior pivots, and each
+[d2 | h1] rank test replays that elimination on h1
+(`Elimination.extends_rank`); both T1 = det([b2 | h1 | e1]) come from one
+`det` call that takes the LU steps over b2 once.  Each shared value is the
+result of the same operations on the same operands at the same precision
+as the repeat it replaces, so the sharing is bit-exact.  No memo is kept on
+a `Rep` or at module level: one that outlived the point would outlive a
+precision change and be shared between threads.
 
 Every function here runs at the caller's mpmath precision and sets none of
 its own, and neither do the `pipelines` flows built on it; only the entry
@@ -249,8 +253,9 @@ def riley_solve(p: Presentation, target_tr_mu, seed) -> Rep:
     """Newton solve on the two-bridge ansatz a = [[m, 1], [0, 1/m]],
     b = [[m, 0], [t, 1/m]] with m + 1/m = target, unknown t, from the
     complex seed t.  Newton runs 15 digits above the caller's precision,
-    with m, 1/m, a, a^-1 and the stopping bound computed once; the residual
-    is checked at the caller's precision and handed to the Rep."""
+    with m, 1/m, a, a^-1, the image of the relator's leading run of a
+    letters and the stopping bound computed once; the residual is checked
+    at the caller's precision and handed to the Rep."""
     if p.generator_count != 2:
         raise TorsionNumError("riley_solve needs a two-generator presentation")
     dps = mp.mp.dps
@@ -265,17 +270,22 @@ def riley_solve(p: Presentation, target_tr_mu, seed) -> Rep:
         a = (m, mp.mp.one, _ZERO, im)
         images = {(0, 1): a, (0, -1): _inv2(a)}
         bound = mp.mpf(10) ** (-(dps + 5))
-        relator = p.relators[0]
+        # the relator's leading run of a letters is t-independent: its image
+        # is folded once, and its t-derivative is zero
+        letters = p.relators[0].letters
+        run = next((i for i, (g, _) in enumerate(letters) if g), len(letters))
+        head = _prefixes(_IDENTITY, letters[:run], images)[-1]
+        tail = letters[run:]
         for _ in range(80):
             b = (m, _ZERO, t or _ZERO, im)
             images[1, 1], images[1, -1] = b, _inv2(b)
-            prefixes = _relator_prefixes(relator, images)
+            prefixes = _prefixes(head, tail, images)
             M = prefixes[-1]
             F = [M[0] - 1, M[1], M[2], M[3] - 1]
             res = mp.fsum(abs(f) ** 2 for f in F)
             if mp.sqrt(res) < bound:
                 break
-            J = _relator_derivative(relator, images, prefixes)
+            J = _relator_derivative(tail, images, prefixes)
             num = mp.fsum(mp.conj(j) * f for j, f in zip(J, F))
             den = mp.fsum(abs(j) ** 2 for j in J)
             if den == 0:
@@ -290,25 +300,26 @@ def riley_solve(p: Presentation, target_tr_mu, seed) -> Rep:
     return Rep(generators, (p.relators, mp.mp.prec, resid))
 
 
-def _relator_prefixes(relator: Word, images) -> list:
-    """The prefix products I, I * g1, ..., I * g1 * ... * gn of
-    rho(relator), for the letter images `images`."""
-    prefixes = [_IDENTITY]
-    for letter in relator.letters:
+def _prefixes(acc, letters, images) -> list:
+    """The prefix products acc, acc * g1, ..., acc * g1 * ... * gn of the
+    letters, for the letter images `images`."""
+    prefixes = [acc]
+    for letter in letters:
         prefixes.append(_mul2(prefixes[-1], images[letter]))
     return prefixes
 
 
-def _relator_derivative(relator: Word, images, prefixes) -> list:
-    """The t-derivative of rho(relator), flattened, by the product rule
-    D_k = D_(k-1) * g_k + (I * g1 * ... * g_(k-1)) * g_k' over the prefixes."""
+def _relator_derivative(letters, images, prefixes) -> list:
+    """The t-derivative of the fold of the letters onto a t-independent
+    prefixes[0], flattened, by the product rule
+    D_k = D_(k-1) * g_k + prefixes[k-1] * g_k' over the prefixes."""
     db = (_ZERO, _ZERO, mp.mp.one, _ZERO)
     bi = images[(1, -1)]
     # a does not depend on t, and its zero derivative is left out because
     # adding its products would add exact zeros
     derivs = {(1, 1): db, (1, -1): _mul2(_mul2(_neg2(bi), db), bi)}
     D = (_ZERO,) * 4
-    for letter, M in zip(relator.letters, prefixes):
+    for letter, M in zip(letters, prefixes):
         G, dG = images[letter], derivs.get(letter)
         D = _mul2(D, G) if dG is None else _add2(_mul2(D, G), _mul2(M, dG))
     return list(D)
@@ -423,10 +434,10 @@ def basing(p: Presentation, rep, P, curves, chain):
     gamma, from the Fox expansion of gamma tensored with P, and one h2 shared
     by all curves, the kernel generator of d2 with largest coordinate
     normalized to 1; returns (cycles, h2, pivots of d2).  d2 is eliminated
-    once, in natural column order, for its rank, its kernel and the interior
-    pivots that torsion_numeric reuses.  Checks run in the order: first
-    curve, h2, remaining curves.  rep is a `Rep` or the point's
-    `Evaluation`."""
+    once, in natural column order, for its rank, its kernel, the interior
+    pivots that torsion_numeric reuses and each curve's rank test, which
+    replays the elimination on h1.  Checks run in the order: first curve,
+    h2, remaining curves.  rep is a `Rep` or the point's `Evaluation`."""
     point = _evaluation(rep)
     d1, d2 = chain
     elim = la.eliminate(d2)
@@ -440,7 +451,7 @@ def basing(p: Presentation, rep, P, curves, chain):
         if not cyc <= mp.mpf("1e-8") * max(mp.mpf(1), norm1 * la.frob(h1)):
             raise TorsionNumError(
                 f"h1 is not a cycle: residual {mp.nstr(cyc, 5)}")
-        if la.rank(la.hstack([d2, h1])) == len(elim.pivots):
+        if not elim.extends_rank(h1):
             raise TorsionNumError("gamma-torsion degenerate at rho")
         return h1
 
@@ -469,9 +480,10 @@ def torsion_numeric(chain, P, cycles, h2, piv2,
                     basis_seed: Optional[int] = None) -> list:
     """Milnor torsion of the based twisted complex chain = (d1, d2) with
     homology basis (h1, h2), one value per h1 in cycles, each adding only its
-    determinant T1; homology dimensions must be (0, 1, 1).  piv2 are the
-    pivot columns of d2 in natural order, as basing returns them; a
-    basis_seed re-chooses both interior bases from shuffled column orders."""
+    determinant T1, which share their LU steps over the d2 block; homology
+    dimensions must be (0, 1, 1).  piv2 are the pivot columns of d2 in
+    natural order, as basing returns them; a basis_seed re-chooses both
+    interior bases from shuffled column orders."""
     d1, d2 = chain
     n1, n2 = d1.cols, d2.cols
     order1 = list(range(n1))
@@ -497,11 +509,11 @@ def torsion_numeric(chain, P, cycles, h2, piv2,
     bp = killing(P)
     if not (abs(bh2) >= mp.mpf("1e-20") and abs(bp) >= mp.mpf("1e-20")):
         raise TorsionNumError("invariant form degenerates (parabolic point?)")
-    b2 = la.columns(d2, piv2)
     e1 = [la.basis_vector(n1, c) for c in piv1]
     out = []
-    for h1 in cycles:
-        T1 = la.det(la.hstack([b2, h1] + e1))
+    # T1 = det([b2 | h1 | e1]) for each h1, the LU steps over b2 taken once
+    for T1 in la.det(la.columns(d2, piv2),
+                     [la.hstack([h1] + e1) for h1 in cycles]):
         value = T1 / (T0 * T2) * mp.sqrt(bh2) / mp.sqrt(bp)
         if value == 0:
             raise TorsionNumError(

@@ -96,12 +96,12 @@ def test_errors_are_not_stored():
                                                     ("4_1", pl.transported_T, 1)])
 def test_gcd_calls_per_derivation(knot, read, reductions, monkeypatch):
     """squarefree_primitive takes the squarefree part as a cofactor of one
-    gcd_cofactors call, with no content computed, and reducing the 4_1
-    change-of-curve factor takes one more: a fresh record's derivation
+    gcd, with no content computed, and reducing the 4_1 change-of-curve
+    factor by `gcd_cofactors` takes one more: a fresh record's derivation
     takes 2 and 5 squarefree parts, so 2 and 6 gcds (56 and 74 when
-    contents were recomputed)."""
+    contents were recomputed).  Every gcd is one `_gcd_parts` call."""
     parts = count_calls(monkeypatch, (torsion_sym, charvar), "squarefree_primitive")
-    calls = count_calls(monkeypatch, (polys, charvar), "gcd_cofactors")
+    calls = count_calls(monkeypatch, (polys,), "_gcd_parts")
     read(ingest_knot(knot))
     assert len(calls) == len(parts) + reductions == {"5_2": 2, "4_1": 6}[knot]
 

@@ -199,6 +199,117 @@ def test_matmul_matches_matrix_product_bits(digits):
                 assert bits(la.frob(got)) == bits(want)
 
 
+def column_cases(rng, kind, M):
+    """Columns v for M: random with exact zeros, zero, a column of M, and a
+    random combination inside M's column span; each scaled to at most M's
+    largest entry, so that no pivot decision of M can flip."""
+    n = M.rows
+    scale = max(abs(x) for row in M for x in row)
+    cases = [la.Matrix([rand_entry(rng, kind) or mp.mp.zero] for _ in range(n)),
+             la.Matrix([mp.mp.zero] for _ in range(n)),
+             la.columns(M, [rng.randrange(M.cols)]),
+             la.matmul(M, la.Matrix([rand_entry(rng, kind) or mp.mp.zero]
+                                    for _ in range(M.cols)))]
+    out = []
+    for v in cases:
+        top = max(abs(x) for (x,) in v)
+        if top > scale:
+            v = la.Matrix([x * (scale / top) or mp.mp.zero] for (x,) in v)
+        out.append(v)
+    return out
+
+
+def count_eliminations(monkeypatch):
+    calls = []
+    real = la.eliminate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(la, "eliminate", counted)
+    return calls
+
+
+@pytest.mark.parametrize("digits", DIGITS)
+@pytest.mark.parametrize("kind", ("real", "complex", "mixed"))
+def test_extends_rank_replays_the_elimination(kind, digits, monkeypatch):
+    """The replay answers what eliminating [M | v] would, without a second
+    elimination while no pivot decision of M can flip."""
+    rng = random.Random(f"extends {kind} {digits}")
+    with mp.workdps(digits):
+        for R in oracle_inputs(rng, kind):
+            M = la.Matrix(R.tolist())
+            for order in (None, shuffled(rng, R.cols)):
+                elim = la.eliminate(M, order)
+                grown = None if order is None else order + [R.cols]
+                for v in column_cases(rng, kind, M):
+                    want = len(la.eliminate(la.hstack([M, v]), grown).pivots) \
+                        > len(elim.pivots)
+                    calls = count_eliminations(monkeypatch)
+                    assert elim.extends_rank(v) == want
+                    assert calls == []
+                    monkeypatch.undo()
+
+
+def smallest_pivot(elim):
+    return min(best for _, best, bi, _, _ in elim.steps if bi is not None)
+
+
+@pytest.mark.parametrize("digits", DIGITS)
+def test_extends_rank_falls_back_when_a_pivot_would_flip(digits, monkeypatch):
+    """A v 10^9 times larger than M's smallest accepted pivot raises the
+    scale of [M | v] so far that the pivot falls under the rank threshold;
+    a non-finite entry in v or M makes the scale order-dependent.  Both
+    eliminate [M | v] in full."""
+    rng = random.Random(f"fallback {digits}")
+    with mp.workdps(digits):
+        for kind in ("real", "complex", "mixed"):
+            for R in oracle_inputs(rng, kind):
+                M = la.Matrix(R.tolist())
+                elim = la.eliminate(M)
+                if not elim.pivots:
+                    continue
+                n = M.rows
+                big = la.Matrix([mp.mp.zero] for _ in range(n))
+                big[rng.randrange(n)][0] = smallest_pivot(elim) * mp.mpf(10) ** 9
+                nan = column_cases(rng, kind, M)[0]
+                nan[rng.randrange(n)][0] = mp.nan
+                bad = la.Matrix(list(row) for row in M)
+                bad[rng.randrange(n)][rng.randrange(M.cols)] = mp.inf
+                for source, e, v in ((M, elim, big), (M, elim, nan),
+                                     (bad, la.eliminate(bad), big)):
+                    want = len(la.eliminate(la.hstack([source, v])).pivots) \
+                        > len(e.pivots)
+                    calls = count_eliminations(monkeypatch)
+                    assert e.extends_rank(v) == want
+                    assert len(calls) == 1
+                    monkeypatch.undo()
+
+
+@pytest.mark.parametrize("digits", DIGITS)
+@pytest.mark.parametrize("kind", ("real", "complex", "mixed"))
+def test_block_determinants_match_full_determinants_bits(kind, digits):
+    """det(B, tails) shares the LU steps over the block B and gives each
+    det([B | tail]) bit for bit, exact zeros and zero columns included."""
+    rng = random.Random(f"block det {kind} {digits}")
+    with mp.workdps(digits):
+        for R in oracle_inputs(rng, kind):
+            if R.rows != R.cols:
+                continue
+            n = R.rows
+            M = la.Matrix(R.tolist())
+            for k in range(n + 1):
+                block = la.columns(M, range(k))
+                tails = [la.columns(M, range(k, n)),
+                         la.Matrix([rand_entry(rng, kind) or mp.mp.zero
+                                    for _ in range(n - k)] for _ in range(n)),
+                         la.Matrix([mp.mp.zero] * (n - k) for _ in range(n))]
+                got = la.det(block, tails)
+                assert [bits(x) for x in got] \
+                    == [bits(la.det(la.hstack([block, t]))) for t in tails]
+                assert bits(got[0]) == bits(ref_det(R))
+
+
 # -- rank policy and kernels -------------------------------------------------------
 
 def test_det_matches_mpmath():

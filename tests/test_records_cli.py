@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -200,12 +201,32 @@ def test_long_trace_values_are_refused_at_once(tmp_path, cache_dir, value):
     ("4_1", ("term = 0 0 -2", "term = 0 0 1/18446744073709551616"),
      "[apoly] line 21: term coefficient has a numerator or denominator over "
      f"{RATIONAL_BITS} bits"),
+    ("5_2", ("lambda_trace_value = 2", "lambda_trace_value = " + "1" * 5000),
+     "[rho0] line 34: lambda_trace_value has a numerator or denominator over "
+     f"{RATIONAL_BITS} bits"),
+    ("5_2", ("lambda_trace_value = 2", "lambda_trace_value = 1/" + "3" * 5000),
+     "[rho0] line 34: lambda_trace_value has a numerator or denominator over "
+     f"{RATIONAL_BITS} bits"),
+    ("4_1", ("mu_trace_value = 2", "mu_trace_value = " + "1" * 5000 + ".5"),
+     "[rho0] line 44: mu_trace_value has a numerator or denominator over "
+     f"{RATIONAL_BITS} bits"),
+    ("4_1", ("term = 0 0 -2", "term = 0 0 " + "7" * 5000),
+     "[apoly] line 21: term coefficient has a numerator or denominator over "
+     f"{RATIONAL_BITS} bits"),
+    ("4_1", ("term = 0 0 -2", "term = 0 0 1e" + "9" * 5000),
+     "[apoly] line 21: term coefficient has a numerator or denominator over "
+     f"{RATIONAL_BITS} bits"),
 ], ids=["trace-value-exponent", "trace-value-negative-exponent",
-        "term-coefficient-exponent", "term-coefficient-denominator"])
+        "term-coefficient-exponent", "term-coefficient-denominator",
+        "trace-value-5000-digits", "trace-value-5000-digit-denominator",
+        "trace-value-5000-digit-decimal", "term-coefficient-5000-digits",
+        "term-coefficient-5000-digit-exponent"])
 def test_long_numbers_are_refused_before_conversion(capsys, cache_dir, tmp_path,
                                                     key, edit, message):
     """Fraction expands a decimal exponent in full: 1e10000000 took about
-    9 s before the size cap refused it, and term coefficients had no cap."""
+    9 s before the size cap refused it, and term coefficients had no cap.
+    A digit string of over 4300 digits got Python's own conversion error,
+    which named neither the key nor the cap."""
     text = bundled_record_text(key)
     assert edit[0] in text
     p = tmp_path / "big.knot"
@@ -219,16 +240,36 @@ def test_long_numbers_are_refused_before_conversion(capsys, cache_dir, tmp_path,
 @pytest.mark.parametrize("text", [
     "0", "-3/4", "2.5", "1e3", "1_000.5", "+.5e1", "5.", "-0e10000000",
     "1" + "0" * 80 + "e-80", "1.8446744073709551615e19", "2e-19",
-    "12345678901234567890e-1", "  7  ",
+    "12345678901234567890e-1", "  7  ", "-1_0/2_0", "00/7", "1.e5", "-1.5e-3",
 ])
 def test_rational_reads_what_fraction_reads(text):
     assert records._rational(text, "x") == Fraction(text.replace("e10000000", ""))
 
 
+@pytest.mark.parametrize("text, value", [
+    ("0" * 5000 + "1", 1), ("1/" + "0" * 5000 + "3", Fraction(1, 3)),
+    ("-" + "0" * 5000 + ".5", Fraction(-1, 2)), ("1e-" + "0" * 5000 + "5",
+                                                 Fraction(1, 10 ** 5)),
+], ids=["integer", "denominator", "decimal", "exponent"])
+def test_rational_reads_leading_zeros_past_the_conversion_limit(text, value):
+    """Leading zeros are not significant digits: Fraction refuses these
+    texts as longer than 4300 digits, and the record reader does not."""
+    assert records._rational(text, "x") == value
+
+
+def test_rational_keeps_the_errors_of_what_is_no_number():
+    for text, message in (("abc", "Invalid literal for Fraction: 'abc'"),
+                          ("2/00", "zero denominator in '2/00'"),
+                          ("1/-2", "Invalid literal for Fraction: '1/-2'")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            records._rational(text, "x")
+
+
 @pytest.mark.parametrize("text", [
     "1e65", "1.8446744073709551616e19", "1e-65", "5e-28", "1" * 30,
-    "-1e99999999999", "1/" + "9" * 30,
-])
+    "-1e99999999999", "1/" + "9" * 30, "1" * 5000, "1/" + "3" * 5000,
+    "1" * 5000 + ".5", "0." + "1" * 5000, "1e" + "1" * 5000, "1" * 129 + "/" + "1" * 129,
+], ids=lambda text: text if len(text) <= 40 else f"{text[:6]}...{len(text)}-chars")
 def test_rational_refuses_what_passes_the_bits(text):
     with pytest.raises(ValueError, match=f"x has a numerator or denominator "
                                          f"over {RATIONAL_BITS} bits"):

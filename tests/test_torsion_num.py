@@ -485,15 +485,16 @@ def test_peripheral_torsions_builds_one_based_complex(pres, seed, monkeypatch):
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
 
-    for module, name in ((la, "eliminate"), (la, "det"),
+    for module, name in ((la, "eliminate"), (la, "det"), (la, "_lu"),
                          (tn, "basing"), (tn, "torsion_numeric")):
         count(module, name)
     with mp.workdps(40):
         peripheral_torsions(pres, rep)
     # eliminations: the stacked peripheral holonomy (for P), d2 once (for its
-    # rank, kernel and interior pivots), the two [d2 | h1] ranks, and the
-    # interior pivots of d1; determinants: T0, T2 and one T1 per curve
-    assert calls == {"eliminate": 5, "det": 4, "basing": 1,
+    # rank, kernel, interior pivots and both [d2 | h1] rank tests), and the
+    # interior pivots of d1; determinants: T0, T2 and both T1 in one call,
+    # whose LU passes are b2 once and then each curve's own columns
+    assert calls == {"eliminate": 3, "det": 3, "_lu": 5, "basing": 1,
                      "torsion_numeric": 1}
 
 
@@ -545,7 +546,8 @@ def fox_words(pres):
 
 
 @pytest.mark.parametrize("knot, adjoints, products",
-                         [("4_1", 17, 311), ("5_2", 29, 536)])
+                         [("4_1", 17, 297), ("5_2", 29, 522)],
+                         ids=["4_1", "5_2"])
 def test_a_point_computes_each_shared_value_once(knot, adjoints, products,
                                                  monkeypatch):
     record = ingest_knot(knot)
@@ -568,7 +570,8 @@ def test_a_point_computes_each_shared_value_once(knot, adjoints, products,
         == adjoints
     # riley_solve's residual check is the point's one fold of its relator
     assert calls["_relator_residual"] == 1
-    # Newton steps and the point's word images: 379 and 649 without sharing
+    # Newton steps and the point's word images: 379 and 649 without sharing,
+    # 311 and 536 with the relator's leading a run folded at every step
     assert calls["_mul2"] == products
     # d1 and d2 are normed once, in boundaries, and basing reuses the norms
     assert len(normed) == len({id(M) for M in normed})

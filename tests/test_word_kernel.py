@@ -152,10 +152,10 @@ def lazy_relator_and_derivative(relator, m, t):
     a = (m, mp.mp.one, tn._ZERO, 1 / m)
     b = (m, tn._ZERO, t or tn._ZERO, 1 / m)
     images = {(0, 1): a, (0, -1): tn._inv2(a), (1, 1): b, (1, -1): tn._inv2(b)}
-    prefixes = tn._relator_prefixes(relator, images)
+    prefixes = tn._prefixes(tn._IDENTITY, relator.letters, images)
     M = prefixes[-1]
     return ([M[0] - 1, M[1], M[2], M[3] - 1],
-            tn._relator_derivative(relator, images, prefixes))
+            tn._relator_derivative(relator.letters, images, prefixes))
 
 
 def ref_mul2(A, B):
