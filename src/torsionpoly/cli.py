@@ -1,9 +1,10 @@
-"""Command-line interface: the report handlers.
+"""Command-line interface: the report handlers and the report formats.
 
 ``front.main`` imports this module only on a cache miss; the guard below
 sends ``python -m torsionpoly.cli`` there before any engine import. Tracer
 contract: importing this module loads every traced module and binds
-``main``, ``ingest_knot`` and the front's cache and render functions.
+``main``, ``ingest_knot``, the front's digest and cache functions and the
+renderers.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ if __name__ == "__main__":
     from torsionpoly.front import main
     raise SystemExit(main())
 
+import json
 import sys
 from fractions import Fraction
 from typing import Dict, List, Tuple
@@ -20,8 +22,7 @@ import mpmath as mp
 
 from . import pipelines as pl
 from .front import (  # noqa: F401  (bound here for the tracer and the tests)
-    CACHE_ENV, COMMANDS, cache_load, cache_store, main, make_digest, render_json,
-    render_text, report_dict,
+    CACHE_ENV, COMMANDS, cache_load, cache_store, main, make_digest,
 )
 from .numfield import NotInField
 from .polys import dense_coeffs, to_text
@@ -238,18 +239,42 @@ def cmd_validate(record, args):
 HANDLERS = {name: globals()["cmd_" + name.replace("-", "_")] for name in COMMANDS}
 
 
+def render_text(rep: dict) -> str:
+    lines = [f"command = {rep['command']}", f"inputs_digest = {rep['inputs_digest']}"]
+    lines.append("[results]")
+    for k, v in rep["results"].items():
+        lines.append(f"{k} = {v}")
+    lines.append("[notes]")
+    for n in rep["notes"]:
+        lines.append(f"- {n}")
+    lines.append("[tolerances]")
+    for k, v in rep["tolerances"].items():
+        lines.append(f"{k} = {v}")
+    return "\n".join(lines) + "\n"
+
+
+def render_json(rep: dict) -> str:
+    return json.dumps(rep, indent=2) + "\n"
+
+
 def run(args, command_echo: str, text: str, digest: str) -> int:
     """front.main past a cache miss: parse the record text it read and
-    hashed, run the handler and store the report."""
+    hashed, run the handler, render the report in --format and store it."""
     record = parse_record(text)
     with mp.workdps(_working_dps(args)):
         results, notes = HANDLERS[args.cmd](record, args)
-    rep = report_dict(command_echo, digest, results, notes, {
-        "precision_digits": str(args.precision),
-        "numeric_tolerance": repr(args.tolerance),
+    render = render_json if args.format == "json" else render_text
+    report = render({
+        "command": command_echo,
+        "inputs_digest": digest,
+        "results": results,
+        "notes": notes,
+        "tolerances": {
+            "precision_digits": str(args.precision),
+            "numeric_tolerance": repr(args.tolerance),
+        },
     })
-    rendered = {"text": render_text(rep), "json": render_json(rep)}
     if not args.no_cache:
-        cache_store(digest, rendered)
-    sys.stdout.write(rendered[args.format])
+        cache_store(digest, report)
+    sys.stdout.write(report)
     return 0

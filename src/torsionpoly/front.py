@@ -1,16 +1,14 @@
-"""Command-line front: flags, record text, the report cache and rendering.
-
-Standard library only, so a cache hit is answered without loading the
-engine; ``verify`` and a miss import the rest of the package lazily.
-Tracer contract: ``cli`` binds ``main`` and the cache and render functions,
-and the benchmark tracer wraps them there by identity, which replaces their
-bindings here as well.
+"""Command-line front: flags, record text, the report digest and cache, and
+dispatch.  Standard library only, not even ``json``, so a cache hit is
+answered without loading the engine; ``verify`` and a miss import the rest
+of the package lazily.  Tracer contract: ``cli`` binds ``main`` and the
+digest and cache functions, and the benchmark tracer wraps them there by
+identity, which replaces their bindings here as well.
 """
 
 import argparse
 import functools
 import hashlib
-import json
 import math
 import os
 import sys
@@ -59,39 +57,6 @@ def record_text(path_or_name: str) -> str:
     return bundled_record_text(path_or_name)
 
 
-def report_dict(command_echo: str, digest: str, results: dict[str, str],
-                notes: list[str], tolerances: dict[str, str]) -> dict:
-    return {
-        "command": command_echo,
-        "inputs_digest": digest,
-        "results": results,
-        "notes": notes,
-        "tolerances": tolerances,
-    }
-
-
-def render_text(rep: dict) -> str:
-    lines = [f"command = {rep['command']}", f"inputs_digest = {rep['inputs_digest']}"]
-    lines.append("[results]")
-    for k, v in rep["results"].items():
-        lines.append(f"{k} = {v}")
-    lines.append("[notes]")
-    for n in rep["notes"]:
-        lines.append(f"- {n}")
-    lines.append("[tolerances]")
-    for k, v in rep["tolerances"].items():
-        lines.append(f"{k} = {v}")
-    return "\n".join(lines) + "\n"
-
-
-def render_json(rep: dict) -> str:
-    return json.dumps(rep, indent=2) + "\n"
-
-
-def _cache_dir() -> str:
-    return os.environ.get(CACHE_ENV, DEFAULT_CACHE_DIR)
-
-
 @functools.cache
 def _source_digest() -> str:
     """sha256 of the package's top-level .py files and bundled records, by
@@ -106,32 +71,28 @@ def _source_digest() -> str:
     return h.hexdigest()
 
 
-def cache_load(digest: str) -> dict | None:
-    """The stored rendering for digest; None when the entry is missing,
-    unreadable, not of the shape cache_store writes or stored by other
-    source code."""
-    path = os.path.join(_cache_dir(), digest + ".json")
+def cache_load(digest: str) -> str | None:
+    """The report that cache_store stored for digest after a line with the
+    source digest; None when the entry is missing, unreadable or
+    undecodable, has no such line or was stored by other source code."""
+    path = os.path.join(os.environ.get(CACHE_ENV, DEFAULT_CACHE_DIR), digest + ".txt")
     try:
-        with open(path, "r") as fh:
-            entry = json.load(fh)
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            source, header_ends, report = fh.read().partition("\n")
     except (OSError, ValueError):
         return None
-    if not (isinstance(entry, dict)
-            and all(isinstance(entry.get(k), str) for k in ("text", "json"))
-            and entry.get("source") == _source_digest()):
-        return None
-    return entry
+    return report if header_ends and source == _source_digest() else None
 
 
-def cache_store(digest: str, rendered: dict):
+def cache_store(digest: str, report: str):
     import tempfile  # only a miss writes, and a hit should not pay for it
-    d = _cache_dir()
+    d = os.environ.get(CACHE_ENV, DEFAULT_CACHE_DIR)
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(dict(rendered, source=_source_digest()), fh)
-        os.replace(tmp, os.path.join(d, digest + ".json"))
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.write(_source_digest() + "\n" + report)
+        os.replace(tmp, os.path.join(d, digest + ".txt"))
     except OSError:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -224,7 +185,7 @@ def main(argv=None) -> int:
         digest = make_digest(command_echo, text, args.precision, repr(args.tolerance))
         cached = None if args.no_cache else cache_load(digest)
         if cached is not None:
-            sys.stdout.write(cached[args.format])
+            sys.stdout.write(cached)
             return 0
         from .cli import run
         return run(args, command_echo, text, digest)

@@ -173,10 +173,6 @@ def pivot_columns(M, col_order=None) -> list:
     return eliminate(M, col_order).pivots
 
 
-def rank(M) -> int:
-    return len(pivot_columns(M))
-
-
 def nullspace(M):
     """Basis of the right kernel via row-reduced echelon form."""
     return eliminate(M).kernel()

@@ -590,7 +590,7 @@ def _primitive_prs(a: MultiPoly, b: MultiPoly, name: str) -> MultiPoly:
 
 
 _HEU_TRIES = 6          # evaluation points before the PRS fallback
-_HEU_BITS = 1 << 16     # largest degree * bit_length(xi) evaluated densely
+_HEU_BITS = 1 << 20     # largest degree * bit_length(xi) evaluated densely
 
 
 def _heu_gcd(a: dict, b: dict, n: int):

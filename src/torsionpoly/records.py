@@ -1,9 +1,10 @@
 """Knot-record ingestion.
 
-Line-oriented sections `[section]` with `key = value` pairs; polynomials use
-the canonical text grammar and words the letter grammar, so the files diff
-cleanly.  Complex numbers are written as `re im` pairs.  The record's types
-live here, so a record parses without the numeric engine.
+Line-oriented sections `[section]` with `key = value` pairs, only those the
+parser reads; polynomials use the canonical text grammar and words the
+letter grammar, so the files diff cleanly.  Complex numbers are written as
+`re im` pairs.  The record's types live here, so a record parses without
+the numeric engine.
 """
 
 from __future__ import annotations
@@ -143,6 +144,7 @@ class RawSection:
     name: str
     line: int
     entries: List[Tuple[str, str, int]] = field(default_factory=list)
+    read: set = field(default_factory=set)      # the keys the parser asked for
 
     def get(self, key: str) -> Optional[Tuple[str, int]]:
         """(value, line) of the key's one entry, or None."""
@@ -163,6 +165,7 @@ class RawSection:
         return found[0] if found else ""
 
     def get_all(self, key: str) -> List[Tuple[str, int]]:
+        self.read.add(key)
         return [(v, ln) for k, v, ln in self.entries if k == key]
 
 
@@ -176,14 +179,15 @@ def _parse_sections(text: str) -> Dict[str, RawSection]:
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
             if name in sections:
-                raise RecordError(f"line {ln}: duplicate section [{name}]")
+                raise RecordError(f"[{name}] line {ln}: duplicate section")
             current = RawSection(name, ln)
             sections[name] = current
             continue
+        place = f"[{current.name}] line {ln}" if current else f"line {ln}"
         if "=" not in line:
-            raise RecordError(f"line {ln}: expected `key = value`")
+            raise RecordError(f"{place}: expected `key = value`")
         if current is None:
-            raise RecordError(f"line {ln}: entry outside any [section]")
+            raise RecordError(f"{place}: entry outside any [section]")
         key, value = line.split("=", 1)
         current.entries.append((key.strip(), value.strip(), ln))
     return sections
@@ -227,10 +231,11 @@ def _parse_rule(text: str, where: str):
 
 def parse_record(text: str) -> KnotRecord:
     sections = _parse_sections(text)
+    end = max(1, len(text.splitlines()))    # where a missing section is noticed
 
     def section(name: str) -> RawSection:
         if name not in sections:
-            raise RecordError(f"missing section [{name}]")
+            raise RecordError(f"[{name}] line {end}: the record ends without this section")
         return sections[name]
 
     knot = section("knot")
@@ -319,7 +324,7 @@ def parse_record(text: str) -> KnotRecord:
         torsion_note = sec.note("note")
 
     if apoly is None and param is None:
-        raise RecordError("record needs at least one of [apoly] / [param_torsion]")
+        raise RecordError(f"[apoly] line {end}: the record needs [apoly] or [param_torsion]")
 
     tf_poly = None
     tf_emb = None
@@ -357,7 +362,7 @@ def parse_record(text: str) -> KnotRecord:
         if seed is not None:
             riley_seed = _parse_complex(seed[0].split(), f"[rho0] line {seed[1]}")
 
-    return KnotRecord(
+    record = KnotRecord(
         name=name,
         presentation=pres,
         presentation_note=pres_sec.note("note"),
@@ -372,6 +377,15 @@ def parse_record(text: str) -> KnotRecord:
         mu_note=mu_note,
         riley_seed=riley_seed,
     )
+    # the format is what this parser reads: any other section or key is
+    # refused, so that a misspelled optional key cannot pass unnoticed
+    for sec in sections.values():
+        if not sec.read:
+            raise RecordError(f"[{sec.name}] line {sec.line}: unknown section")
+        for key, _, ln in sec.entries:
+            if key not in sec.read:
+                raise RecordError(f"[{sec.name}] line {ln}: unknown key {key!r}")
+    return record
 
 
 def ingest_knot(path_or_name: str) -> KnotRecord:

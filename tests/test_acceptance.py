@@ -9,10 +9,11 @@ import random
 import time
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from test_resultant_oracle import from_sympy, to_sympy
-from torsionpoly import verify
+from torsionpoly import mplinalg as la, torsion_num as tn, verify
 from torsionpoly.polys import (
     MultiPoly, from_dense, from_text, gcd_poly, normalize_sign, to_text,
 )
@@ -40,6 +41,31 @@ def test_verify_command_exits_clean(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == len(verify.CHECKS)
     assert "FAIL" not in out
+
+
+def _rank_two_d1(d1, d2):
+    return la.Matrix([*d1[:2], [mp.mp.zero] * d1.cols]), d2
+
+
+def _zero_d2(d1, d2):
+    return d1, la.Matrix([[mp.mp.zero] * d2.cols for _ in range(d2.rows)])
+
+
+@pytest.mark.parametrize("break_chain, detail", [
+    (_rank_two_d1, "non-generic representation: homology (1, 2, 1)"),
+    (_zero_d2, "ker d2 has dimension 3"),
+], ids=["d1-rank-2", "d2-zero"])
+def test_a_broken_homology_pattern_fails_the_engine_check(monkeypatch, break_chain,
+                                                          detail):
+    """The engine check leaves the homology test to peripheral_torsions; a
+    chain complex off the (0, 1, 1) pattern still fails it, at the first
+    trace, and the detail names that trace."""
+    boundaries = tn.boundaries
+    broken = lambda p, rep: break_chain(*boundaries(p, rep))
+    monkeypatch.setattr(tn, "boundaries", broken)
+    monkeypatch.setattr(verify, "boundaries", broken)
+    assert verify.check_numeric_engine() \
+        == (False, f"engine failed at trace {verify.ENGINE_TRACES[0]}: {detail}")
 
 
 def squarefree_inputs():

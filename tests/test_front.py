@@ -47,14 +47,17 @@ def stamps(cache):
 
 
 def test_a_hit_imports_no_engine_module(tmp_path):
-    argv = ("eliminate", "--knot", "5_2")
-    code, miss, _, loaded = run_process(argv, tmp_path, importtime=True)
-    assert code == 0 and ENGINE <= loaded
-    code, hit, err, loaded = run_process(argv, tmp_path, importtime=True)
-    assert (code, hit, err) == (0, miss, "")
-    assert not ENGINE & loaded
-    assert {m for m in loaded if m.startswith("torsionpoly")} \
-        == {"torsionpoly", "torsionpoly.front"}
+    # the entry is the printed report itself, so not even a JSON hit reads json
+    for fmt in ("text", "json"):
+        argv = ("--format", fmt, "eliminate", "--knot", "5_2")
+        code, miss, _, loaded = run_process(argv, tmp_path, importtime=True)
+        assert code == 0 and ENGINE <= loaded
+        code, hit, err, loaded = run_process(argv, tmp_path, importtime=True)
+        assert (code, hit, err) == (0, miss, "")
+        assert not ENGINE & loaded
+        assert not {m for m in loaded if m.split(".")[0] == "json"}
+        assert {m for m in loaded if m.startswith("torsionpoly")} \
+            == {"torsionpoly", "torsionpoly.front"}
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -333,7 +333,6 @@ def test_rank_of_products(rows, cols):
     with mp.workdps(30):
         for k in range(min(rows, cols) + 1):
             M = rank_k(rng, rows, cols, k)
-            assert la.rank(M) == k
             assert len(la.pivot_columns(M)) == k
             assert len(la.pivot_columns(M, shuffled(rng, cols))) == k
 
@@ -371,7 +370,7 @@ def test_column_below_tolerance_never_pivots():
             M[i][2] *= mp.mpf("1e-12")
         for order in ([0, 1, 2, 3], [2, 0, 1, 3], [2, 3, 1, 0]):
             assert 2 not in la.pivot_columns(M, order)
-        assert la.rank(M) == 3
+        assert len(la.pivot_columns(M)) == 3
         assert len(la.nullspace(M)) == 1
 
 
@@ -382,7 +381,7 @@ def test_small_column_above_tolerance_pivots():
         for i in range(4):
             M[i][2] *= mp.mpf("1e-6")
         assert la.pivot_columns(M, [2, 0, 1, 3]) == [2, 0, 1, 3]
-        assert la.rank(M) == 4
+        assert len(la.pivot_columns(M)) == 4
 
 
 def test_pivots_follow_col_order():

@@ -10,7 +10,7 @@ from pathlib import Path
 import mpmath as mp
 import pytest
 
-from torsionpoly import cli, pipelines as pl
+from torsionpoly import cli, front, pipelines as pl
 from torsionpoly import records
 from torsionpoly.records import (
     RATIONAL_BITS, RECORD_DEGREE, RecordError, bundled_record_text, ingest_knot, parse_record,
@@ -151,6 +151,35 @@ def test_record_numbers_are_finite_and_errors_name_their_place(
     code, out, err = run_cli(capsys, "validate", "--knot", str(p), "--no-cache")
     assert (code, out) == (2, "")
     assert err == f"error: validate: {message}\n"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (("riley_seed = 0.5 0.9", "riley_sed = 0.5 0.9"),
+     "[rho0] line 47: unknown key 'riley_sed'"),
+    (("branch_hint = 2 -2", "branch_hint = 2 -2\nbrnach = 1"),
+     "[apoly] line 25: unknown key 'brnach'"),
+    (("riley_seed = 0.5 0.9", "riley_seed = 0.5 0.9\n\n[extra]\nkey = 1"),
+     "[extra] line 49: unknown section"),
+    (("[param_torsion]\n", ""),
+     "[apoly] line 27: unknown key 'aux_vars'"),
+    (("[trace_field]", "[trace_field]\n[trace_field]"),
+     "[trace_field] line 38: duplicate section"),
+    (("[knot]\nname = 4_1\n", ""),
+     "[knot] line 45: the record ends without this section"),
+], ids=["misspelled-seed", "extra-apoly-key", "extra-section",
+        "deleted-param-torsion-header", "duplicate-section", "no-knot-section"])
+def test_record_refuses_keys_and_sections_it_does_not_define(
+        capsys, cache_dir, tmp_path, edit, message):
+    text = bundled_record_text("4_1")
+    assert edit[0] in text
+    p = tmp_path / "bad.knot"
+    p.write_text(text.replace(*edit))
+    with pytest.raises(RecordError) as info:
+        ingest_knot(str(p))
+    assert str(info.value) == message
+    for cmd in ("validate", "eliminate"):
+        code, out, err = run_cli(capsys, cmd, "--knot", str(p), "--no-cache")
+        assert (code, out, err) == (2, "", f"error: {cmd}: {message}\n")
 
 
 def test_spaces_inside_a_term_do_not_join_exponents(capsys, cache_dir, tmp_path):
@@ -307,6 +336,19 @@ def test_record_polynomials_at_the_degree_cap_are_read(tmp_path):
     assert record.trace_field_poly.degree_in("x") == RECORD_DEGREE
 
 
+def test_an_apoly_term_at_the_degree_cap_eliminates_in_seconds(capsys, cache_dir,
+                                                                tmp_path):
+    # the gcds of this elimination need integer images of about 150,000
+    # bits; the heuristic GCD once gave up on them, and the primitive
+    # remainder sequence it fell back on ran for minutes
+    p = tmp_path / "deep.knot"
+    p.write_text(bundled_record_text("4_1").replace("term = 4 0 1", "term = 4 60 1"))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "trace-relation", "--knot", str(p), "--no-cache")
+    assert time.perf_counter() - start < 10
+    assert (code, err) == (0, "") and "trace_relation = " in out
+
+
 def test_record_entry_outside_section():
     with pytest.raises(RecordError, match="line 1"):
         parse_record("foo = bar\n")
@@ -358,7 +400,7 @@ def test_cli_determinism_and_cache(capsys, cache_dir):
     code1, out1, _ = run_cli(capsys, *args)
     assert code1 == 0
     # second run is served from the cache and must be byte-identical
-    assert any(f.endswith(".json") for f in os.listdir(cache_dir))
+    assert any(f.endswith(".txt") for f in os.listdir(cache_dir))
     code2, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
     # a fresh, uncached run agrees on the whole payload (the command echo and
@@ -368,22 +410,32 @@ def test_cli_determinism_and_cache(capsys, cache_dir):
     assert payload(out1) == payload(out3)
 
 
+def _parent_entry(report):
+    """An entry as the JSON envelope of an earlier cache layout stored it,
+    both formats and the current source digest in one object."""
+    envelope = {"text": report, "json": report, "source": front._source_digest()}
+    return json.dumps(envelope).encode()
+
+
 @pytest.mark.parametrize("entry", [
-    [], {"json": "x"},
-    {"text": "stale\n", "json": "stale\n"},
-    {"text": "stale\n", "json": "stale\n", "source": "0" * 64},
-], ids=["list", "no-text", "no-source", "other-source"])
+    lambda report: b"",
+    lambda report: front._source_digest().encode(),
+    lambda report: ("0" * 64 + "\n" + report).encode(),
+    lambda report: (front._source_digest() + "\n").encode() + b"\xff" + report.encode(),
+    _parent_entry,
+], ids=["empty", "no-header-line", "other-source", "undecodable", "parent-json"])
 def test_cli_malformed_cache_entry_is_a_miss(capsys, cache_dir, entry):
     args = ("eliminate", "--knot", "4_1")
     code1, fresh, _ = run_cli(capsys, *args)
     assert code1 == 0
     [name] = os.listdir(cache_dir)
-    (cache_dir / name).write_text(json.dumps(entry))
+    (cache_dir / name).write_bytes(entry(fresh))
     code2, out, _ = run_cli(capsys, *args)
     assert code2 == 0
     assert out == fresh
     # the recomputed report replaced the entry, and a third run hits it
-    assert json.loads((cache_dir / name).read_text())["text"] == fresh
+    assert (cache_dir / name).read_bytes() \
+        == (front._source_digest() + "\n" + fresh).encode()
     stamp = lambda st: (st.st_ino, st.st_mtime_ns)
     before = stamp((cache_dir / name).stat())
     assert run_cli(capsys, *args)[1] == fresh

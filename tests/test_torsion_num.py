@@ -338,7 +338,7 @@ def test_boundaries_homology_pattern_41():
     rep = solved_41(mp.mpf("2.05"))
     with mp.workdps(40):
         d1, d2 = boundaries(PRES_41, rep)
-        assert la.rank(d1) == 3
+        assert len(la.pivot_columns(d1)) == 3
         assert len(la.nullspace(d2)) == 1
 
 
