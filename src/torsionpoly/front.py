@@ -11,6 +11,7 @@ import functools
 import hashlib
 import math
 import os
+import shlex
 import sys
 
 from . import __version__
@@ -175,7 +176,7 @@ def _check_flags(args):
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
-    command_echo = "torsionpoly " + " ".join(argv)
+    command_echo = "torsionpoly " + shlex.join(argv)
     try:
         _check_flags(args)
         if args.cmd == "verify":

@@ -118,7 +118,8 @@ def _polyroots(coeffs, maxsteps: int, extraprec: int):
 def roots_at(p: MultiPoly, var: str, point: dict):
     """The complex roots in var of p with its other variables at the numeric
     point: each coefficient in var evaluated there as an mpmath number, then
-    `_polyroots` at 200 steps and 80 extra bits."""
+    `_polyroots` at 200 steps and 80 extra bits.  Its one caller is the
+    diagnostic scalar of `pipelines.torsion_at`."""
     by_deg = p.coeffs_wrt(var)
     return _polyroots([mp.mpmathify(by_deg[d].eval(point)) if d in by_deg else mp.mpc(0)
                        for d in range(max(by_deg), -1, -1)], 200, 80)

@@ -4,12 +4,16 @@ Each check prints one pass/fail line; tolerances are fixed here, not
 configurable, so a green run certifies the published contract of the package.
 `run_all` ingests each bundled record once and every check of the run reads
 it, so each record's artifacts are derived once; a check called on its own
-ingests its own records.
+ingests its own records.  The property suite decides its exact claims
+exactly: each resultant against the Sylvester determinant of its integer
+forms, and the two change-of-curve formulas as a polynomial identity on the
+A-polynomial (`change_curve_identity`), with no numeric sampling.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 from contextvars import ContextVar
 from fractions import Fraction
@@ -19,10 +23,9 @@ import mpmath as mp
 
 from . import mplinalg as la
 from . import pipelines as pl
-from .charvar import E_LAMBDA, E_MU, APoly, CharVarError, change_curve_sq
-from .numfield import roots_at, roots_numeric
-from .polys import MultiPoly, divides, from_dense, from_text, gcd_cofactors, \
-    normalize_sign, resultant, to_text
+from .charvar import E_LAMBDA, E_MU, TR_MU, change_curve_sq
+from .polys import MultiPoly, bareiss_det, dense_coeffs, divides, from_dense, \
+    from_text, normalize_sign, resultant, sylvester_matrix, to_text
 from .records import KnotRecord, ingest_knot
 from .torsion_num import (
     TorsionNumError, _block, _mul2, adjoint, basing, boundaries, invariant_vector,
@@ -212,18 +215,12 @@ def check_property_suites() -> Tuple[bool, str]:
             rhs = fox_derivative(u, k) + fox_derivative(v, k).left_mul(u)
             if lhs != rhs:
                 return False, "Fox product rule failed"
-    # resultant vs complex-root-product oracle
+    # resultant vs the Sylvester determinant of the integer forms
+    for _ in range(8):
+        p, q = _rand_univariate(rng), _rand_univariate(rng)
+        if resultant(p, q, "x").constant_value() != _sylvester_resultant(p, q):
+            return False, "resultant differs from the Sylvester determinant"
     with mp.workdps(40):
-        for _ in range(8):
-            p, q = _rand_univariate(rng), _rand_univariate(rng)
-            res = resultant(p, q, "x")
-            acc = mp.mpmathify(p.leading_coefficient()) ** q.degree_in("x")
-            for part, i in _squarefree_parts(p):
-                for r in roots_numeric(part, 30):
-                    acc *= q.eval({"x": r}) ** i
-            want = mp.mpmathify(res.constant_value())
-            if abs(acc - want) > 1e-6 * max(1, abs(want)):
-                return False, "resultant root-product oracle failed"
         # adjoint homomorphism
         for _ in range(10):
             A, B = _random_sl2(rng), _random_sl2(rng)
@@ -241,35 +238,11 @@ def check_property_suites() -> Tuple[bool, str]:
             d1, d2 = boundaries(pres, rep)
             if la.frob(la.matmul(d1, d2)) > 1e-8 * la.frob(d1) * la.frob(d2):
                 return False, "chain condition failed"
-        # change-of-curve: A-polynomial partials against the branch formula
-        A = record.apoly
-        dq = from_text(BRANCH41_TEXT).derivative("x")
-        pts = _apoly_samples(A, rng, 10)
-        ratios = change_curve_apoly(A, pts)
-        for (em, el), r in zip(pts, ratios):
-            if isinstance(r, str):
-                return False, f"singular sample: {r}"
-            x, y = em + 1 / em, el + 1 / el
-            rhs = mp.sqrt((y ** 2 - 4) / (x ** 2 - 4)) / dq.eval({"x": x})
-            if min(abs(r - rhs), abs(r + rhs)) > 1e-6 * max(1, abs(rhs)):
-                return False, "change-of-curve formulas disagree"
+    # change-of-curve: A-polynomial partials against the branch formula
+    if not change_curve_identity(record.apoly.poly, from_text(BRANCH41_TEXT)):
+        return False, "change-of-curve formulas disagree"
     return True, ("Fox rule exact on 200 pairs; resultant, adjoint, chain "
                   "condition and the two change-of-curve formulas all agree")
-
-
-def _squarefree_parts(p: MultiPoly) -> List[Tuple[MultiPoly, int]]:
-    """[(a_i, i)]: pairwise-coprime squarefree a_i of positive degree with
-    p = c * prod a_i^i for a constant c; Yun's decomposition (SYMSAC 1976)
-    of the univariate p."""
-    var = p.vars[0]
-    _, b, c = gcd_cofactors(p, p.derivative(var))
-    parts, i = [], 1
-    while b.degree_in(var) > 0:
-        a, b, c = gcd_cofactors(b, c - b.derivative(var))
-        if a.degree_in(var) > 0:
-            parts.append((a, i))
-        i += 1
-    return parts
 
 
 def _rand_univariate(rng):
@@ -281,38 +254,42 @@ def _rand_univariate(rng):
             return p
 
 
-def change_curve_apoly(A: APoly, samples):
-    """Evaluate (el/em) * (dA/del) / (dA/dem) at points of A = 0.
+def _sylvester_resultant(p: MultiPoly, q: MultiPoly) -> Fraction:
+    """Res_x(p, q) of two univariate rational p, q: the Bareiss determinant
+    of the Sylvester matrix of the integer forms a*p and b*q, divided by
+    a^deg(q) * b^deg(p), since the resultant is homogeneous of those degrees
+    in the coefficients of p and of q."""
+    a, b = (math.lcm(*(Fraction(c).denominator for c in f.terms.values()))
+            for f in (p, q))
+    rows = [[c.constant_value() for c in row]
+            for row in sylvester_matrix(p * a, q * b, "x")]
+    return Fraction(bareiss_det(rows), a ** q.degree_in("x") * b ** p.degree_in("x"))
 
-    Per-sample output is either a complex ratio or an error string for
-    singular points; a sample off the variety raises.
+
+def change_curve_identity(A: MultiPoly, branch: MultiPoly) -> bool:
+    """Whether the branch y = q(x) of the trace relation, with x = em + 1/em
+    and y = el + 1/el, is a component F of A(em, el) = 0 along which the
+    A-polynomial partials and the branch give the same d el / d em, that is
+    (el/em) * A_el / A_em = -(el - 1/el) / ((em - 1/em) * q'(x)) on F.
+
+    Both sides are exact: with d = deg q, F and H below are polynomials, and
+    the identity holds when F divides A and F divides H.
+      F = em^d (el^2 + 1) - em^d q(x) el
+      H = A_em (el^2 - 1) em^(d+1) + A_el em^(d-1) q'(x) (em^2 - 1) el^2
     """
-    dA_m = A.poly.derivative(E_MU)
-    dA_l = A.poly.derivative(E_LAMBDA)
-    scale = max(abs(c) for c in A.poly.terms.values())
-    out = []
-    for em, el in samples:
-        em, el = mp.mpc(em), mp.mpc(el)
-        at = {E_MU: em, E_LAMBDA: el}
-        if abs(A.poly.eval(at)) > 1e-8 * max(1, scale) * max(1, abs(em)) ** A.poly.degree_in(E_MU):
-            raise CharVarError(f"sample ({em}, {el}) violates A = 0")
-        dm = dA_m.eval(at)
-        dl = dA_l.eval(at)
-        if abs(dm) < 1e-8 * max(1, scale):
-            out.append("singular point: dA/dem vanishes")
-            continue
-        out.append((el / em) * dl / dm)
-    return out
+    variables = (E_MU, E_LAMBDA)
+    em, el = (MultiPoly.var(variables, v) for v in variables)
 
+    def cleared(f, k):      # em^k f(em + 1/em), for f of degree at most k
+        return sum((c * em ** (k - j) * (em * em + 1) ** j
+                    for j, c in enumerate(dense_coeffs(f))), MultiPoly.zero(variables))
 
-def _apoly_samples(A, rng, n):
-    pts = []
-    while len(pts) < n:
-        em = mp.mpc(1 + rng.uniform(0.05, 0.3), rng.uniform(-0.05, 0.05))
-        for el in roots_at(A.poly, "el", {"em": em}):
-            if abs(el) > 1e-4 and len(pts) < n:
-                pts.append((em, el))
-    return pts
+    d = branch.degree_in(TR_MU)
+    F = em ** d * (el * el + 1) - cleared(branch, d) * el
+    H = (A.derivative(E_MU) * (el * el - 1) * em ** (d + 1)
+         + A.derivative(E_LAMBDA) * cleared(branch.derivative(TR_MU), d - 1)
+         * (em * em - 1) * el * el)
+    return divides(F, A) and divides(F, H)
 
 
 def check_records() -> Tuple[bool, str]:

@@ -9,7 +9,7 @@ import mpmath as mp
 import pytest
 
 from torsionpoly import (
-    charvar, cli, numfield, pipelines as pl, polys, torsion_sym, verify,
+    charvar, cli, numfield, pipelines as pl, polys, torsion_sym,
 )
 from torsionpoly.records import ingest_knot
 
@@ -147,10 +147,9 @@ def test_root_passes_per_command(argv, passes, monkeypatch):
     the root 3) carries its exact root and takes no pass of its linear
     factor, and the trace field carries the roots express_in_field pairs
     with them (5 passes for 5_2 membership, 2 for each rho0 when every step
-    found its own).  charvar takes no root pass, so it binds no
+    found its own).  charvar and verify take no root pass, so they bind no
     roots_numeric to count."""
-    calls = count_calls(monkeypatch, (numfield, torsion_sym, verify),
-                        "roots_numeric")
+    calls = count_calls(monkeypatch, (numfield, torsion_sym), "roots_numeric")
     with redirect_stdout(io.StringIO()):
         assert cli.main(["--no-cache", *argv]) == 0
     assert len(calls) == passes

@@ -9,7 +9,6 @@ from torsionpoly.charvar import (
     geometric_branch, trace_relation,
 )
 from torsionpoly.polys import MultiPoly, divides, from_text, normalize_sign
-from torsionpoly.verify import change_curve_apoly
 
 # Laurent triples (a, b, c) meaning c * em^a el^b for the figure-eight knot,
 # in the form whose vanishing gives tr_lam = tr_mu^4 - 5 tr_mu^2 + 2.
@@ -184,51 +183,6 @@ def test_change_factor_identity_curve():
 def test_change_factor_constant_branch_rejected():
     with pytest.raises(CharVarError):
         change_curve_sq(from_text("5", ["x"]))
-
-
-# -- change_curve_apoly (the verify oracle) --------------------------------------
-
-def sample_points_41(n, seed=5, digits=40):
-    A = a41()
-    rng = random.Random(seed)
-    pts = []
-    with mp.workdps(digits + 10):
-        while len(pts) < n:
-            em = mp.mpc(1 + rng.uniform(0.05, 0.3), rng.uniform(-0.05, 0.05))
-            for el in solve_el_mp(A, em, digits):
-                if abs(el) > 1e-4 and len(pts) < n:
-                    pts.append((em, el))
-    return pts
-
-
-def test_change_curve_apoly_matches_eq_313():
-    A = a41()
-    pts = sample_points_41(10)
-    ratios = change_curve_apoly(A, pts)
-    dq = BRANCH41.derivative("x")
-    with mp.workdps(50):
-        for (em, el), r in zip(pts, ratios):
-            assert not isinstance(r, str)
-            x = em + 1 / em
-            y = el + 1 / el
-            rhs = mp.sqrt((y ** 2 - 4) / (x ** 2 - 4)) / dq.eval({"x": x})
-            assert min(abs(r - rhs), abs(r + rhs)) < 1e-6 * max(1, abs(rhs))
-
-
-def test_change_curve_apoly_rejects_off_variety():
-    A = a41()
-    with pytest.raises(CharVarError, match="violates"):
-        change_curve_apoly(A, [(mp.mpc(1.1), mp.mpc(5.0))])
-
-
-def test_change_curve_apoly_conjugate_symmetry():
-    A = a41()
-    pts = sample_points_41(2, seed=11)
-    conj_pts = [(mp.conj(em), mp.conj(el)) for em, el in pts]
-    r1 = change_curve_apoly(A, pts)
-    r2 = change_curve_apoly(A, conj_pts)
-    for a, b in zip(r1, r2):
-        assert abs(mp.conj(a) - b) < 1e-20
 
 
 def test_apoly_partial_derivative_finite_difference():

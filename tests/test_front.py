@@ -150,3 +150,26 @@ def test_one_parser_serves_every_call_in_a_process(capsys):
     assert [code for code, _, _ in shared] == [0, 0, 2, 0]
     assert "invalid choice: 'nu'" in shared[2][2]
     assert shared == fresh
+
+
+def test_command_lines_that_join_alike_have_their_own_entries(capsys, monkeypatch,
+                                                             tmp_path):
+    """`--knot "x --curve mu"` and `--knot x --curve mu` join, word by word,
+    to the same string; the echo quotes each argument, so the two command
+    lines have their own digests and neither is served the other's report."""
+    record = front.bundled_record_text("4_1")
+    for name in ("x", "x --curve mu"):
+        (tmp_path / name).write_text(record)
+    monkeypatch.chdir(tmp_path)
+    cache = tmp_path / "cache"
+    code, quoted, _ = run_in_process(capsys, ("rho0", "--knot", "x --curve mu"),
+                                     cache, monkeypatch)
+    assert code == 0
+    assert "command = torsionpoly rho0 --knot 'x --curve mu'\n" in quoted
+    assert "curve = lambda\n" in quoted
+    code, plain, _ = run_in_process(capsys, ("rho0", "--knot", "x", "--curve", "mu"),
+                                    cache, monkeypatch)
+    assert code == 0
+    assert "command = torsionpoly rho0 --knot x --curve mu\n" in plain
+    assert "curve = mu\n" in plain and "value = 0.0 + 0.866025403784i\n" in plain
+    assert len(list(cache.iterdir())) == 2

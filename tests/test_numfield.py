@@ -483,8 +483,8 @@ def test_seeded_polyroots_is_the_cold_start_bit_for_bit(digits):
 
 
 def test_seeded_complex_polyroots_is_the_cold_start_bit_for_bit():
-    # the diagnostic scalar and the A-polynomial samples pass complex
-    # coefficients; without conjugate pairs the order agrees too
+    # the diagnostic scalar passes complex coefficients; without conjugate
+    # pairs the order agrees too
     rng = random.Random(23)
     with mp.workdps(40):
         for _ in range(100):

@@ -1,6 +1,7 @@
 """Every report the benchmark's symbolic commands, `torsion` and `sweep`
 print, a 100-digit `sweep` and `validate`, byte for byte against reports
-kept in tests/goldens/."""
+kept in tests/goldens/, and `verify`'s text and JSON output against
+tests/goldens/verify/."""
 
 import io
 from contextlib import redirect_stdout
@@ -50,6 +51,16 @@ def test_report_matches_golden(name):
         code = cli.main(["--no-cache", *CASES[name]])
     assert code == 0
     assert out.getvalue() == (GOLDENS / f"{name}.txt").read_text()
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_output_matches_golden(fmt):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(["--format", fmt, "verify"])
+    assert code == 0
+    name = "verify.txt" if fmt == "text" else "verify.json"
+    assert out.getvalue() == (GOLDENS / "verify" / name).read_text()
 
 
 def results_section(report: str) -> str:
