@@ -1,11 +1,12 @@
 """A-polynomials and character-variety relations.
 
 The eigenvalue-trace bridge tr = e + 1/e is realized by adjoining the
-quadratic e^2 - tr*e + 1 and eliminating with resultants, never by taking
-square roots.  The geometric branch is a trace relation linear in the
-longitude trace, checked exactly against a numeric hint near the discrete
-faithful representation.  No decision here is numeric, and none reads a
-working precision.
+quadratic e^2 - tr*e + 1, never by taking square roots: the trace relation
+is the norm of the A-polynomial from Q(x, y)[em, el] modulo both monic
+quadratics, which is the resultant against each of them in turn.  The
+geometric branch is a trace relation linear in the longitude trace, checked
+exactly against a numeric hint near the discrete faithful representation.
+No decision here is numeric, and none reads a working precision.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import List, Tuple
 
 from .polys import (
     MultiPoly, exact_div, gcd_cofactors, nearly_vanishes, normalize_sign,
-    resultant, squarefree_primitive,
+    quadratic_norm, squarefree_primitive,
 )
 
 E_MU, E_LAMBDA = "em", "el"
@@ -42,7 +43,8 @@ def apoly_normalize(laurent_terms: List[Tuple[int, int, object]]) -> APoly:
     """
     summed = {}
     for a, b, c in laurent_terms:
-        summed[a, b] = summed.get((a, b), 0) + Fraction(c)
+        c = c if type(c) is Fraction else Fraction(c)
+        summed[a, b] = summed[a, b] + c if (a, b) in summed else c
     terms = {m: c for m, c in summed.items() if c}
     if not terms:
         raise CharVarError("all-zero A-polynomial input")
@@ -62,22 +64,17 @@ class TraceRelation:
 
 
 def trace_relation(A: APoly) -> TraceRelation:
-    """Eliminate em then el from {A, em^2 - x*em + 1, el^2 - y*el + 1}.
+    """Res_el(Res_em(A, em^2 - x*em + 1), el^2 - y*el + 1), made squarefree
+    and primitive in y: the norm of A from Q(x, y)[em, el] modulo both
+    quadratics, taken one eigenvalue at a time.
 
     Every (tr_mu, tr_lambda) pair of a representation on A = 0 is a zero of
-    the output.
+    the output.  Neither norm vanishes: each quadratic has the discriminant
+    t^2 - 4, no square, so it is irreducible over the field of the other
+    variables and the quotient is a field, where A is not zero.
     """
-    allvars = (E_MU, E_LAMBDA, TR_MU, TR_LAMBDA)
-    a = A.poly.with_vars(allvars)
-    qm = MultiPoly(allvars, {(2, 0, 0, 0): 1, (1, 0, 1, 0): -1, (0, 0, 0, 0): 1})
-    ql = MultiPoly(allvars, {(0, 2, 0, 0): 1, (0, 1, 0, 1): -1, (0, 0, 0, 0): 1})
-    r1 = resultant(a, qm, E_MU)
-    if r1.is_zero():
-        raise CharVarError("eliminant vanished while removing em")
-    r2 = resultant(r1, ql, E_LAMBDA)
-    if r2.is_zero():
-        raise CharVarError("trace eliminant is identically zero")
-    r2 = r2.drop_vars().with_vars((TR_MU, TR_LAMBDA))
+    r1 = quadratic_norm(A.poly.with_vars((E_MU, E_LAMBDA)), E_MU, TR_MU)
+    r2 = quadratic_norm(r1, E_LAMBDA, TR_LAMBDA)
     return TraceRelation(squarefree_primitive(r2, TR_LAMBDA))
 
 

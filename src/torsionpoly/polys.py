@@ -1,12 +1,13 @@
 """Exact sparse polynomials over Q, one type for every number of variables.
 
 A `MultiPoly` coefficient is canonical: an `int` when it is integral, else a
-reduced `fractions.Fraction`, never a float.  The public constructor (used by
-`from_text` and the records) validates coefficients and exponent vectors and
-canonicalizes them.  Results built inside this module go through the trusted
-`MultiPoly._make`, which only drops zero terms and turns an integral
-`Fraction` into its `int`, so the ring operations, remainder sequences and
-exact division of integer polynomials run on plain ints.  A univariate
+reduced `fractions.Fraction`, never a float.  The public constructor
+validates coefficients and exponent vectors and canonicalizes them.  Results
+built inside this module go through the trusted `MultiPoly._make`, which
+only drops zero terms and turns an integral `Fraction` into its `int`, so
+the ring operations, remainder sequences and exact division of integer
+polynomials run on plain ints; `from_text` builds its result there too,
+after the constructor's checks that its grammar leaves open.  A univariate
 polynomial is a one-variable `MultiPoly`; `from_dense` and `dense_coeffs`
 convert it from and to its list of exact coefficients, constant term first.
 
@@ -33,7 +34,9 @@ terms as exponent tuples, and the constructor accepts them.
 Resultants are computed by the subresultant polynomial remainder sequence on
 integer polynomials, each remainder divided exactly by its known factor; the
 Sylvester matrix and its integer Bareiss determinant remain as the reference
-for tests; `pseudo_rem` is public, and reduces number-field products.
+for tests; a resultant against a monic quadratic e^2 - t*e + 1 is the norm
+of the remainder modulo it (`quadratic_norm`); `pseudo_rem` is public, and
+reduces number-field products.
 `gcd_cofactors` returns a gcd with both cofactors, from the heuristic GCD on
 integer images: one variable at a time is evaluated at an integer xi, the
 gcd of the images is rebuilt from its symmetric xi-adic digits, and a
@@ -176,6 +179,11 @@ class MultiPoly:
     def degree_in(self, name: str) -> int:
         shift = _FIELD * (len(self.vars) - 1 - self._index(name))
         return max((m >> shift & _MASK for m in self.terms), default=0)
+
+    def total_degree(self) -> int:
+        """The largest total degree of a term, read off the leading key; 0
+        for the zero polynomial."""
+        return max(self.terms, default=0) >> _FIELD * len(self.vars)
 
     def as_dict(self) -> Dict[Monomial, object]:
         """The terms keyed by exponent tuples, as the constructor takes them."""
@@ -435,7 +443,7 @@ def _horner_eval(p: MultiPoly, var_order, assignment):
 
 class _Dyadic:
     """(re + im*i) / 2^k for ints re, im and k >= 0: the ring, closed under
-    integers, in which `nearly_vanishes` runs `MultiPoly.eval`."""
+    integers, in which `nearly_vanishes` evaluates a polynomial."""
 
     __slots__ = ("re", "im", "k")
 
@@ -459,15 +467,11 @@ class _Dyadic:
         s = a.k - b.k
         return _Dyadic(a.re + (b.re << s), a.im + (b.im << s), a.k)
 
-    __radd__ = __add__
-
     def __mul__(self, other):
         if type(other) is int:
             return _Dyadic(self.re * other, self.im * other, self.k)
         return _Dyadic(self.re * other.re - self.im * other.im,
                        self.re * other.im + self.im * other.re, self.k + other.k)
-
-    __rmul__ = __mul__
 
 
 HINT_TOL = Fraction(1, 10 ** 6)
@@ -479,14 +483,35 @@ def nearly_vanishes(p: MultiPoly, point: dict) -> bool:
 
     Each coordinate of the point is an int, float or complex; every float
     part is the dyadic rational it stores.  The integer multiple L*p is
-    evaluated in Z[i][1/2] and the squares of both sides, scaled by L, are
-    compared, so no working precision enters the decision."""
-    den = _content(p.terms.values())[1]
-    val = (p * den).eval({v: _Dyadic.of(x) for v, x in point.items()})
-    if type(val) is int:
-        val = _Dyadic(val, 0, 0)
-    bound = HINT_TOL * max([den] + [abs(c) * den for c in p.terms.values()])
-    return Fraction(val.re ** 2 + val.im ** 2, 1 << 2 * val.k) <= bound ** 2
+    evaluated in Z[i][1/2], one term at a time from the powers of each
+    coordinate, and the squares of both sides, scaled by L, are compared
+    as integers, so no working precision enters the decision."""
+    values = {v: _Dyadic.of(x) for v, x in point.items()}
+    n = len(p.vars)
+    powers = []         # (shift of the exponent field, coordinate powers)
+    for i, v in enumerate(p.vars):
+        shift = _FIELD * (n - 1 - i)
+        top = max((m >> shift & _MASK for m in p.terms), default=0)
+        if not top:
+            continue
+        if v not in values:
+            raise PolyError(f"unassigned variable {v!r}")
+        x = values[v]
+        row = [1, x]
+        for _ in range(top - 1):
+            row.append(row[-1] * x)
+        powers.append((shift, row))
+    terms, den = _integral(p)
+    total = _Dyadic(0, 0, 0)
+    for m, term in terms.items():
+        for shift, row in powers:
+            e = m >> shift & _MASK
+            if e:
+                term = row[e] * term
+        total = total + term
+    bound = HINT_TOL.numerator * max([den] + [abs(c) for c in terms.values()])
+    return ((total.re ** 2 + total.im ** 2) * HINT_TOL.denominator ** 2
+            <= bound ** 2 << 2 * total.k)
 
 
 # ---------------------------------------------------------------------------
@@ -818,6 +843,39 @@ def resultant(p: MultiPoly, q: MultiPoly, name: str) -> MultiPoly:
     return MultiPoly._make(rest, {m: _quo(c, den) for m, c in res.terms.items()})
 
 
+def quadratic_norm(p: MultiPoly, e: str, t: str) -> MultiPoly:
+    """Res_e(p, e^2 - t*e + 1) over the variables of p without e, then t,
+    for a variable t not in p: the norm of p from the extension by a root
+    of the monic quadratic, whose two roots have sum t and product 1
+    (Cohen, GTM 138, section 3.6.2).
+
+    p is reduced modulo the quadratic by Horner's rule in e,
+    (u*e + v)*e + c = (t*u + v)*e + (c - u), and the remainder u*e + v has
+    the norm u^2 + t*u*v + v^2 = u^2 + (t*u + v)*v."""
+    if not p.degree_in(e):
+        raise PolyError("nothing to eliminate")
+    over = tuple(v for v in p.vars if v != e) + (t,)
+    coeffs = p.with_vars(over + (e,)).coeffs_wrt(e)
+    n = len(over)
+    unit = _unit(n, n - 1)      # the key of t
+
+    def times_t_plus(u: dict, v: dict) -> dict:
+        w = {m + unit: c for m, c in u.items()}
+        for m, c in v.items():
+            w[m] = w.get(m, 0) + c
+        return w
+
+    u, v = {}, {}
+    for d in range(max(coeffs), -1, -1):
+        c = coeffs.get(d)
+        w = dict(c.terms) if c is not None else {}
+        for m, x in u.items():
+            w[m] = w.get(m, 0) - x
+        u, v = times_t_plus(u, v), w
+    norm = _add_product(_add_product({}, u, u, n), times_t_plus(u, v), v, n)
+    return MultiPoly._make(over, norm)
+
+
 # ---------------------------------------------------------------------------
 # Canonical text grammar
 # ---------------------------------------------------------------------------
@@ -828,6 +886,8 @@ _TERM_RE = re.compile(
     re.VERBOSE,
 )
 _FACTOR_RE = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)(?:\^(\d+))?")
+_SIGN_RE = re.compile(r"\s*([+-])\s*")
+_SPACE_RE = re.compile(r"\s")
 
 
 def to_text(p: MultiPoly) -> str:
@@ -853,8 +913,9 @@ def from_text(text: str, variables=None) -> MultiPoly:
             if name[0] not in variables:
                 variables.append(name[0])
     variables = tuple(variables)
+    index = {v: i for i, v in enumerate(variables)}
     # terms alternate with runs of signs; a run's product signs the next term
-    tokens = re.split(r"\s*([+-])\s*", raw)
+    tokens = _SIGN_RE.split(raw)
     if not tokens[-1]:
         raise PolyError(f"cannot parse polynomial text {text!r}")
     terms, sign = {}, 1
@@ -864,20 +925,33 @@ def from_text(text: str, variables=None) -> MultiPoly:
             continue
         if not chunk:
             continue
-        if re.search(r"\s", chunk):
-            raise PolyError(f"whitespace inside term {chunk!r} in {text!r}")
-        m = _TERM_RE.match(chunk)
-        if not m or (m.group("coeff") is None and not m.group("body")):
+        m = _TERM_RE.match(chunk)       # a term holds no whitespace
+        coeff, body = m.groups() if m else (None, "")
+        if coeff is None and not body:
+            if _SPACE_RE.search(chunk):
+                raise PolyError(f"whitespace inside term {chunk!r} in {text!r}")
             raise PolyError(f"bad term {chunk!r} in {text!r}")
-        try:
-            coeff, sign = sign * Fraction(m.group("coeff") or 1), 1
-        except ZeroDivisionError:
-            raise PolyError(f"zero denominator in term {chunk!r} in {text!r}") from None
+        if coeff is None:
+            coeff = 1
+        elif "/" not in coeff:
+            coeff = int(coeff)
+        else:
+            try:
+                coeff = Fraction(coeff)
+            except ZeroDivisionError:
+                raise PolyError(f"zero denominator in term {chunk!r} in {text!r}") from None
+        coeff, sign = sign * coeff, 1
         mono = [0] * len(variables)
-        for name, exp in _FACTOR_RE.findall(m.group("body")):
-            if name not in variables:
+        for name, exp in _FACTOR_RE.findall(body):
+            i = index.get(name)
+            if i is None:
                 raise PolyError(f"unknown variable {name!r} in {text!r}")
-            mono[variables.index(name)] += int(exp) if exp else 1
+            mono[i] += int(exp) if exp else 1
         mono = tuple(mono)
         terms[mono] = terms.get(mono, 0) + coeff
-    return MultiPoly(variables, terms)
+    # the constructor's checks that the grammar leaves open
+    if len(index) != len(variables):
+        raise PolyError("duplicate variable names")
+    if any(sum(mono) >= DEGREE_LIMIT for mono in terms):
+        raise PolyError(f"total degree reaches the limit {DEGREE_LIMIT}")
+    return MultiPoly._make(variables, {_pack(mono): c for mono, c in terms.items()})

@@ -80,6 +80,12 @@ _NUMBER = re.compile(r"\s*([-+]?)(?=\d|\.\d)(\d*|\d+(?:_\d+)*)"
                      r"(?:/(\d+(?:_\d+)*)"
                      r"|(?:\.(\d*|\d+(?:_\d+)*))?(?:[eE]([-+]?\d+(?:_\d+)*))?)\s*")
 _DIGITS = 2 * RATIONAL_BITS     # significant digits a number may be written with
+_INTEGER = re.compile(r"[-+]?[0-9]+")     # a plain integer, read by int()
+
+
+def _too_long(what: str) -> ValueError:
+    return ValueError(f"{what} has a numerator or denominator over "
+                      f"{RATIONAL_BITS} bits")
 
 
 def _rational(text: str, what: str) -> Fraction:
@@ -97,8 +103,11 @@ def _rational(text: str, what: str) -> Fraction:
     for |k| > RATIONAL_BITS the denominator is at least 2^-k or the value
     at least 10^k, and a b of more than _DIGITS digits leaves a numerator
     of at least b/10^RATIONAL_BITS >= 10^RATIONAL_BITS."""
-    too_long = ValueError(f"{what} has a numerator or denominator over "
-                          f"{RATIONAL_BITS} bits")
+    if len(text) <= _DIGITS and _INTEGER.fullmatch(text):
+        value = Fraction(int(text))     # a plain integer, sized by its value
+        if value.numerator.bit_length() > RATIONAL_BITS:
+            raise _too_long(what)
+        return value
     m = _NUMBER.fullmatch(text)
     if m is None:
         value = Fraction(text)      # not a number: Fraction's own error
@@ -108,7 +117,7 @@ def _rational(text: str, what: str) -> Fraction:
         exp_sign = -1 if exp.startswith("-") else 1
         num, den, exp = (g.lstrip("+-").lstrip("0") for g in (num, den, exp))
         if max(map(len, (num, den, exp))) > _DIGITS:
-            raise too_long
+            raise _too_long(what)
         if m[3]:
             if not den:
                 raise ValueError(f"zero denominator in {text!r}")
@@ -121,20 +130,20 @@ def _rational(text: str, what: str) -> Fraction:
             if not body:
                 return Fraction(0)
             if abs(k) > RATIONAL_BITS or len(body) > _DIGITS:
-                raise too_long
+                raise _too_long(what)
             value = (Fraction(int(body) * 10 ** k) if k >= 0
                      else Fraction(int(body), 10 ** -k))
         if sign == "-":
             value = -value
     if max(value.numerator.bit_length(),
            value.denominator.bit_length()) > RATIONAL_BITS:
-        raise too_long
+        raise _too_long(what)
     return value
 
 
 def _degree_capped(p: MultiPoly) -> MultiPoly:
     """p, or PolyError when its total degree passes RECORD_DEGREE."""
-    if max(map(sum, p.as_dict()), default=0) > RECORD_DEGREE:
+    if p.total_degree() > RECORD_DEGREE:
         raise PolyError(f"total degree over {RECORD_DEGREE}")
     return p
 
@@ -143,7 +152,8 @@ def _degree_capped(p: MultiPoly) -> MultiPoly:
 class RawSection:
     name: str
     line: int
-    entries: List[Tuple[str, str, int]] = field(default_factory=list)
+    # key -> its (value, line) entries in file order; keys in order of first use
+    entries: Dict[str, List[Tuple[str, int]]] = field(default_factory=dict)
     read: set = field(default_factory=set)      # the keys the parser asked for
 
     def get(self, key: str) -> Optional[Tuple[str, int]]:
@@ -166,30 +176,30 @@ class RawSection:
 
     def get_all(self, key: str) -> List[Tuple[str, int]]:
         self.read.add(key)
-        return [(v, ln) for k, v, ln in self.entries if k == key]
+        return self.entries.get(key, [])
 
 
 def _parse_sections(text: str) -> Dict[str, RawSection]:
     sections: Dict[str, RawSection] = {}
     current = None
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
-        if line.startswith("[") and line.endswith("]"):
+        if line[0] == "[" and line[-1] == "]":
             name = line[1:-1].strip()
             if name in sections:
                 raise RecordError(f"[{name}] line {ln}: duplicate section")
             current = RawSection(name, ln)
             sections[name] = current
             continue
-        place = f"[{current.name}] line {ln}" if current else f"line {ln}"
-        if "=" not in line:
-            raise RecordError(f"{place}: expected `key = value`")
-        if current is None:
+        key, eq, value = line.partition("=")
+        if not eq or current is None:
+            place = f"[{current.name}] line {ln}" if current else f"line {ln}"
+            if not eq:
+                raise RecordError(f"{place}: expected `key = value`")
             raise RecordError(f"{place}: entry outside any [section]")
-        key, value = line.split("=", 1)
-        current.entries.append((key.strip(), value.strip(), ln))
+        current.entries.setdefault(key.strip(), []).append((value.strip(), ln))
     return sections
 
 
@@ -231,11 +241,14 @@ def _parse_rule(text: str, where: str):
 
 def parse_record(text: str) -> KnotRecord:
     sections = _parse_sections(text)
-    end = max(1, len(text.splitlines()))    # where a missing section is noticed
+
+    def end() -> int:
+        """The last line, where a missing section is noticed."""
+        return max(1, len(text.splitlines()))
 
     def section(name: str) -> RawSection:
         if name not in sections:
-            raise RecordError(f"[{name}] line {end}: the record ends without this section")
+            raise RecordError(f"[{name}] line {end()}: the record ends without this section")
         return sections[name]
 
     knot = section("knot")
@@ -255,6 +268,8 @@ def parse_record(text: str) -> KnotRecord:
                 f"on {gens} generators")
         if not pres.abelianization_ok():
             raise WordError("abelianization is not infinite cyclic")
+    except RecordError:
+        raise                   # a key's own error names its place already
     except ValueError as exc:
         raise RecordError(f"[presentation] line {pres_sec.line}: {exc}") from exc
 
@@ -312,6 +327,9 @@ def parse_record(text: str) -> KnotRecord:
             toks = v.split()
             if len(toks) < 2 or toks[0] not in allvars:
                 raise RecordError(f"[param_torsion] line {ln}: bad hint {v!r}")
+            if toks[0] in hints:
+                raise RecordError(f"[param_torsion] line {ln}: duplicate hint "
+                                  f"for {toks[0]!r}")
             hints[toks[0]] = _parse_complex(toks[1:], f"[param_torsion] line {ln}")
         missing = [v for v in allvars if v not in hints]
         if missing:
@@ -324,7 +342,7 @@ def parse_record(text: str) -> KnotRecord:
         torsion_note = sec.note("note")
 
     if apoly is None and param is None:
-        raise RecordError(f"[apoly] line {end}: the record needs [apoly] or [param_torsion]")
+        raise RecordError(f"[apoly] line {end()}: the record needs [apoly] or [param_torsion]")
 
     tf_poly = None
     tf_emb = None
@@ -382,9 +400,9 @@ def parse_record(text: str) -> KnotRecord:
     for sec in sections.values():
         if not sec.read:
             raise RecordError(f"[{sec.name}] line {sec.line}: unknown section")
-        for key, _, ln in sec.entries:
+        for key, found in sec.entries.items():
             if key not in sec.read:
-                raise RecordError(f"[{sec.name}] line {ln}: unknown key {key!r}")
+                raise RecordError(f"[{sec.name}] line {found[0][1]}: unknown key {key!r}")
     return record
 
 

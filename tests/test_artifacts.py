@@ -31,13 +31,23 @@ def count_calls(monkeypatch, modules, name):
 @pytest.mark.parametrize("read", [pl.eliminated_T, pl.branch_and_factor,
                                   pl.transported_T])
 def test_second_read_is_the_same_object(read, monkeypatch):
-    calls = count_calls(monkeypatch, (charvar, torsion_sym), "resultant")
+    # every derivation ends in squarefree_primitive
+    calls = count_calls(monkeypatch, (charvar, torsion_sym), "squarefree_primitive")
     record = ingest_knot("4_1")
     first = read(record)
     derived = len(calls)
     assert derived > 0
     assert read(record) is first
     assert len(calls) == derived
+
+
+def test_trace_relation_takes_no_resultant(monkeypatch):
+    # the trace relation is a norm over two monic quadratics
+    modules = [m for m in (charvar, polys) if hasattr(m, "resultant")]
+    calls = count_calls(monkeypatch, modules, "resultant")
+    relation = charvar.trace_relation(ingest_knot("4_1").apoly)
+    assert relation.poly.degree_in("y") > 0
+    assert calls == []
 
 
 def test_serial_sweep_derives_each_artifact_once(monkeypatch, capsys):

@@ -8,7 +8,10 @@ from torsionpoly.charvar import (
     CharVarError, NoGraphBranch, apoly_normalize, change_curve_sq,
     geometric_branch, trace_relation,
 )
-from torsionpoly.polys import MultiPoly, divides, from_text, normalize_sign
+from torsionpoly.polys import (
+    MultiPoly, PolyError, divides, from_text, normalize_sign, quadratic_norm,
+    resultant, squarefree_primitive,
+)
 
 # Laurent triples (a, b, c) meaning c * em^a el^b for the figure-eight knot,
 # in the form whose vanishing gives tr_lam = tr_mu^4 - 5 tr_mu^2 + 2.
@@ -90,6 +93,51 @@ def test_trace_relation_equal_eigenvalues():
     R = trace_relation(apoly_normalize([(0, 1, 1), (1, 0, -1)]))
     factor = from_text("y - x", ["x", "y"])
     assert divides(normalize_sign(factor), R.poly)
+
+
+def two_resultants(A):
+    """Res_el(Res_em(A, em^2 - x*em + 1), el^2 - y*el + 1) over (x, y)."""
+    allvars = ("em", "el", "x", "y")
+    qm = from_text("em^2 - x*em + 1", allvars)
+    ql = from_text("el^2 - y*el + 1", allvars)
+    r1 = resultant(A.poly.with_vars(allvars), qm, "em")
+    return resultant(r1, ql, "el").drop_vars().with_vars(("x", "y"))
+
+
+def random_laurent_apoly(rng):
+    """A Laurent A-polynomial whose normal form has both eigenvalues."""
+    while True:
+        A = apoly_normalize([(rng.randint(-4, 4), rng.randint(-3, 3),
+                              Fraction(rng.choice([-5, -3, -2, -1, 1, 2, 3, 7]),
+                                       rng.choice([1, 1, 1, 2, 3])))
+                             for _ in range(rng.randint(2, 6))])
+        if A.poly.degree_in("em") and A.poly.degree_in("el"):
+            return A
+
+
+_rng = random.Random(20261020)
+NORM_INPUTS = (
+    [("4_1", a41())]
+    + [(f"random-{i}", random_laurent_apoly(_rng)) for i in range(20)]
+    + [(f"4_1+k{k}", apoly_normalize(A41_TRIPLES + [(k, k, 1), (-k, -k, 1), (k, -k, 3)]))
+       for k in range(1, 9)])
+
+
+@pytest.mark.parametrize("A", [a for _, a in NORM_INPUTS],
+                         ids=[name for name, _ in NORM_INPUTS])
+def test_norm_is_the_two_resultants(A):
+    norm = quadratic_norm(quadratic_norm(A.poly, "em", "x"), "el", "y")
+    expected = two_resultants(A)
+    assert norm.vars == expected.vars == ("x", "y")
+    assert norm.terms == expected.terms
+    assert trace_relation(A).poly == squarefree_primitive(expected, "y")
+
+
+@pytest.mark.parametrize("triples", [[(0, 1, 1), (0, 2, -3)], [(1, 0, 1), (3, 0, 2)]],
+                         ids=["em-free", "el-free"])
+def test_trace_relation_needs_both_eigenvalues(triples):
+    with pytest.raises(PolyError, match="nothing to eliminate"):
+        trace_relation(apoly_normalize(triples))
 
 
 def test_trace_relation_41_numeric_sampling_oracle():

@@ -7,7 +7,7 @@ import pytest
 from torsionpoly.polys import (
     DEGREE_LIMIT, HINT_TOL, MultiPoly, PolyError, dense_coeffs, exact_div,
     divides, from_dense, from_text, gcd_poly, nearly_vanishes, normalize_sign,
-    resultant, squarefree_primitive, to_text,
+    quadratic_norm, resultant, squarefree_primitive, to_text,
 )
 
 
@@ -139,6 +139,12 @@ def test_nearly_vanishes_refuses_a_non_dyadic_value():
         nearly_vanishes(P("x - 1"), {"x": Fraction(1, 3)})
 
 
+def test_nearly_vanishes_needs_a_value_for_each_occurring_variable():
+    with pytest.raises(PolyError, match="unassigned variable 'y'"):
+        nearly_vanishes(P("x - y"), {"x": 1.0})
+    assert nearly_vanishes(P("x", ("x", "y")), {"x": 0.0})
+
+
 # -- derivative ---------------------------------------------------------------
 
 def test_derivative_power_rule():
@@ -205,6 +211,24 @@ def test_resultant_shared_root_vanishes():
 def test_resultant_constant_rejected():
     with pytest.raises(PolyError, match="nothing to eliminate"):
         resultant(P("x + 1"), P("3", ["x"]), "x")
+
+
+def test_quadratic_norm_is_the_resultant():
+    # Fraction coefficients, and e between the other variables
+    rng = random.Random(29)
+    for _ in range(20):
+        p = random_poly(rng, ("a", "e", "b"), max_deg=4, max_terms=6)
+        if p.degree_in("e") == 0:
+            p = p + Fraction(2, 3) * MultiPoly.var(p.vars, "e")
+        q = P("e^2 - t*e + 1", ("a", "e", "b", "t"))
+        norm = quadratic_norm(p, "e", "t")
+        assert norm.vars == ("a", "b", "t")
+        assert norm.terms == resultant(p, q, "e").terms
+
+
+def test_quadratic_norm_needs_the_variable():
+    with pytest.raises(PolyError, match="nothing to eliminate"):
+        quadratic_norm(P("a^2 + 1", ("a", "e")), "e", "t")
 
 
 def test_resultant_vanishes_iff_common_factor():
@@ -332,6 +356,20 @@ def test_from_text_refuses_malformed_terms(text, message):
     with pytest.raises(PolyError, match=message):
         from_text(text)
     assert from_text(" x^2  -  3/4*y ") == from_text("x^2 - 3/4*y")
+
+
+def test_from_text_keeps_the_constructor_checks():
+    with pytest.raises(PolyError, match="duplicate variable names"):
+        from_text("x", ("x", "x"))
+    top = DEGREE_LIMIT - 1
+    for text in (f"x^{DEGREE_LIMIT}", f"x^{DEGREE_LIMIT} - x^{DEGREE_LIMIT}",
+                 f"x^{top}*y"):
+        with pytest.raises(PolyError, match="limit"):
+            from_text(text, ("x", "y"))
+    # canonical coefficients: an int when integral, else a reduced Fraction
+    p = from_text("4/2*x + 6/4 - 3 + 3", ("x",))
+    assert p.as_dict() == {(1,): 2, (0,): Fraction(3, 2)}
+    assert [type(c) for _, c in p.sorted_terms()] == [int, Fraction]
 
 
 # -- univariate polynomials ---------------------------------------------------
@@ -682,6 +720,12 @@ def test_key_order_is_grlex_order(seed):
     monos = sorted(set(a) | set(b))
     key = {m: next(iter(MultiPoly(names, {m: 1}).terms)) for m in monos}
     assert sorted(monos, key=key.get) == sorted(monos, key=grlex)
+
+
+def test_total_degree_is_the_largest_term_degree():
+    assert P("x^3*y + x*y^5 - 2*z^4").total_degree() == 6
+    assert P("7", ["x", "y"]).total_degree() == 0
+    assert MultiPoly.zero(("x",)).total_degree() == 0
 
 
 def test_degree_at_the_limit_raises_instead_of_wrapping():

@@ -138,3 +138,16 @@ def test_a_mutated_record_gives_a_report_or_one_error_line(record_path, data):
     except RecordError as exc:
         assert PLACE.fullmatch(str(exc)), str(exc)
         assert (code, err) == (2, f"error: {cmd}: {exc}\n")
+
+
+@pytest.mark.parametrize("knot", ["4_1", "5_2"])
+def test_a_duplicated_hint_line_is_refused_at_its_place(knot):
+    lines = bundled_record_text(knot).splitlines(keepends=True)
+    hints = [i for i, line in enumerate(lines) if line.startswith("hint =")]
+    assert hints
+    for i in hints:
+        with pytest.raises(RecordError) as info:
+            parse_record("".join(lines[:i + 1] + lines[i:]))
+        assert PLACE.fullmatch(str(info.value)), str(info.value)
+        # the copy is line i + 2
+        assert str(info.value).startswith(f"[param_torsion] line {i + 2}: duplicate hint")

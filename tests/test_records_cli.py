@@ -182,6 +182,27 @@ def test_record_refuses_keys_and_sections_it_does_not_define(
         assert (code, out, err) == (2, "", f"error: {cmd}: {message}\n")
 
 
+@pytest.mark.parametrize("edit, message", [
+    (("meridian = a\n", "meridian = a\nmeridian = a\n"),
+     "[presentation] line 10: duplicate key 'meridian'"),
+    (("generators = 2\n", ""),
+     "[presentation] line 6: missing key 'generators'"),
+    (("hint = u 3\n", "hint = u 3\nhint = u -3\n"),
+     "[param_torsion] line 34: duplicate hint for 'u'"),
+], ids=["duplicate-meridian", "missing-generators", "duplicate-hint"])
+def test_record_errors_name_their_place_once(capsys, cache_dir, tmp_path,
+                                             edit, message):
+    text = bundled_record_text("4_1")
+    assert text.count(edit[0]) == 1
+    p = tmp_path / "bad.knot"
+    p.write_text(text.replace(*edit))
+    with pytest.raises(RecordError) as info:
+        ingest_knot(str(p))
+    assert str(info.value) == message
+    code, out, err = run_cli(capsys, "validate", "--knot", str(p), "--no-cache")
+    assert (code, out, err) == (2, "", f"error: validate: {message}\n")
+
+
 def test_spaces_inside_a_term_do_not_join_exponents(capsys, cache_dir, tmp_path):
     # read with its spaces deleted, this term was 7*u^2007*y^2, and the
     # elimination ran for more than a minute
@@ -270,9 +291,19 @@ def test_long_numbers_are_refused_before_conversion(capsys, cache_dir, tmp_path,
     "0", "-3/4", "2.5", "1e3", "1_000.5", "+.5e1", "5.", "-0e10000000",
     "1" + "0" * 80 + "e-80", "1.8446744073709551615e19", "2e-19",
     "12345678901234567890e-1", "  7  ", "-1_0/2_0", "00/7", "1.e5", "-1.5e-3",
+    "+7", "-0", "007", "18446744073709551615", "-18446744073709551615",
 ])
 def test_rational_reads_what_fraction_reads(text):
-    assert records._rational(text, "x") == Fraction(text.replace("e10000000", ""))
+    value = records._rational(text, "x")
+    assert type(value) is Fraction
+    assert value == Fraction(text.replace("e10000000", ""))
+
+
+@pytest.mark.parametrize("text", ["18446744073709551616", "-18446744073709551616"])
+def test_rational_refuses_a_plain_integer_over_the_cap(text):
+    with pytest.raises(ValueError, match=f"x has a numerator or denominator over "
+                                         f"{RATIONAL_BITS} bits"):
+        records._rational(text, "x")
 
 
 @pytest.mark.parametrize("text, value", [
