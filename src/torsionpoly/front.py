@@ -86,16 +86,18 @@ def cache_load(digest: str) -> str | None:
 
 
 def cache_store(digest: str, report: str):
+    """Best effort: a location that cannot hold the entry stores nothing."""
     import tempfile  # only a miss writes, and a hit should not pay for it
     d = os.environ.get(CACHE_ENV, DEFAULT_CACHE_DIR)
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    tmp = None
     try:
+        os.makedirs(d, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(_source_digest() + "\n" + report)
         os.replace(tmp, os.path.join(d, digest + ".txt"))
     except OSError:
-        if os.path.exists(tmp):
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
 
 

@@ -50,6 +50,7 @@ from .polys import (
 
 DEFAULT_DIGITS = 64
 MAX_DIGITS = 512
+MAX_PAIRINGS = 1024    # embedding pairings express_in_field searches, about 3 s
 
 
 class NumFieldError(ValueError):
@@ -429,7 +430,8 @@ def express_in_field(target: AlgebraicNumber, field: NumberField,
     embeddings with roots of the target minimal polynomial g; a candidate c
     is accepted only when g(c) = 0 holds exactly in K.
 
-    Returns a (FieldElement, note) pair, NotInField, or Undecided.
+    Returns a (FieldElement, note) pair, NotInField, or Undecided, the last
+    also when the d_g^d_f pairings exceed `MAX_PAIRINGS`.
     """
     g = normalize_sign(target.minpoly)
     d_f, d_g = field.degree, target.degree
@@ -438,6 +440,9 @@ def express_in_field(target: AlgebraicNumber, field: NumberField,
         return field.from_rational(Fraction(-c0, c1)), "rational value"
     if d_f % d_g != 0:
         return NotInField(f"degree {d_g} does not divide field degree {d_f}", digits)
+    if d_g ** d_f > MAX_PAIRINGS:
+        return Undecided(f"{d_g}^{d_f} = {d_g ** d_f} embedding pairings exceed "
+                         f"the search bound {MAX_PAIRINGS}", digits)
 
     # lead(g)*tau and a*x are algebraic integers, a the lead of the primitive
     # integer form of f, and disc(a*x) = a^(d(d-1)) disc(f) multiplies O_K

@@ -33,17 +33,16 @@ terms as exponent tuples, and the constructor accepts them.
 
 Resultants are computed by the subresultant polynomial remainder sequence on
 integer polynomials, each remainder divided exactly by its known factor; the
-Sylvester matrix and its integer Bareiss determinant remain as the reference
-for tests; a resultant against a monic quadratic e^2 - t*e + 1 is the norm
-of the remainder modulo it (`quadratic_norm`); `pseudo_rem` is public, and
-reduces number-field products.
-`gcd_cofactors` returns a gcd with both cofactors, from the heuristic GCD on
-integer images: one variable at a time is evaluated at an integer xi, the
-gcd of the images is rebuilt from its symmetric xi-adic digits, and a
-candidate counts only when it divides both inputs exactly.  After
-`_HEU_TRIES` points, or when an image would pass `_HEU_BITS` bits, the
-primitive polynomial remainder sequence answers instead; it stays as the
-reference for tests.
+Sylvester matrix and its integer Bareiss determinant give the same resultant
+at a point, which `verify` checks; a resultant against a monic quadratic
+e^2 - t*e + 1 is the norm of the remainder modulo it (`quadratic_norm`);
+`pseudo_rem` is public, and reduces number-field products.
+`gcd_cofactors` is the one gcd, and returns it with both cofactors, from the
+heuristic GCD on integer images: one variable at a time is evaluated at an
+integer xi, the gcd of the images is rebuilt from its symmetric xi-adic
+digits, and a candidate counts only when it divides both inputs exactly.
+After `_HEU_TRIES` failed points, or when an image would pass `_HEU_BITS`
+bits, it gives up with a `PolyError` that names both budgets.
 """
 
 from __future__ import annotations
@@ -565,19 +564,6 @@ def divides(q: MultiPoly, p: MultiPoly) -> bool:
         return False
 
 
-def _content_primitive(p: MultiPoly, name: str) -> Tuple[MultiPoly, MultiPoly]:
-    """(content, primitive part) of a nonzero p with respect to name, both
-    normalized; the content is the gcd of the coefficients, smallest first."""
-    coeffs = sorted(p.coeffs_wrt(name).values(), key=lambda c: len(c.terms))
-    cont = coeffs[0]
-    for c in coeffs[1:]:
-        if cont.is_constant():
-            break
-        cont = gcd_poly(cont, c)
-    cont = normalize_sign(cont).with_vars(p.vars)
-    return cont, normalize_sign(exact_div(p, cont))
-
-
 def _slice(p: MultiPoly, i: int, d: int, e: int) -> MultiPoly:
     """The terms of p of degree d in variable i, that degree set to e."""
     n = len(p.vars)
@@ -601,20 +587,7 @@ def pseudo_rem(p: MultiPoly, q: MultiPoly, name: str) -> MultiPoly:
     return rem * lc_q ** e if e > 0 else rem
 
 
-def _primitive_prs(a: MultiPoly, b: MultiPoly, name: str) -> MultiPoly:
-    """gcd of two primitive polynomials in name by the primitive remainder
-    sequence; a remainder free of name ends it with gcd 1."""
-    if a.degree_in(name) < b.degree_in(name):
-        a, b = b, a
-    while not b.is_zero():
-        if b.degree_in(name) == 0:
-            return MultiPoly.constant(a.vars, 1)
-        r = pseudo_rem(a, b, name)
-        a, b = b, r if r.is_zero() else _content_primitive(r, name)[1]
-    return a
-
-
-_HEU_TRIES = 6          # evaluation points before the PRS fallback
+_HEU_TRIES = 6          # evaluation points before the gcd gives up
 _HEU_BITS = 1 << 20     # largest degree * bit_length(xi) evaluated densely
 
 
@@ -679,16 +652,6 @@ def _integral(p: MultiPoly) -> Tuple[dict, int]:
     return {m: v.numerator * (den // v.denominator) for m, v in p.terms.items()}, den
 
 
-def _prs_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """gcd of two nonconstant polynomials over the same variables: in the
-    first variable that occurs, the gcd of the two contents times the
-    primitive PRS gcd of the two primitive parts, each content computed
-    once.  The heuristic GCD's fallback, and its reference in tests."""
-    name = next(v for v in p.vars if p.degree_in(v) > 0 or q.degree_in(v) > 0)
-    (cp, a), (cq, b) = _content_primitive(p, name), _content_primitive(q, name)
-    return gcd_poly(cp, cq) * _primitive_prs(a, b, name)
-
-
 def _gcd_parts(p: MultiPoly, q: MultiPoly):
     """(g, (a, s), (b, t)): the gcd g of `gcd_cofactors`, and its cofactors
     p/g = s·a and q/g = t·b with the rational scalars s, t not yet applied."""
@@ -702,20 +665,21 @@ def _gcd_parts(p: MultiPoly, q: MultiPoly):
     else:
         (a, dp), (b, dq) = _integral(p), _integral(q)
         found = _heu_gcd(a, b, len(p.vars))
-        if found:
-            G, qp, qq = (MultiPoly._make(p.vars, f) for f in found)
-            g = normalize_sign(G)
-            s = Fraction(G.leading_coefficient(), g.leading_coefficient())
-            return g, (qp, s / dp), (qq, s / dq)
-        g = normalize_sign(_prs_gcd(p, q))
+        if not found:
+            raise PolyError(f"gcd beyond its budget of {_HEU_TRIES} evaluation "
+                            f"points and {_HEU_BITS}-bit integer images")
+        G, qp, qq = (MultiPoly._make(p.vars, f) for f in found)
+        g = normalize_sign(G)
+        s = Fraction(G.leading_coefficient(), g.leading_coefficient())
+        return g, (qp, s / dp), (qq, s / dq)
     return g, (exact_div(p, g), 1), (exact_div(q, g), 1)
 
 
 def gcd_cofactors(p: MultiPoly, q: MultiPoly) -> Tuple[MultiPoly, MultiPoly, MultiPoly]:
     """(g, p/g, q/g) for the gcd g, normalized integer-primitive with positive
     leading graded-lex coefficient, and gcd(0, 0) = 0: by the heuristic GCD
-    on the integer multiples of p and q, its cofactors rescaled, or by the
-    primitive PRS and exact division when that gives up."""
+    on the integer multiples of p and q, its cofactors rescaled.  PolyError
+    when the heuristic GCD gives up."""
     g, (a, s), (b, t) = _gcd_parts(p, q)
     return g, a if s == 1 else a * s, b if t == 1 else b * t
 
@@ -758,9 +722,9 @@ def squarefree_primitive(p: MultiPoly, main_var: str) -> MultiPoly:
 
 def sylvester_matrix(p: MultiPoly, q: MultiPoly, name: str):
     """The Sylvester matrix of p and q in name, entries polynomials in the
-    remaining variables.  Reference for tests: its determinant (by
-    `bareiss_det` at integer points, or by polynomial Bareiss) is the
-    resultant that `resultant` computes without it."""
+    remaining variables.  Its determinant (by `bareiss_det` at integer
+    points, or by polynomial Bareiss) is the resultant that `resultant`
+    computes without it; `verify` checks the two against each other."""
     dp, dq = p.degree_in(name), q.degree_in(name)
     if dp == 0 or dq == 0:
         raise PolyError("nothing to eliminate")
@@ -779,8 +743,8 @@ def sylvester_matrix(p: MultiPoly, q: MultiPoly, name: str):
 
 def bareiss_det(rows) -> int:
     """Fraction-free (Bareiss) determinant of a square integer matrix; every
-    division is exact, so integer floor division loses nothing.  Reference
-    for tests: with `sylvester_matrix` it gives the resultant at a point."""
+    division is exact, so integer floor division loses nothing.  With
+    `sylvester_matrix` it gives the resultant at a point."""
     n = len(rows)
     if n == 0:
         raise PolyError("empty matrix")

@@ -39,7 +39,7 @@ reordering of this arithmetic would change them.  A word image is the left
 fold I * g1 * ... * gn.
 
 Each sample point shares its derived values through one short-lived
-`Evaluation`, which `peripheral_torsions` builds and drops: word images by
+`Evaluation`, which `based_complex` builds and drops: word images by
 prefix (a left fold's partial products are the images of the word's
 prefixes), the Fox-term adjoints Ad(rho(w^-1)) by word, so d2 and both h1
 share them, and the Frobenius norms of d1 and d2, which `boundaries` and
@@ -65,7 +65,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import mpmath as mp
 
@@ -197,7 +197,7 @@ class Evaluation:
     a left fold's partial products are the images of the word's prefixes;
     Fox-term adjoints by word; Frobenius norms by matrix.  Each is the
     first computation's result, which a repeat would reproduce bit for bit.
-    `peripheral_torsions` builds one and drops it when the point ends, so
+    `based_complex` builds one and drops it when the point ends, so
     nothing outlives a precision change or is shared between threads."""
 
     __slots__ = ("rep", "_prefixes", "_adjoints", "_norms")
@@ -522,20 +522,42 @@ def torsion_numeric(chain, P, cycles, h2, piv2,
     return out
 
 
-def peripheral_torsions(p: Presentation, rep: Rep,
-                        basis_seed: Optional[int] = None) -> dict:
-    """Both peripheral torsions of one based complex, plus diagnostics; the
-    point's one `Evaluation` is shared by its chain, P and cycles."""
+class BasedComplex(NamedTuple):
+    """One sample point's twisted complex chain = (d1, d2) based for both
+    peripheral curves: the invariant vector P, the meridian and longitude
+    cycles, the shared h2, the pivots of d2, and the images M and L."""
+    chain: tuple
+    P: la.Matrix
+    cycles: list
+    h2: la.Matrix
+    piv2: list
+    M: tuple
+    L: tuple
+
+    def torsions(self) -> dict:
+        """Both peripheral torsions, plus diagnostics."""
+        t_mu, t_la = torsion_numeric(self.chain, self.P, self.cycles, self.h2,
+                                     self.piv2)
+        return {
+            "tau_mu": t_mu,
+            "tau_lambda": t_la,
+            "ratio_sq": (t_mu / t_la) ** 2,
+            "tr_mu": self.M[0] + self.M[3],
+            "tr_lambda": self.L[0] + self.L[3],
+        }
+
+
+def based_complex(p: Presentation, rep: Rep) -> BasedComplex:
+    """The point's complex and its basing; the point's one `Evaluation` is
+    shared by its chain, P and cycles."""
     point = Evaluation(rep)
     chain = boundaries(p, point)
     M, L = point.image(p.meridian), point.image(p.longitude)
     P = invariant_vector(M, L)
     cycles, h2, piv2 = basing(p, point, P, (p.meridian, p.longitude), chain)
-    t_mu, t_la = torsion_numeric(chain, P, cycles, h2, piv2, basis_seed)
-    return {
-        "tau_mu": t_mu,
-        "tau_lambda": t_la,
-        "ratio_sq": (t_mu / t_la) ** 2,
-        "tr_mu": M[0] + M[3],
-        "tr_lambda": L[0] + L[3],
-    }
+    return BasedComplex(chain, P, cycles, h2, piv2, M, L)
+
+
+def peripheral_torsions(p: Presentation, rep: Rep) -> dict:
+    """Both peripheral torsions of one based complex, plus diagnostics."""
+    return based_complex(p, rep).torsions()

@@ -28,7 +28,7 @@ from .polys import MultiPoly, bareiss_det, dense_coeffs, divides, from_dense, \
     from_text, normalize_sign, resultant, sylvester_matrix, to_text
 from .records import KnotRecord, ingest_knot
 from .torsion_num import (
-    TorsionNumError, _block, _mul2, adjoint, basing, boundaries, invariant_vector,
+    TorsionNumError, _block, _mul2, adjoint, based_complex, boundaries,
     peripheral_torsions, riley_solve, torsion_numeric,
 )
 from .torsion_sym import specialize
@@ -148,9 +148,9 @@ def check_numeric_engine() -> Tuple[bool, str]:
         for tr_text in ENGINE_TRACES:
             tr = mp.mpf(tr_text)
             rep = riley_solve(pres, tr, record.riley_seed)
-            d1, d2 = boundaries(pres, rep)
             try:    # refuses any homology pattern but (0, 1, 1)
-                out = peripheral_torsions(pres, rep)
+                based = based_complex(pres, rep)
+                out = based.torsions()
             except TorsionNumError as exc:
                 return False, f"engine failed at trace {tr_text}: {exc}"
             expected = cf.eval_at(tr)
@@ -158,35 +158,29 @@ def check_numeric_engine() -> Tuple[bool, str]:
                 return False, f"change-of-curve ratio off at trace {tr_text}"
             base = {c: out[c] for c in ("tau_mu", "tau_lambda")}
 
-            def drifted(other, what):
-                for curve, t0 in base.items():
-                    t1 = other[curve]
+            def drifted(torsions, what):
+                for (curve, t0), t1 in zip(base.items(), torsions):
                     if min(abs(t1 - t0), abs(t1 + t0)) > 1e-9 * abs(t0):
                         return f"{what} broke {curve} invariance at trace {tr_text}"
                 return None
 
-            # P rescaling (shared h2 stays fixed by construction)
-            P = invariant_vector(rep.image(pres.meridian),
-                                 rep.image(pres.longitude))
+            chain, P, cycles, h2, piv2 = based[:5]
+            # P rescaling: each cycle is linear in P, and h2 stays fixed
             c = mp.mpc(rng.uniform(0.3, 2), rng.uniform(-1, 1))
-            Pc = la.Matrix([c * x or mp.mp.zero] for (x,) in P)
-            cycles, h2, piv2 = basing(pres, rep, Pc,
-                                      (pres.meridian, pres.longitude), (d1, d2))
-            rescaled = dict(zip(("tau_mu", "tau_lambda"),
-                                torsion_numeric((d1, d2), Pc, cycles, h2,
-                                                piv2)))
-            msg = drifted(rescaled, "P-rescaling")
+            rescale = lambda v: la.Matrix([c * x or mp.mp.zero] for (x,) in v)
+            msg = drifted(torsion_numeric(chain, rescale(P), list(map(rescale, cycles)),
+                                          h2, piv2), "P-rescaling")
             if msg:
                 return False, msg
             # interior basis re-choice
-            rechosen = peripheral_torsions(pres, rep,
-                                           basis_seed=rng.randint(0, 10 ** 6))
-            msg = drifted(rechosen, "basis re-choice")
+            msg = drifted(torsion_numeric(chain, P, cycles, h2, piv2,
+                                          basis_seed=rng.randint(0, 10 ** 6)),
+                          "basis re-choice")
             if msg:
                 return False, msg
             # global conjugation, full recomputation downstream
             conj = peripheral_torsions(pres, rep.conjugated(_random_sl2(rng)))
-            msg = drifted(conj, "conjugation")
+            msg = drifted((conj["tau_mu"], conj["tau_lambda"]), "conjugation")
             if msg:
                 return False, msg
     return True, ("homology (0,1,1), invariances to 1e-9 and change-of-curve "

@@ -71,6 +71,17 @@ def test_a_broken_homology_pattern_fails_the_engine_check(monkeypatch, break_cha
         == (False, f"engine failed at trace {verify.ENGINE_TRACES[0]}: {detail}")
 
 
+def test_the_engine_check_builds_each_representation_complex_once(monkeypatch):
+    """Per trace, one complex for the solved representation, which the
+    P-rescaling and the basis re-choice reuse, and one for its conjugate."""
+    calls = []
+    boundaries = tn.boundaries
+    monkeypatch.setattr(tn, "boundaries", lambda *args: calls.append(args) or
+                        boundaries(*args))
+    assert verify.check_numeric_engine()[0]
+    assert len(calls) == 2 * len(verify.ENGINE_TRACES)
+
+
 def squarefree_parts(p: MultiPoly):
     """[(a_i, i)]: pairwise-coprime squarefree a_i of positive degree with
     p = c * prod a_i^i for a constant c; Yun's decomposition (SYMSAC 1976)

@@ -1,11 +1,12 @@
 """gcd_poly, gcd_cofactors, squarefree_primitive, exact_div and
 minimal_polynomial against sympy on seeded random inputs, and the heuristic
-GCD against its primitive remainder sequence fallback.  sympy is a
-test-only oracle: without it the module is skipped.  The resultant row is
-in test_resultant_oracle.py."""
+GCD against the primitive polynomial remainder sequence, an oracle kept
+here, and against its own budget.  sympy is a test-only oracle: without it
+the module is skipped.  The resultant row is in test_resultant_oracle.py."""
 
 import contextlib
 import io
+import json
 import random
 import tracemalloc
 from fractions import Fraction
@@ -17,7 +18,7 @@ from torsionpoly import cli, polys
 from torsionpoly.numfield import NumberField, minimal_polynomial
 from torsionpoly.polys import (
     MultiPoly, PolyError, divides, exact_div, from_dense, from_text, gcd_cofactors,
-    gcd_poly, normalize_sign, resultant, squarefree_primitive, to_text,
+    gcd_poly, normalize_sign, pseudo_rem, resultant, squarefree_primitive, to_text,
 )
 
 sympy = pytest.importorskip("sympy")
@@ -152,25 +153,51 @@ def test_minimal_polynomial_against_sympy(coeffs):
             "tau", [Fraction(int(c.p), int(c.q)) for c in reversed(want)]))
 
 
-# -- the heuristic GCD and its fallback ----------------------------------------
+# -- the heuristic GCD, its budget and the remainder-sequence oracle -----------
 
-@pytest.fixture
-def prs_calls(monkeypatch):
-    """The calls of the primitive remainder sequence, the heuristic GCD's
-    fallback."""
-    calls = []
-    real = polys._primitive_prs
-    monkeypatch.setattr(polys, "_primitive_prs",
-                        lambda *args: calls.append(args) or real(*args))
-    return calls
+def prs_gcd(p, q):
+    """gcd(p, q) by the primitive polynomial remainder sequence, normalized
+    as gcd_poly's: an oracle that shares no step with the heuristic GCD.  In
+    the first variable that occurs, the gcd of the two contents (by this
+    oracle again) times the remainder-sequence gcd of the primitive parts."""
+    p, q = polys.align(p, q)
+    if p.is_zero() or q.is_zero():
+        return normalize_sign(p + q)
+    if p.is_constant() or q.is_constant():
+        return MultiPoly.constant(p.vars, 1)
+    name = next(v for v in p.vars if p.degree_in(v) > 0 or q.degree_in(v) > 0)
+    (cp, a), (cq, b) = content_primitive(p, name), content_primitive(q, name)
+    return normalize_sign(prs_gcd(cp, cq) * primitive_prs(a, b, name))
 
 
-def by_prs(monkeypatch, f, *args):
-    """f(*args) with no evaluation point for the heuristic GCD, so the
-    primitive remainder sequence answers."""
-    with monkeypatch.context() as m:
-        m.setattr(polys, "_HEU_TRIES", 0)
-        return f(*args)
+def content_primitive(p, name):
+    """(content, primitive part) of a nonzero p with respect to name, both
+    normalized; the content is the oracle gcd of the coefficients, smallest
+    first."""
+    coeffs = sorted(p.coeffs_wrt(name).values(), key=lambda c: len(c.terms))
+    cont = coeffs[0]
+    for c in coeffs[1:]:
+        if cont.is_constant():
+            break
+        cont = prs_gcd(cont, c)
+    cont = normalize_sign(cont).with_vars(p.vars)
+    return cont, normalize_sign(exact_div(p, cont))
+
+
+def primitive_prs(a, b, name):
+    """gcd of two primitive polynomials in name by the primitive remainder
+    sequence; a remainder free of name ends it with gcd 1."""
+    if a.degree_in(name) < b.degree_in(name):
+        a, b = b, a
+    while not b.is_zero():
+        if b.degree_in(name) == 0:
+            return MultiPoly.constant(a.vars, 1)
+        r = pseudo_rem(a, b, name)
+        a, b = b, r if r.is_zero() else content_primitive(r, name)[1]
+    return a
+
+
+BUDGET = "gcd beyond its budget"
 
 
 def gcd_pairs():
@@ -207,37 +234,38 @@ def sympy_gcd(p, q):
     return normalize_sign(from_sympy(want, p.vars, syms))
 
 
-def test_heuristic_gcd_against_sympy_and_the_prs(monkeypatch, prs_calls):
-    pairs = gcd_pairs()
-    for p, q in pairs:
+def test_heuristic_gcd_against_sympy_and_the_prs():
+    """The heuristic GCD and the squarefree parts it gives agree with the
+    remainder-sequence oracle, and the gcd with sympy's."""
+    for p, q in gcd_pairs():
         got = gcd_poly(p, q)
         assert to_text(got) == to_text(sympy_gcd(p, q))
-        assert got == by_prs(monkeypatch, gcd_poly, p, q)
+        assert got == prs_gcd(p, q)
         for var in p.vars if not p.is_zero() else ():
-            assert squarefree_primitive(p, var) \
-                == by_prs(monkeypatch, squarefree_primitive, p, var)
-    assert prs_calls                    # the fallback ran with no point
-    prs_calls.clear()
-    for p, q in pairs:
-        gcd_poly(p, q)
-        for var in p.vars if not p.is_zero() else ():
-            squarefree_primitive(p, var)
-    assert prs_calls == []              # and the heuristic GCD never needs it
+            want = MultiPoly.constant(p.vars, 1) if p.degree_in(var) == 0 \
+                else normalize_sign(exact_div(p, prs_gcd(p, p.derivative(var))))
+            assert squarefree_primitive(p, var) == want
 
 
-@pytest.mark.parametrize("tries", [polys._HEU_TRIES, 0], ids=["heuristic", "prs"])
-def test_gcd_cofactors_against_sympy(monkeypatch, prs_calls, tries):
+@pytest.mark.parametrize("tries", [polys._HEU_TRIES, 0], ids=["heuristic", "no-point"])
+def test_gcd_cofactors_against_sympy(monkeypatch, tries):
     """The cofactors multiply back to each input exactly, the gcd is
     gcd_poly's, and all three agree with sympy's cofactors up to scale, on
-    the seeded pairs and on zero, constant and Fraction-coefficient sides;
-    with no evaluation point the remainder sequence and exact division
-    answer instead."""
+    the seeded pairs and on zero, constant and Fraction-coefficient sides.
+    With no evaluation point, a pair of two nonconstant sides raises the
+    budget error, and a zero or constant side still answers."""
     monkeypatch.setattr(polys, "_HEU_TRIES", tries)
     zero, three = MultiPoly.zero(("x",)), MultiPoly.constant(("x",), 3)
     pairs = gcd_pairs() + [(zero, zero), (zero, three), (three, MONIC),
                            (MONIC * LINEAR, QUADRATIC * LINEAR * Fraction(-3, 2)),
                            (MONIC * LINEAR ** 2, (MONIC * LINEAR ** 2).derivative("x"))]
+    raised = 0
     for p, q in pairs:
+        if tries == 0 and not (p.is_constant() or q.is_constant()):
+            with pytest.raises(PolyError, match=f"{BUDGET} of 0 evaluation points"):
+                gcd_cofactors(p, q)
+            raised += 1
+            continue
         g, cp, cq = gcd_cofactors(p, q)
         assert (g * cp, g * cq) == (p, q)
         assert g == gcd_poly(p, q)
@@ -249,37 +277,37 @@ def test_gcd_cofactors_against_sympy(monkeypatch, prs_calls, tries):
         want = sympy.cofactors(to_sympy(p, syms), to_sympy(q, syms))
         for got, w in zip((g, cp, cq), want):
             assert normalize_sign(got) == normalize_sign(from_sympy(w, p.vars, syms))
-    assert bool(prs_calls) == (tries == 0)
+    assert bool(raised) == (tries == 0)
 
 
-def test_first_evaluation_point_can_fail(monkeypatch, prs_calls):
+def test_first_evaluation_point_can_fail(monkeypatch):
     """Found by a seeded search.  At xi = 2*2 + 2 = 6 the images are 156
     and 208, whose gcd 52 is twice g(6) = 26; its digits give
     2*x^2 - 3*x - 2, which divides neither input, so that point is refused.
     At the next point, xi = 16, the gcd 452 is again 2*g(16), and its
-    digits 2*x^2 - 4*x + 4 have g as primitive part."""
+    digits 2*x^2 - 4*x + 4 have g as primitive part.  With one point only,
+    the gcd gives up."""
     p, q = from_text("x^3 - 2*x^2 + 2*x"), from_text("x^3 - 2*x + 4")
     g = from_text("x^2 - 2*x + 2")
-    assert gcd_poly(p, q) == g and prs_calls == []
-    with monkeypatch.context() as m:
-        m.setattr(polys, "_HEU_TRIES", 1)
-        assert gcd_poly(p, q) == g
-    assert len(prs_calls) == 1
+    assert gcd_poly(p, q) == g == prs_gcd(p, q)
+    monkeypatch.setattr(polys, "_HEU_TRIES", 1)
+    with pytest.raises(PolyError, match=f"{BUDGET} of 1 evaluation points"):
+        gcd_poly(p, q)
 
 
-def test_a_sparse_high_degree_input_falls_back_within_the_bit_budget(prs_calls):
+def test_a_sparse_high_degree_input_gives_up_within_the_bit_budget():
     """x^(2^30) - 1 at xi = 4 would be an integer of 2^31 bits.  The bit
-    budget sends both calls to the remainder sequence, which ends after one
-    pseudo-remainder, and no dense image is ever built."""
+    budget refuses both calls before any dense image is built."""
     p = from_text(f"x^{2 ** 30} - 1")
     tracemalloc.start()
     try:
-        got = gcd_poly(p, p.derivative("x")), squarefree_primitive(p, "x")
+        for call in (lambda: gcd_poly(p, p.derivative("x")),
+                     lambda: squarefree_primitive(p, "x")):
+            with pytest.raises(PolyError, match=f"{BUDGET} .* {polys._HEU_BITS}-bit"):
+                call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert got == (MultiPoly.constant(("x",), 1), p)
-    assert len(prs_calls) == 2
     assert peak < 1 << 20
 
 
@@ -294,10 +322,35 @@ SYMBOLIC_COMMANDS = [
 ]
 
 
-def test_symbolic_commands_never_fall_back(prs_calls):
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_symbolic_commands_stay_within_the_gcd_budget():
     """Every gcd and squarefree part the ten symbolic commands take on fresh
-    records is answered by the heuristic GCD."""
+    records is answered by the heuristic GCD within its budget."""
     for argv in SYMBOLIC_COMMANDS:
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert cli.main(["--no-cache", *argv]) == 0
-    assert prs_calls == []
+        code, out, err = run_main(["--no-cache", *argv])
+        assert (code, err) == (0, "") and out
+
+
+def test_a_gcd_beyond_its_budget_is_a_command_error(monkeypatch):
+    monkeypatch.setattr(polys, "_HEU_TRIES", 0)
+    code, out, err = run_main(["--no-cache", "trace-relation", "--knot", "4_1"])
+    assert (code, out) == (2, "")
+    assert err == (f"error: trace-relation: {BUDGET} of 0 evaluation points "
+                   f"and {polys._HEU_BITS}-bit integer images\n")
+
+
+def test_a_gcd_beyond_its_budget_is_an_error_row_of_a_sweep(monkeypatch):
+    monkeypatch.setattr(polys, "_HEU_TRIES", 0)
+    code, out, err = run_main(["--no-cache", "--format", "json", "sweep", "--knot",
+                               "4_1", "--from", "2.05", "--to", "2.25", "--steps", "3"])
+    assert (code, err) == (0, "")
+    rows = json.loads(out)["results"]
+    assert rows == {f"{trace}/error": f"{BUDGET} of 0 evaluation points and "
+                                      f"{polys._HEU_BITS}-bit integer images"
+                    for trace in ("2.05", "2.15", "2.25")}

@@ -380,6 +380,23 @@ def test_an_apoly_term_at_the_degree_cap_eliminates_in_seconds(capsys, cache_dir
     assert (code, err) == (0, "") and "trace_relation = " in out
 
 
+def test_membership_beyond_the_pairing_bound_is_undecided_at_once(capsys, cache_dir,
+                                                                  tmp_path):
+    # the search tried all 2^16 pairings of the value's two conjugates with
+    # the 16 field embeddings, at up to four precisions, for over 200 s
+    p = tmp_path / "wide.knot"
+    p.write_text(bundled_record_text("4_1")
+                 .replace("poly = x^2 + 3", "poly = x^16 - x - 1")
+                 .replace("embedding = 0 1.7320508", "embedding = 1.1 0"))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "membership", "--knot", str(p), "--curve", "mu",
+                             "--no-cache")
+    assert time.perf_counter() - start < 10
+    assert (code, err) == (0, "")
+    assert ("outcome = undecided: 2^16 = 65536 embedding pairings exceed the search "
+            "bound 1024 (precision 64)\n") in out
+
+
 def test_record_entry_outside_section():
     with pytest.raises(RecordError, match="line 1"):
         parse_record("foo = bar\n")
@@ -471,6 +488,24 @@ def test_cli_malformed_cache_entry_is_a_miss(capsys, cache_dir, entry):
     before = stamp((cache_dir / name).stat())
     assert run_cli(capsys, *args)[1] == fresh
     assert stamp((cache_dir / name).stat()) == before
+
+
+@pytest.mark.parametrize("location", ["", "a-file"], ids=["empty", "regular-file"])
+def test_an_unusable_cache_location_stores_nothing_and_prints_the_report(
+        capsys, cache_dir, tmp_path, monkeypatch, location):
+    """An empty location made the store raise FileNotFoundError, and a
+    regular file FileExistsError, after the report was computed and before
+    it was printed."""
+    args = ("eliminate", "--knot", "4_1")
+    code, fresh, _ = run_cli(capsys, *args)
+    assert code == 0
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a-file").write_text("not a directory\n")
+    monkeypatch.setenv(cli.CACHE_ENV, location)
+    before = sorted(os.listdir(tmp_path))
+    assert run_cli(capsys, *args) == (0, fresh, "")
+    assert sorted(os.listdir(tmp_path)) == before
+    assert (tmp_path / "a-file").read_text() == "not a directory\n"
 
 
 def test_cli_flag_position_flexible(capsys, cache_dir):
