@@ -72,11 +72,21 @@ def _source_digest() -> str:
     return h.hexdigest()
 
 
+def _cache_dir() -> str | None:
+    """The cache location, or None for no cache: an empty TORSIONPOLY_CACHE
+    is read and written by neither cache_load nor cache_store."""
+    return os.environ.get(CACHE_ENV, DEFAULT_CACHE_DIR) or None
+
+
 def cache_load(digest: str) -> str | None:
     """The report that cache_store stored for digest after a line with the
-    source digest; None when the entry is missing, unreadable or
-    undecodable, has no such line or was stored by other source code."""
-    path = os.path.join(os.environ.get(CACHE_ENV, DEFAULT_CACHE_DIR), digest + ".txt")
+    source digest; None when there is no cache, or the entry is missing,
+    unreadable or undecodable, has no such line or was stored by other
+    source code."""
+    d = _cache_dir()
+    if d is None:
+        return None
+    path = os.path.join(d, digest + ".txt")
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             source, header_ends, report = fh.read().partition("\n")
@@ -86,9 +96,12 @@ def cache_load(digest: str) -> str | None:
 
 
 def cache_store(digest: str, report: str):
-    """Best effort: a location that cannot hold the entry stores nothing."""
+    """Best effort: no cache, or a location that cannot hold the entry,
+    stores nothing."""
+    d = _cache_dir()
+    if d is None:
+        return
     import tempfile  # only a miss writes, and a hit should not pay for it
-    d = os.environ.get(CACHE_ENV, DEFAULT_CACHE_DIR)
     tmp = None
     try:
         os.makedirs(d, exist_ok=True)

@@ -28,16 +28,66 @@ zero it did not store, and a product entry is one `mp.fdot` over every k,
 zero operands included, as `mp.matrix.__mul__` forms it.  Zeros are not
 skipped here: `mpf - mpc(0)` is an mpc, so a skipped zero product could
 change an entry's type.
+
+Importing this module, which `numfield` and `torsion_num` do before they
+compute, rebinds four exact integer primitives of mpmath's pure-Python
+backend to CPython builtins: `bitcount` to `int.bit_length`, `isqrt` and
+`isqrt_small` to `math.isqrt`, and `sqrtrem` to `math.isqrt` and its
+remainder.  The rebinding is exact.  Each original computes a function
+with one integer value: the bit length of n (a bisect over the powers
+2^0 .. 2^299, past them a table lookup on the top bits), or the floor of
+the square root of n, with its remainder for `sqrtrem` (Newton steps from
+above, corrected to the floor).  For every n >= 0 the builtin returns the
+same integer, and mpmath passes them mantissas, absolute values and
+shifted mantissas, never a negative n.  So every mpf they feed, and every
+report byte, stays the same; mpmath's gmpy backend swaps the same four for
+gmpy's C versions.  Only an attribute of an `mpmath` module that *is* the
+pure-Python original is rebound, so under gmpy2 nothing is.  `isqrt_fast`
+is left alone: it may return less than the floor, so an exact replacement
+is another function, which could change bits.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from typing import NamedTuple
 
 import mpmath as mp
+from mpmath.libmp import libintmath
 
 REL_RANK_TOL = mp.mpf("1e-8")
 _ZERO = mp.mp.zero
+
+
+def _sqrtrem(x):
+    y = math.isqrt(x)
+    return y, x - y * y
+
+
+# the name mpmath's modules bind each primitive under: (the name of the
+# pure-Python original in libintmath, its builtin)
+BUILTIN_PRIMITIVES = {
+    "bitcount": ("python_bitcount", int.bit_length),
+    "isqrt": ("isqrt_python", math.isqrt),
+    "isqrt_small": ("isqrt_small_python", math.isqrt),
+    "sqrtrem": ("sqrtrem_python", _sqrtrem),
+}
+
+
+def use_builtin_primitives():
+    """Rebind every attribute of a loaded `mpmath` module named in
+    BUILTIN_PRIMITIVES that is the pure-Python original to its builtin."""
+    modules = [m for name, m in list(sys.modules.items())
+               if name == "mpmath" or name.startswith("mpmath.")]
+    for name, (original, builtin) in BUILTIN_PRIMITIVES.items():
+        original = getattr(libintmath, original, None)
+        for module in modules:
+            if original is not None and getattr(module, name, None) is original:
+                setattr(module, name, builtin)
+
+
+use_builtin_primitives()
 
 
 class Matrix(list):

@@ -635,6 +635,9 @@ def _heu_gcd(a: dict, b: dict, n: int):
                         v, m = (v - d) // xi, m + unit
                 cg = math.gcd(*g.values())
                 g = {m: v // cg for m, v in g.items()}
+                if g == {0: 1}:         # a and b are their own cofactors
+                    qa, qb = a, b
+                    break
                 qa = _divide(a, g, n)
                 qb = None if qa is None else _divide(b, g, n)
                 if qb is not None:

@@ -303,6 +303,24 @@ def test_squarefree_of_mainvar_free_polynomial_is_one():
     assert squarefree_primitive(P("-3", ["x"]), "x") == MultiPoly.constant(("x",), 1)
 
 
+def test_squarefree_input_takes_no_trial_division(monkeypatch):
+    """A gcd rebuilt as 1 leaves the inputs as their own cofactors: the
+    squarefree part of a squarefree input divides nothing."""
+    from torsionpoly import pipelines as pl, polys
+    from torsionpoly.records import ingest_knot
+    eliminants = [pl.eliminated_T(ingest_knot(k)).poly for k in ("4_1", "5_2")]
+    assert [len(T.terms) for T in eliminants] == [3, 17]
+    divisors, divide = [], polys._divide
+    monkeypatch.setattr(polys, "_divide",
+                        lambda p, q, n: divisors.append(q) or divide(p, q, n))
+    for p, var in [(T, "tau") for T in eliminants] + [(P("x^3 - 2*x + 7"), "x")]:
+        assert squarefree_primitive(p, var) == p
+    assert divisors == []
+    x = MultiPoly.var(("x",), "x")
+    assert squarefree_primitive((x - 1) ** 2 * (x + 2), "x") == (x - 1) * (x + 2)
+    assert divisors
+
+
 def test_gcd_poly_bivariate():
     x = MultiPoly.var(("x", "y"), "x")
     y = MultiPoly.var(("x", "y"), "y")

@@ -508,6 +508,24 @@ def test_an_unusable_cache_location_stores_nothing_and_prints_the_report(
     assert (tmp_path / "a-file").read_text() == "not a directory\n"
 
 
+def test_an_empty_cache_location_reads_no_entry(capsys, cache_dir, tmp_path, monkeypatch):
+    """An empty TORSIONPOLY_CACHE means no cache: an entry planted in the
+    working directory, where the empty path would lead, is not served."""
+    args = ("eliminate", "--knot", "4_1")
+    code, fresh, _ = run_cli(capsys, *args)
+    assert code == 0
+    [name] = os.listdir(cache_dir)
+    work = tmp_path / "work"
+    work.mkdir()
+    planted = front._source_digest() + "\nplanted report\n"
+    (work / name).write_text(planted)
+    monkeypatch.chdir(work)
+    monkeypatch.setenv(cli.CACHE_ENV, "")
+    assert run_cli(capsys, *args) == (0, fresh, "")
+    assert os.listdir(work) == [name]
+    assert (work / name).read_text() == planted
+
+
 def test_cli_flag_position_flexible(capsys, cache_dir):
     _, out1, _ = run_cli(capsys, "--format", "json", "eliminate", "--knot", "4_1",
                          "--no-cache")

@@ -13,7 +13,9 @@ work at digits they are given, name mpmath's working precision.  The exact
 layer (`polys`, `words`, `charvar` and `records`) imports no mpmath, since
 its hint checks are exact, and `charvar` imports none of the numeric modules
 `numfield`, `mplinalg` and `torsion_num`; loading any of the four, with all
-it imports in turn, loads none of the numeric engine."""
+it imports in turn, loads none of the numeric engine.  Only `mplinalg`
+assigns attributes of mpmath's modules: it rebinds four exact integer
+primitives to builtins, once, on import."""
 
 import ast
 import os
@@ -242,6 +244,66 @@ def test_package_guard_sees_every_import_form(tmp_path):
                      "from torsionpoly.polys import MultiPoly\n")
     assert set(package_modules(probe)) \
         == {"mpmath", "torsion_num", "mplinalg", "numfield", "polys"}
+
+
+def mpmath_bindings(tree):
+    """The names an import in tree binds to mpmath or a name from it."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.asname or alias.name.split(".")[0] for alias in node.names
+                         if alias.name.split(".")[0] == "mpmath")
+        elif isinstance(node, ast.ImportFrom) and node.module \
+                and node.module.split(".")[0] == "mpmath":
+            names.update(alias.asname or alias.name for alias in node.names)
+    return names
+
+
+def mpmath_assignments(path):
+    """Lines that can assign an attribute of an mpmath module: a `setattr`
+    or `delattr` call, an item stored into `vars(...)` or a `__dict__`, and
+    an attribute stored or deleted off a name imported from mpmath."""
+    tree = ast.parse(path.read_text(), str(path))
+    names = mpmath_bindings(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in ("setattr", "delattr"):
+            yield node.lineno
+        elif isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load) \
+                and (isinstance(node.value, ast.Call) and isinstance(node.value.func, ast.Name)
+                     and node.value.func.id == "vars"
+                     or isinstance(node.value, ast.Attribute)
+                     and node.value.attr == "__dict__"):
+            yield node.lineno
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load):
+            root = node
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in names:
+                yield node.lineno
+
+
+def test_only_mplinalg_assigns_mpmath_attributes():
+    """mplinalg rebinds mpmath's exact integer primitives, once; no other
+    module changes mpmath's modules."""
+    users = {path.name for path in PACKAGE.rglob("*.py")
+             if any(mpmath_assignments(path))}
+    assert users == {"mplinalg.py"}
+
+
+def test_assignment_guard_sees_every_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import mpmath as mp\nfrom mpmath.libmp import libmpf\n"
+                     "mp.libmp.bitcount = int.bit_length\n"
+                     "libmpf.isqrt, x = None, 1\n"
+                     "setattr(module, 'sqrtrem', f)\n"
+                     "vars(libmpf)['bitcount'] = f\n"
+                     "del mp.libmp.libintmath.isqrt\n"
+                     "libmpf.__dict__['isqrt'] = f\n"
+                     "y = mp.libmp.bitcount\nother.bitcount = f\n"
+                     "doc = 'mp.bitcount = f'\nimport mpmath.libmp\n"
+                     "mpmath.libmp.sqrtrem = f\n")
+    assert sorted(set(mpmath_assignments(probe))) == [3, 4, 5, 6, 7, 8, 13]
 
 
 PRECISION_NAMES = {"workdps", "workprec"}
