@@ -24,10 +24,18 @@ tail side by side, and then finishes each tail alone.
 
 The arithmetic is bit-exact with the `mp.matrix` code it replaced: every
 stored result is `x or mp.mp.zero`, which is how `mp.matrix` reads back a
-zero it did not store, and a product entry is one `mp.fdot` over every k,
-zero operands included, as `mp.matrix.__mul__` forms it.  Zeros are not
-skipped here: `mpf - mpc(0)` is an mpc, so a skipped zero product could
-change an entry's type.
+zero it did not store, and a product entry is a dot over every k, zero
+operands included, as `mp.matrix.__mul__` forms it with `mp.fdot`.  Zeros
+are not skipped here: `mpf - mpc(0)` is an mpc, so a skipped zero product
+could change an entry's type.
+
+The hot arithmetic, here and in `torsion_num`, skips mpmath's dispatch and
+makes the libmp calls that `mp.fdot` and the operators make, with the same
+arguments in the same order, so every mpf comes out of the same call:
+`fdot` forms fdot's exact products and sums them by `mpf_sum`, and `mul`,
+`sub_mul` and `add_mul` call the `mpf_*`/`mpc_*` functions of `*`, `-` and
+`+`.  These are the active backend's, bound from `mpmath.libmp` as in
+`ctx_mp_python`.  Any other operand (an int, `mp.pi`) goes through mpmath.
 
 Importing this module, which `numfield` and `torsion_num` do before they
 compute, rebinds four exact integer primitives of mpmath's pure-Python
@@ -54,7 +62,10 @@ import sys
 from typing import NamedTuple
 
 import mpmath as mp
-from mpmath.libmp import libintmath
+from mpmath.libmp import (fzero, libintmath, mpc_add, mpc_add_mpf, mpc_mul,
+                          mpc_mul_int, mpc_mul_mpf, mpc_sub, mpc_sub_mpf,
+                          mpf_add, mpf_mul, mpf_mul_int, mpf_neg, mpf_sub,
+                          mpf_sum)
 
 REL_RANK_TOL = mp.mpf("1e-8")
 _ZERO = mp.mp.zero
@@ -89,6 +100,115 @@ def use_builtin_primitives():
 
 use_builtin_primitives()
 
+_PR = mp.mp._prec_rounding      # [prec, rounding], which mpmath updates in place
+_mpf, _mpc = mp.mpf, mp.mpc
+_TYPES = (_mpf, _mpc)
+_make_mpf, _make_mpc = mp.mp.make_mpf, mp.mp.make_mpc
+_CZERO = (fzero, fzero)
+
+
+def _number(v):
+    """The mpf with raw value v, or the mpc for a raw pair; _ZERO for a zero
+    (NaN and inf are not), as `x or _ZERO` reads it."""
+    if len(v) == 2:
+        return _make_mpc(v) if v != _CZERO else _ZERO
+    return _make_mpf(v) if v != fzero else _ZERO
+
+
+def fdot(A, B):
+    """mp.fdot(A, B) or _ZERO: fdot's exact products, appended in its order
+    and summed by mpf_sum at the working precision."""
+    re, im = [], []
+    for a, b in zip(A, B):
+        ta, tb = type(a), type(b)
+        if ta is _mpc and tb is _mpc:
+            (ar, ai), (br, bi) = a._mpc_, b._mpc_
+            re += mpf_mul(ar, br), mpf_neg(mpf_mul(ai, bi))
+            im += mpf_mul(ar, bi), mpf_mul(ai, br)
+        elif ta is _mpc and tb is _mpf:
+            (ar, ai), y = a._mpc_, b._mpf_
+            re.append(mpf_mul(ar, y))
+            im.append(mpf_mul(ai, y))
+        elif ta is _mpf and tb is _mpc:
+            x, (br, bi) = a._mpf_, b._mpc_
+            re.append(mpf_mul(x, br))
+            im.append(mpf_mul(x, bi))
+        elif ta is _mpf and tb is _mpf:
+            re.append(mpf_mul(a._mpf_, b._mpf_))
+        else:
+            return mp.fdot(A, B) or _ZERO
+    prec, rnd = _PR
+    s = mpf_sum(re, prec, rnd)
+    return _number((s, mpf_sum(im, prec, rnd)) if im else s)
+
+
+def _product(a, b, prec, rnd):
+    """The raw a * b (a pair for an mpc) from the operator's libmp call, or
+    None when an operand is not an mpf or mpc."""
+    ta, tb = type(a), type(b)
+    if ta is _mpc:
+        if tb is _mpc:
+            return mpc_mul(a._mpc_, b._mpc_, prec, rnd)
+        if tb is _mpf:
+            return mpc_mul_mpf(a._mpc_, b._mpf_, prec, rnd)
+    elif ta is _mpf:
+        if tb is _mpc:
+            return mpc_mul_mpf(b._mpc_, a._mpf_, prec, rnd)
+        if tb is _mpf:
+            return mpf_mul(a._mpf_, b._mpf_, prec, rnd)
+    return None
+
+
+def mul(a, b):
+    """a * b as the operator gives it, a zero kept, but complex * complex
+    as fdot's one-pair sum, which can round differently from mpc_mul."""
+    prec, rnd = _PR
+    if type(a) is _mpc and type(b) is _mpc:
+        (ar, ai), (br, bi) = a._mpc_, b._mpc_
+        return _make_mpc((
+            mpf_sum([mpf_mul(ar, br), mpf_neg(mpf_mul(ai, bi))], prec, rnd),
+            mpf_sum([mpf_mul(ar, bi), mpf_mul(ai, br)], prec, rnd)))
+    p = _product(a, b, prec, rnd)
+    if p is None:
+        return a * b
+    return _make_mpc(p) if len(p) == 2 else _make_mpf(p)
+
+
+def _plus(x, p, prec, rnd, sub=False):
+    """x + p, or x - p if sub, for an mpf or mpc x and a raw p, from the
+    operator's libmp call, or _ZERO for a zero."""
+    if type(x) is _mpc:
+        f = (mpc_sub if sub else mpc_add) if len(p) == 2 \
+            else mpc_sub_mpf if sub else mpc_add_mpf
+        return _number(f(x._mpc_, p, prec, rnd))
+    if len(p) == 4:
+        return _number((mpf_sub if sub else mpf_add)(x._mpf_, p, prec, rnd))
+    if sub:
+        return _number(mpc_sub((x._mpf_, fzero), p, prec, rnd))
+    return _number(mpc_add_mpf(p, x._mpf_, prec, rnd))
+
+
+def sub_mul(x, f, y):
+    """x - f * y or _ZERO, a row operation."""
+    prec, rnd = _PR
+    p = _product(f, y, prec, rnd)
+    if p is None or type(x) not in _TYPES:
+        return x - f * y or _ZERO
+    return _plus(x, p, prec, rnd, True)
+
+
+def add_mul(x, n, y):
+    """x + (n * y or _ZERO) or _ZERO for an int n; a zero product is _ZERO,
+    an mpf, whatever the type of y."""
+    ty = type(y)
+    if type(n) is not int or ty not in _TYPES or type(x) not in _TYPES:
+        return x + (n * y or _ZERO) or _ZERO
+    prec, rnd = _PR
+    if ty is _mpc:
+        p = mpc_mul_int(y._mpc_, n, prec, rnd)
+        return _plus(x, fzero if p == _CZERO else p, prec, rnd)
+    return _plus(x, mpf_mul_int(y._mpf_, n, prec, rnd), prec, rnd)
+
 
 class Matrix(list):
     """A list of row lists of mpmath numbers."""
@@ -107,10 +227,9 @@ def frob(M) -> object:
 
 
 def matmul(A, B) -> Matrix:
-    """A * B with one mp.fdot per entry over every k."""
+    """A * B with one fdot per entry over every k."""
     cols = list(zip(*B))
-    return Matrix([[mp.fdot(zip(row, col)) or _ZERO for col in cols]
-                   for row in A])
+    return Matrix([[fdot(row, col) for col in cols] for row in A])
 
 
 class Elimination(NamedTuple):
@@ -161,7 +280,7 @@ class Elimination(NamedTuple):
                     w[row], w[bi] = w[bi], w[row]
                 x = w[row] = w[row] / pv or _ZERO
                 for r2, f in ops:
-                    w[r2] = w[r2] - f * x or _ZERO
+                    w[r2] = sub_mul(w[r2], f, x)
                 row += 1
             else:
                 best = mp.mpf(0)
@@ -212,7 +331,7 @@ def eliminate(M, col_order=None) -> Elimination:
                     if r2 > row:
                         ops.append((r2, f))
                     for c2 in range(nc):
-                        other[c2] = other[c2] - f * top[c2] or _ZERO
+                        other[c2] = sub_mul(other[c2], f, top[c2])
         steps.append((col, best, bi, pv, ops))
         pivots.append(col)
     return Elimination(pivots, A, M, scale, steps)
@@ -253,7 +372,7 @@ def _lu(A, row0, count, acc, sign):
             f = other[c] / top[c]
             if f != 0:
                 for c2 in range(c + 1, nc):
-                    other[c2] = other[c2] - f * top[c2] or _ZERO
+                    other[c2] = sub_mul(other[c2], f, top[c2])
     return acc, sign
 
 

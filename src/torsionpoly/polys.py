@@ -616,7 +616,9 @@ def _heu_gcd(a: dict, b: dict, n: int):
         for _ in range(_HEU_TRIES):
             if deg * xi.bit_length() > _HEU_BITS:
                 return None
-            powers = [xi ** e for e in range(deg + 1)]
+            powers = [1]
+            for _ in range(deg):
+                powers.append(powers[-1] * xi)
             images = [{}, {}]
             for f, image in zip((a, b), images):
                 for m, v in f.items():

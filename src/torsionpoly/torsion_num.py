@@ -20,23 +20,24 @@ interior bases, T0, T2); each peripheral curve adds its cycle h1 and T1.
 A 2x2 matrix is a tuple (m00, m01, m10, m11), the generators of a `Rep`
 included, and the adjoint a row-major 9-tuple; d1, d2, h1, P and h2 are row
 lists (`mplinalg.Matrix`).  The arithmetic is bit-exact with the `mp.matrix`
-code it replaced: each entry of a generator is the object `mp.matrix` stored
-for it, each product entry is one `mp.fdot` over the same operand pairs in
-the same order as `mp.matrix.__mul__` (fdot forms the exact products and
-rounds once), a zero result is stored as `mp.mp.zero` as the sparse
-`mp.matrix` storage reads it back, `eye - X` is `e + (-1) * x` entry by
-entry, and sums, scalings and negations are the same mpmath operations on
-the same operands.  The tuple kernel has two exceptions.  A
-pair with an `mp.mp.zero` operand is left out of the fdot, because fdot's sum
-skips the exact zeros that products with a zero operand give, so only the
-result type records them (an mpc operand in a dropped pair still makes the
-entry an mpc).  A single remaining pair with at most one mpc operand is the
-product `a * b`, which rounds the exact product once as fdot's one-term sum
-does; a complex * complex pair stays on fdot, whose sum of the two real
-products can round differently from `mpc_mul`'s addition.  The matrices of
-`mplinalg` skip no zeros.  The reports print round-off digits, so any
-reordering of this arithmetic would change them.  A word image is the left
-fold I * g1 * ... * gn.
+code it replaced, and makes the libmp calls that `mp.fdot` and mpmath's
+operators make there (`mplinalg.fdot`, `mul` and `add_mul`): each entry of
+a generator is the object `mp.matrix` stored for it, each product entry
+makes fdot's calls over the same operand pairs in the same order as
+`mp.matrix.__mul__` (the exact products, rounded once by `mpf_sum`), a zero
+result is stored as `mp.mp.zero` as the sparse `mp.matrix` storage reads it
+back, `eye - X` is `e + (-1) * x` entry by entry, and sums, scalings and
+negations make the operators' calls on the same operands.  The tuple kernel
+has two exceptions.  A pair with an `mp.mp.zero` operand is left out of the
+dot, because fdot's sum skips the exact zeros that products with a zero
+operand give, so only the result type records them (an mpc operand in a
+dropped pair still makes the entry an mpc).  A single remaining pair is
+`mplinalg.mul(a, b)`: with at most one mpc operand the product `a * b`,
+which rounds the exact product once as fdot's one-term sum does, and for
+two fdot's one-pair sum, which can round differently from `mpc_mul`.  The
+matrices of `mplinalg` skip no zeros.  The reports print round-off digits,
+so any reordering of this arithmetic would change them.  A word image is
+the left fold I * g1 * ... * gn.
 
 Each sample point shares its derived values through one short-lived
 `Evaluation`, which `based_complex` builds and drops: word images by
@@ -86,7 +87,7 @@ class TorsionNumError(ValueError):
 
 _ZERO = mp.mp.zero
 _IDENTITY = (mp.mp.one, _ZERO, _ZERO, mp.mp.one)
-_fdot = mp.fdot
+_fdot, _mul, _add_mul = la.fdot, la.mul, la.add_mul
 _make_mpc = mp.mp.make_mpc
 _fzero = mp.libmp.fzero
 
@@ -94,17 +95,14 @@ _fzero = mp.libmp.fzero
 def _dot2(a, b, c, d):
     """a * b + c * d as mp.fdot(((a, b), (c, d))) gives it, or _ZERO, with
     the pairs that have a _ZERO operand left out by the zero rule, and a
-    single pair with at most one mpc operand formed as the product a * b."""
+    single pair formed as `la.mul(a, b)`."""
     if a is _ZERO or b is _ZERO:
         if c is _ZERO or d is _ZERO:
             return _ZERO
         a, b, c, d = c, d, a, b
     elif c is not _ZERO and d is not _ZERO:
-        return _fdot(((a, b), (c, d))) or _ZERO
-    if hasattr(a, "_mpc_") and hasattr(b, "_mpc_"):
-        s = _fdot(((a, b),))
-    else:
-        s = a * b
+        return _fdot((a, c), (b, d))
+    s = _mul(a, b)
     if hasattr(s, "_mpf_") and (hasattr(c, "_mpc_") or hasattr(d, "_mpc_")):
         return _make_mpc((s._mpf_, _fzero))
     return s
@@ -359,7 +357,7 @@ def _block(entries) -> la.Matrix:
 
 def _minus(A, B) -> la.Matrix:
     """A - B for row-major 9-tuples, as mp.matrix computes it: A + (-1) * B."""
-    return _block([x + (-1 * y or _ZERO) or _ZERO for x, y in zip(A, B)])
+    return _block([_add_mul(x, -1, y) for x, y in zip(A, B)])
 
 
 def _divide(v, c) -> la.Matrix:
@@ -376,7 +374,7 @@ def _ad_eval_inv(elem: GroupRingElem, point: Evaluation) -> la.Matrix:
     out = (_ZERO,) * 9
     for w, n in elem.coeffs.items():
         term = point.ad_inv(w)
-        out = tuple(x + (n * y or _ZERO) or _ZERO for x, y in zip(out, term))
+        out = tuple(_add_mul(x, n, y) for x, y in zip(out, term))
     return _block(out)
 
 

@@ -15,10 +15,14 @@ its hint checks are exact, and `charvar` imports none of the numeric modules
 `numfield`, `mplinalg` and `torsion_num`; loading any of the four, with all
 it imports in turn, loads none of the numeric engine.  Only `mplinalg`
 assigns attributes of mpmath's modules: it rebinds four exact integer
-primitives to builtins, once, on import."""
+primitives to builtins, once, on import.  Only `mplinalg` names mpmath's
+libmp arithmetic (`mpf_*`, `mpc_*`) or its `_prec_rounding`: its helpers
+make the calls of mpmath's `fdot` and operators, and the rest of the package
+calls them."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -304,6 +308,41 @@ def test_assignment_guard_sees_every_form(tmp_path):
                      "doc = 'mp.bitcount = f'\nimport mpmath.libmp\n"
                      "mpmath.libmp.sqrtrem = f\n")
     assert sorted(set(mpmath_assignments(probe))) == [3, 4, 5, 6, 7, 8, 13]
+
+
+LIBMP_NAME = re.compile(r"(mpf|mpc)_\w+|_prec_rounding")
+
+
+def libmp_references(path):
+    """Lines that name a libmp arithmetic function (`mpf_*`, `mpc_*`) or
+    mpmath's `_prec_rounding`: as a name, an attribute, an import or a
+    string that is the whole name (a `getattr`)."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name) and LIBMP_NAME.fullmatch(node.id) \
+                or isinstance(node, ast.Attribute) \
+                and LIBMP_NAME.fullmatch(node.attr) \
+                or isinstance(node, ast.ImportFrom) \
+                and any(LIBMP_NAME.fullmatch(alias.name) for alias in node.names) \
+                or isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and LIBMP_NAME.fullmatch(node.value):
+            yield node.lineno
+
+
+def test_only_mplinalg_names_libmp_arithmetic():
+    users = {path.name for path in PACKAGE.rglob("*.py")
+             if any(libmp_references(path))}
+    assert users == {"mplinalg.py"}
+
+
+def test_libmp_guard_sees_every_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import mpmath as mp\nfrom mpmath.libmp import fzero, mpf_add\n"
+                     "v = mp.libmp.mpc_mul(a, b, 53)\n"
+                     "prec, rnd = mp.mp._prec_rounding\n"
+                     "f = getattr(mp.libmp, 'mpf_sum')\n"
+                     "s = x._mpf_ + y._mpc_\ndoc = 'calls mpf_mul'\n"
+                     "mpc_sub(z, w)\nhasattr(x, '_mpc_')\n")
+    assert sorted(set(libmp_references(probe))) == [2, 3, 4, 5, 8]
 
 
 PRECISION_NAMES = {"workdps", "workprec"}

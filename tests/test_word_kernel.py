@@ -12,7 +12,9 @@ import random
 
 import mpmath as mp
 import pytest
+from mpmath import ctx_mp_python
 
+from torsionpoly import mplinalg as la
 from torsionpoly import torsion_num as tn
 from torsionpoly.records import ingest_knot
 from torsionpoly.torsion_num import Rep, adjoint, riley_solve
@@ -235,25 +237,30 @@ def test_dot2_single_pair_matches_fdot(digits):
 
 
 @pytest.mark.parametrize("digits", DIGITS)
-def test_dot2_calls_fdot_only_for_sums_and_complex_products(digits, monkeypatch):
+def test_dot2_and_matmul_make_no_mp_fdot_call(digits, monkeypatch):
+    # every _dot2 path, and la.matmul, calls libmp directly.  The spy sits on
+    # the mpf_sum that mpmath's fdot looks up in its own module at each call,
+    # so it sees every mp.fdot call, through any binding of it
     calls = []
 
-    def counted(pairs):
-        calls.append(len(pairs))
-        return mp.fdot(pairs)
-    monkeypatch.setattr(tn, "_fdot", counted)
+    def spy(*args):
+        calls.append(args)
+        return mpf_sum(*args)
+    mpf_sum = ctx_mp_python.mpf_sum
+    monkeypatch.setattr(ctx_mp_python, "mpf_sum", spy)
     rng = random.Random(1000 + digits)
     with mp.workdps(digits):
         x = lambda: rand_entry(rng, "mpf")
         z = lambda: rand_entry(rng, "mpc")
-        for a, b in ((x(), x()), (x(), z()), (z(), x())):
-            tn._dot2(a, b, tn._ZERO, z())
-            tn._dot2(tn._ZERO, x(), a, b)
+        kinds = (x, z, lambda: tn._ZERO)
+        for a, b, c, d in itertools.product(kinds, repeat=4):
+            tn._dot2(a(), b(), c(), d())
+        rows = [[rng.choice(kinds)() for _ in range(4)] for _ in range(3)]
+        la.matmul(rows, la.Matrix([[z()], [x()], [tn._ZERO], [z()]]))
         assert calls == []
-        tn._dot2(z(), z(), tn._ZERO, x())
-        tn._dot2(x(), tn._ZERO, z(), z())
-        tn._dot2(x(), x(), x(), z())
-        assert calls == [1, 1, 2]
+        # an operand that is not an mpf or mpc does reach mpmath's fdot
+        y = x()
+        assert la.fdot([2], [y]) == mp.fdot([2], [y]) and len(calls) == 2
 
 
 def solved(knot, trace):
