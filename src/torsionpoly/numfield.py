@@ -1,34 +1,28 @@
-"""Exact algebraic numbers and number fields.
+"""Exact algebraic numbers and number fields, each built one way: a root
+pass, a factorization, an isolation.
 
 A root pass takes a squarefree polynomial, decided by one exact gcd with
 its derivative, and seeds mp.polyroots with a Durand-Kerner run in machine
 floats, so mpmath polishes the roots at the unchanged working precision
 instead of searching for them; where no seed forms, the pass starts cold.
-`algebraic_root` makes one root of a pass exact: an AlgebraicNumber whose
-minimal polynomial is the exact factor the root belongs to, rational roots
-split off by the rational root theorem, isolated among the pass's roots of
-that factor.
+`factor_rational` recombines the roots of a pass into the irreducible
+factors over Q.  Each factor is proven by exact division; that none is
+missed rests on the accuracy of the pass, which inclusion disks around its
+roots would certify.  A NumberField is Q[x]/(f) for a monic irreducible f
+with one root, certified isolated, as the embedding; `algebraic_root`
+makes a root of a pass exact: a root of the factor that owns it, isolated
+among that factor's roots.  Each carries the roots it certified and their
+digits, so a later step at those digits makes no new pass.
 
-A NumberField is Q[x]/(f) for a monic squarefree f without rational roots,
-together with one complex root, certified isolated, as the embedding.  Field
-arithmetic reduces through `polys`: a product is the `polys` product of the
-two power-basis polynomials, reduced by `pseudo_rem` modulo the monic f.  A
-NumberField and an AlgebraicNumber each carry the roots they certified, with
-the digits they were found at, so a later step at those digits reads them
-instead of finding them again.  The
-minimal polynomial of A(x) is the squarefree part of Res_x(f(x), tau - A(x)).
-Field membership of an algebraic number is decided by a high-precision linear
-solve over all embeddings: the inverse Vandermonde matrix is the Lagrange
-basis of the embeddings, and each pairing is an mplinalg product with it.
-Rationals are never guessed: each is read exactly
-off its mpf and rounded at a denominator the algebra proves (the rational
-root theorem, and disc(a*x) O_K in Z[a*x] for the integral generator a*x), and
-each candidate is confirmed by exact evaluation in K; a failed search is
-reported, never guessed around.
-
-Irreducibility of defining polynomials is asserted, not proven; squarefreeness
-and absence of rational roots are checked (sufficient at the field degrees
-this package ships with).
+A field product is the `polys` product of the two power-basis polynomials,
+reduced by `pseudo_rem` modulo f.  The minimal polynomial of A(x) is the
+squarefree part of Res_x(f(x), tau - A(x)).  Field membership is decided by a
+high-precision linear solve over all embeddings: the inverse Vandermonde matrix
+is the Lagrange basis of the embeddings, and each pairing is an mplinalg
+product with it.  Rationals are never guessed: each is read exactly off its mpf
+and rounded at a denominator the algebra proves (Gauss's lemma, and disc(a*x)
+O_K in Z[a*x] for the integral generator a*x), and each candidate is confirmed
+exactly; a failed search is reported, never guessed around.
 """
 
 from __future__ import annotations
@@ -38,19 +32,20 @@ import dataclasses
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import Tuple
 
 import mpmath as mp
 
 from . import mplinalg as la
 from .polys import (
-    MultiPoly, dense_coeffs, exact_div, from_dense, gcd_poly, normalize_sign,
-    pseudo_rem, resultant, squarefree_primitive,
+    MultiPoly, dense_coeffs, divides, exact_div, from_dense, gcd_poly,
+    normalize_sign, pseudo_rem, resultant, squarefree_primitive, to_text,
 )
 
 DEFAULT_DIGITS = 64
 MAX_DIGITS = 512
 MAX_PAIRINGS = 1024    # embedding pairings express_in_field searches, about 3 s
+MAX_SUBSETS = 8192     # root subsets factor_rational searches, about 0.2 s
 
 
 class NumFieldError(ValueError):
@@ -160,57 +155,68 @@ def _exact(x) -> Fraction:
     return Fraction(*mp.libmp.to_rational(x._mpf_))
 
 
-def _rational_roots(p: MultiPoly, roots, digits: int) -> List[Tuple[object, Fraction]]:
-    """(root, q) for each exact rational root q of the univariate p, read off
-    its complex roots `roots` (good to `digits` digits).  By the rational
-    root theorem q has a denominator dividing the lead of p's primitive
-    integer form, so it is a real part rounded at that denominator; each q
-    is confirmed by exact evaluation.  A root near q rounds to q as well, so
-    q is paired with the root nearest to it, in exact distance."""
-    prim = normalize_sign(p)
-    lead = prim.leading_coefficient()
-    found = []
-    for r in roots:
-        if abs(mp.im(r)) > mp.mpf(10) ** (-digits // 2):
-            continue
-        q = Fraction(round(lead * _exact(mp.re(r))), lead)
-        if prim.eval({p.vars[0]: q}) == 0 and r is min(roots, key=lambda s: (
-                (_exact(mp.re(s)) - q) ** 2 + _exact(mp.im(s)) ** 2)):
-            found.append((r, q))
-    return found
+def _integer(c, tol):
+    """The integer nearest the real mpf c, or None farther than tol, relative."""
+    n = round(_exact(c))
+    return n if abs(c - n) <= tol * max(1, abs(c)) else None
+
+
+def factor_rational(p: MultiPoly, roots, digits: int):
+    """(factor, owned roots, in pass order) for each irreducible primitive
+    factor of the squarefree univariate p, for `roots` all its complex roots
+    as one root pass found them good to `digits`.  By Gauss's lemma the
+    factor owning the roots S is the primitive part of lead(p) prod_S (x - r),
+    whose coefficients are integers, and S is a union of conjugation classes.
+    Such S of at most half the roots left are tried smallest first, constant
+    term first, each coefficient read exactly off its mpf; one dividing p
+    exactly is a factor, irreducible as no smaller S gave one (Zassenhaus).
+    Over MAX_SUBSETS unions of classes are refused before the search."""
+    rest = normalize_sign(p)
+    lead, tol = rest.leading_coefficient(), mp.mpf(10) ** (-digits // 2)
+    with mp.workdps(root_dps(digits)):
+        # conjugation classes: a real root alone, any other with its conjugate
+        classes = sorted({tuple(sorted({i, min(range(len(roots)), key=lambda j: abs(
+            roots[j] - c))})) for i, c in enumerate(map(mp.conj, roots))})
+        if 2 ** len(classes) > MAX_SUBSETS:
+            raise NumFieldError(f"2^{len(classes)} = {2 ** len(classes)} root subsets "
+                                f"exceed the factorization bound {MAX_SUBSETS}")
+        const = {c: mp.re(mp.fprod(-roots[i] for i in c)) for c in classes}
+        subsets = [(sorted(sum(s, ())), s) for k in range(1, len(roots) // 2 + 1)
+                   for s in itertools.combinations(classes, k)]
+        factors, taken = [], set()
+        for owned, s in sorted(subsets, key=lambda o_s: (len(o_s[0]), o_s[0])):
+            if 2 * len(owned) > len(roots) - len(taken):
+                break
+            if taken.intersection(owned) or \
+                    _integer(lead * mp.fprod(const[c] for c in s), tol) is None:
+                continue
+            coeffs = [mp.mpc(lead)]
+            for i in owned:
+                coeffs = [a - roots[i] * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+            ints = [_integer(mp.re(c), tol) for c in reversed(coeffs)]
+            g = None if None in ints else normalize_sign(from_dense(p.vars[0], ints))
+            if g is None or not divides(g, rest):
+                continue
+            factors.append((g, tuple(roots[i] for i in owned)))
+            rest, taken = exact_div(rest, g), taken.union(owned)
+    return factors + [(rest, tuple(r for i, r in enumerate(roots) if i not in taken))]
 
 
 def algebraic_root(sf: MultiPoly, roots, root, digits: int) -> "AlgebraicNumber":
-    """`root` as an AlgebraicNumber, for `roots` all complex roots of the
-    squarefree primitive univariate sf as one root pass found them good to
-    `digits`, and `root` one of them.
-
-    Its minimal polynomial is the exact primitive factor of sf it is a root
-    of.  A rational root is its linear factor, with the exact root at the
-    working digits of the pass.  Otherwise rational roots are split off
-    exactly, and the rest is asserted irreducible, which the rational-root
-    check settles through degree 3; its roots are the pass's other roots.
-    """
-    var = sf.vars[0]
-    rationals = _rational_roots(sf, roots, digits)
-    factor = sf
-    for r, q in rationals:
-        linear = from_dense(var, [-q.numerator, q.denominator])
-        if r is root:
-            with mp.workdps(root_dps(digits)):
-                factor, roots = linear, [mp.mpc(_to_mpf(q))]
-            break
-        factor = exact_div(factor, linear)
-    else:
-        factor = normalize_sign(factor)
-        if factor.degree_in(var) > 3:
-            raise NumFieldError(
-                "cannot certify irreducibility above degree 3 without factorization")
-        roots = [r for r in roots if not any(r is s for s, _ in rationals)]
-    isolated = _isolate(factor, roots, root, digits)
+    """`root`, one of `roots`, all complex roots of the squarefree primitive
+    univariate sf as one root pass found them good to `digits`, as an
+    AlgebraicNumber: a root of the factor of sf that owns it, carrying that
+    factor's roots, or the exact rational, at the pass's working digits."""
+    factor, owned = next((g, rs) for g, rs in factor_rational(sf, roots, digits)
+                         if any(r is root for r in rs))
+    if factor.degree_in(factor.vars[0]) == 1:
+        c0, c1 = dense_coeffs(factor)
+        with mp.workdps(root_dps(digits)):
+            owned = (mp.mpc(_to_mpf(Fraction(-c0, c1))),)
+    isolated = _isolate(factor, owned, root, digits)
     if isolated is None:
         raise NumFieldError("approximation does not isolate a root")
-    return AlgebraicNumber(factor, *isolated, tuple(roots), digits)
+    return AlgebraicNumber(factor, *isolated, owned, digits)
 
 
 def _isolate(f: MultiPoly, roots, near, digits: int):
@@ -249,8 +255,11 @@ class NumberField:
             raise NumFieldError("defining polynomial must have degree >= 2")
         monic = poly * Fraction(1, poly.leading_coefficient())
         roots = roots_numeric(monic, digits)
-        if _rational_roots(monic, roots, digits):
-            raise NumFieldError("defining polynomial has a rational root")
+        (g, _), *others = factor_rational(monic, roots, digits)
+        if others:
+            reason = "has a rational root" if g.degree_in(var) == 1 else \
+                f"{to_text(poly)} is reducible: {to_text(g)} divides it"
+            raise NumFieldError(f"defining polynomial {reason}")
         near = roots[0] if embedding_hint is None else mp.mpc(embedding_hint)
         isolated = _isolate(monic, roots, near, digits)
         if isolated is None:
@@ -371,23 +380,14 @@ class AlgebraicNumber:
     """A root of a squarefree rational polynomial plus an isolating
     approximation.
 
-    Carries all complex roots of minpoly good to `digits`: a root pass of
-    minpoly, or the matching roots of a pass of a multiple of it."""
+    Carries all complex roots of minpoly good to `digits`: those it owns in
+    a root pass of a multiple of it, or its exact root where it is linear."""
 
     minpoly: MultiPoly    # primitive, in one variable
     approx: object        # mp.mpc
     err: object           # mp.mpf
     roots: tuple = dataclasses.field(compare=False, repr=False)
     digits: int = dataclasses.field(compare=False, repr=False)
-
-    @classmethod
-    def create(cls, minpoly: MultiPoly, approx, digits: int = DEFAULT_DIGITS):
-        prim = normalize_sign(minpoly)
-        roots = roots_numeric(prim, digits)
-        isolated = _isolate(prim, roots, mp.mpc(approx), digits)
-        if isolated is None:
-            raise NumFieldError("approximation does not isolate a root")
-        return cls(prim, *isolated, tuple(roots), digits)
 
     @property
     def degree(self):

@@ -1,5 +1,6 @@
-"""gcd_poly, gcd_cofactors, squarefree_primitive, exact_div and
-minimal_polynomial against sympy on seeded random inputs, and the heuristic
+"""gcd_poly, gcd_cofactors, squarefree_primitive, exact_div,
+minimal_polynomial and factor_rational against sympy on seeded random
+inputs and the record polynomials, and the heuristic
 GCD against the primitive polynomial remainder sequence, an oracle kept
 here, and against its own budget.  sympy is a test-only oracle: without it
 the module is skipped.  The resultant row is in test_resultant_oracle.py."""
@@ -14,8 +15,11 @@ from fractions import Fraction
 import pytest
 
 from test_resultant_oracle import RECORD_INPUTS, from_sympy, random_poly, to_sympy
-from torsionpoly import cli, polys
-from torsionpoly.numfield import NumberField, minimal_polynomial
+from torsionpoly import cli, pipelines, polys
+from torsionpoly.numfield import (
+    NumberField, factor_rational, minimal_polynomial, roots_numeric,
+)
+from torsionpoly.records import ingest_knot
 from torsionpoly.polys import (
     MultiPoly, PolyError, divides, exact_div, from_dense, from_text, gcd_cofactors,
     gcd_poly, normalize_sign, pseudo_rem, resultant, squarefree_primitive, to_text,
@@ -151,6 +155,93 @@ def test_minimal_polynomial_against_sympy(coeffs):
         want = sympy.Poly(sympy.minimal_polynomial(expr, tau), tau).all_coeffs()
         assert minimal_polynomial(K.element(coords)) == normalize_sign(from_dense(
             "tau", [Fraction(int(c.p), int(c.q)) for c in reversed(want)]))
+
+
+# -- factor_rational against sympy's factor_list --------------------------------
+
+X = ("x",)
+
+
+def assert_factored_as_sympy(p):
+    """factor_rational on one root pass of the squarefree univariate p
+    gives sympy's irreducible factors, each owning as many roots as its
+    degree, and the factors own every root once."""
+    roots = roots_numeric(p, 64)
+    found = factor_rational(p, roots, 64)
+    _, want = sympy.factor_list(to_sympy(p, SYMS), SYMS["x"])
+    assert sorted(to_text(g) for g, _ in found) == sorted(
+        to_text(normalize_sign(from_sympy(f, X, SYMS))) for f, _ in want), to_text(p)
+    assert all(len(owned) == g.degree_in("x") for g, owned in found)
+    owned = [r for _, rs in found for r in rs]
+    assert len(owned) == len(roots) and all(any(r is s for s in owned) for r in roots)
+
+
+def product_of_distinct(rng, draw, degree):
+    """The product of distinct polynomials from draw(rng, degree left),
+    of total degree `degree`."""
+    factors = set()
+    while sum(f.degree_in("x") for f in factors) < degree:
+        factors.add(normalize_sign(draw(rng, degree - sum(f.degree_in("x")
+                                                          for f in factors))))
+    p = MultiPoly.constant(X, 1)
+    for f in factors:
+        p = p * f
+    return p
+
+
+def irreducible(rng, most):
+    """A random irreducible of degree at most min(4, most), by sympy."""
+    while True:
+        d = rng.randint(1, min(4, most))
+        f = from_dense("x", [rng.randint(-9, 9) for _ in range(d)] + [rng.randint(1, 5)])
+        if sympy.Poly(to_sympy(f, SYMS), SYMS["x"]).is_irreducible:
+            return f
+
+
+def definite_quadratic(rng, most):
+    """A random a x^2 + b x + c with b^2 < 4ac: two non-real roots."""
+    while True:
+        a, b, c = rng.randint(1, 6), rng.randint(-9, 9), rng.randint(1, 9)
+        if b * b < 4 * a * c:
+            return from_dense("x", [c, b, a])
+
+
+def test_factor_rational_against_sympy_on_products_of_irreducibles():
+    rng = random.Random(83)
+    for degree in [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 12, 12, 12]:
+        assert_factored_as_sympy(product_of_distinct(rng, irreducible, degree))
+
+
+def test_factor_rational_against_sympy_without_real_roots():
+    rng = random.Random(89)
+    for degree in [2, 4, 4, 6, 6, 8, 8, 10, 12]:
+        assert_factored_as_sympy(product_of_distinct(rng, definite_quadratic, degree))
+    # Sophie Germain's x^4 + 4, the cyclotomic x^8 + 1, and x^4 + x^2 + 1,
+    # x^6 + 1 and x^8 + x^4 + 1, products of cyclotomic polynomials
+    for text in ("x^4 + 4", "x^8 + 1", "x^4 + x^2 + 1", "x^6 + 1", "x^8 + x^4 + 1"):
+        assert_factored_as_sympy(from_text(text, X))
+
+
+def test_factor_rational_against_sympy_on_the_record_polynomials():
+    # the specialized polynomial at rho0 of each record and curve, each
+    # trace field, and the rho0 polynomials of the two-bridge knots b(9,5)
+    # and b(11,3)
+    inputs = [from_text("x^4 + 25*x^3 + 295*x^2 + 1542*x + 4369", X),
+              from_text("x^5 + 17*x^4 + 191*x^3 + 5477*x^2 + 74634*x + 289651", X)]
+    for knot in ("4_1", "5_2"):
+        record = ingest_knot(knot)
+        inputs.append(normalize_sign(record.trace_field_poly))
+        for curve in record.rho0:
+            spec = pipelines.rho0_for_curve(record, curve)[1]
+            inputs.append(squarefree_primitive(spec, "tau").rename("tau", "x"))
+    assert len(inputs) == 7
+    for p in inputs:
+        assert_factored_as_sympy(p)
+
+
+@pytest.mark.parametrize("d", range(2, 25))
+def test_factor_rational_against_sympy_on_selmer_trinomials(d):
+    assert_factored_as_sympy(from_text(f"x^{d} - x - 1", X))
 
 
 # -- the heuristic GCD, its budget and the remainder-sequence oracle -----------

@@ -1,6 +1,8 @@
 import io
 import itertools
 import random
+import re
+import time
 from contextlib import redirect_stdout
 from fractions import Fraction
 
@@ -10,12 +12,12 @@ import pytest
 from test_report_goldens import CASES
 from torsionpoly import cli, mplinalg as la, numfield, pipelines as pl, torsion_sym
 from torsionpoly.numfield import (
-    AlgebraicNumber, NotInField, NumberField, NumFieldError, Undecided,
-    algebraic_root, express_in_field, minimal_polynomial, roots_numeric,
+    NotInField, NumberField, NumFieldError, Undecided, algebraic_root,
+    express_in_field, factor_rational, minimal_polynomial, roots_numeric,
 )
 from torsionpoly.polys import (
-    MultiPoly, dense_coeffs, divides, from_dense, from_text, gcd_poly, resultant,
-    squarefree_primitive,
+    MultiPoly, dense_coeffs, divides, from_dense, from_text, gcd_poly,
+    normalize_sign, resultant, squarefree_primitive,
 )
 from torsionpoly.records import ingest_knot
 
@@ -29,6 +31,16 @@ def field_52():
 def field_41():
     return NumberField.create(from_text("x^2 + 3"),
                               embedding_hint=mp.mpc(0, "1.7"))
+
+
+def root_of(poly: MultiPoly, near, digits: int = numfield.DEFAULT_DIGITS):
+    """The root of the squarefree univariate poly nearest to `near`, made
+    exact by algebraic_root from one root pass: its minimal polynomial is
+    the factor of poly that owns it."""
+    sf = normalize_sign(poly)
+    roots = roots_numeric(sf, digits)
+    near = mp.mpc(near)
+    return algebraic_root(sf, roots, min(roots, key=lambda r: abs(r - near)), digits)
 
 
 # -- roots_numeric ---------------------------------------------------------------
@@ -99,15 +111,40 @@ def test_field_rejects_rational_root_at_any_ambient_precision(poly, ambient):
 
 
 @pytest.mark.parametrize("ambient", [3, 15, 64])
-def test_rational_roots_are_rounded_at_the_lead(ambient):
-    # (2x - 1)(3x + 1)(6x - 7): denominators 2, 3 and 6 divide the lead 36;
-    # each rational comes back with the very root it was read from
+def test_factor_rational_reads_each_factor_off_its_own_roots(ambient):
+    # (2x - 1)(3x + 1)(6x - 7): the lead 36 times each root is read exactly
+    # off the digits the roots were found at, not off an ambient rounding;
+    # each factor comes back with the very root it was read from
     p = from_text("36*x^3 - 48*x^2 + x + 7")
     roots = roots_numeric(p, 64)
     with mp.workdps(ambient):
-        found = numfield._rational_roots(p, roots, 64)
-    assert [q for _, q in found] == [Fraction(-1, 3), Fraction(1, 2), Fraction(7, 6)]
-    assert all(r is root for (r, _), root in zip(found, roots))
+        found = factor_rational(p, roots, 64)
+    assert [g for g, _ in found] == [from_text(t) for t in ("3*x + 1", "2*x - 1",
+                                                            "6*x - 7")]
+    assert all(len(owned) == 1 and owned[0] is root
+               for (_, owned), root in zip(found, roots))
+
+
+@pytest.mark.parametrize("text, factors", [
+    ("x^4 + 4", ["x^2 + 2*x + 2", "x^2 - 2*x + 2"]),
+    ("x^5 - x^4 + x^3 + 1", ["x^2 + 1", "x^3 - x^2 + 1"]),
+    ("x^5 - x - 1", ["x^5 - x - 1"]),
+    # (x^2 - 8)(x^2 + x - 4)(x^2 - 2): -2 sqrt(2) and sqrt(2) multiply to the
+    # integer -4, and their product x^2 + sqrt(2) x - 4 rounds to a factor
+    ("x^6 + x^5 - 14*x^4 - 10*x^3 + 56*x^2 + 16*x - 64",
+     ["x^2 - 8", "x^2 + x - 4", "x^2 - 2"]),
+], ids=["two-quadratics", "quadratic-cubic", "irreducible", "rounds-to-a-factor"])
+def test_factor_rational_splits_without_rational_roots(text, factors):
+    # each factor owns the roots it vanishes at, in the pass's order
+    p = from_text(text)
+    roots = roots_numeric(p, 64)
+    found = factor_rational(p, roots, 64)
+    assert [g for g, _ in found] == [from_text(t) for t in factors]
+    for g, owned in found:
+        assert [r for r in roots if any(r is s for s in owned)] == list(owned)
+        assert len(owned) == g.degree_in("x")
+        with mp.workdps(84):
+            assert all(abs(g.eval({"x": r})) < mp.mpf(10) ** -60 for r in owned)
 
 
 @pytest.mark.parametrize("near, minpoly", [(2, "tau - 2"), (1.41, "tau^2 - 2"),
@@ -121,11 +158,78 @@ def test_algebraic_root_is_a_root_of_its_exact_factor(near, minpoly):
     assert abs(value.approx - root) < mp.mpf(10) ** -40
 
 
-def test_algebraic_root_refuses_an_uncertified_factor():
-    sf = from_text("tau^4 - 5*tau^2 + 6")             # (tau^2 - 2)(tau^2 - 3)
+def test_rational_root_is_exact_where_its_pass_is_not():
+    # (375 tau - b)(7 tau - c): at 16 digits the pass finds b/375 one unit
+    # of its last place off; the value is the exact rational all the same
+    sf = from_text("2625*tau^2 - 28015713290777770172274244*tau"
+                   " + 116065097918936476427948243")
+    roots = roots_numeric(sf, 16)
+    q = Fraction(4002244755825395738894767, 375)
+    with mp.workdps(numfield.root_dps(16)):
+        exact = mp.mpc(mp.mpf(q.numerator) / q.denominator)
+    root = min(roots, key=lambda r: abs(r - exact))
+    assert root != exact
+    value = algebraic_root(sf, roots, root, 16)
+    assert value.minpoly == from_text(f"375*tau - {q.numerator}")
+    assert value.roots == (exact,) and value.approx == exact
+
+
+@pytest.mark.parametrize("near, minpoly", [(-1.73, "tau^2 - 3"), (-1.41, "tau^2 - 2"),
+                                            (1.41, "tau^2 - 2"), (1.73, "tau^2 - 3")])
+def test_algebraic_root_takes_the_factor_that_owns_it(near, minpoly):
+    # (tau^2 - 2)(tau^2 - 3) has no rational root: the selected root's
+    # minimal polynomial is the quadratic factor it is a root of, which
+    # carries the pass's two roots of that factor
+    sf = from_text("tau^4 - 5*tau^2 + 6")
     roots = roots_numeric(sf, 40)
-    with pytest.raises(NumFieldError, match="irreducibility above degree 3"):
-        algebraic_root(sf, roots, roots[0], 40)
+    root = min(roots, key=lambda r: abs(r - near))
+    value = algebraic_root(sf, roots, root, 40)
+    assert value.minpoly == from_text(minpoly)
+    assert value.approx is root
+    assert len(value.roots) == 2 and any(r is root for r in value.roots)
+    with mp.workdps(60):
+        assert all(abs(value.minpoly.eval({"tau": r})) < mp.mpf(10) ** -38
+                   for r in value.roots)
+
+
+@pytest.mark.parametrize("poly, factor", [
+    ("x^4 + 4", "1*x^2 + 2*x + 2"),
+    ("x^6 + 2*x^4 + 2*x^3 + 4*x^2 + 2*x + 1", "1*x^2 + 1*x + 1"),
+])
+def test_field_rejects_a_reducible_polynomial_without_rational_roots(poly, factor):
+    # (x^2 - 2x + 2)(x^2 + 2x + 2), and (x^2 + x + 1)(x^4 - x^3 + 2x^2 + x + 1):
+    # neither has a rational root, and neither is a field
+    with pytest.raises(NumFieldError, match=rf"^defining polynomial .* is reducible: "
+                                            rf"{re.escape(factor)} divides it$"):
+        NumberField.create(from_text(poly))
+
+
+def test_factorization_is_decided_or_refused_within_its_budget(monkeypatch):
+    # x^d - x - 1 is irreducible (Selmer, Math. Scand. 4, 1956); its
+    # conjugation classes of roots are counted before any subset is tried,
+    # so each search finishes or is refused, naming its bound, within a
+    # second beyond the root pass
+    passes = []
+    real_roots = numfield.roots_numeric
+
+    def timed(*args):
+        start = time.perf_counter()
+        out = real_roots(*args)
+        passes.append(time.perf_counter() - start)
+        return out
+    monkeypatch.setattr(numfield, "roots_numeric", timed)
+    begin = time.perf_counter()
+    for d in (16, 24, 32, 64):
+        passes.clear()
+        start = time.perf_counter()
+        try:
+            assert NumberField.create(from_text(f"x^{d} - x - 1")).degree == d
+        except NumFieldError as err:
+            assert d > 24 and str(err).endswith(
+                f"root subsets exceed the factorization bound {numfield.MAX_SUBSETS}")
+        assert len(passes) == 1
+        assert time.perf_counter() - start - passes[0] < 1, d
+    assert time.perf_counter() - begin < 10
 
 
 def test_field_rejects_non_squarefree():
@@ -203,7 +307,7 @@ def test_minimal_polynomial_embedding_residual_random():
 def test_express_reference_value():
     K = field_52()
     cubic = from_text("tau^3 - 71*tau^2 + 2802*tau - 28075")
-    target = AlgebraicNumber.create(cubic, mp.mpc("28.4932", "34.5189"), 48)
+    target = root_of(cubic, mp.mpc("28.4932", "34.5189"), 48)
     out = express_in_field(target, K)
     assert not isinstance(out, NotInField)
     elem, note = out
@@ -216,7 +320,7 @@ def test_isolated_approx_is_its_certified_root_bit_for_bit():
     # precision; approx keeps the certified root as found, not a rounding
     cubic = from_text("tau^3 - 71*tau^2 + 2802*tau - 28075")
     with mp.workdps(15):
-        target = AlgebraicNumber.create(cubic, mp.mpc("28.5", "34.5"), 48)
+        target = root_of(cubic, mp.mpc("28.5", "34.5"), 48)
     nearest = min(target.roots, key=lambda r: abs(r - mp.mpc("28.5", "34.5")))
     assert target.approx._mpc_ == nearest._mpc_
     assert target.approx.real._mpf_[3] > 53
@@ -228,7 +332,7 @@ def test_express_rational():
     K = field_41()
     for minpoly, approx, value in (("tau - 3", 3, Fraction(3)),
                                    ("3*tau - 1", mp.mpf(1) / 3, Fraction(1, 3))):
-        target = AlgebraicNumber.create(from_text(minpoly), mp.mpc(approx), 30)
+        target = root_of(from_text(minpoly), approx, 30)
         elem, note = express_in_field(target, K)
         assert elem.coords == (value, Fraction(0))
         assert note == "rational value"
@@ -236,7 +340,7 @@ def test_express_rational():
 
 def test_express_sqrt2_not_in_quadratic_field():
     K = field_41()
-    target = AlgebraicNumber.create(from_text("tau^2 - 2"), mp.mpc("1.41421356"), 40)
+    target = root_of(from_text("tau^2 - 2"), mp.mpc("1.41421356"), 40)
     out = express_in_field(target, K)
     assert isinstance(out, NotInField)
 
@@ -258,7 +362,7 @@ def test_express_roundtrip_random_elements():
                 coords[1] = Fraction(1)
             e = K.element(coords)
             g = minimal_polynomial(e)
-            out = express_in_field(AlgebraicNumber.create(g, e.embed(64), 48), K)
+            out = express_in_field(root_of(g, e.embed(64), 48), K)
             assert not isinstance(out, NotInField), coords
             got, _ = out
             assert got.coords == e.coords \
@@ -303,7 +407,7 @@ def test_non_declared_match_reuses_the_field_roots(monkeypatch):
     # one pass left is for the target, which was certified at 48 digits
     K = field_52()
     real = min(roots_numeric(K.defining_poly, 48), key=lambda r: abs(mp.im(r)))
-    target = AlgebraicNumber.create(from_text("tau^3 - tau^2 + 1"), real, 48)
+    target = root_of(from_text("tau^3 - tau^2 + 1"), real, 48)
     calls = count_root_passes(monkeypatch)
     elem, note = express_in_field(target, K)
     assert elem == K.generator()
@@ -316,7 +420,7 @@ def test_express_ladders_up_from_low_precision():
     # working precision only delays, never corrupts, the answer
     K = field_52()
     cubic = from_text("tau^3 - 71*tau^2 + 2802*tau - 28075")
-    target = AlgebraicNumber.create(cubic, mp.mpc("28.4932", "34.5189"), 48)
+    target = root_of(cubic, mp.mpc("28.4932", "34.5189"), 48)
     out = express_in_field(target, K, digits=8)
     assert not isinstance(out, NotInField)
     elem, _ = out
@@ -332,7 +436,7 @@ def test_escalated_express_finds_the_roots_again(monkeypatch):
     K = NumberField.create(from_text("x^3 - x^2 + 1"),
                            embedding_hint=mp.mpc("0.8774", "-0.7448"), digits=8)
     e = K.element([1, Fraction(1, 1000003), Fraction(1, 10000019)])
-    target = AlgebraicNumber.create(minimal_polynomial(e), e.embed(64), 8)
+    target = root_of(minimal_polynomial(e), e.embed(64), 8)
     calls = count_root_passes(monkeypatch)
     elem, _ = express_in_field(target, K, digits=8)
     assert elem == e
@@ -348,7 +452,7 @@ def test_isolation_certificate_reads_the_roots_digits(ambient):
     K = field_52()
     e = K.element([1, Fraction(1, 1234567), 0])
     with mp.workdps(ambient):
-        target = AlgebraicNumber.create(minimal_polynomial(e), e.embed(64), 8)
+        target = root_of(minimal_polynomial(e), e.embed(64), 8)
     assert abs(target.approx - e.embed(30)) < target.err
 
 
@@ -406,7 +510,7 @@ def test_claim_a_tau_squared_in_trace_field(knot, curve, coords):
     sq = square_minpoly(tau.minpoly)
     K = NumberField.create(record.trace_field_poly,
                            embedding_hint=record.trace_field_embedding)
-    out = express_in_field(AlgebraicNumber.create(sq, tau.approx ** 2), K)
+    out = express_in_field(root_of(sq, tau.approx ** 2), K)
     assert isinstance(out, tuple), out
     elem, _ = out
     assert elem == K.element(coords)
@@ -610,7 +714,7 @@ def test_repeated_embedding_node_is_undecided(monkeypatch):
 def test_embedding_solve_needs_no_rank_tolerance(f, hint, coords, note):
     # tau is a root of f itself, so tau lies in K = Q[x]/(f)
     K = NumberField.create(from_text(f), embedding_hint=mp.mpc(hint))
-    tau = AlgebraicNumber.create(from_text(f.replace("x", "tau")), mp.mpc(hint))
+    tau = root_of(from_text(f.replace("x", "tau")), mp.mpc(hint))
     assert express_in_field(tau, K) == (K.element(coords), note)
 
 

@@ -644,6 +644,19 @@ def test_cli_membership_rational_root_at_low_precision(capsys, cache_dir, tmp_pa
     assert err == "error: membership: defining polynomial has a rational root\n"
 
 
+def test_cli_membership_refuses_a_reducible_trace_field(capsys, cache_dir, tmp_path):
+    # (x^3 - x^2 + 1)(x^2 + 1) has no rational root; the declared embedding
+    # is a root of the cubic factor, which holds tau, so an answer over the
+    # product would be wrong whichever it was
+    p = tmp_path / "5_2.knot"
+    p.write_text(bundled_record_text("5_2").replace(
+        "poly = x^3 - x^2 + 1", "poly = x^5 - x^4 + x^3 + 1"))
+    code, out, err = run_cli(capsys, "--no-cache", "membership", "--knot", str(p))
+    assert (code, out) == (2, "")
+    assert err == ("error: membership: defining polynomial 1*x^5 - 1*x^4 + 1*x^3 + 1 "
+                   "is reducible: 1*x^2 + 1 divides it\n")
+
+
 GOLDENS = os.path.join(os.path.dirname(__file__), "goldens")
 
 

@@ -209,6 +209,25 @@ def test_rho0_52_hint():
     assert abs(mp.im(out.value.approx) - mp.mpf("34.5189")) < 1e-4
 
 
+QUARTIC_9_5 = "tau^4 + 25*tau^3 + 295*tau^2 + 1542*tau + 4369"
+QUINTIC_11_3 = "tau^5 + 17*tau^4 + 191*tau^3 + 5477*tau^2 + 74634*tau + 289651"
+
+
+@pytest.mark.parametrize("spec, hint", [(QUARTIC_9_5, -3.567 + 4.425j),
+                                        (QUARTIC_9_5, -8.933 - 7.446j),
+                                        (QUINTIC_11_3, -6.627),
+                                        (QUINTIC_11_3, 6.658 + 15.469j)])
+def test_rho0_two_bridge_value_is_its_own_minimal_polynomial(spec, hint):
+    # the rho0 polynomials of the two-bridge knots b(9,5) and b(11,3) are
+    # irreducible: the value is a root of the whole polynomial, which
+    # carries all the roots of its pass
+    spec = from_text(spec)
+    out = rho0_value(spec, NearestToHint(hint))
+    assert out.value.minpoly == spec
+    assert len(out.value.roots) == spec.degree_in("tau")
+    assert abs(out.value.approx - hint) < 1e-3
+
+
 def test_rho0_rational():
     out = rho0_value(from_text("tau - 7/2"), PositiveRealRoot())
     assert out.value.minpoly == from_text("2*tau - 7")
