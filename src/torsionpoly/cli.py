@@ -24,7 +24,6 @@ from . import pipelines as pl
 from .front import (  # noqa: F401  (bound here for the tracer and the tests)
     CACHE_ENV, COMMANDS, cache_load, cache_store, main, make_digest,
 )
-from .numfield import NotInField
 from .polys import dense_coeffs, to_text
 from .records import ingest_knot, parse_record  # noqa: F401
 from .torsion_num import NORMALIZATION_NOTE
@@ -113,11 +112,10 @@ def cmd_membership(record, args):
     out = pl.membership(record, args.curve, args.precision)
     if not out["in_field"]:
         o = out["outcome"]
-        kind = "not in field" if isinstance(o, NotInField) else "undecided"
         return {
             "curve": args.curve,
             "in_field": "false",
-            "outcome": f"{kind}: {o.reason} (precision {o.precision})",
+            "outcome": f"not in field: {o.reason} (precision {o.precision})",
         }, out["notes"]
     # the record's embedding is a float: read all 53 of its bits
     with mp.workprec(max(mp.mp.prec, 53)):

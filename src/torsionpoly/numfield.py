@@ -16,13 +16,11 @@ digits, so a later step at those digits makes no new pass.
 
 A field product is the `polys` product of the two power-basis polynomials,
 reduced by `pseudo_rem` modulo f.  The minimal polynomial of A(x) is the
-squarefree part of Res_x(f(x), tau - A(x)).  Field membership is decided by a
-high-precision linear solve over all embeddings: the inverse Vandermonde matrix
-is the Lagrange basis of the embeddings, and each pairing is an mplinalg
-product with it.  Rationals are never guessed: each is read exactly off its mpf
-and rounded at a denominator the algebra proves (Gauss's lemma, and disc(a*x)
-O_K in Z[a*x] for the integral generator a*x), and each candidate is confirmed
-exactly; a failed search is reported, never guessed around.
+squarefree part of Res_x(f(x), tau - A(x)).  Field membership is decided by
+Trager's norm, factored once by `factor_rational` on sums of the roots the
+target and the field carry: a "no" is the degree over K of the target that
+a factor's degree proves, and a "yes" is read exactly off a gcd over K.
+Nothing is searched for and no coordinate is rounded.
 """
 
 from __future__ import annotations
@@ -30,13 +28,13 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
 import mpmath as mp
 
-from . import mplinalg as la
 from .polys import (
     MultiPoly, dense_coeffs, divides, exact_div, from_dense, gcd_poly,
     normalize_sign, pseudo_rem, resultant, squarefree_primitive, to_text,
@@ -44,7 +42,6 @@ from .polys import (
 
 DEFAULT_DIGITS = 64
 MAX_DIGITS = 512
-MAX_PAIRINGS = 1024    # embedding pairings express_in_field searches, about 3 s
 MAX_SUBSETS = 8192     # root subsets factor_rational searches, about 0.2 s
 
 
@@ -161,28 +158,48 @@ def _integer(c, tol):
     return n if abs(c - n) <= tol * max(1, abs(c)) else None
 
 
+def _conjugation_classes(roots):
+    """Each root with the root nearest its conjugate, the lowest index on a
+    tie (a real root alone), as sorted index tuples.  Where the machine-float
+    distances leave more than one root in doubt (a cluster, an overflow),
+    the distances at the ambient precision decide among those."""
+    zs = [complex(r) for r in roots]
+    # over the rounding of the float distances, underflow included
+    slack = 2.0 ** -40 * max(map(abs, zs), default=0.0) + 2.0 ** -1000
+    classes = set()
+    for i, z in enumerate(zs):
+        d = [abs(w - z.conjugate()) for w in zs]
+        cut = min(d) + slack
+        near = [j for j, dj in enumerate(d) if not dj > cut]
+        if len(near) > 1:
+            c = mp.conj(roots[i])
+            near = [min(near, key=lambda j: abs(roots[j] - c))]
+        classes.add(tuple(sorted({i, near[0]})))
+    return sorted(classes)
+
+
 def factor_rational(p: MultiPoly, roots, digits: int):
     """(factor, owned roots, in pass order) for each irreducible primitive
     factor of the squarefree univariate p, for `roots` all its complex roots
-    as one root pass found them good to `digits`.  By Gauss's lemma the
-    factor owning the roots S is the primitive part of lead(p) prod_S (x - r),
-    whose coefficients are integers, and S is a union of conjugation classes.
-    Such S of at most half the roots left are tried smallest first, constant
-    term first, each coefficient read exactly off its mpf; one dividing p
-    exactly is a factor, irreducible as no smaller S gave one (Zassenhaus).
-    Over MAX_SUBSETS unions of classes are refused before the search."""
+    good to `digits`, as a root pass or sums of roots of passes found them.
+    By Gauss's lemma the factor owning the roots S is the primitive part of
+    lead(p) prod_S (x - r), with integer coefficients, and S is a union of
+    conjugation classes.  Such S of at most half the roots left are tried
+    smallest first, constant term first, each coefficient read exactly off
+    its mpf; one dividing p exactly is a factor, irreducible as no smaller S
+    gave one (Zassenhaus).  Over MAX_SUBSETS unions of classes are refused."""
     rest = normalize_sign(p)
     lead, tol = rest.leading_coefficient(), mp.mpf(10) ** (-digits // 2)
     with mp.workdps(root_dps(digits)):
-        # conjugation classes: a real root alone, any other with its conjugate
-        classes = sorted({tuple(sorted({i, min(range(len(roots)), key=lambda j: abs(
-            roots[j] - c))})) for i, c in enumerate(map(mp.conj, roots))})
+        classes = _conjugation_classes(roots)
         if 2 ** len(classes) > MAX_SUBSETS:
             raise NumFieldError(f"2^{len(classes)} = {2 ** len(classes)} root subsets "
                                 f"exceed the factorization bound {MAX_SUBSETS}")
-        const = {c: mp.re(mp.fprod(-roots[i] for i in c)) for c in classes}
+        # a class of over half the roots is in no subset that is tried
+        small = [c for c in classes if 2 * len(c) <= len(roots)]
+        const = {c: mp.re(mp.fprod(-roots[i] for i in c)) for c in small}
         subsets = [(sorted(sum(s, ())), s) for k in range(1, len(roots) // 2 + 1)
-                   for s in itertools.combinations(classes, k)]
+                   for s in itertools.combinations(small, k)]
         factors, taken = [], set()
         for owned, s in sorted(subsets, key=lambda o_s: (len(o_s[0]), o_s[0])):
             if 2 * len(owned) > len(roots) - len(taken):
@@ -272,8 +289,8 @@ class NumberField:
 
     def all_embeddings(self, digits: int = DEFAULT_DIGITS):
         """Roots of the defining polynomial, declared embedding first; the
-        carried roots at the digits the field was created at."""
-        roots = list(self.roots) if digits == self.digits \
+        carried roots at up to the digits the field was created at."""
+        roots = list(self.roots) if digits <= self.digits \
             else roots_numeric(self.defining_poly, digits)
         roots.sort(key=lambda r: abs(r - self.embedding))
         return roots
@@ -396,93 +413,73 @@ class AlgebraicNumber:
 
 @dataclass(frozen=True)
 class NotInField:
-    """Verified or precision-final negative membership outcome."""
+    """Proven negative membership outcome: degree divisibility or the norm."""
     reason: str
     precision: int
-
-
-@dataclass(frozen=True)
-class Undecided:
-    """Numeric stages could not reach the required residuals."""
-    reason: str
-    precision: int
-
-
-def _vandermonde_inverse(nodes):
-    """V^-1 for the Vandermonde matrix of distinct nodes, in closed form, so
-    no rank tolerance enters: column i holds the coefficients, lowest first,
-    of prod_{j != i} (x - r_j) / (r_i - r_j).  None when two nodes coincide."""
-    cols = []
-    for i, ri in enumerate(nodes):
-        num, den = [mp.mpf(1)], mp.mpf(1)
-        for rj in nodes[:i] + nodes[i + 1:]:
-            num = [a - rj * b for a, b in zip([0] + num, num + [0])]
-            den *= ri - rj
-        if not den:
-            return None
-        cols.append([c / den for c in num])
-    return la.Matrix(map(list, zip(*cols)))
 
 
 def express_in_field(target: AlgebraicNumber, field: NumberField,
                      digits: int = DEFAULT_DIGITS):
-    """Write target as an element of the field, trying every pairing of field
-    embeddings with roots of the target minimal polynomial g; a candidate c
-    is accepted only when g(c) = 0 holds exactly in K.
-
-    Returns a (FieldElement, note) pair, NotInField, or Undecided, the last
-    also when the d_g^d_f pairings exceed `MAX_PAIRINGS`.
-    """
+    """Write target as an element of the field, or prove that it is none, by
+    Trager's norm (Trager, SYMSAC 1976; Cohen, GTM 138, Section 3.6.2): the
+    factors of N_s(x) = Res_y(f(y), g(x - s*y)), for the least s >= 1 that
+    makes it squarefree, are the norms of g's factors over K = Q[y]/(f), of
+    n times their degree.  With none of degree n, the one owning
+    tau + s*alpha at the declared embedding gives [K(tau):K]; otherwise the
+    one whose root there is built from the lowest-index root of g gives the
+    element.  Returns a (FieldElement, note) pair or NotInField."""
     g = normalize_sign(target.minpoly)
-    d_f, d_g = field.degree, target.degree
+    n, d_g = field.degree, target.degree
     if d_g == 1:
         c0, c1 = dense_coeffs(g)
         return field.from_rational(Fraction(-c0, c1)), "rational value"
-    if d_f % d_g != 0:
-        return NotInField(f"degree {d_g} does not divide field degree {d_f}", digits)
-    if d_g ** d_f > MAX_PAIRINGS:
-        return Undecided(f"{d_g}^{d_f} = {d_g ** d_f} embedding pairings exceed "
-                         f"the search bound {MAX_PAIRINGS}", digits)
+    if n % d_g != 0:
+        return NotInField(f"degree {d_g} does not divide field degree {n}", digits)
 
-    # lead(g)*tau and a*x are algebraic integers, a the lead of the primitive
-    # integer form of f, and disc(a*x) = a^(d(d-1)) disc(f) multiplies O_K
-    # into Z[a*x] (Cohen, GTM 138, Section 4.4): each coordinate of a root of
-    # g in K has a denominator dividing lead(g) * |disc(a*x)|
-    f, x = field.defining_poly, field.defining_poly.vars[0]
-    den = int(g.leading_coefficient()
-              * normalize_sign(f).leading_coefficient() ** (d_f * (d_f - 1))
-              * abs(resultant(f, f.derivative(x), x).constant_value()))
-    prec = digits
-    while prec <= max(MAX_DIGITS, digits):
-        with mp.workdps(prec + 30):
-            try:
-                f_roots = field.all_embeddings(prec)
-                g_roots = target.roots if prec == target.digits \
-                    else roots_numeric(g, prec)
-            except NumFieldError:
-                return Undecided("root refinement failed", prec)
-            inverse = _vandermonde_inverse(f_roots)
-            if inverse is None:
-                return Undecided("degenerate embedding matrix", prec)
-            for assign in itertools.product(range(len(g_roots)), repeat=d_f):
-                if len(set(assign)) != len(g_roots):
-                    continue
-                sol = la.matmul(inverse, [[g_roots[a]] for a in assign])
-                coords = []
-                for (v,) in sol:
-                    if abs(mp.im(v)) > mp.mpf(10) ** (-prec // 3):
-                        coords = None
-                        break
-                    coords.append(Fraction(round(den * _exact(mp.re(v))), den))
-                if coords is None:
-                    continue
-                cand = field.element(coords)
-                if not any(g.eval({g.vars[0]: cand}).coords):
-                    note = _match_note(cand, target, prec, f_roots)
-                    if note is not None:
-                        return cand, note
-        prec *= 2
-    return NotInField("no rational coordinates verified", prec // 2)
+    f = field.defining_poly
+    y = f.vars[0]
+    x = "_" + y                 # the norm's variable
+    X, Y, fxy = MultiPoly.var((x, y), x), MultiPoly.var((x, y), y), f.with_vars((x, y))
+    gx = from_dense(x, dense_coeffs(g))
+    for s in itertools.count(1):
+        norm = normalize_sign(resultant(fxy, gx.substitute(x, X - s * Y), y))
+        if gcd_poly(norm, norm.derivative(x)).is_constant():
+            break
+    # Mignotte: a coefficient of lead(N) prod_S (x - theta), S a factor's roots,
+    # is at most 2^deg ||N||_2; theta = tau + s*alpha off by 10^-work (1 + s)
+    # radius, over Cauchy's bound, moves it by bound 10^-work <= 10^(-work/2)
+    deg = norm.degree_in(x)
+    radius = 2 + int(max(abs(Fraction(c) / q[-1]) for q in map(dense_coeffs, (f, g))
+                         for c in q))
+    bound = 2 * deg * 2 ** deg * (1 + s) * radius \
+        * (math.isqrt(sum(c * c for c in norm.terms.values())) + 1)
+    work = max(digits, 2 * len(str(bound)))
+    with mp.workdps(root_dps(work)):
+        alphas = field.all_embeddings(work)
+        taus = target.roots if target.digits >= work else roots_numeric(g, work)
+        grid = [[t + s * a for a in alphas] for t in taus]
+    owner = {id(r): h for h, owned in factor_rational(
+        norm, [theta for row in grid for theta in row], work) for r in owned}
+    declared = [owner[id(row[0])] for row in grid]
+    h = next((h for h in declared if h.degree_in(x) == n), None)
+    if h is None:
+        t = min(range(len(taus)), key=lambda j: abs(taus[j] - target.approx))
+        d = declared[t].degree_in(x)
+        return NotInField(f"[K(tau):K] = {d // n} by a norm factor of degree {d}", work)
+    # gcd_K(h(x + s*y), g(x)) = x - tau: the last nonzero pseudo-remainder
+    # c1*x + c0, each reduced modulo f and made primitive, gives
+    # tau = -c0/c1 = c0 q(c1) / m(0) for c1's minimal polynomial t q(t) + m(0)
+    a, b = h.substitute(x, X + s * Y), gx.with_vars((x, y))
+    while not b.is_zero():
+        a, b = b, normalize_sign(pseudo_rem(pseudo_rem(a, b, x), fxy, y))
+    if a.degree_in(x) != 1:
+        raise NumFieldError(f"a norm factor leaves a gcd of degree {a.degree_in(x)} "
+                            "with the target's minimal polynomial")
+    c0, c1 = (dense_coeffs(a.coeffs_wrt(x).get(k, MultiPoly.zero((y,)))) for k in (0, 1))
+    c0, c1 = (field.element(c + [0] * (n - len(c))) for c in (c0, c1))
+    m = dense_coeffs(minimal_polynomial(c1))
+    elem = c0 * from_dense("t", m[1:]).eval({"t": c1}) * Fraction(1, m[0])
+    return elem, _match_note(elem, target, work, alphas)
 
 
 def _match_note(cand: FieldElement, target: AlgebraicNumber, prec: int, f_roots):
@@ -496,4 +493,4 @@ def _match_note(cand: FieldElement, target: AlgebraicNumber, prec: int, f_roots)
     for emb in f_roots[1:]:
         if abs(cand.embed(prec, embedding=emb) - target.approx) <= tol:
             return f"matched at the non-declared embedding x ~ {mp.nstr(emb, 8)}"
-    return None
+    raise NumFieldError("the field element matches the target at no embedding")

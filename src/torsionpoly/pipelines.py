@@ -14,7 +14,7 @@ from .charvar import (
     geometric_branch, trace_relation,
 )
 from .numfield import NumberField, express_in_field, minimal_polynomial, \
-    NotInField, Undecided, roots_at
+    NotInField, roots_at
 from .polys import MultiPoly, from_dense, to_text
 from .records import KnotRecord
 from .torsion_num import peripheral_torsions, riley_solve
@@ -127,7 +127,7 @@ def membership(record: KnotRecord, curve: str, digits: int = 64) -> dict:
                                embedding_hint=record.trace_field_embedding,
                                digits=digits)
     out = express_in_field(value.value, field, digits)
-    if isinstance(out, (NotInField, Undecided)):
+    if isinstance(out, NotInField):
         return {
             "in_field": False,
             "outcome": out,

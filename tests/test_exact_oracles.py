@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from test_numfield import norm_passes
 from test_resultant_oracle import RECORD_INPUTS, from_sympy, random_poly, to_sympy
 from torsionpoly import cli, pipelines, polys
 from torsionpoly.numfield import (
@@ -162,12 +163,15 @@ def test_minimal_polynomial_against_sympy(coeffs):
 X = ("x",)
 
 
-def assert_factored_as_sympy(p):
-    """factor_rational on one root pass of the squarefree univariate p
-    gives sympy's irreducible factors, each owning as many roots as its
-    degree, and the factors own every root once."""
-    roots = roots_numeric(p, 64)
-    found = factor_rational(p, roots, 64)
+def assert_factored_as_sympy(p, roots=None, digits=64):
+    """factor_rational on all the roots of the squarefree univariate p, by
+    default one root pass, gives sympy's irreducible factors, each owning
+    as many roots as its degree, and the factors own every root once."""
+    roots = roots_numeric(p, digits) if roots is None else roots
+    found = factor_rational(p, roots, digits)
+    if p.vars != X:     # the norm's variable
+        p, found = p.rename(p.vars[0], "x"), [(g.rename(g.vars[0], "x"), owned)
+                                              for g, owned in found]
     _, want = sympy.factor_list(to_sympy(p, SYMS), SYMS["x"])
     assert sorted(to_text(g) for g, _ in found) == sorted(
         to_text(normalize_sign(from_sympy(f, X, SYMS))) for f, _ in want), to_text(p)
@@ -237,6 +241,15 @@ def test_factor_rational_against_sympy_on_the_record_polynomials():
     assert len(inputs) == 7
     for p in inputs:
         assert_factored_as_sympy(p)
+
+
+def test_factor_rational_against_sympy_on_the_membership_norms(monkeypatch):
+    # the norm N_s that express_in_field factors, on the tau_j + s alpha_k
+    # it builds from the passes of the field and the value: the records'
+    # rho0 values, sqrt(2) over Q(sqrt(-3)), the s = 2 case, and the rho0
+    # values of b(9,5) and b(11,3) over their trace fields (degree 16 and 25)
+    for p, roots, digits in norm_passes(monkeypatch):
+        assert_factored_as_sympy(p, roots, digits)
 
 
 @pytest.mark.parametrize("d", range(2, 25))

@@ -10,14 +10,14 @@ import mpmath as mp
 import pytest
 
 from test_report_goldens import CASES
-from torsionpoly import cli, mplinalg as la, numfield, pipelines as pl, torsion_sym
+from torsionpoly import cli, numfield, pipelines as pl, torsion_sym
 from torsionpoly.numfield import (
-    NotInField, NumberField, NumFieldError, Undecided, algebraic_root,
+    NotInField, NumberField, NumFieldError, algebraic_root,
     express_in_field, factor_rational, minimal_polynomial, roots_numeric,
 )
 from torsionpoly.polys import (
-    MultiPoly, dense_coeffs, divides, from_dense, from_text, gcd_poly,
-    normalize_sign, resultant, squarefree_primitive,
+    MultiPoly, dense_coeffs, divides, exact_div, from_dense, from_text, gcd_poly,
+    normalize_sign, resultant, squarefree_primitive, to_text,
 )
 from torsionpoly.records import ingest_knot
 
@@ -339,10 +339,48 @@ def test_express_rational():
 
 
 def test_express_sqrt2_not_in_quadratic_field():
+    # N_1 = x^4 + 2x^2 + 25 is irreducible: sqrt(2) is quadratic over Q(sqrt(-3))
     K = field_41()
     target = root_of(from_text("tau^2 - 2"), mp.mpc("1.41421356"), 40)
     out = express_in_field(target, K)
-    assert isinstance(out, NotInField)
+    assert out == NotInField("[K(tau):K] = 2 by a norm factor of degree 4", 64)
+
+
+def test_express_reports_a_degree_4_extension():
+    # x^4 + x + 1 has Galois group S4, so its field has no quadratic
+    # subfield and 2^(1/4) has degree 4 over it; degree divisibility
+    # cannot tell, the norm's irreducible N_1 of degree 16 does
+    K = NumberField.create(from_text("x^4 + x + 1"))
+    target = root_of(from_text("tau^4 - 2"), mp.mpc("1.19"))
+    out = express_in_field(target, K)
+    assert out == NotInField("[K(tau):K] = 4 by a norm factor of degree 16", 64)
+
+
+def norm_at(f: MultiPoly, g: MultiPoly, s: int) -> MultiPoly:
+    """Res_y(f(y), g(x - s*y)), primitive, for univariate f and g."""
+    xy = ("x", "y")
+    shifted = from_dense("x", dense_coeffs(g)).substitute(
+        "x", MultiPoly.var(xy, "x") - s * MultiPoly.var(xy, "y"))
+    return normalize_sign(resultant(from_dense("y", dense_coeffs(f)).with_vars(xy),
+                                    shifted, "y"))
+
+
+def test_express_moves_to_s_2_where_n_1_is_not_squarefree(monkeypatch):
+    # tau = 1 + x in Q(sqrt(-3)): tau_j + alpha_k is 1 both at (1 + x) + (-x)
+    # and at (1 - x) + x, so N_1 has a double root, and the norm is N_2; the
+    # declared embedding x ~ -1.73i sends 1 + x to the lower root of g
+    K = NumberField.create(from_text("x^2 + 3"), embedding_hint=mp.mpc(0, "-1.7"))
+    e = K.element([1, 1])
+    g = minimal_polynomial(e)
+    target = root_of(g, e.embed(64))
+    n_1 = norm_at(K.defining_poly, g, 1)
+    assert not gcd_poly(n_1, n_1.derivative("x")).is_constant()
+    factored = []
+    real = numfield.factor_rational
+    monkeypatch.setattr(numfield, "factor_rational",
+                        lambda p, *rest: factored.append(p) or real(p, *rest))
+    assert express_in_field(target, K) == (e, "matched at the declared field embedding")
+    assert [p.rename("_x", "x") for p in factored] == [norm_at(K.defining_poly, g, 2)]
 
 
 def test_express_roundtrip_random_elements():
@@ -416,8 +454,8 @@ def test_non_declared_match_reuses_the_field_roots(monkeypatch):
 
 
 def test_express_ladders_up_from_low_precision():
-    # exact verification rejects bad reconstructions, so a tiny starting
-    # working precision only delays, never corrupts, the answer
+    # the norm is factored at the digits its coefficient bound asks for, so
+    # a tiny requested precision never corrupts the answer
     K = field_52()
     cubic = from_text("tau^3 - 71*tau^2 + 2802*tau - 28075")
     target = root_of(cubic, mp.mpc("28.4932", "34.5189"), 48)
@@ -428,11 +466,11 @@ def test_express_ladders_up_from_low_precision():
 
 
 def test_escalated_express_finds_the_roots_again(monkeypatch):
-    # at the digits the field and the target were certified at, both carry
-    # their roots; coordinates over 10^6 and 10^7 give the target minimal
-    # polynomial a 40-digit lead, so the proven denominator 23 * lead times
-    # the solve error exceeds 1/2 through 16 digits and sends the solve up
-    # to 32 digits, and every escalated precision takes fresh root passes
+    # both the field and the target carry roots good to 8 digits; coordinates
+    # over 10^6 and 10^7 give the target minimal polynomial a 40-digit lead
+    # and N_1 coefficients near 10^120, so Mignotte's bound on its factors
+    # asks for 250 digits, and the field and the target each take one fresh
+    # root pass there, before the one factorization
     K = NumberField.create(from_text("x^3 - x^2 + 1"),
                            embedding_hint=mp.mpc("0.8774", "-0.7448"), digits=8)
     e = K.element([1, Fraction(1, 1000003), Fraction(1, 10000019)])
@@ -440,7 +478,7 @@ def test_escalated_express_finds_the_roots_again(monkeypatch):
     calls = count_root_passes(monkeypatch)
     elem, _ = express_in_field(target, K, digits=8)
     assert elem == e
-    assert calls == [(16,), (16,), (32,), (32,)]
+    assert calls == [(250,), (250,)]
 
 
 @pytest.mark.parametrize("ambient", [15, 16, 17])
@@ -674,32 +712,164 @@ def record_fields_and_values():
         yield K, pl.rho0_for_curve(record, curve)[0].value
 
 
-def test_vandermonde_inverse_solve_agrees_with_lu_solve():
-    # every pairing express_in_field can try, at the digits it works at:
-    # mpmath's own LU solve is the test's oracle
-    prec = 64
-    for K, tau in record_fields_and_values():
-        with mp.workdps(prec + 30):
-            f_roots = K.all_embeddings(prec)
-            V = mp.matrix([[r ** j for j in range(K.degree)] for r in f_roots])
-            inverse = numfield._vandermonde_inverse(f_roots)
-            pairings = [a for a in itertools.product(range(tau.degree), repeat=K.degree)
-                        if len(set(a)) == tau.degree]
-            assert pairings
-            for assign in pairings:
-                rhs = [tau.roots[a] for a in assign]
-                got = la.matmul(inverse, [[v] for v in rhs])
-                want = mp.lu_solve(V, mp.matrix(rhs))
-                assert all(abs(g - w) < mp.mpf(10) ** -prec
-                           for (g,), w in zip(got, want))
+QUARTIC_9_5 = "tau^4 + 25*tau^3 + 295*tau^2 + 1542*tau + 4369"
+QUINTIC_11_3 = "tau^5 + 17*tau^4 + 191*tau^3 + 5477*tau^2 + 74634*tau + 289651"
 
 
-def test_repeated_embedding_node_is_undecided(monkeypatch):
-    K, tau = list(record_fields_and_values())[1]
-    roots = K.all_embeddings()
-    monkeypatch.setattr(NumberField, "all_embeddings",
-                        lambda self, digits=64: [roots[0], roots[0], roots[2]])
-    assert express_in_field(tau, K) == Undecided("degenerate embedding matrix", 64)
+def two_bridge_fields_and_values():
+    """(field, rho0 value tau_lambda) for the two-bridge knots b(9,5) and
+    b(11,3): the trace field of b(p,q) is Q(u) for u a root of Riley's
+    polynomial, the (1,1) entry of the image of w = a^e1 b^e2 ... b^e(p-1),
+    e_i = (-1)^floor(iq/p), for a -> [[1, 1], [0, 1]] and
+    b -> [[1, 0], [-u, 1]] (Riley, Proc. London Math. Soc. 24, 1972)."""
+    for field, hint, value, near in (
+            ("x^4 + x^3 + 3*x^2 + 2*x + 1", ("-0.105", "1.552"), QUARTIC_9_5,
+             mp.mpc("-3.567", "4.425")),
+            ("x^5 - 5*x^4 + 8*x^3 - 3*x^2 - x - 1", ("1.965", "0.622"), QUINTIC_11_3,
+             mp.mpc("-6.627"))):
+        yield (NumberField.create(from_text(field), embedding_hint=mp.mpc(*hint)),
+               root_of(from_text(value), near))
+
+
+def norm_cases():
+    """(field, target) for each membership question the norm oracle rows
+    factor: the records' rho0 values that are not rational, sqrt(2) over
+    Q(sqrt(-3)), 1 + x in Q(sqrt(-3)) at s = 2, and the two-bridge rho0
+    values over their trace fields."""
+    yield from record_fields_and_values()
+    yield field_41(), root_of(from_text("tau^2 - 2"), mp.mpc("1.41421356"))
+    K = NumberField.create(from_text("x^2 + 3"), embedding_hint=mp.mpc(0, "-1.7"))
+    yield K, root_of(from_text("tau^2 - 2*tau + 4"), mp.mpc(1, "-1.7"))
+    yield from two_bridge_fields_and_values()
+
+
+def norm_passes(monkeypatch):
+    """(polynomial, roots, digits) of the one factor_rational call that
+    express_in_field makes on each of the norm cases."""
+    cases, seen = list(norm_cases()), []
+    real = numfield.factor_rational
+    with monkeypatch.context() as patch:
+        patch.setattr(numfield, "factor_rational",
+                      lambda *args: seen.append(args) or real(*args))
+        for K, tau in cases:
+            express_in_field(tau, K)
+    assert len(seen) == len(cases)
+    return seen
+
+
+def test_two_bridge_rho0_values_lie_in_their_trace_fields():
+    # the norms, of degree 16 and 25, each have a factor of degree n
+    (K9, tau9), (K11, tau11) = two_bridge_fields_and_values()
+    for K, tau, coords in ((K9, tau9, (-5, 14, 1, 7)), (K11, tau11, (-13, -7, 9, 5, -4))):
+        elem, _ = express_in_field(tau, K)
+        assert elem == K.element(coords)
+        assert minimal_polynomial(elem) == tau.minpoly
+
+
+def classes_by_mp_distances(roots):
+    """The conjugation classes as factor_rational first formed them: each
+    root with the root nearest its conjugate, by mpmath distances."""
+    return sorted({tuple(sorted({i, min(range(len(roots)), key=lambda j: abs(
+        roots[j] - c))})) for i, c in enumerate(map(mp.conj, roots))})
+
+
+def factor_rational_by_mp_distances(p, roots, digits):
+    """factor_rational as it was before its classes were read off machine
+    floats and its class constants limited to the classes a subset can hold."""
+    rest = normalize_sign(p)
+    lead, tol = rest.leading_coefficient(), mp.mpf(10) ** (-digits // 2)
+    with mp.workdps(numfield.root_dps(digits)):
+        classes = classes_by_mp_distances(roots)
+        const = {c: mp.re(mp.fprod(-roots[i] for i in c)) for c in classes}
+        subsets = [(sorted(sum(s, ())), s) for k in range(1, len(roots) // 2 + 1)
+                   for s in itertools.combinations(classes, k)]
+        factors, taken = [], set()
+        for owned, s in sorted(subsets, key=lambda o_s: (len(o_s[0]), o_s[0])):
+            if 2 * len(owned) > len(roots) - len(taken):
+                break
+            if taken.intersection(owned) or numfield._integer(
+                    lead * mp.fprod(const[c] for c in s), tol) is None:
+                continue
+            coeffs = [mp.mpc(lead)]
+            for i in owned:
+                coeffs = [a - roots[i] * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+            ints = [numfield._integer(mp.re(c), tol) for c in reversed(coeffs)]
+            g = None if None in ints else normalize_sign(from_dense(p.vars[0], ints))
+            if g is None or not divides(g, rest):
+                continue
+            factors.append((g, tuple(roots[i] for i in owned)))
+            rest, taken = exact_div(rest, g), taken.union(owned)
+    return factors + [(rest, tuple(r for i, r in enumerate(roots) if i not in taken))]
+
+
+def factor_oracle_polynomials():
+    """The polynomials of the factor_rational oracle rows, drawn without
+    sympy: seeded squarefree products of random polynomials and of definite
+    quadratics, the cyclotomic products, the record polynomials with both
+    two-bridge rho0 polynomials, and x^d - x - 1 for 2 <= d <= 24."""
+    rng = random.Random(83)
+
+    def product(draw, degree):
+        p = MultiPoly.constant(("x",), 1)
+        while p.degree_in("x") < degree:
+            p = p * draw(degree - p.degree_in("x"))
+        return p
+
+    def any_factor(most):
+        d = rng.randint(1, min(4, most))
+        return from_dense("x", [rng.randint(-9, 9) for _ in range(d)] + [rng.randint(1, 5)])
+
+    def definite_quadratic(most):
+        while True:
+            a, b, c = rng.randint(1, 6), rng.randint(-9, 9), rng.randint(1, 9)
+            if b * b < 4 * a * c:
+                return from_dense("x", [c, b, a])
+    drawn = [product(any_factor, d) for d in [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 12, 12]] \
+        + [product(definite_quadratic, d) for d in [2, 4, 4, 6, 6, 8, 8, 10, 12]]
+    yield from (p for p in drawn if gcd_poly(p, p.derivative("x")).is_constant())
+    for text in ("x^4 + 4", "x^8 + 1", "x^4 + x^2 + 1", "x^6 + 1", "x^8 + x^4 + 1"):
+        yield from_text(text, ["x"])
+    for knot in ("4_1", "5_2"):
+        record = ingest_knot(knot)
+        yield normalize_sign(record.trace_field_poly)
+        for curve in record.rho0:
+            yield squarefree_primitive(pl.rho0_for_curve(record, curve)[1], "tau")
+    yield from (from_text(t) for t in (QUARTIC_9_5, QUINTIC_11_3))
+    yield from (from_text(f"x^{d} - x - 1") for d in range(2, 25))
+
+
+# roots 1 +- 10^-15, and +-i next to +-i (1 + 10^-15): closer than the
+# rounding of machine floats, so their classes take mpmath's distances
+CLUSTERS = ["1000000000000000000000000000000*x^2 - 2000000000000000000000000000000*x"
+            " + 999999999999999999999999999999",
+            "1000000000000000000000000000000*x^4 + 2000000000000002000000000000001*x^2"
+            " + 1000000000000002000000000000001"]
+
+
+def test_float_classes_decide_within_the_rounding_at_full_precision():
+    # the conjugate of the first root is 6.2e-11 from the second and
+    # 6.4e-11 from the third, both under the float spacing 1.2e-10 near 1e6,
+    # and the floats put the third nearer; the fourth is the third's conjugate
+    with mp.workdps(30):
+        roots = [mp.mpc("1e6", im) for im in ("1000000.000000000055", "-1000000.000000000117",
+                                                "-999999.999999999991", "999999.999999999991")]
+        assert abs(complex(roots[2]) - complex(roots[0]).conjugate()) \
+            < abs(complex(roots[1]) - complex(roots[0]).conjugate())
+        assert numfield._conjugation_classes(roots) == classes_by_mp_distances(roots) \
+            == [(0, 1), (2, 3)]
+
+
+def test_float_classes_keep_the_classes_factors_and_roots(monkeypatch):
+    polys = [*factor_oracle_polynomials(), *map(from_text, CLUSTERS)]
+    passes = [(p, roots_numeric(p, 64), 64) for p in polys]
+    for p, roots, digits in passes + norm_passes(monkeypatch):
+        with mp.workdps(numfield.root_dps(digits)):
+            assert numfield._conjugation_classes(roots) == classes_by_mp_distances(roots)
+        got = factor_rational(p, roots, digits)
+        want = factor_rational_by_mp_distances(p, roots, digits)
+        assert [g for g, _ in got] == [g for g, _ in want], to_text(p)
+        assert all(len(a) == len(b) and all(r is s for r, s in zip(a, b))
+                   for (_, a), (_, b) in zip(got, want)), to_text(p)
 
 
 @pytest.mark.parametrize("f, hint, coords, note", [

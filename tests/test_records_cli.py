@@ -10,7 +10,7 @@ from pathlib import Path
 import mpmath as mp
 import pytest
 
-from torsionpoly import cli, front, pipelines as pl
+from torsionpoly import cli, front, numfield, pipelines as pl
 from torsionpoly import records
 from torsionpoly.records import (
     RATIONAL_BITS, RECORD_DEGREE, RecordError, bundled_record_text, ingest_knot, parse_record,
@@ -380,21 +380,25 @@ def test_an_apoly_term_at_the_degree_cap_eliminates_in_seconds(capsys, cache_dir
     assert (code, err) == (0, "") and "trace_relation = " in out
 
 
-def test_membership_beyond_the_pairing_bound_is_undecided_at_once(capsys, cache_dir,
-                                                                  tmp_path):
-    # the search tried all 2^16 pairings of the value's two conjugates with
-    # the 16 field embeddings, at up to four precisions, for over 200 s
-    p = tmp_path / "wide.knot"
-    p.write_text(bundled_record_text("4_1")
-                 .replace("poly = x^2 + 3", "poly = x^16 - x - 1")
-                 .replace("embedding = 0 1.7320508", "embedding = 1.1 0"))
-    start = time.perf_counter()
-    code, out, err = run_cli(capsys, "membership", "--knot", str(p), "--curve", "mu",
-                             "--no-cache")
-    assert time.perf_counter() - start < 10
-    assert (code, err) == (0, "")
-    assert ("outcome = undecided: 2^16 = 65536 embedding pairings exceed the search "
-            "bound 1024 (precision 64)\n") in out
+def test_membership_on_a_wide_trace_field_is_decided_or_refused_at_once(capsys, cache_dir,
+                                                                       tmp_path):
+    # the value's two conjugates over the field of x^d - x - 1: the norm,
+    # of degree 2d, is factored at d = 12 and refused by the subset bound
+    # at d = 16, each in well under a second
+    for d, want, text in (
+            (12, 0, "outcome = not in field: [K(tau):K] = 2 by a norm factor of "
+                    "degree 24 (precision 64)\n"),
+            (16, 2, "error: membership: 2^16 = 65536 root subsets exceed the "
+                    f"factorization bound {numfield.MAX_SUBSETS}\n")):
+        p = tmp_path / f"wide{d}.knot"
+        p.write_text(bundled_record_text("4_1")
+                     .replace("poly = x^2 + 3", f"poly = x^{d} - x - 1")
+                     .replace("embedding = 0 1.7320508", "embedding = 1.1 0"))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "membership", "--knot", str(p), "--curve", "mu",
+                                 "--no-cache")
+        assert time.perf_counter() - start < 10
+        assert code == want and text in (err if code else out), (d, out, err)
 
 
 def test_record_entry_outside_section():

@@ -1,12 +1,12 @@
 """The package imports only the standard library, mpmath and itself, so an
 installed package such as numpy or gmpy2 never becomes a dependency; sympy,
 hypothesis and pytest, in particular, are test-only, so the program runs
-without them.  No module uses `mp.matrix`
-or mpmath's own solvers: a 2x2 matrix is a 4-tuple, a chain matrix and the
-embedding solve's inverse Vandermonde matrix are row lists, chain ranks and
-kernels come from `mplinalg`'s one elimination, and the Vandermonde inverse
-is formed in closed form.  `polys` is the only module that reads or
-builds the packed monomial keys of a polynomial's terms.  The free group of
+without them.  No module uses `mp.matrix` or mpmath's own solvers: a 2x2
+matrix is a 4-tuple, a chain matrix is a row list, and chain ranks and
+kernels come from `mplinalg`'s one elimination.  `numfield` decides
+membership by an exact factorization and solves no linear system, so it
+imports no `mplinalg`.  `polys` is the only module that reads or builds the
+packed monomial keys of a polynomial's terms.  The free group of
 `words` needs only the standard library, `records` parses without the numeric
 engine, and only the entry points `cli` and `verify`, and the modules that
 work at digits they are given, name mpmath's working precision.  The exact
@@ -215,6 +215,10 @@ NO_NUMERICS = {
 @pytest.mark.parametrize("name", sorted(NO_NUMERICS))
 def test_exact_layer_imports_no_numerics(name):
     assert not NO_NUMERICS[name] & set(package_modules(PACKAGE / name))
+
+
+def test_numfield_imports_no_mplinalg():
+    assert "mplinalg" not in set(package_modules(PACKAGE / "numfield.py"))
 
 
 @pytest.mark.parametrize("name", ["polys", "words", "charvar", "records"])
